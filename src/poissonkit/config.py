@@ -66,18 +66,40 @@ def _fail(path: str, message: str):
     raise ConfigValidationError(f"{path}: {message}")
 
 
+def _is_number(v) -> bool:
+    # JSON numbers decode to exactly int or float; this also rejects bool.
+    return type(v) in (int, float)
+
+
+def _number(v, path: str, null: float | None = None) -> float:
+    """A JSON number as a float; ``null`` stands in for a JSON null where
+    one is allowed (an unbounded side)."""
+    if v is None and null is not None:
+        return null
+    if not _is_number(v):
+        _fail(path, "expected a number" if null is None else "expected a number or null")
+    try:
+        return float(v)
+    except OverflowError:
+        _fail(path, "number out of range")
+
+
+def _number_list(raw: list, path: str) -> np.ndarray:
+    if not set(map(type, raw)) <= {int, float}:
+        i = next(i for i, v in enumerate(raw) if not _is_number(v))
+        _fail(f"{path}[{i}]", "expected a number")
+    try:
+        return np.array(raw, dtype=float)
+    except OverflowError:
+        _fail(path, "number out of range")
+
+
 def _bound_list(raw, n: int, path: str, sign: float) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         _fail(path, f"expected a list of {n} numbers")
-    out = np.empty(n)
-    for i, v in enumerate(raw):
-        if v is None:
-            out[i] = sign * math.inf
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[i] = float(v)
-        else:
-            _fail(f"{path}[{i}]", "expected a number or null")
-    return out
+    return np.array(
+        [_number(v, f"{path}[{i}]", sign * math.inf) for i, v in enumerate(raw)]
+    )
 
 
 def _parse_domain(raw, n: int) -> BoxDomain:
@@ -105,13 +127,13 @@ def _parse_factor(raw, idx: int) -> FactorFunction:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail(f"{path}.params", "expected an object")
-    kwargs = {k: float(v) for k, v in params.items()}
+    kwargs = {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
     if "validity" in raw:
         v = raw["validity"]
         if not isinstance(v, list) or len(v) != 2:
             _fail(f"{path}.validity", "expected [lo, hi]")
-        lo = -math.inf if v[0] is None else float(v[0])
-        hi = math.inf if v[1] is None else float(v[1])
+        lo = _number(v[0], f"{path}.validity[0]", -math.inf)
+        hi = _number(v[1], f"{path}.validity[1]", math.inf)
         kwargs["validity"] = (lo, hi)
     try:
         return FACTOR_KINDS[kind](**kwargs)
@@ -160,7 +182,7 @@ def parse_config(text: str) -> SystemConfig:
         state = raw["initial_state"]
         if not isinstance(state, list):
             _fail("initial_state", "expected a list of numbers")
-        initial_state = np.array([float(v) for v in state])
+        initial_state = _number_list(state, "initial_state")
 
     if has_catalog:
         system = raw["system"]
@@ -193,7 +215,7 @@ def parse_config(text: str) -> SystemConfig:
     B_raw = raw.get("B")
     if not isinstance(B_raw, list) or len(B_raw) != n * n:
         _fail("B", f"expected a row-major list of {n * n} reals")
-    B = np.array([float(v) for v in B_raw]).reshape(n, n)
+    B = _number_list(B_raw, "B").reshape(n, n)
     factors_raw = raw.get("factors", [])
     if not isinstance(factors_raw, list) or len(factors_raw) != r:
         _fail("factors", f"expected {r} factor objects")

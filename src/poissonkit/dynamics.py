@@ -9,6 +9,17 @@ exactly fixed, and maps each state back.  Casimir drift on the canonical
 route is therefore bounded by chart round-trip error alone, independent of
 the number of steps.
 
+Implicit midpoint solves its stage equation by simplified Newton iteration.
+When the Hamiltonian carries an analytic Hessian, the Newton matrix is
+formed analytically: on the direct route it is J(x) Hess H + (dJ/dx) grad H;
+on the canonical route, with y the inverted quadrature chart, x = A y,
+e = phi(y) and g = (A^T grad H(x))[:r], it is
+
+    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
+
+Without a Hessian the Newton matrix falls back to central differences of
+the vector field.
+
 Both integrators are fixed-step; states that leave the certified box
 truncate the trajectory with a domain-exit flag rather than extrapolating
 past the region where the structural guarantees hold.
@@ -18,18 +29,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
+from .darboux import (
+    DarbouxChart,
+    canonical_matrix,
+    casimirs,
+    darboux_chart,
+    inverse_quadrature_chart,
+)
 from .errors import (
     MaxNewtonIterationsError,
     OutOfDomainError,
     OutOfRangeError,
     OutOfValidityError,
 )
-from .structure import MultiseparableSpec, evaluate_structure
+from .structure import (
+    MultiseparableSpec,
+    evaluate_structure,
+    factor_derivatives,
+    factor_values,
+    structure_partials,
+)
 
 #: implicit-midpoint Newton controls.
 NEWTON_TOL = 1e-12
@@ -41,14 +65,17 @@ MAX_DENSE_RECORDS = 1_000_000
 
 @dataclass(frozen=True)
 class HamiltonianField:
-    """Scalar function with a gradient provider.
+    """Scalar function with optional gradient and Hessian providers.
 
     When no analytic gradient is supplied, central finite differences with
-    step 1e-6 (1 + |x_l|) are used.
+    step 1e-6 (1 + |x_l|) are used.  The Hessian is optional: with it,
+    implicit midpoint forms its Newton matrix analytically; without it,
+    the Newton matrix comes from central differences of the vector field.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
@@ -67,6 +94,10 @@ class HamiltonianField:
             g[l] = (float(self.value(xp)) - float(self.value(xm))) / (2.0 * h)
         return g
 
+    def hessian_at(self, x) -> np.ndarray:
+        """The analytic Hessian; only defined when ``hessian`` is set."""
+        return np.asarray(self.hessian(np.asarray(x, dtype=float)), dtype=float)
+
 
 def quadratic_hamiltonian(weights) -> HamiltonianField:
     """H(x) = sum_i w_i x_i^2 / 2."""
@@ -74,6 +105,7 @@ def quadratic_hamiltonian(weights) -> HamiltonianField:
     return HamiltonianField(
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
         gradient=lambda x: w * np.asarray(x, dtype=float),
+        hessian=lambda x: np.diag(w),
     )
 
 
@@ -83,6 +115,7 @@ def linear_hamiltonian(coefficients) -> HamiltonianField:
     return HamiltonianField(
         value=lambda x: float(c @ np.asarray(x, dtype=float)),
         gradient=lambda x: c.copy(),
+        hessian=lambda x: np.zeros((c.shape[0], c.shape[0])),
     )
 
 
@@ -108,7 +141,6 @@ def validate_gradient(H: HamiltonianField, points, tol: float = 1e-6) -> float:
 
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
     """dx/dt = J(x) grad H(x)."""
-    x = spec.require_inside(x)
     return evaluate_structure(spec, x) @ H.gradient_at(x)
 
 
@@ -120,7 +152,6 @@ def bracket(
     Evaluated as grad f . (J grad g) so that brackets against a function
     whose gradient J annihilates (a Casimir) vanish exactly.
     """
-    x = spec.require_inside(x)
     J = evaluate_structure(spec, x)
     return float(f.gradient_at(x) @ (J @ g.gradient_at(x)))
 
@@ -141,7 +172,6 @@ class TrajectoryRecord:
     states: np.ndarray
     energy_drift: np.ndarray
     casimir_drift: np.ndarray
-    step_sizes: np.ndarray
     domain_exit: bool = False
 
     @property
@@ -167,7 +197,6 @@ def _record(
     method: str,
     times: list[float],
     states: list[np.ndarray],
-    dt: float,
     domain_exit: bool,
 ) -> TrajectoryRecord:
     times_arr = np.asarray(times, dtype=float)
@@ -180,8 +209,6 @@ def _record(
         casimir = states_arr @ C.T - c0
     else:
         casimir = np.zeros((len(times), 0))
-    steps = np.full(len(times), dt)
-    steps[0] = 0.0
     return TrajectoryRecord(
         spec=spec,
         method=method,
@@ -189,7 +216,6 @@ def _record(
         states=states_arr,
         energy_drift=energy,
         casimir_drift=casimir,
-        step_sizes=steps,
         domain_exit=domain_exit,
     )
 
@@ -221,10 +247,15 @@ def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
     return Jf
 
 
-def _implicit_midpoint_step(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    """One implicit-midpoint step, Newton iteration with a finite-difference
-    Jacobian held over several iterations.  Raises MaxNewtonIterationsError
-    when the residual does not reach NEWTON_TOL within the cap."""
+def _implicit_midpoint_step(
+    f: Callable, x: np.ndarray, dt: float, jacobian: Callable | None = None
+) -> np.ndarray:
+    """One implicit-midpoint step by simplified Newton iteration.
+
+    The Newton matrix I - dt/2 Df(mid) is refreshed every ten iterations;
+    Df comes from ``jacobian`` when given, else from central differences
+    of f.  Raises MaxNewtonIterationsError when the residual does not
+    reach NEWTON_TOL within the cap."""
     n = x.shape[0]
     scale = 1.0 + float(np.max(np.abs(x)))
     u = x + dt * f(x)
@@ -235,11 +266,80 @@ def _implicit_midpoint_step(f: Callable, x: np.ndarray, dt: float) -> np.ndarray
         if float(np.max(np.abs(g))) <= NEWTON_TOL * scale:
             return u
         if M is None or it % 10 == 9:
-            M = np.eye(n) - 0.5 * dt * _fd_jacobian(f, mid)
+            Df = _fd_jacobian(f, mid) if jacobian is None else jacobian(mid)
+            M = np.eye(n) - 0.5 * dt * Df
         u = u - np.linalg.solve(M, g)
     raise MaxNewtonIterationsError(
         f"implicit midpoint: no convergence in {NEWTON_MAX_ITERS} iterations"
     )
+
+
+def _check_step_controls(dt: float, steps: int) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+
+
+def _direct_system(
+    spec: MultiseparableSpec, H: HamiltonianField
+) -> tuple[Callable, Callable | None]:
+    """The direct-route field x -> J(x) grad H(x) and its analytic Jacobian
+    J(x) Hess H(x) + sum_j dJ_ij/dx_l grad_j H(x) (None without a Hessian)."""
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return vector_field(spec, H, x)
+
+    if H.hessian is None:
+        return f, None
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        J = evaluate_structure(spec, x)
+        partials = structure_partials(spec, x)
+        return J @ H.hessian_at(x) + np.einsum(
+            "ijl,j->il", partials, H.gradient_at(x)
+        )
+
+    return f, jacobian
+
+
+def _canonical_system(
+    spec: MultiseparableSpec,
+    H: HamiltonianField,
+    chart: DarbouxChart,
+    tail: np.ndarray,
+) -> tuple[Callable, Callable | None]:
+    """The reduced canonical-route field on the first r chart coordinates u,
+    with z_{r+1..n} held at ``tail``, and its analytic Jacobian (None
+    without a Hessian).
+
+    Each evaluation inverts the quadrature chart once: y = F^{-1}(u, tail),
+    x = A y, e = phi(y), g = (A^T grad H(x))[:r], and the field is
+    K_r (e g).  Since dy_i/du_i = e_i, its Jacobian is
+    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
+    """
+    K = canonical_matrix(spec.r, spec.r)
+    A_r = spec.A[:, : spec.r]
+
+    def pull_back(u: np.ndarray):
+        y = inverse_quadrature_chart(spec, chart.anchors, np.concatenate([u, tail]))
+        x = spec.A @ y
+        return y, x, factor_values(spec, y), A_r.T @ H.gradient_at(x)
+
+    def f(u: np.ndarray) -> np.ndarray:
+        _, _, e, g = pull_back(u)
+        return K @ (e * g)
+
+    if H.hessian is None:
+        return f, None
+
+    def jacobian(u: np.ndarray) -> np.ndarray:
+        y, x, e, g = pull_back(u)
+        curvature = A_r.T @ H.hessian_at(x) @ A_r
+        D = np.diag(factor_derivatives(spec, y) * e * g) + e[:, None] * curvature * e
+        return K @ D
+
+    return f, jacobian
 
 
 def integrate_direct(
@@ -254,20 +354,18 @@ def integrate_direct(
 
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
     truncated with a domain-exit flag if any accepted state (or any stage
-    evaluation) leaves the certified box.
+    evaluation) leaves the certified box.  ``dt`` must be finite and
+    positive.
     """
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_step_controls(dt, steps)
     x = spec.require_inside(x0).copy()
-
-    def f(state: np.ndarray) -> np.ndarray:
-        return vector_field(spec, H, state)
-
-    stepper = _rk4_step if method == "rk4" else _implicit_midpoint_step
+    f, jacobian = _direct_system(spec, H)
+    if method == "rk4":
+        stepper = _rk4_step
+    else:
+        stepper = partial(_implicit_midpoint_step, jacobian=jacobian)
     stride = _record_stride(steps)
     times = [0.0]
     states = [x.copy()]
@@ -284,7 +382,7 @@ def integrate_direct(
         if k % stride == 0 or k == steps:
             times.append(k * dt)
             states.append(x.copy())
-    return _record(spec, H, method, times, states, dt, domain_exit)
+    return _record(spec, H, method, times, states, domain_exit)
 
 
 def integrate_canonical(
@@ -300,25 +398,16 @@ def integrate_canonical(
     The first r components of z follow implicit midpoint on
     dz/dt = K grad_z H(x(z)) with the constant canonical K; the remaining
     components are held bitwise constant, so Casimir levels survive up to
-    the chart round trip only.
+    the chart round trip only.  ``dt`` must be finite and positive.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_step_controls(dt, steps)
     x_start = spec.require_inside(x0)
     if chart is None:
         chart = darboux_chart(spec)
     r = spec.r
-    K_top = canonical_matrix(spec.n, r)[:r]
     z = chart.forward(x_start)
     tail = z[r:].copy()
-
-    def f_reduced(u: np.ndarray) -> np.ndarray:
-        z_full = np.concatenate([u, tail])
-        x = chart.inverse(z_full)
-        grad_z = chart.inverse_jacobian(z_full).T @ H.gradient_at(x)
-        return K_top @ grad_z
+    f_reduced, jacobian = _canonical_system(spec, H, chart, tail)
 
     stride = _record_stride(steps)
     times = [0.0]
@@ -330,7 +419,7 @@ def integrate_canonical(
             x = states[0]
         else:
             try:
-                u = _implicit_midpoint_step(f_reduced, u, dt)
+                u = _implicit_midpoint_step(f_reduced, u, dt, jacobian)
                 x = chart.inverse(np.concatenate([u, tail]))
             except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
                 domain_exit = True
@@ -341,7 +430,7 @@ def integrate_canonical(
         if k % stride == 0 or k == steps:
             times.append(k * dt)
             states.append(np.asarray(x, dtype=float))
-    return _record(spec, H, "canonical-midpoint", times, states, dt, domain_exit)
+    return _record(spec, H, "canonical-midpoint", times, states, domain_exit)
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

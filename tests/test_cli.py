@@ -16,6 +16,30 @@ KMK_CONFIG = {
 }
 
 
+EXPLICIT_CONFIG = {
+    "version": 1,
+    "n": 3,
+    "r": 2,
+    "B": [1, 0, 0, 0, 1, 0, 1, 1, 1],
+    "factors": [
+        {"kind": "linear", "params": {"slope": 1.0}, "validity": [0, None]},
+        {"kind": "affine", "params": {"slope": 1.0, "intercept": 0.5}},
+    ],
+    "domain": {"lower": [0, 0, 0], "upper": [None, None, None],
+               "sample_lower": [0.5, 0.5, 0.5], "sample_upper": [2.5, 2.5, 2.5]},
+}
+
+
+def _with(base: dict, path: tuple, value) -> dict:
+    """Deep copy of ``base`` with the entry at ``path`` replaced."""
+    config = json.loads(json.dumps(base))
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -263,6 +287,50 @@ class TestIntegrateCommand:
         )
         assert code == 0
         assert target.read_text().startswith("t,x1,x2,x3,dH,dC_3")
+
+
+@pytest.mark.parametrize("route", ["direct", "canonical"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "-1"])
+def test_bad_dt_is_usage_error(capsys, dt, route):
+    code, out, err = _run(
+        capsys,
+        [
+            "integrate", "--system", "kmk", "--hamiltonian", "quadratic-diagonal:1,1,1",
+            "--x0", "1,1.1,0.9", "--steps", "5", "--route", route, "--dt", dt,
+        ],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dt must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "params", "slope"), None),
+         "factors[0].params.slope"),
+        (_with(EXPLICIT_CONFIG, ("factors", 1, "params", "intercept"), "0.5"),
+         "factors[1].params.intercept"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "params", "slope"), True),
+         "factors[0].params.slope"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "validity", 0), "zero"),
+         "factors[0].validity[0]"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "validity", 1), [1.0]),
+         "factors[0].validity[1]"),
+        (_with(EXPLICIT_CONFIG, ("B", 4), None), "B[4]"),
+        (_with(EXPLICIT_CONFIG, ("B", 0), [1, 0, 0]), "B[0]"),
+        (_with(EXPLICIT_CONFIG, ("initial_state",), [1.0, None, 0.9]), "initial_state[1]"),
+        (_with(KMK_CONFIG, ("initial_state",), [1.0, 1.1, {}]), "initial_state[2]"),
+        (_with(EXPLICIT_CONFIG, ("domain", "lower", 2), "0"), "domain.lower[2]"),
+    ],
+)
+def test_malformed_config_names_field(tmp_path, capsys, config, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: expected a number")
 
 
 def test_missing_subcommand_exits_two(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,64 @@ from poissonkit import (
     trajectory_to_csv,
     vector_field,
 )
-from poissonkit.dynamics import _record_stride, validate_gradient
+from poissonkit.config import parse_config, resolve_system
+from poissonkit.dynamics import (
+    _canonical_system,
+    _direct_system,
+    _fd_jacobian,
+    _record_stride,
+    validate_gradient,
+)
+
+#: Explicit n=7, r=6 system over all five factor kinds on (0.5, 1.5)^7,
+#: where every projected interval is positive.  The catalog systems use
+#: only linear and constant factors, so only this one exercises the
+#: phi' terms of affine, exponential and power factors.
+MIXED_CONFIG = {
+    "version": 1,
+    "n": 7,
+    "r": 6,
+    "B": [
+        1, 0, 1, 0, 0, 0, 0,
+        0, 1, 0, 0, 1, 0, 0,
+        0, 0, 1, 1, 0, 0, 0,
+        0, 0, 0, 1, 0, 0, 1,
+        0, 0, 0, 0, 1, 1, 0,
+        0, 0, 0, 0, 0, 1, 0,
+        0, 0, 0, 0, 0, 0, 1,
+    ],
+    "factors": [
+        {"kind": "linear", "params": {"slope": 1.3}},
+        {"kind": "affine", "params": {"slope": 0.7, "intercept": 0.4}},
+        {"kind": "exponential", "params": {"amplitude": 0.9, "rate": -0.6}},
+        {"kind": "power", "params": {"coefficient": 1.2, "exponent": -1.5}},
+        {"kind": "constant", "params": {"c": 0.8}},
+        {"kind": "power", "params": {"coefficient": 0.6, "exponent": 2.5}},
+    ],
+    "domain": {"lower": [0.5] * 7, "upper": [1.5] * 7},
+}
+MIXED_WEIGHTS = [0.05, 0.035, 0.065, 0.045, 0.055, 0.03, 0.06]
+
+
+def _mixed_spec():
+    spec, _ = resolve_system(parse_config(json.dumps(MIXED_CONFIG)))
+    return spec
+
+
+def _newton_cases(kmk_spec, toda3_spec):
+    return [
+        (kmk_spec, quadratic_hamiltonian([1.0, 2.0, 0.5]), [1.0, 1.2, 0.8]),
+        (toda3_spec, quadratic_hamiltonian([1.0, 0.5, 2.0, 1.0, 0.3]),
+         [1.0, 0.8, 0.3, -0.2, 0.4]),
+        (_mixed_spec(), quadratic_hamiltonian(MIXED_WEIGHTS),
+         [1.0, 0.9, 1.1, 1.0, 0.95, 1.05, 1.0]),
+    ]
+
+
+def _assert_relative(analytic, fd, rel):
+    scale = float(np.max(np.abs(fd)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(analytic - fd))) <= rel * scale
 
 
 class TestHamiltonianField:
@@ -37,6 +96,25 @@ class TestHamiltonianField:
         np.testing.assert_allclose(
             g, [2.0 * np.cos(0.3), np.sin(0.3)], atol=1e-8
         )
+
+    def test_builtin_hessians_match_gradient_differences(self, rng):
+        fields = [
+            quadratic_hamiltonian([1.0, 2.0, 0.5]),
+            linear_hamiltonian([0.3, -1.0, 2.0]),
+            coordinate_hamiltonian(2, 3),
+        ]
+        for H in fields:
+            for x in rng.uniform(0.5, 2.0, size=(5, 3)):
+                fd = np.empty((3, 3))
+                for l in range(3):
+                    h = 1e-6 * (1.0 + abs(x[l]))
+                    xp, xm = x.copy(), x.copy()
+                    xp[l] += h
+                    xm[l] -= h
+                    fd[:, l] = (H.gradient_at(xp) - H.gradient_at(xm)) / (2.0 * h)
+                hess = H.hessian_at(x)
+                assert hess.shape == (3, 3)
+                np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-8)
 
     def test_coordinate_index_validation(self):
         with pytest.raises(ValueError):
@@ -95,6 +173,52 @@ class TestBracket:
         beta2 = coordinate_hamiltonian(4, 5)
         assert bracket(toda3_spec, alpha1, beta1, x) == pytest.approx(-1.3, abs=1e-14)
         assert bracket(toda3_spec, alpha1, beta2, x) == pytest.approx(1.3, abs=1e-14)
+
+
+class TestNewtonJacobians:
+    """Analytic Newton matrices against central differences of the field."""
+
+    def test_direct_matches_differences(self, kmk_spec, toda3_spec):
+        for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
+            f, jacobian = _direct_system(spec, H)
+            assert jacobian is not None
+            for x in spec.domain.halton_points(8, seed=11):
+                _assert_relative(jacobian(x), _fd_jacobian(f, x), 1e-6)
+
+    def test_canonical_matches_differences(self, kmk_spec, toda3_spec):
+        for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
+            chart = darboux_chart(spec)
+            for x in spec.domain.halton_points(8, seed=11):
+                z = chart.forward(x)
+                f, jacobian = _canonical_system(spec, H, chart, z[spec.r :])
+                assert jacobian is not None
+                u = z[: spec.r]
+                _assert_relative(jacobian(u), _fd_jacobian(f, u), 1e-6)
+
+    def test_without_hessian_falls_back(self, kmk_spec):
+        H = HamiltonianField(value=lambda x: 0.0, gradient=lambda x: np.zeros(3))
+        assert _direct_system(kmk_spec, H)[1] is None
+        chart = darboux_chart(kmk_spec)
+        assert _canonical_system(kmk_spec, H, chart, np.zeros(1))[1] is None
+
+    def test_trajectories_match_fd_newton_path(self, kmk_spec, toda3_spec):
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
+            H_fd = HamiltonianField(value=H.value, gradient=H.gradient)
+            runs = [
+                (
+                    integrate_direct(spec, H, x0, 1e-3, 1000, method="implicit-midpoint"),
+                    integrate_direct(spec, H_fd, x0, 1e-3, 1000, method="implicit-midpoint"),
+                ),
+                (
+                    integrate_canonical(spec, H, x0, 1e-3, 1000),
+                    integrate_canonical(spec, H_fd, x0, 1e-3, 1000),
+                ),
+            ]
+            for analytic, fd in runs:
+                assert not analytic.domain_exit and not fd.domain_exit
+                assert analytic.num_records == fd.num_records == 1001
+                tol = 1e-10 * (1.0 + np.abs(fd.states))
+                assert np.all(np.abs(analytic.states - fd.states) <= tol)
 
 
 class TestIntegrateDirect:
@@ -161,6 +285,15 @@ class TestIntegrateDirect:
             integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, -1)
         with pytest.raises(ValueError):
             integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, 10, method="euler")
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_nonpositive_dt_rejected(self, kmk_spec, dt):
+        H = quadratic_hamiltonian([1.0, 1.0, 1.0])
+        for method in ("rk4", "implicit-midpoint"):
+            with pytest.raises(ValueError):
+                integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], dt, 10, method=method)
+        with pytest.raises(ValueError):
+            integrate_canonical(kmk_spec, H, [1.0, 1.0, 1.0], dt, 10)
 
 
 class TestIntegrateCanonical:
