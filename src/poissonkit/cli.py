@@ -6,7 +6,8 @@ plus canonical-form certification), ``integrate`` (trajectory CSV), and
 verification or certification failure, 2 usage or configuration error.
 Reports are byte-deterministic for a fixed config and seed; floats are
 serialized with 17 significant digits so binary64 values round-trip.
-``POISSON_THREADS`` caps sweep parallelism.
+Sweeps run in one thread with numpy batching; ``POISSON_THREADS``, which
+once set a thread count, is still accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     ConfigValidationError,
     PoissonKitError,
 )
-from .verify import jacobi_sweep, kernel_check, rank_at
+from .verify import jacobi_sweep, kernel_violation, numerical_rank
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -60,7 +60,20 @@ def _coerce(obj):
     return obj
 
 
+def _number(v: float) -> str:
+    return format(v, ".17g") if math.isfinite(v) else "null"
+
+
+def _emit_floats(arr: np.ndarray) -> str:
+    """A float array, row by row; the same text as the generic path."""
+    if arr.ndim == 1:
+        return "[" + ", ".join(map(_number, arr.tolist())) + "]"
+    return "[" + ", ".join(_emit_floats(row) for row in arr) + "]"
+
+
 def _emit(obj, indent: int) -> str:
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        return _emit_floats(obj)
     obj = _coerce(obj)
     pad = "  " * indent
     if obj is None:
@@ -70,9 +83,7 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        return format(obj, ".17g")
+        return _number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, list):
@@ -103,10 +114,9 @@ def _system_descriptor(config: SystemConfig) -> dict:
     return {"name": "explicit", "n": config.n, "r": config.r}
 
 
-def run_verify(
-    config: SystemConfig, points: int, seed: int, max_workers: int | None = None
-) -> tuple[int, dict]:
-    """Jacobi sweep plus Casimir-kernel and rank sweeps; exit 0 iff all pass."""
+def run_verify(config: SystemConfig, points: int, seed: int) -> tuple[int, dict]:
+    """Jacobi sweep plus Casimir-kernel and rank checks at the same sample
+    points, reusing the sweep's J at each point; exit 0 iff all pass."""
     spec, field = resolve_system(config)
     report = {
         "command": "verify",
@@ -114,16 +124,23 @@ def run_verify(
         "points": points,
         "seed": seed,
     }
+    blocks = []  # per block of sample points: (ranks, max |J|, kernel violation)
+
+    def reuse(structures: np.ndarray) -> None:
+        violation = kernel_violation(spec, structures) if spec is not None else 0.0
+        blocks.append(
+            (numerical_rank(structures), float(np.max(np.abs(structures))), violation)
+        )
+
     jacobi = jacobi_sweep(
-        field, points, seed=seed, tolerance=JACOBI_SWEEP_TOL, max_workers=max_workers
+        field, points, seed=seed, tolerance=JACOBI_SWEEP_TOL, visit=reuse
     )
     report["jacobi"] = jacobi.to_dict()
-    sample = field.domain.halton_points(points, seed)
 
-    ranks = sorted({rank_at(field, x) for x in sample})
+    ranks = sorted({int(k) for block_ranks, _, _ in blocks for k in block_ranks})
     if spec is not None:
-        max_abs_J = max(float(np.max(np.abs(field.evaluate(x)))) for x in sample)
-        kernel_max = max(kernel_check(spec, x) for x in sample)
+        max_abs_J = max(scale for _, scale, _ in blocks)
+        kernel_max = max(violation for _, _, violation in blocks)
         kernel_passed = kernel_max <= KERNEL_TOL_FACTOR * max_abs_J
         report["kernel"] = {
             "max_violation": kernel_max,
@@ -345,17 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("POISSON_THREADS")
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 1 else None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -366,9 +372,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.cmd == "verify":
             config = _config_from_args(args)
-            code, report = run_verify(
-                config, args.points, args.seed, max_workers=_max_workers()
-            )
+            code, report = run_verify(config, args.points, args.seed)
             _write_output(dump_json(report), args.out)
             return code
         if args.cmd == "darboux":

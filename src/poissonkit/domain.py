@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EmptyDomainSampleError
 
@@ -75,7 +74,14 @@ class BoxDomain:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             return False
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
+        return bool((x > self.lower).all() and (x < self.upper).all())
+
+    def contains_rows(self, X) -> np.ndarray:
+        """Strict interior membership of each row of a (P, n) block."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            return np.zeros(X.shape[:1], dtype=bool)
+        return np.all((X > self.lower) & (X < self.upper), axis=1)
 
     def sampling_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounded bounds for sweeps: the box itself, or the sample sub-box.
@@ -102,6 +108,8 @@ class BoxDomain:
         lo, hi = self.sampling_bounds()
         width = hi - lo
         inset = np.minimum(FACE_INSET, 0.25 * width)
+        from scipy.stats import qmc  # deferred: scipy.stats is slow to import
+
         engine = qmc.Halton(d=self.dimension, scramble=True, seed=seed)
         u = engine.random(num)
         return (lo + inset) + u * (width - 2.0 * inset)

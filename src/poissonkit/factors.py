@@ -13,15 +13,24 @@ F is strictly monotone there and the inverse is well defined.
 Built-in kinds (constant, linear, affine, exponential, power) implement
 both operations in closed form; :class:`CustomFactor` falls back to
 adaptive quadrature and safeguarded Newton iteration.
+
+The four operations take a float or a 1-D array of arguments (one anchor
+per call).  Arrays go through numpy arithmetic, but exp, log and power are
+applied element by element through the same ``math.exp``, ``math.log`` and
+``**`` calls that floats use, so an array call returns bitwise the values
+of the scalar calls (numpy's vectorized transcendentals may differ from
+libm in the last bit).  An argument or result outside its interval raises
+for the whole array, naming the first offending element.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy.integrate import quad
+import numpy as np
 
 from .errors import (
     NoConvergenceError,
@@ -43,9 +52,63 @@ def _interval_str(lo: float, hi: float) -> str:
     return f"({lo!r}, {hi!r})"
 
 
+def _libm(fn, t):
+    """fn(t) for a scalar t; for an array, fn of each element, so both give
+    the same libm results."""
+    if type(t) is float or not isinstance(t, np.ndarray):
+        return fn(t)
+    return np.fromiter(map(fn, t.tolist()), float, t.size)
+
+
+def _power(t, p: float):
+    """t**p, element by element for an array (see :func:`_libm`)."""
+    if type(t) is float or not isinstance(t, np.ndarray):
+        return t**p
+    return np.fromiter((v**p for v in t.tolist()), float, t.size)
+
+
+def _like(y, c: float):
+    """The constant c, shaped like y (a float or an array)."""
+    return c if type(y) is float else np.full(y.shape, c)
+
+
+def _first(v, mask) -> float:
+    """The first element of v where mask holds (v itself for a scalar)."""
+    return float(v[int(np.argmax(mask))]) if isinstance(v, np.ndarray) else float(v)
+
+
+def _require_positive(t, z) -> None:
+    """Raise OutOfRangeError when some t <= 0, naming its z."""
+    if isinstance(t, np.ndarray):
+        bad = t <= 0.0
+        if not bad.any():
+            return
+        z = _first(z, bad)
+    elif not t <= 0.0:
+        return
+    raise OutOfRangeError(f"z = {float(z)!r} outside the antiderivative range")
+
+
+def _overflow(z) -> OutOfRangeError:
+    z = z.tolist() if isinstance(z, np.ndarray) else float(z)
+    return OutOfRangeError(f"z = {z!r} outside the antiderivative range (overflow)")
+
+
+def _elementwise(method):
+    """Give a scalar-only method the float-or-array signature by looping."""
+
+    @functools.wraps(method)
+    def apply(self, y, *args):
+        if isinstance(y, np.ndarray) and y.ndim:
+            return np.array([method(self, v, *args) for v in y.tolist()], dtype=float)
+        return method(self, y, *args)
+
+    return apply
+
+
 @dataclass(frozen=True)
 class FactorFunction:
-    """Base class; concrete kinds override the scalar operations.
+    """Base class; concrete kinds override the four operations.
 
     ``validity`` is an open interval (lo, hi), possibly unbounded, on which
     the factor is C1 and nonvanishing.
@@ -65,14 +128,38 @@ class FactorFunction:
         vlo, vhi = self.validity
         return vlo <= lo and hi <= vhi
 
-    def _check(self, y: float) -> float:
-        y = float(y)
+    def _check(self, y):
+        """y (a float or a 1-D array) inside the validity interval."""
         lo, hi = self.validity
-        if not (lo < y < hi):
-            raise OutOfValidityError(
-                f"{self.kind} factor: y = {y!r} outside validity {_interval_str(lo, hi)}"
-            )
-        return y
+        if type(y) is float or not (isinstance(y, np.ndarray) and y.ndim):
+            y = float(y)
+            if lo < y < hi:
+                return y
+        else:
+            y = y.astype(float, copy=False)
+            outside = ~((y > lo) & (y < hi))
+            if not outside.any():
+                return y
+            y = _first(y, outside)
+        raise OutOfValidityError(
+            f"{self.kind} factor: y = {y!r} outside validity {_interval_str(lo, hi)}"
+        )
+
+    def _in_validity(self, y, z):
+        """An inversion result y, when it lies in the validity interval;
+        OutOfRangeError naming the first offending z otherwise."""
+        lo, hi = self.validity
+        if type(y) is float:
+            if lo < y < hi:
+                return y
+            outside = True
+        else:
+            outside = ~((y > lo) & (y < hi))
+            if not outside.any():
+                return y
+        raise OutOfRangeError(
+            f"z = {_first(z, outside)!r} maps outside validity interval"
+        )
 
     # -- descriptor -------------------------------------------------------
 
@@ -85,26 +172,29 @@ class FactorFunction:
         raise NotImplementedError
 
     # -- the four capabilities ---------------------------------------------
+    # Each takes y (or z) as a float or a 1-D array and returns the same
+    # shape; the anchor is a float.
 
-    def value(self, y: float) -> float:
+    def value(self, y):
         """phi(y)."""
         raise NotImplementedError
 
-    def derivative(self, y: float) -> float:
+    def derivative(self, y):
         """phi'(y)."""
         raise NotImplementedError
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         """F(y) = integral from anchor to y of dt / phi(t).
 
         Both y and anchor must lie in the validity interval.
         """
         raise NotImplementedError
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         """The unique y in the validity interval with F(y) = z.
 
-        Raises OutOfRangeError when z is outside the range of F.
+        Raises OutOfRangeError when z is outside the range of F on the
+        validity interval.
         """
         raise NotImplementedError
 
@@ -127,26 +217,20 @@ class Constant(FactorFunction):
     def params(self) -> dict[str, float]:
         return {"c": self.c}
 
-    def value(self, y: float) -> float:
-        self._check(y)
-        return self.c
+    def value(self, y):
+        return _like(self._check(y), self.c)
 
-    def derivative(self, y: float) -> float:
-        self._check(y)
-        return 0.0
+    def derivative(self, y):
+        return _like(self._check(y), 0.0)
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         y = self._check(y)
         anchor = self._check(anchor)
         return (y - anchor) / self.c
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         anchor = self._check(anchor)
-        y = anchor + self.c * float(z)
-        lo, hi = self.validity
-        if not (lo < y < hi):
-            raise OutOfRangeError(f"z = {z!r} maps outside validity interval")
-        return y
+        return self._in_validity(anchor + self.c * z, z)
 
 
 @dataclass(frozen=True)
@@ -171,22 +255,25 @@ class Linear(FactorFunction):
     def params(self) -> dict[str, float]:
         return {"slope": self.slope}
 
-    def value(self, y: float) -> float:
+    def value(self, y):
         return self.slope * self._check(y)
 
-    def derivative(self, y: float) -> float:
-        self._check(y)
-        return self.slope
+    def derivative(self, y):
+        return _like(self._check(y), self.slope)
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         y = self._check(y)
         anchor = self._check(anchor)
         # y and anchor share a sign, so the quotient is positive.
-        return math.log(y / anchor) / self.slope
+        return _libm(math.log, y / anchor) / self.slope
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         anchor = self._check(anchor)
-        return anchor * math.exp(self.slope * float(z))
+        try:
+            y = anchor * _libm(math.exp, self.slope * z)
+        except OverflowError:
+            raise _overflow(z) from None
+        return self._in_validity(y, z)
 
 
 @dataclass(frozen=True)
@@ -222,24 +309,27 @@ class Affine(FactorFunction):
     def params(self) -> dict[str, float]:
         return {"slope": self.slope, "intercept": self.intercept}
 
-    def value(self, y: float) -> float:
+    def value(self, y):
         return self.slope * self._check(y) + self.intercept
 
-    def derivative(self, y: float) -> float:
-        self._check(y)
-        return self.slope
+    def derivative(self, y):
+        return _like(self._check(y), self.slope)
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         y = self._check(y)
         anchor = self._check(anchor)
         u = self.slope * y + self.intercept
         u0 = self.slope * anchor + self.intercept
-        return math.log(u / u0) / self.slope
+        return _libm(math.log, u / u0) / self.slope
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         anchor = self._check(anchor)
         u0 = self.slope * anchor + self.intercept
-        return (u0 * math.exp(self.slope * float(z)) - self.intercept) / self.slope
+        try:
+            y = (u0 * _libm(math.exp, self.slope * z) - self.intercept) / self.slope
+        except OverflowError:
+            raise _overflow(z) from None
+        return self._in_validity(y, z)
 
 
 @dataclass(frozen=True)
@@ -261,30 +351,31 @@ class Exponential(FactorFunction):
     def params(self) -> dict[str, float]:
         return {"amplitude": self.amplitude, "rate": self.rate}
 
-    def value(self, y: float) -> float:
-        return self.amplitude * math.exp(self.rate * self._check(y))
+    def value(self, y):
+        return self.amplitude * _libm(math.exp, self.rate * self._check(y))
 
-    def derivative(self, y: float) -> float:
+    def derivative(self, y):
         return self.rate * self.value(y)
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         y = self._check(y)
         anchor = self._check(anchor)
         if self.rate == 0.0:
             return (y - anchor) / self.amplitude
-        return (math.exp(-self.rate * anchor) - math.exp(-self.rate * y)) / (
+        return (math.exp(-self.rate * anchor) - _libm(math.exp, -self.rate * y)) / (
             self.amplitude * self.rate
         )
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         anchor = self._check(anchor)
-        z = float(z)
         if self.rate == 0.0:
-            return anchor + self.amplitude * z
-        t = math.exp(-self.rate * anchor) - self.amplitude * self.rate * z
-        if t <= 0.0:
-            raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
-        return -math.log(t) / self.rate
+            return self._in_validity(anchor + self.amplitude * z, z)
+        try:
+            t = math.exp(-self.rate * anchor) - self.amplitude * self.rate * z
+        except OverflowError:
+            raise _overflow(z) from None
+        _require_positive(t, z)
+        return self._in_validity(-_libm(math.log, t) / self.rate, z)
 
 
 @dataclass(frozen=True)
@@ -310,37 +401,36 @@ class Power(FactorFunction):
     def params(self) -> dict[str, float]:
         return {"coefficient": self.coefficient, "exponent": self.exponent}
 
-    def value(self, y: float) -> float:
-        return self.coefficient * self._check(y) ** self.exponent
+    def value(self, y):
+        return self.coefficient * _power(self._check(y), self.exponent)
 
-    def derivative(self, y: float) -> float:
+    def derivative(self, y):
         y = self._check(y)
-        return self.coefficient * self.exponent * y ** (self.exponent - 1.0)
+        return self.coefficient * self.exponent * _power(y, self.exponent - 1.0)
 
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+    def reciprocal_antiderivative(self, y, anchor: float):
         y = self._check(y)
         anchor = self._check(anchor)
         p = self.exponent
         if p == 1.0:
-            return math.log(y / anchor) / self.coefficient
+            return _libm(math.log, y / anchor) / self.coefficient
         q = 1.0 - p
-        return (y**q - anchor**q) / (self.coefficient * q)
+        return (_power(y, q) - anchor**q) / (self.coefficient * q)
 
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
+    def invert_antiderivative(self, z, anchor: float):
         anchor = self._check(anchor)
-        z = float(z)
         p = self.exponent
-        if p == 1.0:
-            return anchor * math.exp(self.coefficient * z)
-        q = 1.0 - p
-        t = anchor**q + self.coefficient * q * z
-        if t <= 0.0:
-            raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
-        y = t ** (1.0 / q)
-        lo, hi = self.validity
-        if not (lo < y < hi):
-            raise OutOfRangeError(f"z = {z!r} maps outside validity interval")
-        return y
+        try:
+            if p == 1.0:
+                y = anchor * _libm(math.exp, self.coefficient * z)
+            else:
+                q = 1.0 - p
+                t = anchor**q + self.coefficient * q * z
+                _require_positive(t, z)
+                y = _power(t, 1.0 / q)
+        except OverflowError:
+            raise _overflow(z) from None
+        return self._in_validity(y, z)
 
 
 @dataclass(frozen=True)
@@ -370,12 +460,15 @@ class CustomFactor(FactorFunction):
     def params(self) -> dict[str, float]:
         return {}
 
+    @_elementwise
     def value(self, y: float) -> float:
         return float(self.value_fn(self._check(y)))
 
+    @_elementwise
     def derivative(self, y: float) -> float:
         return float(self.derivative_fn(self._check(y)))
 
+    @_elementwise
     def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
         y = self._check(y)
         anchor = self._check(anchor)
@@ -383,6 +476,8 @@ class CustomFactor(FactorFunction):
             return float(self.antiderivative_fn(y)) - float(self.antiderivative_fn(anchor))
         if y == anchor:
             return 0.0
+        from scipy.integrate import quad  # deferred: scipy.integrate is slow to import
+
         result, est_err = quad(
             lambda t: 1.0 / self.value_fn(t),
             anchor,
@@ -397,6 +492,7 @@ class CustomFactor(FactorFunction):
             )
         return float(result)
 
+    @_elementwise
     def invert_antiderivative(self, z: float, anchor: float) -> float:
         anchor = self._check(anchor)
         z = float(z)

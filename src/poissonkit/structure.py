@@ -2,13 +2,17 @@
 
 A structure matrix of this family is determined by an invertible matrix B
 (with inverse A), an even rank r, and r univariate nonvanishing factors
-phi_1..phi_r.  Its entries are
+phi_1..phi_r.  In the linear chart y = B.x it is block diagonal with 2x2
+blocks of entries +-phi_{2p-1}(y_{2p-1}) phi_{2p}(y_{2p}); read back in x,
 
-    J_ij(x) = sum over pairs p of  L_ij^p * phi_{2p-1}(B_{2p-1}.x) * phi_{2p}(B_{2p}.x)
+    J(x) = U - U^T,   U = A_odd diag(phi_odd * phi_even) A_even^T,
 
-where L_ij^p is the 2x2 minor of A built from columns 2p-1 and 2p of rows
-i and j.  The minors are precomputed at build time since structure
-evaluation is the hot path of verification sweeps.
+where A_odd and A_even are the odd and even columns among the first r
+columns of A (1-based).  Entrywise this is the minor sum
+J_ij = sum_p (a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1}) phi_{2p-1} phi_{2p}.
+J is one matrix product and its partials one more.  Both accept a single
+point or a (P, n) block of points, and a block gives bitwise the per-point
+results.
 
 Index convention: public operations take and report 1-based indices, the
 standard convention in the analytic treatment of these brackets; array
@@ -17,7 +21,7 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +41,11 @@ INVERSION_TOL = 1e-10
 
 #: |phi| threshold for the sampling-based nonvanishing heuristic.
 VANISH_TOL = 1e-12
+
+#: Floats in one (k, n, n) stack of structure matrices when a sample is
+#: evaluated block by block (about 1 MB), so memory does not grow with
+#: the sample size.
+BLOCK_FLOATS = 1 << 17
 
 
 def _frozen_matrix(M, n: int) -> np.ndarray:
@@ -61,7 +70,6 @@ class MultiseparableSpec:
     A: np.ndarray
     factors: tuple[FactorFunction, ...]
     domain: BoxDomain
-    lambda_table: np.ndarray = field(repr=False)
     projected_intervals: tuple[tuple[float, float], ...]
     heuristic_nonvanishing: bool = False
 
@@ -70,23 +78,17 @@ class MultiseparableSpec:
         return self.r // 2
 
     def require_inside(self, x) -> np.ndarray:
+        """x as floats, one point (n,) or a (P, n) block; raises
+        OutOfDomainError naming the first point outside the box."""
         x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
-        return x
-
-
-def _lambda_table(A: np.ndarray, r: int) -> np.ndarray:
-    """Minor table: table[p, i, j] = a_{i,2p+1} a_{j,2p+2} - a_{i,2p+2} a_{j,2p+1}
-    (1-based column pairs (2p-1, 2p)).  Exactly skew in (i, j)."""
-    n = A.shape[0]
-    table = np.empty((r // 2, n, n))
-    for p in range(r // 2):
-        c1 = A[:, 2 * p]
-        c2 = A[:, 2 * p + 1]
-        table[p] = np.outer(c1, c2) - np.outer(c2, c1)
-    table.setflags(write=False)
-    return table
+        if x.ndim == 2:
+            inside = self.domain.contains_rows(x)
+            if inside.all():
+                return x
+            x = x[int(np.argmin(inside))]
+        elif self.domain.contains(x):
+            return x
+        raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
 
 
 def _uncovered_witness(lo: float, hi: float, vlo: float, vhi: float) -> float:
@@ -166,7 +168,6 @@ def make_spec(
         A=A,
         factors=factors,
         domain=domain,
-        lambda_table=_lambda_table(A, r),
         projected_intervals=tuple(intervals),
         heuristic_nonvanishing=heuristic,
     )
@@ -191,53 +192,90 @@ def lambda_coefficient(spec: MultiseparableSpec, i: int, j: int, k: int, l: int)
     return float(A[i - 1, k - 1] * A[j - 1, l - 1] - A[i - 1, l - 1] * A[j - 1, k - 1])
 
 
-def factor_values(spec: MultiseparableSpec, y: np.ndarray) -> np.ndarray:
-    """phi_i(y_i) for i = 1..r at linear-chart coordinates y."""
-    return np.array([f.value(y[q]) for q, f in enumerate(spec.factors)])
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M.x for one point, or for each row of a (P, n) block; a block gives
+    bitwise the per-point products."""
+    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
 
 
-def factor_derivatives(spec: MultiseparableSpec, y: np.ndarray) -> np.ndarray:
-    """phi_i'(y_i) for i = 1..r."""
-    return np.array([f.derivative(y[q]) for q, f in enumerate(spec.factors)])
+def point_blocks(points: np.ndarray, n: int) -> list[np.ndarray]:
+    """Consecutive row blocks of a (P, n) array of points, sized so that a
+    stack of J over one block holds about BLOCK_FLOATS floats."""
+    step = max(1, BLOCK_FLOATS // (n * n))
+    return [points[k : k + step] for k in range(0, points.shape[0], step)]
+
+
+def factor_arguments(y: np.ndarray):
+    """The coordinates of y one at a time: floats for one point, column
+    views for a (P, n) block.  Factor methods take either."""
+    return y.tolist() if y.ndim == 1 else y.T
+
+
+def factor_values(spec: MultiseparableSpec, y) -> np.ndarray:
+    """phi_i(y_i) for i = 1..r at linear-chart coordinates y: shape (r,) for
+    one point, (P, r) for a (P, n) block."""
+    y = np.asarray(y, dtype=float)
+    phi = np.empty(y.shape[:-1] + (spec.r,))
+    out = phi.T
+    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(y))):
+        out[q] = f.value(v)
+    return phi
+
+
+def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
+    """phi_i'(y_i) for i = 1..r, shaped as :func:`factor_values`."""
+    y = np.asarray(y, dtype=float)
+    dphi = np.empty(y.shape[:-1] + (spec.r,))
+    out = dphi.T
+    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(y))):
+        out[q] = f.derivative(v)
+    return dphi
+
+
+def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
+    """J at a point or (P, n) block of float points, without the domain
+    check (factor validity still applies).  Shared by
+    :func:`evaluate_structure` and the finite-difference oracle, whose
+    stencils may poke past the box faces."""
+    n, r = spec.n, spec.r
+    if r == 0:
+        return np.zeros(x.shape + (n,))
+    phi = factor_values(spec, matvec(spec.B, x))
+    products = phi[..., 0::2] * phi[..., 1::2]
+    U = (spec.A[:, 0:r:2] * products[..., None, :]) @ spec.A[:, 1:r:2].T
+    return U - U.swapaxes(-1, -2)
 
 
 def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
-    """The structure matrix J(x); exactly skew-symmetric.
+    """The structure matrix J(x), or the (P, n, n) stack of them for a
+    (P, n) block; every point must lie in the domain box.
 
-    The strict upper triangle is computed and reflected, so J_ij == -J_ji
-    holds bitwise.
+    J = U - U^T, so J_ij == -J_ji holds bitwise.
     """
-    x = spec.require_inside(x)
-    if spec.r == 0:
-        return np.zeros((spec.n, spec.n))
-    y = spec.B @ x
-    phi = factor_values(spec, y)
-    products = phi[0::2] * phi[1::2]
-    M = np.tensordot(products, spec.lambda_table, axes=(0, 0))
-    U = np.triu(M, 1)
-    return U - U.T
+    return unchecked_structure(spec, spec.require_inside(x))
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
-    """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes).
+    """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
+    or the (P, n, n, n) stack of them for a (P, n) block.
 
-    Chain rule through the factor arguments y_q = B_q . x:
+    Chain rule through the factor arguments y_q = B_q . x: with W[p, l] the
+    derivative of the pair product phi_{2p-1} phi_{2p} along x_l,
 
-        d_l J_ij = sum_p L_ij^p (phi'_{2p-1} b_{2p-1,l} phi_{2p}
-                                 + phi_{2p-1} phi'_{2p} b_{2p,l})
+        d_l U_ij = sum_p a_{i,2p-1} a_{j,2p} W[p, l],
 
-    The result is skew in (i, j).
+    one product of the column-pair products (A_odd (x) A_even) with W; then
+    T = d U - (d U)^T in (i, j), which is exactly skew.
     """
     x = spec.require_inside(x)
-    n = spec.n
-    if spec.r == 0:
-        return np.zeros((n, n, n))
-    y = spec.B @ x
+    n, r = spec.n, spec.r
+    if r == 0:
+        return np.zeros(x.shape + (n, n))
+    y = matvec(spec.B, x)
     phi = factor_values(spec, y)
     dphi = factor_derivatives(spec, y)
-    # W[p, l]: derivative of the pair product phi_{2p-1} phi_{2p} along x_l.
-    W = (
-        (dphi[0::2] * phi[1::2])[:, None] * spec.B[0 : spec.r : 2]
-        + (phi[0::2] * dphi[1::2])[:, None] * spec.B[1 : spec.r : 2]
-    )
-    return np.einsum("pij,pl->ijl", spec.lambda_table, W)
+    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
+    W += (phi[..., 0::2] * dphi[..., 1::2])[..., None] * spec.B[1:r:2]
+    pairs = (spec.A[:, None, 0:r:2] * spec.A[None, :, 1:r:2]).reshape(n * n, r // 2)
+    dU = (pairs @ W).reshape(x.shape[:-1] + (n, n, n))
+    return dU - dU.swapaxes(-3, -2)

@@ -6,12 +6,17 @@ and SVD-based rank.  Structure fields wrap either a multiseparable spec
 (analytic partials) or a user-supplied candidate matrix field, which may
 well fail the Jacobi identity; a finite-difference partials provider is
 available as an independent oracle for cross-checking the analytic path.
+
+A sweep evaluates J once per sample point, a block of points per kernel
+call on a spec field, and the partials one point at a time, so memory
+stays at one block of J and one (n, n, n) tensor; the residual
+contraction is one matrix product per point.  The kernel and rank checks
+can reuse each block of J.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,7 +24,13 @@ import numpy as np
 
 from .domain import BoxDomain
 from .errors import IndexOutOfRangeError, OutOfDomainError
-from .structure import MultiseparableSpec, evaluate_structure, structure_partials
+from .structure import (
+    MultiseparableSpec,
+    evaluate_structure,
+    point_blocks,
+    structure_partials,
+    unchecked_structure,
+)
 
 #: default relative singular-value threshold for numerical rank.
 RANK_REL_TOL = 1e-9
@@ -33,7 +44,8 @@ class StructureField:
     """Evaluatable matrix field x -> J(x) with a partials provider.
 
     ``partials(x)`` returns the tensor T with T[i, j, l] = d J_ij / d x_l
-    (0-based storage axes).
+    (0-based storage axes).  When ``spec`` is set, ``evaluate`` also takes
+    a (P, n) block of points and returns the (P, n, n) stack.
     """
 
     n: int
@@ -89,25 +101,15 @@ def structure_field(spec: MultiseparableSpec) -> StructureField:
 def fd_structure_field(spec: MultiseparableSpec) -> StructureField:
     """Field view of a spec with finite-difference partials (oracle path).
 
-    The evaluator used inside the differences skips the domain membership
-    check so stencil points may poke slightly past the box faces; factor
+    The differences use the kernel without the domain membership check,
+    so stencil points may poke slightly past the box faces; factor
     validity intervals still apply.
     """
-
-    def unchecked(x: np.ndarray) -> np.ndarray:
-        if spec.r == 0:
-            return np.zeros((spec.n, spec.n))
-        y = spec.B @ np.asarray(x, dtype=float)
-        phi = np.array([f.value(y[q]) for q, f in enumerate(spec.factors)])
-        M = np.tensordot(phi[0::2] * phi[1::2], spec.lambda_table, axes=(0, 0))
-        U = np.triu(M, 1)
-        return U - U.T
-
     return StructureField(
         n=spec.n,
         domain=spec.domain,
         evaluate=lambda x: evaluate_structure(spec, x),
-        partials=fd_partials(unchecked),
+        partials=fd_partials(lambda x: unchecked_structure(spec, np.asarray(x, float))),
         spec=spec,
     )
 
@@ -175,21 +177,23 @@ def jacobi_residual(field: StructureField, x, i: int, j: int, k: int) -> float:
     return float(J[a] @ T[b, c] + J[b] @ T[c, a] + J[c] @ T[a, b])
 
 
+def _contraction(J: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """C[i, (j, k)] = sum_l J_il d_l J_jk as one matrix product, shape (n, n*n)."""
+    n = J.shape[0]
+    return J @ T.reshape(n * n, n).T
+
+
 def _residual_tensor(J: np.ndarray, T: np.ndarray) -> np.ndarray:
-    R = np.einsum("il,jkl->ijk", J, T)
+    n = J.shape[0]
+    R = _contraction(J, T).reshape(n, n, n)
     return R + R.transpose(1, 2, 0) + R.transpose(2, 0, 1)
 
 
-def _point_extremes(field: StructureField, x: np.ndarray, triples: np.ndarray):
-    J = np.asarray(field.evaluate(x))
-    T = np.asarray(field.partials(x))
-    if triples.shape[0] == 0:
-        return 0.0, 0.0, None
-    res = _residual_tensor(J, T)[triples[:, 0], triples[:, 1], triples[:, 2]]
-    idx = int(np.argmax(np.abs(res)))
-    worst = float(abs(res[idx]))
-    scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
-    return worst, worst / scale, tuple(int(t) + 1 for t in triples[idx])
+def _structure_stack(field: StructureField, X: np.ndarray) -> np.ndarray:
+    """J at each row of X: one kernel call on a spec field, a loop otherwise."""
+    if field.spec is not None:
+        return np.asarray(field.evaluate(X))
+    return np.array([np.asarray(field.evaluate(x), dtype=float) for x in X])
 
 
 def jacobi_sweep(
@@ -198,46 +202,60 @@ def jacobi_sweep(
     seed: int = 0,
     tolerance: float = 1e-7,
     sample_box: BoxDomain | None = None,
-    max_workers: int | None = None,
+    visit: Callable[[np.ndarray], None] | None = None,
 ) -> JacobiReport:
     """Evaluate the Jacobi residual over all C(n, 3) triples at quasi-random
     points and report the worst case.
 
     Deterministic for a fixed seed.  Unbounded domains need a bounded
-    sample box, either on the domain itself or via ``sample_box``.
-    Points are processed independently and reduced by max, so the sweep
-    parallelizes over ``max_workers`` threads without changing the result.
+    sample box, either on the domain itself or via ``sample_box``.  J is
+    evaluated once per point, a block of points at a time; ``visit``, when
+    given, is called with each block's (k, n, n) stack of J, so that other
+    checks at the same points can reuse it.
+
+    Each point's residual is also divided by 1 + max|J| max|dJ| there;
+    the sweep passes when the largest such normalized residual is within
+    ``tolerance``, so a genuine structure at a large scale is not failed
+    for round-off.  Both the absolute and the normalized maxima are
+    reported.
     """
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
     box = sample_box if sample_box is not None else field.domain
     points = box.halton_points(num_points, seed)
-    triples = np.array(
-        list(itertools.combinations(range(field.n), 3)), dtype=int
-    ).reshape(-1, 3)
-
-    def worker(x):
-        return _point_extremes(field, x, triples)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(worker, points))
-    else:
-        results = [worker(x) for x in points]
+    n = field.n
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3)
+    a, b, c = triples.T
+    # Flat offsets of C[a, b, c], C[c, a, b] and C[b, c, a]; summed in the
+    # order of _residual_tensor.
+    abc = (a * n + b) * n + c
+    cab = (c * n + a) * n + b
+    bca = (b * n + c) * n + a
 
     max_abs = 0.0
     max_norm = 0.0
     argmax_triple = None
     argmax_point = None
-    for x, (worst, worst_norm, triple) in zip(points, results):
-        max_norm = max(max_norm, worst_norm)
-        if triple is not None and (argmax_triple is None or worst > max_abs):
-            argmax_triple = triple
-            argmax_point = tuple(float(v) for v in x)
-        max_abs = max(max_abs, worst)
+    for X in point_blocks(points, n):
+        structures = _structure_stack(field, X)
+        if visit is not None:
+            visit(structures)
+        # With n < 3 there are no triples and nothing to sweep.
+        for x, J in zip(X, structures) if triples.size else ():
+            T = np.asarray(field.partials(x))
+            C = _contraction(J, T).ravel()
+            res = np.abs(C[abc] + C[cab] + C[bca])
+            idx = int(np.argmax(res))
+            worst = float(res[idx])
+            scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
+            max_norm = max(max_norm, worst / scale)
+            if argmax_triple is None or worst > max_abs:
+                argmax_triple = tuple(int(t) + 1 for t in triples[idx])
+                argmax_point = tuple(float(v) for v in x)
+            max_abs = max(max_abs, worst)
 
     return JacobiReport(
-        dimension=field.n,
+        dimension=n,
         num_points=num_points,
         num_triples=int(triples.shape[0]),
         tolerance=float(tolerance),
@@ -245,25 +263,32 @@ def jacobi_sweep(
         max_normalized_residual=max_norm,
         argmax_triple=argmax_triple,
         argmax_point=argmax_point,
-        passed=bool(max_abs <= tolerance),
+        passed=bool(max_norm <= tolerance),
     )
 
 
-def kernel_check(spec: MultiseparableSpec, x) -> float:
-    """Worst kernel violation max_p || J(x) . grad C_p ||_inf over the
-    linear Casimirs C_p (rows r+1..n of B).  Zero for r = n."""
-    J = evaluate_structure(spec, x)
+def kernel_violation(spec: MultiseparableSpec, J: np.ndarray) -> float:
+    """Worst max_p || J . grad C_p ||_inf over the linear Casimirs C_p (rows
+    r+1..n of B), for one J or a (P, n, n) stack.  Zero for r = n."""
     rows = spec.B[spec.r :]
     if rows.shape[0] == 0:
         return 0.0
     return float(np.max(np.abs(J @ rows.T)))
 
 
+def kernel_check(spec: MultiseparableSpec, x) -> float:
+    """Worst kernel violation of J(x) (see :func:`kernel_violation`)."""
+    return kernel_violation(spec, evaluate_structure(spec, x))
+
+
+def numerical_rank(J: np.ndarray, rel_tolerance: float = RANK_REL_TOL) -> np.ndarray:
+    """The number of singular values above rel_tolerance * sigma_max, of one
+    J or of each matrix in a (P, n, n) stack."""
+    s = np.linalg.svd(J, compute_uv=False)
+    return np.count_nonzero(s > rel_tolerance * s[..., :1], axis=-1)
+
+
 def rank_at(field: StructureField, x, rel_tolerance: float = RANK_REL_TOL) -> int:
     """Numerical rank of J(x): singular values above rel_tolerance * sigma_max."""
     x = field.require_inside(x)
-    J = np.asarray(field.evaluate(x))
-    s = np.linalg.svd(J, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tolerance * s[0]))
+    return int(numerical_rank(np.asarray(field.evaluate(x)), rel_tolerance))

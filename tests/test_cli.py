@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import poissonkit
+import poissonkit.structure
+from poissonkit import BoxDomain
 from poissonkit.cli import dump_json, main
 
 KMK_CONFIG = {
@@ -62,6 +68,29 @@ class TestDumpJson:
         parsed = json.loads(dump_json({"m": np.eye(2), "v": np.float64(0.5)}))
         assert parsed == {"m": [[1.0, 0.0], [0.0, 1.0]], "v": 0.5}
 
+    def test_float_arrays_match_the_generic_path(self):
+        m = np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 1e-300], [2.0, 3.5, -7.25]])
+        for value in (m, m[0], m[:0], np.zeros((2, 0)), np.arange(3.0)):
+            # A list goes through the element-by-element path.
+            assert dump_json({"a": value}) == dump_json({"a": value.tolist()})
+        assert "[0.10000000000000001, -0, null]" in dump_json(m)
+
+
+def test_cli_import_defers_scipy():
+    code = (
+        "import sys, poissonkit.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(poissonkit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -94,6 +123,57 @@ class TestVerifyCommand:
         monkeypatch.setenv("POISSON_THREADS", "4")
         _, threaded, _ = _run(capsys, argv)
         assert serial == threaded
+
+    def test_large_scale_genuine_structure_passes(self, capsys):
+        code, out, _ = _run(
+            capsys, ["verify", "--system", "kmk", "--param", "R=1e6", "--points", "20"]
+        )
+        assert code == 0
+        jacobi = json.loads(out)["jacobi"]
+        # The absolute residual is round-off at |J| ~ 1e7; the verdict is
+        # taken on the residual normalized by |J| |dJ|.
+        assert jacobi["max_abs_residual"] > jacobi["tolerance"]
+        assert jacobi["max_normalized_residual"] <= 1e-15
+        assert jacobi["passed"] is True
+
+    def test_counterexample_normalized_residual(self, capsys):
+        code, out, _ = _run(capsys, ["verify", "--system", "counterexample3"])
+        assert code == 1
+        jacobi = json.loads(out)["jacobi"]
+        assert jacobi["passed"] is False
+        assert jacobi["max_normalized_residual"] == pytest.approx(0.75, abs=0.01)
+
+    def test_one_sample_draw_and_one_structure_evaluation(self, capsys, monkeypatch):
+        calls = {"halton": 0, "evaluate": 0}
+        halton = BoxDomain.halton_points
+
+        def counting_halton(self, num, seed):
+            calls["halton"] += 1
+            return halton(self, num, seed)
+
+        monkeypatch.setattr(BoxDomain, "halton_points", counting_halton)
+        import poissonkit.verify as verify_module
+
+        evaluate = verify_module.evaluate_structure
+
+        def counting_evaluate(spec, x):
+            calls["evaluate"] += 1
+            return evaluate(spec, x)
+
+        monkeypatch.setattr(verify_module, "evaluate_structure", counting_evaluate)
+        code, _, _ = _run(capsys, ["verify", "--system", "toda", "--param", "N=3"])
+        assert code == 0
+        assert calls == {"halton": 1, "evaluate": 1}
+
+    def test_reports_do_not_depend_on_block_size(self, capsys, monkeypatch):
+        argvs = [
+            [cmd, "--system", "toda", "--param", "N=3", "--seed", "5"]
+            for cmd in ("verify", "darboux")
+        ]
+        whole = [_run(capsys, argv) for argv in argvs]
+        # One sample point per block of structure matrices.
+        monkeypatch.setattr(poissonkit.structure, "BLOCK_FLOATS", 1)
+        assert [_run(capsys, argv) for argv in argvs] == whole
 
     def test_counterexample_fails_with_exit_one(self, capsys):
         code, out, _ = _run(

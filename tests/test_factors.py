@@ -227,3 +227,125 @@ class TestCustomFactor:
         assert witness is not None
         assert abs(witness - 0.5) < 1e-3
         assert f.sample_nonvanishing(1.0, 2.0) is None
+
+
+# -- array arguments and validity-respecting inversions ----------------------
+
+FINITE = st.floats(min_value=0.05, max_value=5.0)
+
+
+@st.composite
+def narrowed_factors(draw):
+    """A built-in factor on a validity interval that may be narrowed inside
+    its natural branch, with an anchor inside that interval."""
+    kind = draw(st.sampled_from(["constant", "linear", "affine", "exponential", "power"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    scale = draw(st.floats(min_value=0.5, max_value=2.0))
+    bounded = draw(st.booleans())
+    width = draw(FINITE)
+    if kind in ("constant", "exponential"):
+        # Finite ends stay within |y| <= 5, where exp(-rate * y) is moderate
+        # and F loses no digits to cancellation.
+        lo = draw(st.floats(min_value=-5.0, max_value=4.0))
+        hi = min(lo + width, 5.0) if bounded else draw(st.sampled_from([5.0, math.inf]))
+        if kind == "constant" and draw(st.booleans()):
+            lo = -math.inf
+        if kind == "constant":
+            f = Constant(sign * scale, validity=(lo, hi))
+        else:
+            rate = sign * draw(st.floats(min_value=0.1, max_value=1.0))
+            f = Exponential(scale, rate, validity=(lo, hi))
+    elif kind == "affine":
+        slope = sign * scale
+        intercept = draw(st.floats(min_value=-2.0, max_value=2.0))
+        root = -intercept / slope
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        near = root + side * draw(FINITE)
+        far = near + side * width if bounded else side * math.inf
+        f = Affine(slope, intercept, validity=(min(near, far), max(near, far)))
+    else:
+        # linear on either branch, power on y > 0
+        branch = sign if kind == "linear" else 1.0
+        near = draw(st.one_of(st.just(0.0), FINITE))
+        far = near + width if bounded else math.inf
+        lo, hi = sorted((branch * near, branch * far))
+        if kind == "linear":
+            f = Linear(scale * draw(st.sampled_from([-1.0, 1.0])), validity=(lo, hi))
+        else:
+            exponent = draw(st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0]))
+            f = Power(scale, exponent, validity=(lo, hi))
+    lo, hi = f.validity
+    t = draw(st.floats(min_value=0.05, max_value=0.95))
+    if math.isfinite(lo) and math.isfinite(hi):
+        anchor = lo + t * (hi - lo)
+    elif math.isfinite(lo):
+        anchor = lo + 5.0 * t
+    elif math.isfinite(hi):
+        anchor = hi - 5.0 * t
+    else:
+        anchor = 10.0 * t - 5.0
+    return f, anchor
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(case=narrowed_factors(), z=st.floats(min_value=-50.0, max_value=50.0))
+def test_inversion_respects_validity(case, z):
+    f, anchor = case
+    lo, hi = f.validity
+    try:
+        y = f.invert_antiderivative(z, anchor)
+    except OutOfRangeError:
+        # The array path rejects the block when any element is out of range.
+        with pytest.raises(OutOfRangeError):
+            f.invert_antiderivative(np.array([0.0, z]), anchor)
+        return
+    assert lo < y < hi
+    assert f.reciprocal_antiderivative(y, anchor) == pytest.approx(z, rel=1e-9, abs=1e-9)
+    np.testing.assert_array_equal(
+        f.invert_antiderivative(np.array([z, 0.0]), anchor),
+        [y, f.invert_antiderivative(0.0, anchor)],
+    )
+
+
+def test_narrowed_validity_inversions_raise():
+    with pytest.raises(OutOfRangeError):
+        Linear(1.0, validity=(0.5, 2.0)).invert_antiderivative(5.0, 1.0)
+    with pytest.raises(OutOfRangeError):
+        Affine(1.0, 0.0, validity=(0.5, 2.0)).invert_antiderivative(5.0, 1.0)
+    with pytest.raises(OutOfRangeError):
+        Exponential(1.0, 1.0, validity=(0.0, 1.0)).invert_antiderivative(-5.0, 0.5)
+    with pytest.raises(OutOfRangeError):
+        Linear(1.0).invert_antiderivative(np.array([0.0, 1000.0]), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORY))
+def test_array_calls_equal_scalar_calls_bitwise(name, rng):
+    f = FACTORY[name]()
+    anchor = _point_inside(f, 2.0)
+    ys = np.array([_point_inside(f, float(u)) for u in rng.uniform(0.2, 4.8, size=30)])
+    for op in (f.value, f.derivative):
+        np.testing.assert_array_equal(op(ys), [op(float(v)) for v in ys])
+    zs = f.reciprocal_antiderivative(ys, anchor)
+    np.testing.assert_array_equal(
+        zs, [f.reciprocal_antiderivative(float(v), anchor) for v in ys]
+    )
+    np.testing.assert_array_equal(
+        f.invert_antiderivative(zs, anchor),
+        [f.invert_antiderivative(float(z), anchor) for z in zs],
+    )
+    assert f.value(ys[:0]).shape == (0,)
+
+
+def test_array_outside_validity_names_first_offender():
+    ys = np.array([1.0, 2.0, -3.0, -4.0])
+    with pytest.raises(OutOfValidityError, match="-3.0"):
+        Linear(1.0).value(ys)
+
+
+def test_custom_factor_loops_over_arrays():
+    f = CustomFactor(value_fn=math.cosh, derivative_fn=math.sinh)
+    ys = np.array([-0.5, 0.0, 0.7])
+    np.testing.assert_array_equal(f.value(ys), [math.cosh(v) for v in ys])
+    np.testing.assert_array_equal(f.derivative(ys), [math.sinh(v) for v in ys])
+    zs = f.reciprocal_antiderivative(ys, 0.0)
+    np.testing.assert_allclose(f.invert_antiderivative(zs, 0.0), ys, atol=1e-10)

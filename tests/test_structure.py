@@ -157,5 +157,44 @@ def test_spec_arrays_immutable(kmk_spec):
         kmk_spec.B[0, 0] = 5.0
     with pytest.raises(ValueError):
         kmk_spec.A[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        kmk_spec.lambda_table[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (5, 4), (6, 2), (7, 6)])
+def test_block_equals_per_point_bitwise(rng, n, r):
+    spec = random_spec(rng, n, r)
+    X = spec.domain.halton_points(9, seed=3)
+    J = evaluate_structure(spec, X)
+    T = structure_partials(spec, X)
+    assert J.shape == (9, n, n) and T.shape == (9, n, n, n)
+    for k, x in enumerate(X):
+        np.testing.assert_array_equal(J[k], evaluate_structure(spec, x))
+        np.testing.assert_array_equal(T[k], structure_partials(spec, x))
+
+
+def test_block_rank_zero_shapes():
+    spec = build_spec(3, 0, np.eye(3), (), UNIT_BOX3)
+    X = np.full((4, 3), 1.0)
+    np.testing.assert_array_equal(evaluate_structure(spec, X), np.zeros((4, 3, 3)))
+    np.testing.assert_array_equal(structure_partials(spec, X), np.zeros((4, 3, 3, 3)))
+
+
+def test_block_domain_check_covers_every_row(kmk_spec):
+    X = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 1.0]])
+    with pytest.raises(OutOfDomainError, match=r"\[1.0, -1.0, 1.0\]"):
+        evaluate_structure(kmk_spec, X)
+    with pytest.raises(OutOfDomainError):
+        structure_partials(kmk_spec, X)
+
+
+def test_factored_form_matches_minor_sum(rng):
+    spec = random_spec(rng, 6, 4)
+    x = spec.domain.halton_points(1, seed=4)[0]
+    y = spec.B @ x
+    phi = np.array([f.value(float(v)) for f, v in zip(spec.factors, y)])
+    expected = np.zeros((6, 6))
+    for i in range(1, 7):
+        for j in range(1, 7):
+            for p in range(spec.num_pairs):
+                minor = lambda_coefficient(spec, i, j, 2 * p + 1, 2 * p + 2)
+                expected[i - 1, j - 1] += minor * phi[2 * p] * phi[2 * p + 1]
+    np.testing.assert_allclose(evaluate_structure(spec, x), expected, rtol=1e-13, atol=1e-13)

@@ -1,0 +1,144 @@
+"""Exact and high-precision oracles for the factored structure kernel.
+
+sympy checks, with symbolic factors phi_i and random rational B, that the
+factored form J = U - U^T, U = A_odd diag(phi_odd phi_even) A_even^T,
+equals the minor-sum definition and satisfies the Jacobi identity
+exactly.  mpmath evaluates J and its partials at 50 digits for concrete
+factors and checks the float kernel against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from poissonkit import (
+    Affine,
+    BoxDomain,
+    Exponential,
+    Linear,
+    Power,
+    build_spec,
+    evaluate_structure,
+    structure_partials,
+)
+from poissonkit.verify import _residual_tensor
+
+
+def _rational_matrix(rng: random.Random, n: int) -> sp.Matrix:
+    while True:
+        B = sp.Matrix(n, n, lambda i, j: sp.Rational(rng.randint(-3, 3), rng.randint(1, 3)))
+        if B.det() != 0:
+            return B
+
+
+def _symbolic_structures(n: int, r: int, seed: int):
+    """(factored J, minor-sum J, y symbols, B) with phi_i = phi_i(y_i)."""
+    B = _rational_matrix(random.Random(seed), n)
+    A = B.inv()
+    y = sp.symbols(f"y1:{n + 1}")
+    phi = [sp.Function(f"phi{q + 1}")(y[q]) for q in range(r)]
+    products = [phi[2 * p] * phi[2 * p + 1] for p in range(r // 2)]
+    A_odd = A[:, 0:r:2]
+    A_even = A[:, 1:r:2]
+    U = A_odd * sp.diag(*products) * A_even.T
+    factored = U - U.T
+    minor_sum = sp.Matrix(
+        n,
+        n,
+        lambda i, j: sum(
+            (A[i, 2 * p] * A[j, 2 * p + 1] - A[i, 2 * p + 1] * A[j, 2 * p]) * products[p]
+            for p in range(r // 2)
+        ),
+    )
+    return factored, minor_sum, y, B
+
+
+@pytest.mark.parametrize("n,r,seed", [(4, 4, 1), (5, 4, 2)])
+def test_factored_form_is_minor_sum_and_satisfies_jacobi(n, r, seed):
+    J, minor_sum, y, B = _symbolic_structures(n, r, seed)
+    assert sp.expand(J - minor_sum) == sp.zeros(n, n)
+
+    # d/dx_l = sum_q B[q, l] d/dy_q, since y = B x.
+    dJ_dy = [J.diff(yq) for yq in y]
+
+    def partial(j, k, l):
+        return sum(B[q, l] * dJ_dy[q][j, k] for q in range(n))
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        residual = sum(
+            J[i, l] * partial(j, k, l) + J[j, l] * partial(k, i, l) + J[k, l] * partial(i, j, l)
+            for l in range(n)
+        )
+        assert sp.expand(residual) == 0, (i, j, k)
+
+
+# -- 50-digit spot checks -----------------------------------------------------
+
+MP_FACTORS = (
+    (Linear(1.5), lambda t: mpmath.mpf("1.5") * t),
+    (Affine(0.5, 0.25), lambda t: mpmath.mpf("0.5") * t + mpmath.mpf("0.25")),
+    (Exponential(2.0, -0.25), lambda t: 2 * mpmath.exp(mpmath.mpf("-0.25") * t)),
+    (Power(0.75, 1.5), lambda t: mpmath.mpf("0.75") * t ** mpmath.mpf("1.5")),
+)
+
+
+def _mp_structure(B, factors, x):
+    """J(x) and its partials T[i, j, l] by the minor-sum definition and the
+    chain rule, in mpmath at the working precision; factor derivatives by
+    numerical differentiation."""
+    n = B.rows
+    A = B**-1
+    y = B * mpmath.matrix(x)
+    phi = [fn(y[q]) for q, fn in enumerate(factors)]
+    dphi = [mpmath.diff(fn, y[q]) for q, fn in enumerate(factors)]
+    J = np.empty((n, n), dtype=object)
+    T = np.empty((n, n, n), dtype=object)
+    for i, j in itertools.product(range(n), repeat=2):
+        J[i, j] = mpmath.mpf(0)
+        T[i, j, :] = [mpmath.mpf(0)] * n
+        for p in range(len(factors) // 2):
+            a, b = 2 * p, 2 * p + 1
+            minor = A[i, a] * A[j, b] - A[i, b] * A[j, a]
+            J[i, j] += minor * phi[a] * phi[b]
+            for l in range(n):
+                T[i, j, l] += minor * (dphi[a] * phi[b] * B[a, l] + phi[a] * dphi[b] * B[b, l])
+    return J, T
+
+
+def test_float_kernel_matches_50_digit_reference():
+    n = 5
+    B_rows = [
+        [1, 0, 1, 0, 0],
+        [0, 1, 0, 1, 0],
+        [0, 0, 1, 0, 1],
+        [0, 0, 0, 1, 0],
+        [1, 1, 1, 1, 2],
+    ]
+    spec = build_spec(
+        n,
+        4,
+        np.array(B_rows, dtype=float),
+        tuple(f for f, _ in MP_FACTORS),
+        BoxDomain(np.full(n, 0.5), np.full(n, 1.5)),
+    )
+    to_float = np.vectorize(float)
+    with mpmath.workdps(50):
+        B = mpmath.matrix(B_rows)
+        fns = [fn for _, fn in MP_FACTORS]
+        for x in spec.domain.halton_points(4, seed=11):
+            J_mp, T_mp = _mp_structure(B, fns, [mpmath.mpf(float(v)) for v in x])
+            J_ref, T_ref = to_float(J_mp), to_float(T_mp)
+            J = evaluate_structure(spec, x)
+            T = structure_partials(spec, x)
+            J_scale = float(np.max(np.abs(J_ref)))
+            T_scale = float(np.max(np.abs(T_ref)))
+            assert np.max(np.abs(J - J_ref)) <= 1e-14 * J_scale
+            assert np.max(np.abs(T - T_ref)) <= 1e-14 * T_scale
+            # The float Jacobi residual is round-off against |J| |dJ|.
+            assert np.max(np.abs(_residual_tensor(J, T))) <= 1e-13 * J_scale * T_scale
