@@ -12,6 +12,7 @@ detection power.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .domain import BoxDomain
 from .errors import InvalidSizeError, ParameterMismatchError
 from .factors import Constant, Linear
-from .structure import MultiseparableSpec, make_spec
+from .structure import MultiseparableSpec, build_spec
 from .verify import StructureField, generic_field
 
 
@@ -71,7 +72,7 @@ def kermack_mckendrick(
         sample_upper=[2.5, 2.5, 2.5],
     )
     factors = (Linear(kappa1), Linear(kappa2))
-    return make_spec(3, 2, B, factors, domain, inverse=A)
+    return build_spec(3, 2, B, factors, domain, inverse=A)
 
 
 def _toda_matrices(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +122,7 @@ def toda(N: int) -> MultiseparableSpec:
         sample_lower=np.concatenate([np.full(N - 1, 0.5), np.full(N, -1.5)]),
         sample_upper=np.concatenate([np.full(N - 1, 2.5), np.full(N, 1.5)]),
     )
-    return make_spec(n, r, B, tuple(factors), domain, inverse=A)
+    return build_spec(n, r, B, tuple(factors), domain, inverse=A)
 
 
 def constant_symplectic(s: int, n: int) -> MultiseparableSpec:
@@ -133,7 +134,7 @@ def constant_symplectic(s: int, n: int) -> MultiseparableSpec:
     domain = BoxDomain.unbounded(
         n, sample_lower=np.full(n, -1.0), sample_upper=np.full(n, 1.0)
     )
-    return make_spec(n, 2 * s, np.eye(n), tuple(Constant(1.0) for _ in range(2 * s)), domain)
+    return build_spec(n, 2 * s, np.eye(n), tuple(Constant(1.0) for _ in range(2 * s)), domain)
 
 
 def counterexample_field() -> StructureField:
@@ -178,48 +179,63 @@ def _symplectic_pattern(s: int, n: int) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(row) for row in pat)
 
 
+def _sizes(name: str, params: dict, keys: tuple[str, ...]) -> dict[str, int]:
+    """The size parameters of ``name`` as ints; TypeError naming one that is
+    not in ``keys`` or is neither an integer nor an integral float."""
+    unknown = set(params) - set(keys)
+    if unknown:
+        raise TypeError(f"unknown parameters for {name}: {sorted(unknown)}")
+    for key, v in params.items():
+        integral = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+        if isinstance(v, bool) or not integral:
+            raise TypeError(f"parameter {key} must be an integer, got {v!r}")
+    return {key: int(v) for key, v in params.items()}
+
+
 def catalog_entry(name: str, **params) -> CatalogEntry:
-    """Build a named system together with its expected regression data."""
+    """Build a named system together with its expected regression data.
+
+    Size parameters (N, s, n) must be integers, or floats with an integer
+    value; kmk's R, kappa1 and kappa2 must be real numbers.  Anything else
+    raises TypeError naming the parameter.
+    """
     if name == "kmk":
+        for key in ("R", "kappa1", "kappa2"):
+            v = params.get(key)
+            if not (v is None or isinstance(v, numbers.Real) and not isinstance(v, bool)):
+                raise TypeError(f"parameter {key} must be a number, got {v!r}")
         spec = kermack_mckendrick(**params)
         return CatalogEntry(
             name=name,
             params=params,
-            description=CATALOG["kmk"]["description"],
+            description=CATALOG["kmk"],
             spec=spec,
             expected_rank=2,
             expected_casimirs=np.array([[1.0, 1.0, 1.0]]),
             structure_pattern=_kmk_pattern(),
         )
     if name == "toda":
-        unknown = set(params) - {"N"}
-        if unknown:
-            raise TypeError(f"unknown parameters for toda: {sorted(unknown)}")
-        N = int(params.get("N", 3))
+        N = _sizes(name, params, ("N",)).get("N", 3)
         spec = toda(N)
         casimir = np.concatenate([np.zeros(N - 1), np.ones(N)])
         return CatalogEntry(
             name=name,
             params={"N": N},
-            description=CATALOG["toda"]["description"],
+            description=CATALOG["toda"],
             spec=spec,
             expected_rank=2 * N - 2,
             expected_casimirs=casimir[None, :],
             structure_pattern=_toda_pattern(N),
         )
     if name == "constant-symplectic":
-        unknown = set(params) - {"s", "n"}
-        if unknown:
-            raise TypeError(
-                f"unknown parameters for constant-symplectic: {sorted(unknown)}"
-            )
-        s = int(params.get("s", 1))
-        n = int(params.get("n", 2 * s))
+        sizes = _sizes(name, params, ("s", "n"))
+        s = sizes.get("s", 1)
+        n = sizes.get("n", 2 * s)
         spec = constant_symplectic(s, n)
         return CatalogEntry(
             name=name,
             params={"s": s, "n": n},
-            description=CATALOG["constant-symplectic"]["description"],
+            description=CATALOG["constant-symplectic"],
             spec=spec,
             expected_rank=2 * s,
             expected_casimirs=np.eye(n)[2 * s :],
@@ -228,23 +244,12 @@ def catalog_entry(name: str, **params) -> CatalogEntry:
     raise KeyError(f"unknown catalog entry {name!r}")
 
 
-#: CLI-addressable systems.  ``counterexample3`` resolves to a raw candidate
-#: field rather than a spec; see :func:`counterexample_field`.
+#: CLI-addressable systems and their one-line descriptions.
+#: ``counterexample3`` resolves to a raw candidate field rather than a
+#: spec; see :func:`counterexample_field`.
 CATALOG = {
-    "kmk": {
-        "params": {"R": 1.0, "kappa1": None, "kappa2": None},
-        "description": "three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3",
-    },
-    "toda": {
-        "params": {"N": 3},
-        "description": "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)",
-    },
-    "constant-symplectic": {
-        "params": {"s": 1, "n": 2},
-        "description": "constant canonical block matrix, identity chart",
-    },
-    "counterexample3": {
-        "params": {},
-        "description": "non-example field J12=x2, J23=x1 failing the Jacobi identity",
-    },
+    "kmk": "three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3",
+    "toda": "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)",
+    "constant-symplectic": "constant canonical block matrix, identity chart",
+    "counterexample3": "non-example field J12=x2, J23=x1 failing the Jacobi identity",
 }

@@ -6,8 +6,7 @@ plus canonical-form certification), ``integrate`` (trajectory CSV), and
 verification or certification failure, 2 usage or configuration error.
 Reports are byte-deterministic for a fixed config and seed; floats are
 serialized with 17 significant digits so binary64 values round-trip.
-Sweeps run in one thread with numpy batching; ``POISSON_THREADS``, which
-once set a thread count, is still accepted and has no effect.
+Sweeps run in one thread with numpy batching.
 """
 
 from __future__ import annotations
@@ -294,15 +293,23 @@ def _config_from_args(args) -> SystemConfig:
     raise ConfigValidationError("provide --config PATH or --system NAME")
 
 
+def _flag_numbers(flag: str, convert, values: list[str]) -> list:
+    """``convert`` of each value; a usage error naming the flag if it fails."""
+    try:
+        return [convert(v) for v in values]
+    except ValueError as exc:
+        raise ConfigValidationError(f"{flag}: {exc}") from None
+
+
 def _parse_hamiltonian_flag(text: str) -> dict:
     kind, _, rest = text.partition(":")
     values = [v for v in rest.split(",") if v != ""]
     if kind == "coordinate":
-        params = {"index": int(values[0])} if values else {}
+        params = {"index": _flag_numbers("--hamiltonian", int, values[:1])[0]} if values else {}
     elif kind == "linear":
-        params = {"coefficients": [float(v) for v in values]}
+        params = {"coefficients": _flag_numbers("--hamiltonian", float, values)}
     elif kind == "quadratic-diagonal":
-        params = {"weights": [float(v) for v in values]}
+        params = {"weights": _flag_numbers("--hamiltonian", float, values)}
     else:
         raise ConfigValidationError(f"unknown hamiltonian kind {kind!r}")
     return {"kind": kind, "params": params}
@@ -367,8 +374,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "catalog":
-            for name, meta in CATALOG.items():
-                sys.stdout.write(f"{name}: {meta['description']}\n")
+            for name, description in CATALOG.items():
+                sys.stdout.write(f"{name}: {description}\n")
             return EXIT_OK
         if args.cmd == "verify":
             config = _config_from_args(args)
@@ -386,7 +393,7 @@ def main(argv=None) -> int:
                 _parse_hamiltonian_flag(args.hamiltonian) if args.hamiltonian else None
             )
             x0 = (
-                np.array([float(v) for v in args.x0.split(",")])
+                np.array(_flag_numbers("--x0", float, args.x0.split(",")))
                 if args.x0
                 else None
             )

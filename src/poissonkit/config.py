@@ -150,6 +150,16 @@ def _parse_hamiltonian(raw) -> dict:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail("hamiltonian.params", "expected an object")
+    if kind == "coordinate":
+        if "index" in params and type(params["index"]) is not int:
+            _fail("hamiltonian.params.index", "expected a number that is an integer")
+    else:
+        key = "coefficients" if kind == "linear" else "weights"
+        path = f"hamiltonian.params.{key}"
+        if key in params:
+            if not isinstance(params[key], list):
+                _fail(path, "expected a list of numbers")
+            _number_list(params[key], path)
     return {"kind": kind, "params": params}
 
 
@@ -263,19 +273,15 @@ def hamiltonian_from_descriptor(descriptor: dict, n: int) -> HamiltonianField:
     """Instantiate a built-in scalar function from a descriptor."""
     kind = descriptor["kind"]
     params = descriptor.get("params", {})
+    if kind not in HAMILTONIAN_KINDS:
+        raise ConfigValidationError(f"hamiltonian: unknown kind {kind!r}")
     try:
-        if kind == "linear":
-            coeffs = np.array([float(v) for v in params["coefficients"]])
-            if coeffs.shape != (n,):
-                raise ValueError(f"expected {n} coefficients")
-            return linear_hamiltonian(coeffs)
-        if kind == "quadratic-diagonal":
-            weights = np.array([float(v) for v in params["weights"]])
-            if weights.shape != (n,):
-                raise ValueError(f"expected {n} weights")
-            return quadratic_hamiltonian(weights)
         if kind == "coordinate":
             return coordinate_hamiltonian(int(params["index"]), n)
+        key = "coefficients" if kind == "linear" else "weights"
+        values = np.array([float(v) for v in params[key]])
+        if values.shape != (n,):
+            raise ValueError(f"expected {n} {key}")
+        return (linear_hamiltonian if kind == "linear" else quadratic_hamiltonian)(values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigValidationError(f"hamiltonian: {exc}") from exc
-    raise ConfigValidationError(f"hamiltonian: unknown kind {kind!r}")

@@ -33,8 +33,7 @@ from .factors import FactorFunction
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
-    factor_arguments,
-    factor_values,
+    factor_columns,
     matvec,
     point_blocks,
 )
@@ -44,6 +43,10 @@ ROUND_TRIP_TOL = 1e-10
 
 #: default entrywise tolerance for canonical-form certification.
 CANONICAL_TOL = 1e-9
+
+#: size and seed of the low-discrepancy sample that validates every chart.
+VALIDATION_POINTS = 100
+VALIDATION_SEED = 0
 
 
 def casimirs(spec: MultiseparableSpec) -> np.ndarray:
@@ -71,17 +74,17 @@ def pushforward(field, map_fn: Callable, jacobian_fn: Callable, x) -> np.ndarray
         J*_ij(y) = sum_kl (dy_i/dx_k) J_kl(x) (dy_j/dx_l)
 
     evaluated at y = map(x).  ``field`` is a StructureField-like object
-    exposing ``evaluate`` and ``require_inside``.
+    exposing ``evaluate`` and ``domain``.
     """
-    x = field.require_inside(x)
+    x = field.domain.require_inside(x)
     M = np.asarray(jacobian_fn(x), dtype=float)
     J = np.asarray(field.evaluate(x))
     return M @ J @ M.T
 
 
 def linear_chart_pushforward(spec: MultiseparableSpec, x) -> np.ndarray:
-    """J*(y) at y = B.x: the 2x2-block compression of J under the linear chart."""
-    x = spec.require_inside(x)
+    """J*(y) at y = B.x: the 2x2-block compression of J under the linear
+    chart, or the (P, n, n) stack of them for a (P, n) block."""
     return spec.B @ evaluate_structure(spec, x) @ spec.B.T
 
 
@@ -109,21 +112,13 @@ def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
 def quadrature_chart(spec: MultiseparableSpec, anchors, y) -> np.ndarray:
     """z from y: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
     y = np.asarray(y, dtype=float)
-    z = y.copy()
-    out = z.T
-    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(y))):
-        out[q] = f.reciprocal_antiderivative(v, anchors[q])
-    return z
+    return factor_columns(spec, "reciprocal_antiderivative", y, y.copy(), anchors)
 
 
 def inverse_quadrature_chart(spec: MultiseparableSpec, anchors, z) -> np.ndarray:
     """y from z, inverting each anchored antiderivative."""
     z = np.asarray(z, dtype=float)
-    y = z.copy()
-    out = y.T
-    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(z))):
-        out[q] = f.invert_antiderivative(v, anchors[q])
-    return y
+    return factor_columns(spec, "invert_antiderivative", z, z.copy(), anchors)
 
 
 def canonical_matrix(n: int, r: int) -> np.ndarray:
@@ -199,20 +194,14 @@ class DarbouxChart:
     def forward_jacobian(self, x) -> np.ndarray:
         """dz/dx = diag(1/phi_i(y_i), 1) . B, analytic."""
         spec = self.spec
-        y = linear_chart(spec, x)
-        d = np.ones(spec.n)
-        if spec.r:
-            d[: spec.r] = 1.0 / factor_values(spec, y)
-        return d[:, None] * spec.B
+        phi = factor_columns(spec, "value", linear_chart(spec, x), np.ones(spec.n))
+        return (1.0 / phi)[:, None] * spec.B
 
     def inverse_jacobian(self, z) -> np.ndarray:
         """dx/dz = A . diag(phi_i(y_i), 1), analytic."""
         spec = self.spec
         y = inverse_quadrature_chart(spec, self.anchors, z)
-        e = np.ones(spec.n)
-        if spec.r:
-            e[: spec.r] = factor_values(spec, y)
-        return spec.A * e[None, :]
+        return spec.A * factor_columns(spec, "value", y, np.ones(spec.n))[None, :]
 
     def contains_image(self, z) -> bool:
         """True when z is the image of a domain point."""
@@ -223,21 +212,16 @@ class DarbouxChart:
         return self.spec.domain.contains(x)
 
 
-def darboux_chart(
-    spec: MultiseparableSpec,
-    anchors=None,
-    validate: bool = True,
-    num_validation_points: int = 100,
-    seed: int = 0,
-) -> DarbouxChart:
+def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
     """Build the composite chart and certify its invariants on a sample.
 
     For r = 0 the quadrature stage is the identity and the chart reduces
     to the linear change of variables (already canonical, since J is the
     zero matrix).  Validation checks the forward and inverse composition
-    to ROUND_TRIP_TOL at low-discrepancy sample points; it is skipped (and
-    flagged on the chart) when the domain is unbounded and carries no
-    sample box.
+    to ROUND_TRIP_TOL at VALIDATION_POINTS low-discrepancy points (seed
+    VALIDATION_SEED) and raises CertificationFailureError at the first
+    point that fails; it is skipped, and the chart carries
+    ``validated=False``, when the domain is unbounded and has no sample box.
     """
     if anchors is None:
         anchors = default_anchors(spec)
@@ -259,18 +243,18 @@ def darboux_chart(
     z_lo.setflags(write=False)
     z_hi.setflags(write=False)
 
+    try:
+        points = spec.domain.halton_points(VALIDATION_POINTS, VALIDATION_SEED)
+    except EmptyDomainSampleError:
+        points = None
     chart = DarbouxChart(
         spec=spec,
         anchors=anchors,
         image_lower=z_lo,
         image_upper=z_hi,
-        validated=False,
+        validated=points is not None,
     )
-    if validate:
-        try:
-            points = spec.domain.halton_points(num_validation_points, seed)
-        except EmptyDomainSampleError:
-            return chart
+    if points is not None:
         err, coord, within = _round_trip(chart, points, ROUND_TRIP_TOL)
         if not within.all():
             k = int(np.argmin(within))
@@ -280,13 +264,6 @@ def darboux_chart(
                 err[k],
                 f"chart round trip error {err[k]:.3e} exceeds {ROUND_TRIP_TOL:g}",
             )
-        chart = DarbouxChart(
-            spec=spec,
-            anchors=anchors,
-            image_lower=z_lo,
-            image_upper=z_hi,
-            validated=True,
-        )
     return chart
 
 
@@ -345,10 +322,9 @@ def certify_canonical(
     max_dev = 0.0
     max_rt = 0.0
     for X in point_blocks(points, spec.n):
-        d = np.ones(X.shape)
-        if spec.r:
-            d[:, : spec.r] = 1.0 / factor_values(spec, linear_chart(spec, X))
-        dev = spec.B @ evaluate_structure(spec, X) @ spec.B.T
+        # 1/phi_i(y_i) for i <= r and 1 elsewhere: the quadrature stage's Jacobian.
+        d = 1.0 / factor_columns(spec, "value", linear_chart(spec, X), np.ones(X.shape))
+        dev = linear_chart_pushforward(spec, X)
         dev *= d[:, :, None]
         dev *= d[:, None, :]
         dev -= target

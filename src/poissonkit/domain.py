@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDomainSampleError
+from .errors import EmptyDomainSampleError, OutOfDomainError
 
 #: Absolute inset from box faces used when drawing sweep points, so samples
 #: stay strictly inside the open box.
@@ -76,12 +76,19 @@ class BoxDomain:
             return False
         return bool((x > self.lower).all() and (x < self.upper).all())
 
-    def contains_rows(self, X) -> np.ndarray:
-        """Strict interior membership of each row of a (P, n) block."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dimension:
-            return np.zeros(X.shape[:1], dtype=bool)
-        return np.all((X > self.lower) & (X < self.upper), axis=1)
+    def require_inside(self, x) -> np.ndarray:
+        """x as floats, one point (n,) or a (P, n) block, when every point
+        lies in the open box; OutOfDomainError naming the first point
+        outside it otherwise."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2 and x.shape[1] == self.dimension:
+            inside = np.all((x > self.lower) & (x < self.upper), axis=1)
+            if inside.all():
+                return x
+            x = x[int(np.argmin(inside))]
+        elif self.contains(x):
+            return x
+        raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
 
     def sampling_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounded bounds for sweeps: the box itself, or the sample sub-box.
@@ -101,7 +108,9 @@ class BoxDomain:
         """``num`` scrambled-Halton points strictly inside the sampling box.
 
         Deterministic for a fixed seed; points are inset from the faces so
-        open-interval guarantees apply.
+        open-interval guarantees apply, and a point that rounding still put
+        on a face (an inset below the float spacing) moves to the nearest
+        float inside.
         """
         if num < 1:
             raise ValueError("num must be >= 1")
@@ -112,7 +121,8 @@ class BoxDomain:
 
         engine = qmc.Halton(d=self.dimension, scramble=True, seed=seed)
         u = engine.random(num)
-        return (lo + inset) + u * (width - 2.0 * inset)
+        points = (lo + inset) + u * (width - 2.0 * inset)
+        return np.clip(points, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
     def projected_interval(self, row) -> tuple[float, float]:
         """Open interval {row . x : x in box} by interval arithmetic."""

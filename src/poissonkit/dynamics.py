@@ -54,6 +54,7 @@ from .structure import (
     factor_values,
     structure_partials,
 )
+from .verify import central_differences
 
 #: implicit-midpoint Newton controls.
 NEWTON_TOL = 1e-12
@@ -84,15 +85,7 @@ class HamiltonianField:
         x = np.asarray(x, dtype=float)
         if self.gradient is not None:
             return np.asarray(self.gradient(x), dtype=float)
-        g = np.empty(x.shape[0])
-        for l in range(x.shape[0]):
-            h = 1e-6 * (1.0 + abs(float(x[l])))
-            xp = x.copy()
-            xm = x.copy()
-            xp[l] += h
-            xm[l] -= h
-            g[l] = (float(self.value(xp)) - float(self.value(xm))) / (2.0 * h)
-        return g
+        return central_differences(lambda p: float(self.value(p)), x, 1e-6)
 
     def hessian_at(self, x) -> np.ndarray:
         """The analytic Hessian; only defined when ``hessian`` is set."""
@@ -235,16 +228,7 @@ def _rk4_step(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    Jf = np.empty((n, n))
-    for l in range(n):
-        h = 1e-7 * (1.0 + abs(float(x[l])))
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        Jf[:, l] = (f(xp) - f(xm)) / (2.0 * h)
-    return Jf
+    return central_differences(f, x, 1e-7)
 
 
 def _implicit_midpoint_step(
@@ -286,10 +270,7 @@ def _direct_system(
 ) -> tuple[Callable, Callable | None]:
     """The direct-route field x -> J(x) grad H(x) and its analytic Jacobian
     J(x) Hess H(x) + sum_j dJ_ij/dx_l grad_j H(x) (None without a Hessian)."""
-
-    def f(x: np.ndarray) -> np.ndarray:
-        return vector_field(spec, H, x)
-
+    f = partial(vector_field, spec, H)
     if H.hessian is None:
         return f, None
 
@@ -342,6 +323,37 @@ def _canonical_system(
     return f, jacobian
 
 
+def _march(
+    spec: MultiseparableSpec,
+    H: HamiltonianField,
+    method: str,
+    x0: np.ndarray,
+    dt: float,
+    steps: int,
+    step: Callable[[], np.ndarray],
+) -> TrajectoryRecord:
+    """The fixed-step loop of both routes; ``step()`` advances by dt and
+    returns the new x.  A step that leaves the box, or a factor or chart
+    interval, ends the trajectory with a domain-exit flag."""
+    stride = _record_stride(steps)
+    times = [0.0]
+    states = [x0]
+    domain_exit = False
+    for k in range(1, steps + 1):
+        try:
+            x = step()
+        except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
+            domain_exit = True
+            break
+        if not spec.domain.contains(x):
+            domain_exit = True
+            break
+        if k % stride == 0 or k == steps:
+            times.append(k * dt)
+            states.append(x)
+    return _record(spec, H, method, times, states, domain_exit)
+
+
 def integrate_direct(
     spec: MultiseparableSpec,
     H: HamiltonianField,
@@ -360,29 +372,19 @@ def integrate_direct(
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
-    x = spec.require_inside(x0).copy()
+    x = spec.domain.require_inside(x0).copy()
     f, jacobian = _direct_system(spec, H)
     if method == "rk4":
         stepper = _rk4_step
     else:
         stepper = partial(_implicit_midpoint_step, jacobian=jacobian)
-    stride = _record_stride(steps)
-    times = [0.0]
-    states = [x.copy()]
-    domain_exit = False
-    for k in range(1, steps + 1):
-        try:
-            x = stepper(f, x, dt)
-        except (OutOfDomainError, OutOfValidityError):
-            domain_exit = True
-            break
-        if not spec.domain.contains(x):
-            domain_exit = True
-            break
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            states.append(x.copy())
-    return _record(spec, H, method, times, states, domain_exit)
+
+    def step() -> np.ndarray:
+        nonlocal x
+        x = stepper(f, x, dt)
+        return x
+
+    return _march(spec, H, method, x, dt, steps, step)
 
 
 def integrate_canonical(
@@ -401,36 +403,23 @@ def integrate_canonical(
     the chart round trip only.  ``dt`` must be finite and positive.
     """
     _check_step_controls(dt, steps)
-    x_start = spec.require_inside(x0)
+    x_start = spec.domain.require_inside(x0)
     if chart is None:
         chart = darboux_chart(spec)
     r = spec.r
     z = chart.forward(x_start)
     tail = z[r:].copy()
     f_reduced, jacobian = _canonical_system(spec, H, chart, tail)
-
-    stride = _record_stride(steps)
-    times = [0.0]
-    states = [x_start.copy()]
-    domain_exit = False
     u = z[:r].copy()
-    for k in range(1, steps + 1):
+
+    def step() -> np.ndarray:
+        nonlocal u
         if r == 0:
-            x = states[0]
-        else:
-            try:
-                u = _implicit_midpoint_step(f_reduced, u, dt, jacobian)
-                x = chart.inverse(np.concatenate([u, tail]))
-            except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
-                domain_exit = True
-                break
-        if not spec.domain.contains(x):
-            domain_exit = True
-            break
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            states.append(np.asarray(x, dtype=float))
-    return _record(spec, H, "canonical-midpoint", times, states, domain_exit)
+            return x_start
+        u = _implicit_midpoint_step(f_reduced, u, dt, jacobian)
+        return chart.inverse(np.concatenate([u, tail]))
+
+    return _march(spec, H, "canonical-midpoint", x_start, dt, steps, step)
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

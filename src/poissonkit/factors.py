@@ -12,7 +12,7 @@ F is strictly monotone there and the inverse is well defined.
 
 Built-in kinds (constant, linear, affine, exponential, power) implement
 both operations in closed form; :class:`CustomFactor` falls back to
-adaptive quadrature and safeguarded Newton iteration.
+adaptive quadrature and a bracketed root find.
 
 The four operations take a float or a 1-D array of arguments (one anchor
 per call).  Arrays go through numpy arithmetic, but exp, log and power are
@@ -62,9 +62,7 @@ def _libm(fn, t):
 
 def _power(t, p: float):
     """t**p, element by element for an array (see :func:`_libm`)."""
-    if type(t) is float or not isinstance(t, np.ndarray):
-        return t**p
-    return np.fromiter((v**p for v in t.tolist()), float, t.size)
+    return _libm(lambda v: v**p, t)
 
 
 def _like(y, c: float):
@@ -438,8 +436,8 @@ class CustomFactor(FactorFunction):
     """User-supplied factor: value and derivative callables are required.
 
     When no reciprocal-antiderivative callable is given, F(y) is computed by
-    adaptive quadrature to QUADRATURE_TOL and inverted by safeguarded Newton
-    iteration with a bisection fallback.  Nonvanishing on a projected
+    adaptive quadrature to QUADRATURE_TOL and inverted by Brent's method on
+    a bracket found by expansion from the anchor.  Nonvanishing on a projected
     interval can only be checked heuristically by sampling; structure specs
     built from custom factors carry a warning flag for that reason.
     """
@@ -497,7 +495,7 @@ class CustomFactor(FactorFunction):
         anchor = self._check(anchor)
         z = float(z)
         lo, hi = self._bracket(z, anchor)
-        return self._newton(z, anchor, lo, hi)
+        return self._solve(z, anchor, lo, hi)
 
     def sample_nonvanishing(
         self, lo: float, hi: float, num: int = 1000, tol: float = 1e-12
@@ -562,39 +560,24 @@ class CustomFactor(FactorFunction):
             width *= 2.0
         raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
 
-    def _newton(self, z: float, anchor: float, lo: float, hi: float) -> float:
-        # Coarse monotone table refines the starting bracket and seeds Newton.
-        table = [lo + (hi - lo) * k / 63 for k in range(64)]
-        values = [self.reciprocal_antiderivative(y, anchor) for y in table]
-        increasing = values[-1] >= values[0]
-        y = table[0]
-        for yk, fk in zip(table, values):
-            if (fk <= z) == increasing:
-                y = yk
-            else:
-                hi = yk
-                break
-        lo = y
-        flo = self.reciprocal_antiderivative(lo, anchor)
-        fhi = self.reciprocal_antiderivative(hi, anchor)
+    def _solve(self, z: float, anchor: float, lo: float, hi: float) -> float:
+        """The root of F(y) = z in the bracket [lo, hi] by Brent's method,
+        refined to the float grid; NoConvergenceError unless
+        |F(y) - z| <= INVERSION_TOL."""
+        from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
-        for _ in range(100):
-            fy = self.reciprocal_antiderivative(y, anchor)
-            if abs(fy - z) <= INVERSION_TOL:
-                return y
-            # Maintain the bracket for the bisection safeguard.
-            if (fy < z) == increasing:
-                lo, flo = y, fy
-            else:
-                hi, fhi = y, fy
-            step = (z - fy) * self.value_fn(y)  # F'(y) = 1/phi(y)
-            candidate = y + step
-            if not (lo < candidate < hi):
-                candidate = 0.5 * (lo + hi)
-            y = candidate
-        raise NoConvergenceError(
-            f"antiderivative inversion did not reach {INVERSION_TOL:g}"
+        y = brentq(
+            lambda t: self.reciprocal_antiderivative(t, anchor) - z,
+            lo,
+            hi,
+            xtol=math.ulp(0.0),
+            disp=False,
         )
+        if not abs(self.reciprocal_antiderivative(y, anchor) - z) <= INVERSION_TOL:
+            raise NoConvergenceError(
+                f"antiderivative inversion did not reach {INVERSION_TOL:g}"
+            )
+        return y
 
 
 #: Built-in factor kinds addressable from configuration files.

@@ -22,6 +22,7 @@ storage is 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .errors import (
     FactorVanishesError,
     IndexOutOfRangeError,
     OddRankError,
-    OutOfDomainError,
     RankExceedsDimensionError,
     SingularMatrixError,
 )
@@ -77,18 +77,11 @@ class MultiseparableSpec:
     def num_pairs(self) -> int:
         return self.r // 2
 
-    def require_inside(self, x) -> np.ndarray:
-        """x as floats, one point (n,) or a (P, n) block; raises
-        OutOfDomainError naming the first point outside the box."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            inside = self.domain.contains_rows(x)
-            if inside.all():
-                return x
-            x = x[int(np.argmin(inside))]
-        elif self.domain.contains(x):
-            return x
-        raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
+    @cached_property
+    def _operations(self) -> dict[str, tuple]:
+        """Each factor operation bound to every factor, looked up once."""
+        names = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
+        return {name: tuple(getattr(f, name) for f in self.factors) for name in names}
 
 
 def _uncovered_witness(lo: float, hi: float, vlo: float, vhi: float) -> float:
@@ -100,7 +93,7 @@ def _uncovered_witness(lo: float, hi: float, vlo: float, vhi: float) -> float:
     return 0.5 * (right + hi) if np.isfinite(hi) else right + 1.0
 
 
-def make_spec(
+def build_spec(
     n: int,
     r: int,
     B,
@@ -108,10 +101,13 @@ def make_spec(
     domain: BoxDomain,
     inverse=None,
 ) -> MultiseparableSpec:
-    """Assemble and certify a spec, optionally with a known exact inverse.
+    """Build a spec from (n, r, B, factors, domain).
 
-    Catalog builders pass the closed-form inverse when one is available;
-    everyone else should call :func:`build_spec`, which computes it.
+    B is inverted by LU unless ``inverse``, a known exact inverse such as
+    the closed forms of the catalog builders, is given; either way
+    max |A.B - I| must be within INVERSION_TOL.  Raises
+    SingularMatrixError, OddRankError, RankExceedsDimensionError, or
+    FactorVanishesError when the defining requirements fail.
     """
     n = int(n)
     r = int(r)
@@ -173,15 +169,6 @@ def make_spec(
     )
 
 
-def build_spec(n: int, r: int, B, factors, domain: BoxDomain) -> MultiseparableSpec:
-    """Build a spec from (n, r, B, factors, domain), inverting B by LU.
-
-    Raises SingularMatrixError, OddRankError, RankExceedsDimensionError, or
-    FactorVanishesError when the defining requirements fail.
-    """
-    return make_spec(n, r, B, factors, domain, inverse=None)
-
-
 def lambda_coefficient(spec: MultiseparableSpec, i: int, j: int, k: int, l: int) -> float:
     """Minor a_ik a_jl - a_il a_jk of the inverse matrix (1-based indices)."""
     n = spec.n
@@ -205,31 +192,36 @@ def point_blocks(points: np.ndarray, n: int) -> list[np.ndarray]:
     return [points[k : k + step] for k in range(0, points.shape[0], step)]
 
 
-def factor_arguments(y: np.ndarray):
-    """The coordinates of y one at a time: floats for one point, column
-    views for a (P, n) block.  Factor methods take either."""
-    return y.tolist() if y.ndim == 1 else y.T
+def factor_columns(
+    spec: MultiseparableSpec, name: str, y: np.ndarray, out: np.ndarray, anchors=None
+) -> np.ndarray:
+    """out[..., q] = factors[q].<name>(y[..., q]), with anchors[q] as second
+    argument when anchors are given, for q < r; returns out.  y is a float
+    point (n,), passed as floats, or a (P, n) block, passed as columns;
+    out has y's leading shape and at least r columns."""
+    target = out.T
+    columns = y.tolist() if y.ndim == 1 else y.T
+    operations = spec._operations[name]
+    if anchors is None:
+        for q, (method, v) in enumerate(zip(operations, columns)):
+            target[q] = method(v)
+    else:
+        for q, (method, v, a) in enumerate(zip(operations, columns, anchors)):
+            target[q] = method(v, a)
+    return out
 
 
 def factor_values(spec: MultiseparableSpec, y) -> np.ndarray:
     """phi_i(y_i) for i = 1..r at linear-chart coordinates y: shape (r,) for
     one point, (P, r) for a (P, n) block."""
     y = np.asarray(y, dtype=float)
-    phi = np.empty(y.shape[:-1] + (spec.r,))
-    out = phi.T
-    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(y))):
-        out[q] = f.value(v)
-    return phi
+    return factor_columns(spec, "value", y, np.empty(y.shape[:-1] + (spec.r,)))
 
 
 def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
     """phi_i'(y_i) for i = 1..r, shaped as :func:`factor_values`."""
     y = np.asarray(y, dtype=float)
-    dphi = np.empty(y.shape[:-1] + (spec.r,))
-    out = dphi.T
-    for q, (f, v) in enumerate(zip(spec.factors, factor_arguments(y))):
-        out[q] = f.derivative(v)
-    return dphi
+    return factor_columns(spec, "derivative", y, np.empty(y.shape[:-1] + (spec.r,)))
 
 
 def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
@@ -252,7 +244,7 @@ def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
 
     J = U - U^T, so J_ij == -J_ji holds bitwise.
     """
-    return unchecked_structure(spec, spec.require_inside(x))
+    return unchecked_structure(spec, spec.domain.require_inside(x))
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
@@ -267,7 +259,7 @@ def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
     one product of the column-pair products (A_odd (x) A_even) with W; then
     T = d U - (d U)^T in (i, j), which is exactly skew.
     """
-    x = spec.require_inside(x)
+    x = spec.domain.require_inside(x)
     n, r = spec.n, spec.r
     if r == 0:
         return np.zeros(x.shape + (n, n))

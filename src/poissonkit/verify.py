@@ -6,24 +6,27 @@ and SVD-based rank.  Structure fields wrap either a multiseparable spec
 (analytic partials) or a user-supplied candidate matrix field, which may
 well fail the Jacobi identity; a finite-difference partials provider is
 available as an independent oracle for cross-checking the analytic path.
+Its stencil, :func:`central_differences`, also serves the integrators'
+finite-difference gradients and Newton matrices.
 
-A sweep evaluates J once per sample point, a block of points per kernel
-call on a spec field, and the partials one point at a time, so memory
-stays at one block of J and one (n, n, n) tensor; the residual
-contraction is one matrix product per point.  The kernel and rank checks
-can reuse each block of J.
+Every field evaluates a point or a (P, n) block of points: a spec field
+in one kernel call, a user field row by row.  A sweep evaluates J once
+per sample point, a block at a time, and the partials one point at a
+time, so memory stays at one block of J and one (n, n, n) tensor; the
+residual contraction is one matrix product per point.  The kernel and
+rank checks can reuse each block of J.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .domain import BoxDomain
-from .errors import IndexOutOfRangeError, OutOfDomainError
+from .errors import IndexOutOfRangeError
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
@@ -43,48 +46,39 @@ FD_STEP_SCALE = 1e-5
 class StructureField:
     """Evaluatable matrix field x -> J(x) with a partials provider.
 
-    ``partials(x)`` returns the tensor T with T[i, j, l] = d J_ij / d x_l
-    (0-based storage axes).  When ``spec`` is set, ``evaluate`` also takes
-    a (P, n) block of points and returns the (P, n, n) stack.
+    ``evaluate`` takes one point (n,) and returns J, or a (P, n) block and
+    returns the (P, n, n) stack.  ``partials(x)`` returns the tensor T with
+    T[i, j, l] = d J_ij / d x_l (0-based storage axes) at one point.
     """
 
     n: int
     domain: BoxDomain
     evaluate: Callable[[np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray], np.ndarray]
-    spec: MultiseparableSpec | None = None
 
-    def require_inside(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self.domain.contains(x):
-            raise OutOfDomainError(f"point {x.tolist()} is outside the field domain")
-        return x
+
+def central_differences(f: Callable, x, step_scale: float) -> np.ndarray:
+    """D[..., l] = (f(x + h e_l) - f(x - h e_l)) / 2h with
+    h = step_scale * (1 + |x_l|), for f returning a scalar or an array;
+    f must tolerate points within h of x."""
+    x = np.asarray(x, dtype=float)
+    columns = []
+    for l in range(x.shape[0]):
+        h = step_scale * (1.0 + abs(float(x[l])))
+        xp = x.copy()
+        xm = x.copy()
+        xp[l] += h
+        xm[l] -= h
+        columns.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def fd_partials(
     evaluate: Callable[[np.ndarray], np.ndarray], step_scale: float = FD_STEP_SCALE
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Central finite-difference partials of a matrix field.
-
-    Uses h = step_scale * (1 + |x_l|) per coordinate; the evaluator must
-    tolerate points within h of the nominal argument.
-    """
-
-    def partials(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        J0 = np.asarray(evaluate(x))
-        T = np.empty(J0.shape + (n,))
-        for l in range(n):
-            h = step_scale * (1.0 + abs(float(x[l])))
-            xp = x.copy()
-            xm = x.copy()
-            xp[l] += h
-            xm[l] -= h
-            T[:, :, l] = (np.asarray(evaluate(xp)) - np.asarray(evaluate(xm))) / (2.0 * h)
-        return T
-
-    return partials
+    """Central finite-difference partials of a matrix field (see
+    :func:`central_differences`)."""
+    return lambda x: central_differences(evaluate, x, step_scale)
 
 
 def structure_field(spec: MultiseparableSpec) -> StructureField:
@@ -94,7 +88,6 @@ def structure_field(spec: MultiseparableSpec) -> StructureField:
         domain=spec.domain,
         evaluate=lambda x: evaluate_structure(spec, x),
         partials=lambda x: structure_partials(spec, x),
-        spec=spec,
     )
 
 
@@ -105,13 +98,8 @@ def fd_structure_field(spec: MultiseparableSpec) -> StructureField:
     so stencil points may poke slightly past the box faces; factor
     validity intervals still apply.
     """
-    return StructureField(
-        n=spec.n,
-        domain=spec.domain,
-        evaluate=lambda x: evaluate_structure(spec, x),
-        partials=fd_partials(lambda x: unchecked_structure(spec, np.asarray(x, float))),
-        spec=spec,
-    )
+    oracle = fd_partials(lambda x: unchecked_structure(spec, np.asarray(x, float)))
+    return replace(structure_field(spec), partials=oracle)
 
 
 def generic_field(
@@ -122,13 +110,21 @@ def generic_field(
 ) -> StructureField:
     """Wrap a user-supplied candidate matrix field.
 
-    Without an analytic partials callable, central finite differences are
-    used.  The candidate need not satisfy the Jacobi identity; that is what
-    the sweep is for.
+    ``evaluate`` takes one point; the field evaluates a (P, n) block row by
+    row.  Without an analytic partials callable, central finite
+    differences are used.  The candidate need not satisfy the Jacobi
+    identity; that is what the sweep is for.
     """
+
+    def evaluate_rows(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return evaluate(x)
+        return np.array([np.asarray(evaluate(p), dtype=float) for p in x])
+
     if partials is None:
         partials = fd_partials(evaluate)
-    return StructureField(n=n, domain=domain, evaluate=evaluate, partials=partials)
+    return StructureField(n=n, domain=domain, evaluate=evaluate_rows, partials=partials)
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ def jacobi_residual(field: StructureField, x, i: int, j: int, k: int) -> float:
     for idx in (i, j, k):
         if not 1 <= idx <= n:
             raise IndexOutOfRangeError(f"index {idx} outside 1..{n}")
-    x = field.require_inside(x)
+    x = field.domain.require_inside(x)
     J = np.asarray(field.evaluate(x))
     T = np.asarray(field.partials(x))
     a, b, c = i - 1, j - 1, k - 1
@@ -187,13 +183,6 @@ def _residual_tensor(J: np.ndarray, T: np.ndarray) -> np.ndarray:
     n = J.shape[0]
     R = _contraction(J, T).reshape(n, n, n)
     return R + R.transpose(1, 2, 0) + R.transpose(2, 0, 1)
-
-
-def _structure_stack(field: StructureField, X: np.ndarray) -> np.ndarray:
-    """J at each row of X: one kernel call on a spec field, a loop otherwise."""
-    if field.spec is not None:
-        return np.asarray(field.evaluate(X))
-    return np.array([np.asarray(field.evaluate(x), dtype=float) for x in X])
 
 
 def jacobi_sweep(
@@ -237,7 +226,7 @@ def jacobi_sweep(
     argmax_triple = None
     argmax_point = None
     for X in point_blocks(points, n):
-        structures = _structure_stack(field, X)
+        structures = np.asarray(field.evaluate(X))
         if visit is not None:
             visit(structures)
         # With n < 3 there are no triples and nothing to sweep.
@@ -290,5 +279,5 @@ def numerical_rank(J: np.ndarray, rel_tolerance: float = RANK_REL_TOL) -> np.nda
 
 def rank_at(field: StructureField, x, rel_tolerance: float = RANK_REL_TOL) -> int:
     """Numerical rank of J(x): singular values above rel_tolerance * sigma_max."""
-    x = field.require_inside(x)
+    x = field.domain.require_inside(x)
     return int(numerical_rank(np.asarray(field.evaluate(x)), rel_tolerance))

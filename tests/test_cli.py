@@ -402,6 +402,17 @@ def test_bad_dt_is_usage_error(capsys, dt, route):
         (_with(EXPLICIT_CONFIG, ("initial_state",), [1.0, None, 0.9]), "initial_state[1]"),
         (_with(KMK_CONFIG, ("initial_state",), [1.0, 1.1, {}]), "initial_state[2]"),
         (_with(EXPLICIT_CONFIG, ("domain", "lower", 2), "0"), "domain.lower[2]"),
+        (_with(KMK_CONFIG, ("hamiltonian", "params", "weights"), [True, "1.5", 1]),
+         "hamiltonian.params.weights[0]"),
+        (_with(KMK_CONFIG, ("hamiltonian", "params", "weights"), [1, "1.5", 1]),
+         "hamiltonian.params.weights[1]"),
+        (_with(KMK_CONFIG, ("hamiltonian",),
+               {"kind": "linear", "params": {"coefficients": [1, 2, None]}}),
+         "hamiltonian.params.coefficients[2]"),
+        (_with(KMK_CONFIG, ("hamiltonian",), {"kind": "coordinate", "params": {"index": True}}),
+         "hamiltonian.params.index"),
+        (_with(KMK_CONFIG, ("hamiltonian",), {"kind": "coordinate", "params": {"index": 2.9}}),
+         "hamiltonian.params.index"),
     ],
 )
 def test_malformed_config_names_field(tmp_path, capsys, config, field):
@@ -434,3 +445,66 @@ def test_unknown_builder_param_is_usage_error(capsys):
 def test_invalid_points_is_usage_error(capsys):
     code, _, err = _run(capsys, ["verify", "--system", "kmk", "--points", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--hamiltonian", "quadratic-diagonal:1,a,1"),
+        ("--hamiltonian", "coordinate:2.9"),
+        ("--x0", "1,b,1"),
+    ],
+)
+def test_malformed_integrate_flag_names_flag(capsys, flag, value):
+    argv = {"--hamiltonian": "quadratic-diagonal:1,1,1", "--x0": "1,1.1,0.9"}
+    argv[flag] = value
+    code, out, err = _run(
+        capsys,
+        ["integrate", "--system", "kmk", "--steps", "5",
+         "--hamiltonian", argv["--hamiltonian"], "--x0", argv["--x0"]],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "system, params, name",
+    [
+        ("toda", ["N=3.7"], "N"),
+        ("toda", ["N=true"], "N"),
+        ("toda", ["N=abc"], "N"),
+        ("constant-symplectic", ["s=1.5"], "s"),
+        ("constant-symplectic", ["s=2", "n=3.2"], "n"),
+        ("kmk", ["R=abc"], "R"),
+        ("kmk", ["kappa1=false"], "kappa1"),
+        ("kmk", ["kappa2=[1]"], "kappa2"),
+    ],
+)
+def test_malformed_catalog_param_names_parameter(capsys, system, params, name):
+    argv = ["verify", "--system", system]
+    for p in params:
+        argv += ["--param", p]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"parameter {name} must be" in err
+
+
+def test_integral_float_catalog_param_is_accepted(capsys):
+    code, out, _ = _run(capsys, ["verify", "--system", "toda", "--param", "N=3.0", "--points", "5"])
+    assert code == 0
+    assert json.loads(out)["jacobi"]["dimension"] == 5
+
+
+def test_verify_box_far_from_origin(tmp_path, capsys):
+    config = {
+        "version": 1, "n": 2, "r": 2, "B": [1, 0, 0, 1],
+        "factors": [{"kind": "constant", "params": {"c": 1.0}}] * 2,
+        "domain": {"lower": [1e8, 1e8], "upper": [100000000.0000001] * 2},
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True

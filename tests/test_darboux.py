@@ -7,7 +7,9 @@ from specgen import random_spec
 from poissonkit import (
     BoxDomain,
     CertificationFailureError,
+    Constant,
     DarbouxChart,
+    Exponential,
     build_spec,
     canonical_matrix,
     casimirs,
@@ -205,6 +207,17 @@ class TestDarbouxChart:
                 y = linear_chart(spec, x)
                 # coordinates beyond the rank are bitwise the linear chart
                 np.testing.assert_array_equal(z[spec.r :], y[spec.r :])
+
+    def test_unbounded_domain_without_sample_box_is_not_validated(self):
+        spec = build_spec(
+            2, 2, [[1.0, 1.0], [0.0, 1.0]], (Exponential(1.0, 0.5), Constant(2.0)),
+            BoxDomain.unbounded(2),
+        )
+        chart = darboux_chart(spec)
+        assert chart.validated is False
+        for x in ([0.3, -0.7], [-2.0, 1.5], [4.0, 0.0]):
+            back = chart.inverse(chart.forward(np.array(x)))
+            np.testing.assert_allclose(back, x, rtol=0.0, atol=1e-12)
 
     def test_anchor_count_validation(self, kmk_spec):
         with pytest.raises(ValueError):

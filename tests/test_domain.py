@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from poissonkit import BoxDomain, EmptyDomainSampleError
+from poissonkit import BoxDomain, EmptyDomainSampleError, OutOfDomainError
 
 
 def test_contains_is_strict():
@@ -39,6 +39,29 @@ def test_halton_points_deterministic_and_inside():
     np.testing.assert_array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
     assert all(box.contains(x) for x in p1)
+
+
+@pytest.mark.parametrize("lo, width", [(1e8, 1e-7), (1e12, 1e-3)])
+def test_halton_points_inside_boxes_far_from_origin(lo, width):
+    # The face inset is below the float spacing here, so rounding alone
+    # would put some points on a face.
+    box = BoxDomain([lo, lo], [lo + width, lo + width])
+    points = box.halton_points(200, seed=0)
+    assert sum(box.contains(x) for x in points) == 200
+
+
+def test_require_inside_points_and_blocks():
+    box = BoxDomain([0.0, 0.0], [1.0, 1.0])
+    x = box.require_inside([0.5, 0.25])
+    assert x.dtype == float and x.tolist() == [0.5, 0.25]
+    block = np.array([[0.5, 0.5], [0.1, 0.9]])
+    assert box.require_inside(block) is block
+    with pytest.raises(OutOfDomainError, match=r"point \[1.0, 0.5\] is outside"):
+        box.require_inside([1.0, 0.5])
+    with pytest.raises(OutOfDomainError, match=r"point \[0.2, 0.0\] is outside"):
+        box.require_inside([[0.5, 0.5], [0.2, 0.0], [2.0, 2.0]])
+    with pytest.raises(OutOfDomainError):
+        box.require_inside([0.5, 0.5, 0.5])
 
 
 def test_unbounded_sampling_requires_sample_box():

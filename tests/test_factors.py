@@ -211,6 +211,17 @@ class TestCustomFactor:
         with pytest.raises((OutOfRangeError, NoConvergenceError)):
             f.invert_antiderivative(2.0, 0.0)
 
+    def test_inversion_without_root_raises(self):
+        # F jumps from 0 to 1 at y = 1, so F(y) = 0.5 has no solution in
+        # the bracket (0, 1); the root find stops at the jump.
+        f = CustomFactor(
+            value_fn=lambda y: 1.0,
+            derivative_fn=lambda y: 0.0,
+            antiderivative_fn=math.floor,
+        )
+        with pytest.raises(NoConvergenceError):
+            f.invert_antiderivative(0.5, 0.0)
+
     def test_bounded_validity_inversion(self, rng):
         f = CustomFactor(
             value_fn=lambda y: 1.0 + y * y,

@@ -57,6 +57,14 @@ def test_kmk_sweep_passes(kmk_spec):
     assert report.max_abs_residual <= 1e-12
 
 
+def test_generic_field_evaluates_blocks_row_by_row():
+    field = counterexample_field()
+    X = field.domain.halton_points(7, seed=5)
+    stack = field.evaluate(X)
+    assert stack.shape == (7, 3, 3)
+    np.testing.assert_array_equal(stack, np.array([field.evaluate(x) for x in X]))
+
+
 def test_counterexample_sweep_fails():
     report = jacobi_sweep(counterexample_field(), 30, seed=4, tolerance=1e-7)
     assert not report.passed
