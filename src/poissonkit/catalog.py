@@ -29,8 +29,6 @@ class CatalogEntry:
     """A named system plus the data regression tests check against."""
 
     name: str
-    params: dict
-    description: str
     spec: MultiseparableSpec
     expected_rank: int
     expected_casimirs: np.ndarray
@@ -197,18 +195,21 @@ def catalog_entry(name: str, **params) -> CatalogEntry:
 
     Size parameters (N, s, n) must be integers, or floats with an integer
     value; kmk's R, kappa1 and kappa2 must be real numbers.  Anything else
-    raises TypeError naming the parameter.
+    raises TypeError naming the parameter, and a non-finite R, kappa1 or
+    kappa2 raises ValueError naming it.
     """
     if name == "kmk":
         for key in ("R", "kappa1", "kappa2"):
             v = params.get(key)
-            if not (v is None or isinstance(v, numbers.Real) and not isinstance(v, bool)):
+            if v is None:
+                continue
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise TypeError(f"parameter {key} must be a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"parameter {key} must be finite, got {v!r}")
         spec = kermack_mckendrick(**params)
         return CatalogEntry(
             name=name,
-            params=params,
-            description=CATALOG["kmk"],
             spec=spec,
             expected_rank=2,
             expected_casimirs=np.array([[1.0, 1.0, 1.0]]),
@@ -220,8 +221,6 @@ def catalog_entry(name: str, **params) -> CatalogEntry:
         casimir = np.concatenate([np.zeros(N - 1), np.ones(N)])
         return CatalogEntry(
             name=name,
-            params={"N": N},
-            description=CATALOG["toda"],
             spec=spec,
             expected_rank=2 * N - 2,
             expected_casimirs=casimir[None, :],
@@ -234,8 +233,6 @@ def catalog_entry(name: str, **params) -> CatalogEntry:
         spec = constant_symplectic(s, n)
         return CatalogEntry(
             name=name,
-            params={"s": s, "n": n},
-            description=CATALOG["constant-symplectic"],
             spec=spec,
             expected_rank=2 * s,
             expected_casimirs=np.eye(n)[2 * s :],

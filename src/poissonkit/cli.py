@@ -15,24 +15,33 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .catalog import CATALOG
 from .config import (
-    SystemConfig,
-    hamiltonian_from_descriptor,
+    HAMILTONIAN_KINDS,
+    System,
+    build_hamiltonian,
+    load_system,
+    number_list,
     parse_config,
-    resolve_system,
 )
 from .darboux import casimirs, certify_canonical, darboux_chart
-from .dynamics import integrate_canonical, integrate_direct, trajectory_to_csv
+from .dynamics import (
+    HamiltonianField,
+    integrate_canonical,
+    integrate_direct,
+    trajectory_to_csv,
+)
 from .errors import (
     CertificationFailureError,
     ConfigError,
     ConfigValidationError,
     PoissonKitError,
 )
+from .structure import MultiseparableSpec
 from .verify import jacobi_sweep, kernel_violation, numerical_rank
 
 EXIT_OK = 0
@@ -107,19 +116,13 @@ def dump_json(obj) -> str:
 # command implementations (importable; the CLI wires them to argparse)
 # ---------------------------------------------------------------------------
 
-def _system_descriptor(config: SystemConfig) -> dict:
-    if config.is_catalog:
-        return {"name": config.system_name, "params": config.system_params}
-    return {"name": "explicit", "n": config.n, "r": config.r}
-
-
-def run_verify(config: SystemConfig, points: int, seed: int) -> tuple[int, dict]:
+def run_verify(system: System, points: int, seed: int) -> tuple[int, dict]:
     """Jacobi sweep plus Casimir-kernel and rank checks at the same sample
     points, reusing the sweep's J at each point; exit 0 iff all pass."""
-    spec, field = resolve_system(config)
+    spec = system.spec
     report = {
         "command": "verify",
-        "system": _system_descriptor(config),
+        "system": system.descriptor,
         "points": points,
         "seed": seed,
     }
@@ -132,9 +135,9 @@ def run_verify(config: SystemConfig, points: int, seed: int) -> tuple[int, dict]
         )
 
     jacobi = jacobi_sweep(
-        field, points, seed=seed, tolerance=JACOBI_SWEEP_TOL, visit=reuse
+        system.field, points, seed=seed, tolerance=JACOBI_SWEEP_TOL, visit=reuse
     )
-    report["jacobi"] = jacobi.to_dict()
+    report["jacobi"] = asdict(jacobi)
 
     ranks = sorted({int(k) for block_ranks, _, _ in blocks for k in block_ranks})
     if spec is not None:
@@ -183,9 +186,9 @@ def _factor_descriptor(f) -> dict:
     }
 
 
-def run_darboux(config: SystemConfig, points: int = 100, seed: int = 0) -> tuple[int, dict]:
+def run_darboux(system: System, points: int = 100, seed: int = 0) -> tuple[int, dict]:
     """Chart description plus canonical-form certification verdict."""
-    spec, _ = resolve_system(config)
+    spec = system.spec
     if spec is None:
         raise ConfigValidationError(
             "darboux requires a multiseparable system definition"
@@ -193,7 +196,7 @@ def run_darboux(config: SystemConfig, points: int = 100, seed: int = 0) -> tuple
     chart = darboux_chart(spec)
     report = {
         "command": "darboux",
-        "system": _system_descriptor(config),
+        "system": system.descriptor,
         "dimension": spec.n,
         "rank": spec.r,
         "block_count": chart.block_count,
@@ -216,14 +219,14 @@ def run_darboux(config: SystemConfig, points: int = 100, seed: int = 0) -> tuple
         }
         report["passed"] = False
         return EXIT_FAILED, report
-    report["certification"] = result.to_dict()
+    report["certification"] = asdict(result)
     report["passed"] = True
     return EXIT_OK, report
 
 
 def run_integrate(
-    config: SystemConfig,
-    hamiltonian: dict | None,
+    spec: MultiseparableSpec | None,
+    H: HamiltonianField | None,
     x0: np.ndarray | None,
     dt: float,
     steps: int,
@@ -231,20 +234,12 @@ def run_integrate(
     method: str = "rk4",
 ) -> tuple[int, str, str]:
     """Returns (exit code, CSV text, one-line summary)."""
-    spec, _ = resolve_system(config)
     if spec is None:
         raise ConfigValidationError("integrate requires a multiseparable system")
-    descriptor = hamiltonian or config.hamiltonian
-    if descriptor is None:
+    if H is None:
         raise ConfigValidationError("no hamiltonian given (config or --hamiltonian)")
-    H = hamiltonian_from_descriptor(descriptor, spec.n)
-    if x0 is None:
-        x0 = config.initial_state
     if x0 is None:
         raise ConfigValidationError("no initial state given (config or --x0)")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (spec.n,):
-        raise ConfigValidationError(f"initial state must have {spec.n} components")
     if route == "direct":
         record = integrate_direct(spec, H, x0, dt, steps, method=method)
     elif route == "canonical":
@@ -276,20 +271,19 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _config_from_args(args) -> SystemConfig:
-    if getattr(args, "config", None) and getattr(args, "system", None):
+def _system_from_args(args) -> System:
+    if args.config and args.system:
         raise ConfigValidationError("--config and --system are mutually exclusive")
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigValidationError(f"cannot read config: {exc}") from exc
         return parse_config(text)
-    if getattr(args, "system", None):
-        params = dict(_parse_param(p) for p in (args.param or []))
-        payload = {"version": 1, "system": {"name": args.system, "params": params}}
-        return parse_config(json.dumps(payload))
+    if args.system:
+        params = dict(_parse_param(p) for p in args.param)
+        return load_system({"system": {"name": args.system, "params": params}})
     raise ConfigValidationError("provide --config PATH or --system NAME")
 
 
@@ -301,18 +295,16 @@ def _flag_numbers(flag: str, convert, values: list[str]) -> list:
         raise ConfigValidationError(f"{flag}: {exc}") from None
 
 
-def _parse_hamiltonian_flag(text: str) -> dict:
+def _hamiltonian_flag(text: str, n: int) -> HamiltonianField:
     kind, _, rest = text.partition(":")
+    if kind not in HAMILTONIAN_KINDS:
+        raise ConfigValidationError(f"unknown hamiltonian kind {kind!r}")
     values = [v for v in rest.split(",") if v != ""]
     if kind == "coordinate":
-        params = {"index": _flag_numbers("--hamiltonian", int, values[:1])[0]} if values else {}
-    elif kind == "linear":
-        params = {"coefficients": _flag_numbers("--hamiltonian", float, values)}
-    elif kind == "quadratic-diagonal":
-        params = {"weights": _flag_numbers("--hamiltonian", float, values)}
+        value = _flag_numbers("--hamiltonian", int, values[:1])[0] if values else None
     else:
-        raise ConfigValidationError(f"unknown hamiltonian kind {kind!r}")
-    return {"kind": kind, "params": params}
+        value = _flag_numbers("--hamiltonian", float, values)
+    return build_hamiltonian(kind, value, n, "--hamiltonian")
 
 
 def _add_system_args(parser: argparse.ArgumentParser):
@@ -378,27 +370,26 @@ def main(argv=None) -> int:
                 sys.stdout.write(f"{name}: {description}\n")
             return EXIT_OK
         if args.cmd == "verify":
-            config = _config_from_args(args)
-            code, report = run_verify(config, args.points, args.seed)
+            code, report = run_verify(_system_from_args(args), args.points, args.seed)
             _write_output(dump_json(report), args.out)
             return code
         if args.cmd == "darboux":
-            config = _config_from_args(args)
-            code, report = run_darboux(config, points=args.points, seed=args.seed)
+            code, report = run_darboux(
+                _system_from_args(args), points=args.points, seed=args.seed
+            )
             _write_output(dump_json(report), args.out)
             return code
         if args.cmd == "integrate":
-            config = _config_from_args(args)
-            hamiltonian = (
-                _parse_hamiltonian_flag(args.hamiltonian) if args.hamiltonian else None
-            )
+            system = _system_from_args(args)
+            n = system.field.n
+            H = _hamiltonian_flag(args.hamiltonian, n) if args.hamiltonian else system.hamiltonian
             x0 = (
-                np.array(_flag_numbers("--x0", float, args.x0.split(",")))
+                number_list(_flag_numbers("--x0", float, args.x0.split(",")), "--x0", n)
                 if args.x0
-                else None
+                else system.initial_state
             )
             code, csv_text, summary = run_integrate(
-                config, hamiltonian, x0, args.dt, args.steps, args.route, args.method
+                system.spec, H, x0, args.dt, args.steps, args.route, args.method
             )
             _write_output(csv_text, args.out)
             sys.stderr.write(summary + "\n")

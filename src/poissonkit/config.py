@@ -15,14 +15,23 @@ factor list, and a domain whose bounds use null for an unbounded side:
                 "sample_lower": [0.5,0.5,0.5], "sample_upper": [2.5,2.5,2.5]}}
 
 Optional keys: "hamiltonian" ({"kind": ..., "params": ...} with kinds
-linear, quadratic-diagonal, coordinate) and "initial_state".
+linear (params.coefficients), quadratic-diagonal (params.weights) and
+coordinate (params.index, 1-based)) and "initial_state".
+
+One rule holds whatever the command: :func:`load_system` validates the
+whole definition when it is loaded and builds the system in the same pass,
+checking "hamiltonian" and "initial_state" against the system's dimension
+n.  Every number must be finite, except domain and validity bounds, where
+null or an infinity marks an unbounded side.  Errors name the offending
+field path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +48,28 @@ from .factors import FACTOR_KINDS, FactorFunction
 from .structure import MultiseparableSpec, build_spec
 from .verify import StructureField, structure_field
 
-HAMILTONIAN_KINDS = ("linear", "quadratic-diagonal", "coordinate")
+#: Built-in Hamiltonian kinds and the one parameter each reads.
+_HAMILTONIAN_PARAM = {
+    "linear": "coefficients",
+    "quadratic-diagonal": "weights",
+    "coordinate": "index",
+}
+HAMILTONIAN_KINDS = tuple(_HAMILTONIAN_PARAM)
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    """Validated configuration; exactly one of the two routes is set."""
+class System:
+    """A loaded system definition.
 
-    version: int
-    system_name: str | None = None
-    system_params: dict = field(default_factory=dict)
-    n: int | None = None
-    r: int | None = None
-    B: np.ndarray | None = None
-    factors: tuple[FactorFunction, ...] = ()
-    domain: BoxDomain | None = None
-    hamiltonian: dict | None = None
+    ``descriptor`` is the ``system`` entry of a report; ``spec`` is None for
+    the counterexample field, which has no multiseparable form.
+    """
+
+    descriptor: dict
+    spec: MultiseparableSpec | None
+    field: StructureField
+    hamiltonian: HamiltonianField | None = None
     initial_state: np.ndarray | None = None
-
-    @property
-    def is_catalog(self) -> bool:
-        return self.system_name is not None
 
 
 def _fail(path: str, message: str):
@@ -72,26 +82,41 @@ def _is_number(v) -> bool:
 
 
 def _number(v, path: str, null: float | None = None) -> float:
-    """A JSON number as a float; ``null`` stands in for a JSON null where
-    one is allowed (an unbounded side)."""
+    """A JSON number as a finite float.  Where ``null`` is given (a bound),
+    a JSON null stands for it and infinities are allowed."""
     if v is None and null is not None:
         return null
     if not _is_number(v):
         _fail(path, "expected a number" if null is None else "expected a number or null")
     try:
-        return float(v)
+        x = float(v)
     except OverflowError:
         _fail(path, "number out of range")
+    if null is None and not math.isfinite(x):
+        _fail(path, "expected a finite number")
+    return x
 
 
-def _number_list(raw: list, path: str) -> np.ndarray:
+def number_list(raw, path: str, n: int | None = None) -> np.ndarray:
+    """A list of finite numbers as a float array, of length n when given.
+
+    ``path`` is the field path or command-line flag that errors name.
+    """
+    if not isinstance(raw, list):
+        _fail(path, "expected a list of numbers")
     if not set(map(type, raw)) <= {int, float}:
         i = next(i for i, v in enumerate(raw) if not _is_number(v))
         _fail(f"{path}[{i}]", "expected a number")
     try:
-        return np.array(raw, dtype=float)
+        values = np.array(raw, dtype=float)
     except OverflowError:
         _fail(path, "number out of range")
+    finite = np.isfinite(values)
+    if not finite.all():
+        _fail(f"{path}[{int(np.argmin(finite))}]", "expected a finite number")
+    if n is not None and values.shape != (n,):
+        _fail(path, f"expected {n} numbers")
+    return values
 
 
 def _bound_list(raw, n: int, path: str, sign: float) -> np.ndarray:
@@ -141,7 +166,25 @@ def _parse_factor(raw, idx: int) -> FactorFunction:
         _fail(path, str(exc))
 
 
-def _parse_hamiltonian(raw) -> dict:
+def build_hamiltonian(kind: str, value, n: int, path: str) -> HamiltonianField:
+    """The built-in Hamiltonian ``kind`` on n coordinates from its one
+    parameter: a 1-based index for coordinate, a list of n numbers for the
+    others.  ``path`` is the field path or command-line flag that errors
+    name."""
+    if kind == "coordinate":
+        if type(value) is not int:
+            _fail(path, "expected a number that is an integer")
+        try:
+            return coordinate_hamiltonian(value, n)
+        except ValueError as exc:
+            _fail(path, str(exc))
+    values = number_list(value, path, n)
+    return (linear_hamiltonian if kind == "linear" else quadratic_hamiltonian)(values)
+
+
+def hamiltonian_from_descriptor(raw, n: int) -> HamiltonianField:
+    """Validate the ``hamiltonian`` descriptor of a config and build it on
+    n coordinates."""
     if not isinstance(raw, dict):
         _fail("hamiltonian", "expected an object with a kind")
     kind = raw.get("kind")
@@ -150,68 +193,37 @@ def _parse_hamiltonian(raw) -> dict:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail("hamiltonian.params", "expected an object")
-    if kind == "coordinate":
-        if "index" in params and type(params["index"]) is not int:
-            _fail("hamiltonian.params.index", "expected a number that is an integer")
-    else:
-        key = "coefficients" if kind == "linear" else "weights"
-        path = f"hamiltonian.params.{key}"
-        if key in params:
-            if not isinstance(params[key], list):
-                _fail(path, "expected a list of numbers")
-            _number_list(params[key], path)
-    return {"kind": kind, "params": params}
+    key = _HAMILTONIAN_PARAM[kind]
+    return build_hamiltonian(kind, params.get(key), n, f"hamiltonian.params.{key}")
 
 
-def parse_config(text: str) -> SystemConfig:
-    """Parse and validate a JSON configuration.
-
-    Raises ConfigParseError for malformed JSON and ConfigValidationError
-    for schema or dimension problems; messages carry the offending field.
-    """
+@contextmanager
+def _builder_errors():
+    """Report what a system builder rejects as a configuration error."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        _fail("<root>", "expected a JSON object")
-    version = raw.get("version", 1)
-    if not isinstance(version, int):
-        _fail("version", "expected an integer")
+        yield
+    except (PoissonKitError, TypeError, ValueError) as exc:
+        raise ConfigValidationError(f"system definition rejected: {exc}") from exc
 
-    has_catalog = "system" in raw
-    has_explicit = any(k in raw for k in ("n", "r", "B", "factors"))
-    if has_catalog and has_explicit:
-        _fail("<root>", "catalog reference and explicit definition are mutually exclusive")
-    if not has_catalog and not has_explicit:
-        _fail("<root>", "provide either a system reference or an explicit definition")
 
-    hamiltonian = _parse_hamiltonian(raw["hamiltonian"]) if "hamiltonian" in raw else None
-    initial_state = None
-    if "initial_state" in raw:
-        state = raw["initial_state"]
-        if not isinstance(state, list):
-            _fail("initial_state", "expected a list of numbers")
-        initial_state = _number_list(state, "initial_state")
+def _catalog_system(raw) -> tuple[dict, MultiseparableSpec | None, StructureField]:
+    if not isinstance(raw, dict) or "name" not in raw:
+        _fail("system", "expected an object with a name")
+    name = raw["name"]
+    if not isinstance(name, str) or name not in CATALOG:
+        _fail("system.name", f"unknown system {name!r}; see `catalog list`")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        _fail("system.params", "expected an object")
+    descriptor = {"name": name, "params": params}
+    if name == "counterexample3":
+        return descriptor, None, counterexample_field()
+    with _builder_errors():
+        spec = catalog_entry(name, **params).spec
+    return descriptor, spec, structure_field(spec)
 
-    if has_catalog:
-        system = raw["system"]
-        if not isinstance(system, dict) or "name" not in system:
-            _fail("system", "expected an object with a name")
-        name = system["name"]
-        if name not in CATALOG:
-            _fail("system.name", f"unknown system {name!r}; see `catalog list`")
-        params = system.get("params", {})
-        if not isinstance(params, dict):
-            _fail("system.params", "expected an object")
-        return SystemConfig(
-            version=version,
-            system_name=name,
-            system_params=params,
-            hamiltonian=hamiltonian,
-            initial_state=initial_state,
-        )
 
+def _explicit_system(raw: dict) -> tuple[dict, MultiseparableSpec, StructureField]:
     n = raw.get("n")
     if not isinstance(n, int) or n < 2:
         _fail("n", "expected an integer >= 2")
@@ -225,7 +237,7 @@ def parse_config(text: str) -> SystemConfig:
     B_raw = raw.get("B")
     if not isinstance(B_raw, list) or len(B_raw) != n * n:
         _fail("B", f"expected a row-major list of {n * n} reals")
-    B = _number_list(B_raw, "B").reshape(n, n)
+    B = number_list(B_raw, "B").reshape(n, n)
     factors_raw = raw.get("factors", [])
     if not isinstance(factors_raw, list) or len(factors_raw) != r:
         _fail("factors", f"expected {r} factor objects")
@@ -233,55 +245,48 @@ def parse_config(text: str) -> SystemConfig:
     if "domain" not in raw:
         _fail("domain", "missing")
     domain = _parse_domain(raw["domain"], n)
-    if initial_state is not None and initial_state.shape != (n,):
-        _fail("initial_state", f"expected {n} numbers")
-    return SystemConfig(
-        version=version,
-        n=n,
-        r=r,
-        B=B,
-        factors=factors,
-        domain=domain,
-        hamiltonian=hamiltonian,
-        initial_state=initial_state,
-    )
+    with _builder_errors():
+        spec = build_spec(n, r, B, factors, domain)
+    return {"name": "explicit", "n": n, "r": r}, spec, structure_field(spec)
 
 
-def resolve_system(config: SystemConfig) -> tuple[MultiseparableSpec | None, StructureField]:
-    """Build the spec (when multiseparable) and its field view.
+def load_system(raw) -> System:
+    """Validate a decoded system definition and build the system, in one
+    pass whatever the command (see the module docstring).
 
-    The counterexample system yields a bare field with spec None.  Build
-    failures surface as ConfigValidationError so the CLI can map them to
-    the usage exit code.
+    Raises ConfigValidationError naming the offending field, or saying that
+    a builder rejected the definition.
+    """
+    if not isinstance(raw, dict):
+        _fail("<root>", "expected a JSON object")
+    if not isinstance(raw.get("version", 1), int):
+        _fail("version", "expected an integer")
+    has_catalog = "system" in raw
+    has_explicit = any(k in raw for k in ("n", "r", "B", "factors"))
+    if has_catalog and has_explicit:
+        _fail("<root>", "catalog reference and explicit definition are mutually exclusive")
+    if not has_catalog and not has_explicit:
+        _fail("<root>", "provide either a system reference or an explicit definition")
+    if has_catalog:
+        descriptor, spec, fld = _catalog_system(raw["system"])
+    else:
+        descriptor, spec, fld = _explicit_system(raw)
+    hamiltonian = initial_state = None
+    if "hamiltonian" in raw:
+        hamiltonian = hamiltonian_from_descriptor(raw["hamiltonian"], fld.n)
+    if "initial_state" in raw:
+        initial_state = number_list(raw["initial_state"], "initial_state", fld.n)
+    return System(descriptor, spec, fld, hamiltonian, initial_state)
+
+
+def parse_config(text: str) -> System:
+    """Decode a JSON configuration and load it with :func:`load_system`.
+
+    Raises ConfigParseError for malformed JSON and ConfigValidationError
+    for schema or dimension problems; messages carry the offending field.
     """
     try:
-        if config.is_catalog:
-            if config.system_name == "counterexample3":
-                fld = counterexample_field()
-                return None, fld
-            entry = catalog_entry(config.system_name, **config.system_params)
-            return entry.spec, structure_field(entry.spec)
-        spec = build_spec(config.n, config.r, config.B, config.factors, config.domain)
-        return spec, structure_field(spec)
-    except ConfigValidationError:
-        raise
-    except (PoissonKitError, TypeError, ValueError) as exc:
-        raise ConfigValidationError(f"system definition rejected: {exc}") from exc
-
-
-def hamiltonian_from_descriptor(descriptor: dict, n: int) -> HamiltonianField:
-    """Instantiate a built-in scalar function from a descriptor."""
-    kind = descriptor["kind"]
-    params = descriptor.get("params", {})
-    if kind not in HAMILTONIAN_KINDS:
-        raise ConfigValidationError(f"hamiltonian: unknown kind {kind!r}")
-    try:
-        if kind == "coordinate":
-            return coordinate_hamiltonian(int(params["index"]), n)
-        key = "coefficients" if kind == "linear" else "weights"
-        values = np.array([float(v) for v in params[key]])
-        if values.shape != (n,):
-            raise ValueError(f"expected {n} {key}")
-        return (linear_hamiltonian if kind == "linear" else quadratic_hamiltonian)(values)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigValidationError(f"hamiltonian: {exc}") from exc
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"invalid JSON: {exc}") from exc
+    return load_system(raw)

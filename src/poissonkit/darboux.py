@@ -288,16 +288,6 @@ class CanonicalReport:
     max_round_trip_error: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "num_points": self.num_points,
-            "tolerance": self.tolerance,
-            "round_trip_tolerance": self.round_trip_tolerance,
-            "max_deviation": self.max_deviation,
-            "max_round_trip_error": self.max_round_trip_error,
-            "passed": self.passed,
-        }
-
 
 def certify_canonical(
     spec: MultiseparableSpec,

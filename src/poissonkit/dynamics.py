@@ -160,7 +160,6 @@ class TrajectoryRecord:
     """
 
     spec: MultiseparableSpec
-    method: str
     times: np.ndarray
     states: np.ndarray
     energy_drift: np.ndarray
@@ -187,7 +186,6 @@ class TrajectoryRecord:
 def _record(
     spec: MultiseparableSpec,
     H: HamiltonianField,
-    method: str,
     times: list[float],
     states: list[np.ndarray],
     domain_exit: bool,
@@ -204,7 +202,6 @@ def _record(
         casimir = np.zeros((len(times), 0))
     return TrajectoryRecord(
         spec=spec,
-        method=method,
         times=times_arr,
         states=states_arr,
         energy_drift=energy,
@@ -326,7 +323,6 @@ def _canonical_system(
 def _march(
     spec: MultiseparableSpec,
     H: HamiltonianField,
-    method: str,
     x0: np.ndarray,
     dt: float,
     steps: int,
@@ -351,7 +347,7 @@ def _march(
         if k % stride == 0 or k == steps:
             times.append(k * dt)
             states.append(x)
-    return _record(spec, H, method, times, states, domain_exit)
+    return _record(spec, H, times, states, domain_exit)
 
 
 def integrate_direct(
@@ -384,7 +380,7 @@ def integrate_direct(
         x = stepper(f, x, dt)
         return x
 
-    return _march(spec, H, method, x, dt, steps, step)
+    return _march(spec, H, x, dt, steps, step)
 
 
 def integrate_canonical(
@@ -419,7 +415,7 @@ def integrate_canonical(
         u = _implicit_midpoint_step(f_reduced, u, dt, jacobian)
         return chart.inverse(np.concatenate([u, tail]))
 
-    return _march(spec, H, "canonical-midpoint", x_start, dt, steps, step)
+    return _march(spec, H, x_start, dt, steps, step)
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -114,6 +114,9 @@ class FactorFunction:
 
     validity: tuple[float, float] = field(default=(-INF, INF), kw_only=True)
 
+    #: The name of the kind in configs and reports.
+    kind: ClassVar[str]
+
     def __post_init__(self):
         lo, hi = self.validity
         if not lo < hi:
@@ -159,15 +162,9 @@ class FactorFunction:
             f"z = {_first(z, outside)!r} maps outside validity interval"
         )
 
-    # -- descriptor -------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        raise NotImplementedError
-
     def params(self) -> dict[str, float]:
-        """Scalar parameters, for serialization."""
-        raise NotImplementedError
+        """Scalar parameters, for serialization: every field but ``validity``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "validity"}
 
     # -- the four capabilities ---------------------------------------------
     # Each takes y (or z) as a float or a 1-D array and returns the same
@@ -201,19 +198,14 @@ class FactorFunction:
 class Constant(FactorFunction):
     """phi(y) = c with c != 0."""
 
+    kind = "constant"
+
     c: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if self.c == 0.0:
             raise ValueError("Constant factor requires c != 0")
-
-    @property
-    def kind(self) -> str:
-        return "constant"
-
-    def params(self) -> dict[str, float]:
-        return {"c": self.c}
 
     def value(self, y):
         return _like(self._check(y), self.c)
@@ -235,6 +227,8 @@ class Constant(FactorFunction):
 class Linear(FactorFunction):
     """phi(y) = slope * y on an interval excluding 0 (default (0, inf))."""
 
+    kind = "linear"
+
     slope: float = 1.0
     validity: tuple[float, float] = field(default=(0.0, INF), kw_only=True)
 
@@ -245,13 +239,6 @@ class Linear(FactorFunction):
         lo, hi = self.validity
         if lo < 0.0 < hi:
             raise ValueError("Linear factor validity interval must exclude 0")
-
-    @property
-    def kind(self) -> str:
-        return "linear"
-
-    def params(self) -> dict[str, float]:
-        return {"slope": self.slope}
 
     def value(self, y):
         return self.slope * self._check(y)
@@ -281,6 +268,8 @@ class Affine(FactorFunction):
     The default validity interval is the branch where phi > 0.
     """
 
+    kind = "affine"
+
     slope: float = 1.0
     intercept: float = 0.0
     validity: tuple[float, float] = field(default=(math.nan, math.nan), kw_only=True)
@@ -299,13 +288,6 @@ class Affine(FactorFunction):
             raise ValueError(
                 f"Affine factor validity interval must exclude the root {root!r}"
             )
-
-    @property
-    def kind(self) -> str:
-        return "affine"
-
-    def params(self) -> dict[str, float]:
-        return {"slope": self.slope, "intercept": self.intercept}
 
     def value(self, y):
         return self.slope * self._check(y) + self.intercept
@@ -334,6 +316,8 @@ class Affine(FactorFunction):
 class Exponential(FactorFunction):
     """phi(y) = amplitude * exp(rate * y), nonvanishing everywhere."""
 
+    kind = "exponential"
+
     amplitude: float = 1.0
     rate: float = 1.0
 
@@ -341,13 +325,6 @@ class Exponential(FactorFunction):
         super().__post_init__()
         if self.amplitude == 0.0:
             raise ValueError("Exponential factor requires amplitude != 0")
-
-    @property
-    def kind(self) -> str:
-        return "exponential"
-
-    def params(self) -> dict[str, float]:
-        return {"amplitude": self.amplitude, "rate": self.rate}
 
     def value(self, y):
         return self.amplitude * _libm(math.exp, self.rate * self._check(y))
@@ -380,6 +357,8 @@ class Exponential(FactorFunction):
 class Power(FactorFunction):
     """phi(y) = coefficient * y**exponent on y > 0."""
 
+    kind = "power"
+
     coefficient: float = 1.0
     exponent: float = 1.0
     validity: tuple[float, float] = field(default=(0.0, INF), kw_only=True)
@@ -391,13 +370,6 @@ class Power(FactorFunction):
         lo, hi = self.validity
         if lo < 0.0:
             raise ValueError("Power factor validity interval must lie in y > 0")
-
-    @property
-    def kind(self) -> str:
-        return "power"
-
-    def params(self) -> dict[str, float]:
-        return {"coefficient": self.coefficient, "exponent": self.exponent}
 
     def value(self, y):
         return self.coefficient * _power(self._check(y), self.exponent)
@@ -442,6 +414,8 @@ class CustomFactor(FactorFunction):
     built from custom factors carry a warning flag for that reason.
     """
 
+    kind = "custom"
+
     value_fn: Callable[[float], float] | None = None
     derivative_fn: Callable[[float], float] | None = None
     antiderivative_fn: Callable[[float], float] | None = None
@@ -450,10 +424,6 @@ class CustomFactor(FactorFunction):
         super().__post_init__()
         if self.value_fn is None or self.derivative_fn is None:
             raise ValueError("CustomFactor requires value_fn and derivative_fn")
-
-    @property
-    def kind(self) -> str:
-        return "custom"
 
     def params(self) -> dict[str, float]:
         return {}

@@ -141,19 +141,6 @@ class JacobiReport:
     argmax_point: tuple[float, ...] | None
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "num_points": self.num_points,
-            "num_triples": self.num_triples,
-            "tolerance": self.tolerance,
-            "max_abs_residual": self.max_abs_residual,
-            "max_normalized_residual": self.max_normalized_residual,
-            "argmax_triple": list(self.argmax_triple) if self.argmax_triple else None,
-            "argmax_point": list(self.argmax_point) if self.argmax_point else None,
-            "passed": self.passed,
-        }
-
 
 def jacobi_residual(field: StructureField, x, i: int, j: int, k: int) -> float:
     """Left-hand side of the Jacobi identity for the triple (i, j, k), 1-based:

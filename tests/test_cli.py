@@ -468,6 +468,65 @@ def test_malformed_integrate_flag_names_flag(capsys, flag, value):
     assert err.startswith(f"error: {flag}: ")
 
 
+KMK_INTEGRATE = ["integrate", "--system", "kmk", "--steps", "5"]
+WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        (_with(KMK_CONFIG, ("initial_state",), [1.0, 1.1]), ["verify"],
+         "initial_state: expected 3 numbers"),
+        (_with(EXPLICIT_CONFIG, ("hamiltonian",), WEIGHTS_2), ["verify"],
+         "hamiltonian.params.weights: expected 3 numbers"),
+        (_with(EXPLICIT_CONFIG, ("hamiltonian",), WEIGHTS_2), ["darboux"],
+         "hamiltonian.params.weights: expected 3 numbers"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "params", "slope"), math.inf), ["verify"],
+         "factors[0].params.slope: expected a finite number"),
+        (_with(EXPLICIT_CONFIG, ("B", 4), -math.inf), ["verify"],
+         "B[4]: expected a finite number"),
+        (_with(KMK_CONFIG, ("hamiltonian", "params", "weights"), [1, math.nan, 1]),
+         ["integrate"], "hamiltonian.params.weights[1]: expected a finite number"),
+        (_with(KMK_CONFIG, ("initial_state",), [1.0, 1.1, math.nan]), ["verify"],
+         "initial_state[2]: expected a finite number"),
+        (_with(KMK_CONFIG, ("hamiltonian",), {"kind": "coordinate", "params": {}}),
+         ["integrate"], "hamiltonian.params.index: expected a number that is an integer"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "linear:1,1,1", "--x0", "1,1"],
+         "--x0: expected 3 numbers"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "linear:1,1,1", "--x0", "1,nan,1"],
+         "--x0[1]: expected a finite number"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "quadratic-diagonal:1,inf,1", "--x0", "1,1,1"],
+         "--hamiltonian[1]: expected a finite number"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "quadratic-diagonal:1,1", "--x0", "1,1,1"],
+         "--hamiltonian: expected 3 numbers"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "coordinate", "--x0", "1,1,1"],
+         "--hamiltonian: expected a number that is an integer"),
+    ],
+)
+def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, message):
+    """Every key and flag is checked against the system's dimension and
+    for finite numbers when the system is loaded, whatever the command."""
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_infinite_domain_bound_is_an_unbounded_side(tmp_path, capsys):
+    reports = []
+    for upper in (None, math.inf):
+        path = tmp_path / "box.json"
+        config = _with(EXPLICIT_CONFIG, ("domain", "upper"), [upper] * 3)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        reports.append(_run(capsys, ["verify", "--config", str(path), "--points", "5"]))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
+
+
 @pytest.mark.parametrize(
     "system, params, name",
     [
@@ -479,6 +538,9 @@ def test_malformed_integrate_flag_names_flag(capsys, flag, value):
         ("kmk", ["R=abc"], "R"),
         ("kmk", ["kappa1=false"], "kappa1"),
         ("kmk", ["kappa2=[1]"], "kappa2"),
+        ("kmk", ["R=Infinity"], "R"),
+        ("kmk", ["kappa1=Infinity"], "kappa1"),
+        ("kmk", ["kappa2=NaN"], "kappa2"),
     ],
 )
 def test_malformed_catalog_param_names_parameter(capsys, system, params, name):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from poissonkit import ConfigParseError, ConfigValidationError
-from poissonkit.config import (
-    hamiltonian_from_descriptor,
-    parse_config,
-    resolve_system,
-)
+from poissonkit.config import hamiltonian_from_descriptor, parse_config
 
 KMK_EXPLICIT = {
     "version": 1,
@@ -31,27 +27,25 @@ KMK_EXPLICIT = {
 
 
 def test_parse_catalog_reference():
-    cfg = parse_config(json.dumps({"version": 1, "system": {"name": "kmk"}}))
-    assert cfg.is_catalog
-    assert cfg.system_name == "kmk"
-    spec, field = resolve_system(cfg)
+    system = parse_config(json.dumps({"version": 1, "system": {"name": "kmk"}}))
+    assert system.descriptor == {"name": "kmk", "params": {}}
+    spec = system.spec
     assert spec is not None and spec.n == 3
 
 
 def test_parse_catalog_with_params():
-    cfg = parse_config(
+    spec = parse_config(
         json.dumps(
             {"version": 1, "system": {"name": "toda", "params": {"N": 4}}}
         )
-    )
-    spec, _ = resolve_system(cfg)
+    ).spec
     assert spec.n == 7 and spec.r == 6
 
 
 def test_parse_explicit_definition():
-    cfg = parse_config(json.dumps(KMK_EXPLICIT))
-    assert not cfg.is_catalog
-    spec, _ = resolve_system(cfg)
+    system = parse_config(json.dumps(KMK_EXPLICIT))
+    assert system.descriptor == {"name": "explicit", "n": 3, "r": 2}
+    spec = system.spec
     assert spec.r == 2
     x = np.array([2.0, 3.0, 1.0])
     from poissonkit import evaluate_structure
@@ -105,25 +99,23 @@ def test_unknown_system_rejected():
 
 
 def test_catalog_parameter_errors_are_validation_errors():
-    cfg = parse_config(
-        json.dumps(
-            {
-                "version": 1,
-                "system": {"name": "kmk", "params": {"R": 1.0, "kappa1": 3.0, "kappa2": 1.0}},
-            }
-        )
-    )
     with pytest.raises(ConfigValidationError):
-        resolve_system(cfg)
+        parse_config(
+            json.dumps(
+                {
+                    "version": 1,
+                    "system": {"name": "kmk", "params": {"R": 1.0, "kappa1": 3.0, "kappa2": 1.0}},
+                }
+            )
+        )
 
 
 def test_counterexample_resolves_to_field():
-    cfg = parse_config(
+    system = parse_config(
         json.dumps({"version": 1, "system": {"name": "counterexample3"}})
     )
-    spec, field = resolve_system(cfg)
-    assert spec is None
-    assert field.n == 3
+    assert system.spec is None
+    assert system.field.n == 3
 
 
 def test_initial_state_and_hamiltonian():
@@ -133,10 +125,10 @@ def test_initial_state_and_hamiltonian():
         "params": {"weights": [1, 1, 1]},
     }
     payload["initial_state"] = [1.0, 1.1, 0.9]
-    cfg = parse_config(json.dumps(payload))
-    H = hamiltonian_from_descriptor(cfg.hamiltonian, 3)
+    system = parse_config(json.dumps(payload))
+    H = system.hamiltonian
     assert H.value_at([1.0, 1.0, 1.0]) == pytest.approx(1.5)
-    np.testing.assert_array_equal(cfg.initial_state, [1.0, 1.1, 0.9])
+    np.testing.assert_array_equal(system.initial_state, [1.0, 1.1, 0.9])
 
 
 def test_hamiltonian_descriptor_errors():

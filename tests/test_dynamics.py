@@ -23,7 +23,7 @@ from poissonkit import (
     trajectory_to_csv,
     vector_field,
 )
-from poissonkit.config import parse_config, resolve_system
+from poissonkit.config import parse_config
 from poissonkit.dynamics import (
     _canonical_system,
     _direct_system,
@@ -63,8 +63,7 @@ MIXED_WEIGHTS = [0.05, 0.035, 0.065, 0.045, 0.055, 0.03, 0.06]
 
 
 def _mixed_spec():
-    spec, _ = resolve_system(parse_config(json.dumps(MIXED_CONFIG)))
-    return spec
+    return parse_config(json.dumps(MIXED_CONFIG)).spec
 
 
 def _newton_cases(kmk_spec, toda3_spec):
