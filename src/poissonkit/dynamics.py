@@ -11,9 +11,15 @@ the number of steps.
 
 Implicit midpoint solves its stage equation by simplified Newton iteration.
 When the Hamiltonian carries an analytic Hessian, the Newton matrix is
-formed analytically: on the direct route it is J(x) Hess H + (dJ/dx) grad H;
-on the canonical route, with y the inverted quadrature chart, x = A y,
-e = phi(y) and g = (A^T grad H(x))[:r], it is
+formed analytically.  On the direct route, with g = grad H(x) and W the
+pair-product slopes of the structure (dJ_ij/dx_l = sum_p L_ij^p W[p, l]
+through the pair minors L), it is
+
+    J(x) Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W,
+
+which is J Hess H + (dJ/dx) grad H without forming the (n, n, n) partials
+tensor.  On the canonical route, with y the inverted quadrature chart,
+x = A y, e = phi(y) and g = (A^T grad H(x))[:r], it is
 
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
@@ -52,7 +58,7 @@ from .structure import (
     evaluate_structure,
     factor_derivatives,
     factor_values,
-    structure_partials,
+    structure_slopes,
 )
 from .verify import central_differences
 
@@ -266,16 +272,20 @@ def _direct_system(
     spec: MultiseparableSpec, H: HamiltonianField
 ) -> tuple[Callable, Callable | None]:
     """The direct-route field x -> J(x) grad H(x) and its analytic Jacobian
-    J(x) Hess H(x) + sum_j dJ_ij/dx_l grad_j H(x) (None without a Hessian)."""
+    J(x) Hess H(x) + sum_j dJ_ij/dx_l grad_j H(x) (None without a Hessian),
+    the latter as A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W."""
     f = partial(vector_field, spec, H)
     if H.hessian is None:
         return f, None
+    odd, even = spec.A[:, 0 : spec.r : 2], spec.A[:, 1 : spec.r : 2]
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        J = evaluate_structure(spec, x)
-        partials = structure_partials(spec, x)
-        return J @ H.hessian_at(x) + np.einsum(
-            "ijl,j->il", partials, H.gradient_at(x)
+        J, W = structure_slopes(spec, x)
+        g = H.gradient_at(x)
+        return (
+            J @ H.hessian_at(x)
+            + odd @ ((even.T @ g)[:, None] * W)
+            - even @ ((odd.T @ g)[:, None] * W)
         )
 
     return f, jacobian

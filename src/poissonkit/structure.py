@@ -9,10 +9,15 @@ blocks of entries +-phi_{2p-1}(y_{2p-1}) phi_{2p}(y_{2p}); read back in x,
 
 where A_odd and A_even are the odd and even columns among the first r
 columns of A (1-based).  Entrywise this is the minor sum
-J_ij = sum_p (a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1}) phi_{2p-1} phi_{2p}.
-J is one matrix product and its partials one more.  Both accept a single
-point or a (P, n) block of points, and a block gives bitwise the per-point
-results.
+J_ij = sum_p L_ij^p phi_{2p-1} phi_{2p} with the skew pair minors
+L_ij^p = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1}.  L is constant, so
+every partial of J is L times the pair-product slopes
+
+    W[p, l] = d (phi_{2p-1} phi_{2p}) / d x_l,
+
+and the partials tensor is the product L W, reshaped.  J, W and the
+partials accept a single point or a (P, n) block of points, and a block
+gives bitwise the per-point results.
 
 Index convention: public operations take and report 1-based indices, the
 standard convention in the analytic treatment of these brackets; array
@@ -82,6 +87,17 @@ class MultiseparableSpec:
         """Each factor operation bound to every factor, looked up once."""
         names = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
         return {name: tuple(getattr(f, name) for f in self.factors) for name in names}
+
+    @cached_property
+    def pair_minors(self) -> np.ndarray:
+        """The (n*n, r/2) skew pair minors, row i*n + j holding L_ij^p (0-based
+        i, j); exactly skew: row j*n + i is the negation of row i*n + j."""
+        n, r = self.n, self.r
+        odd, even = self.A[:, 0:r:2], self.A[:, 1:r:2]
+        L = odd[:, None, :] * even[None, :, :] - even[:, None, :] * odd[None, :, :]
+        L = L.reshape(n * n, r // 2)
+        L.setflags(write=False)
+        return L
 
 
 def _uncovered_witness(lo: float, hi: float, vlo: float, vhi: float) -> float:
@@ -224,18 +240,30 @@ def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
     return factor_columns(spec, "derivative", y, np.empty(y.shape[:-1] + (spec.r,)))
 
 
+def _structure(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
+    """J from the factor values phi, shaped (..., r)."""
+    r = spec.r
+    products = phi[..., 0::2] * phi[..., 1::2]
+    U = (spec.A[:, 0:r:2] * products[..., None, :]) @ spec.A[:, 1:r:2].T
+    return U - U.swapaxes(-1, -2)
+
+
+def _slopes(spec: MultiseparableSpec, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The pair-product slopes W, shaped (..., r/2, n), at linear-chart
+    points y with factor values phi: chain rule through y_q = B_q . x."""
+    r = spec.r
+    dphi = factor_derivatives(spec, y)
+    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
+    W += (phi[..., 0::2] * dphi[..., 1::2])[..., None] * spec.B[1:r:2]
+    return W
+
+
 def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
     """J at a point or (P, n) block of float points, without the domain
     check (factor validity still applies).  Shared by
     :func:`evaluate_structure` and the finite-difference oracle, whose
     stencils may poke past the box faces."""
-    n, r = spec.n, spec.r
-    if r == 0:
-        return np.zeros(x.shape + (n,))
-    phi = factor_values(spec, matvec(spec.B, x))
-    products = phi[..., 0::2] * phi[..., 1::2]
-    U = (spec.A[:, 0:r:2] * products[..., None, :]) @ spec.A[:, 1:r:2].T
-    return U - U.swapaxes(-1, -2)
+    return _structure(spec, factor_values(spec, matvec(spec.B, x)))
 
 
 def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
@@ -247,27 +275,29 @@ def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
     return unchecked_structure(spec, spec.domain.require_inside(x))
 
 
-def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
-    """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
-    or the (P, n, n, n) stack of them for a (P, n) block.
+def pair_slopes(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
+    """The pair-product slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l
+    at a point or (P, n) block of float points, without the domain check;
+    shape (r/2, n) or (P, r/2, n).  d_l J_ij = (L W)[i*n + j, l] with L
+    the spec's pair minors."""
+    y = matvec(spec.B, x)
+    return _slopes(spec, y, factor_values(spec, y))
 
-    Chain rule through the factor arguments y_q = B_q . x: with W[p, l] the
-    derivative of the pair product phi_{2p-1} phi_{2p} along x_l,
 
-        d_l U_ij = sum_p a_{i,2p-1} a_{j,2p} W[p, l],
-
-    one product of the column-pair products (A_odd (x) A_even) with W; then
-    T = d U - (d U)^T in (i, j), which is exactly skew.
-    """
+def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """J and W (see :func:`pair_slopes`) at a point or (P, n) block, from
+    one domain check and one pass over the factor values, which both
+    share."""
     x = spec.domain.require_inside(x)
-    n, r = spec.n, spec.r
-    if r == 0:
-        return np.zeros(x.shape + (n, n))
     y = matvec(spec.B, x)
     phi = factor_values(spec, y)
-    dphi = factor_derivatives(spec, y)
-    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
-    W += (phi[..., 0::2] * dphi[..., 1::2])[..., None] * spec.B[1:r:2]
-    pairs = (spec.A[:, None, 0:r:2] * spec.A[None, :, 1:r:2]).reshape(n * n, r // 2)
-    dU = (pairs @ W).reshape(x.shape[:-1] + (n, n, n))
-    return dU - dU.swapaxes(-3, -2)
+    return _structure(spec, phi), _slopes(spec, y, phi)
+
+
+def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
+    """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
+    or the (P, n, n, n) stack of them for a (P, n) block: the pair minors
+    times the pair-product slopes, L W, which is exactly skew in (i, j)."""
+    x = spec.domain.require_inside(x)
+    n = spec.n
+    return (spec.pair_minors @ pair_slopes(spec, x)).reshape(x.shape[:-1] + (n, n, n))

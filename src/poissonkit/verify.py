@@ -11,25 +11,33 @@ finite-difference gradients and Newton matrices.
 
 Every field evaluates a point or a (P, n) block of points: a spec field
 in one kernel call, a user field row by row.  A sweep evaluates J once
-per sample point, a block at a time, and the partials one point at a
-time, so memory stays at one block of J and one (n, n, n) tensor; the
-residual contraction is one matrix product per point.  The kernel and
-rank checks can reuse each block of J.
+per sample point, a block at a time, and at each point needs the
+contraction C[i, (j, k)] = sum_l J_il d_l J_jk and max |dJ|; the field
+decides how they are formed.  A spec field never forms the partials
+tensor for C: with L its constant pair minors and W the pair-product
+slopes (see :mod:`poissonkit.structure`), d J = L W, so C = (J W^T) L^T,
+two small products per point, and max |dJ| is max |L W|.  W is taken for
+a whole block from one pass over the factor values and derivatives.
+Other fields, the finite-difference oracle among them, contract their
+own partials one point at a time.  Either way memory stays at one block
+of J and one (n, n, n) array, and the kernel and rank checks can reuse
+each block of J.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .domain import BoxDomain
-from .errors import IndexOutOfRangeError
+from .errors import ConfigValidationError, IndexOutOfRangeError
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
+    pair_slopes,
     point_blocks,
     structure_partials,
     unchecked_structure,
@@ -42,6 +50,11 @@ RANK_REL_TOL = 1e-9
 FD_STEP_SCALE = 1e-5
 
 
+#: A block's (P, n, n) stack of J, and per point the Jacobi contraction
+#: C (n, n*n) with max |dJ| (see :meth:`StructureField.jacobi_terms`).
+JacobiTerms = tuple[np.ndarray, Iterator[tuple[np.ndarray, float]]]
+
+
 @dataclass(frozen=True)
 class StructureField:
     """Evaluatable matrix field x -> J(x) with a partials provider.
@@ -49,12 +62,31 @@ class StructureField:
     ``evaluate`` takes one point (n,) and returns J, or a (P, n) block and
     returns the (P, n, n) stack.  ``partials(x)`` returns the tensor T with
     T[i, j, l] = d J_ij / d x_l (0-based storage axes) at one point.
+    ``contract``, when given, is the field's own form of
+    :meth:`jacobi_terms`.
     """
 
     n: int
     domain: BoxDomain
     evaluate: Callable[[np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray], np.ndarray]
+    contract: Callable[[np.ndarray], JacobiTerms] | None = None
+
+    def jacobi_terms(self, X: np.ndarray) -> JacobiTerms:
+        """J's (P, n, n) stack over a (P, n) block X, and an iterator that
+        yields, point by point, the contraction C[i, j*n + k] =
+        sum_l J_il d_l J_jk and max |dJ|.  Formed by ``contract`` when the
+        field has one, else from ``partials`` one point at a time."""
+        if self.contract is not None:
+            return self.contract(X)
+        structures = np.asarray(self.evaluate(X))
+
+        def terms():
+            for x, J in zip(X, structures):
+                T = np.asarray(self.partials(x))
+                yield _contraction(J, T), float(np.max(np.abs(T)))
+
+        return structures, terms()
 
 
 def central_differences(f: Callable, x, step_scale: float) -> np.ndarray:
@@ -81,13 +113,73 @@ def fd_partials(
     return lambda x: central_differences(evaluate, x, step_scale)
 
 
+def _non_finite(spec: MultiseparableSpec, X: np.ndarray) -> ConfigValidationError:
+    """The error for a block X at which J or its partials are not finite.
+    It names the first factor value or derivative, else the first pair
+    product, that is not finite, with its y and sample point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in X:
+            y = (spec.B @ x).tolist()
+            where = f"sample point x = {x.tolist()}"
+            values = {}
+            for q, f in enumerate(spec.factors):
+                for name in ("value", "derivative"):
+                    try:
+                        v = values[q, name] = getattr(f, name)(y[q])
+                    except OverflowError:
+                        v = math.inf
+                    if not math.isfinite(v):
+                        return ConfigValidationError(
+                            f"factor {q + 1} ({f.kind}) {name} is {v!r} at y = {y[q]!r}, {where}"
+                        )
+            for p, (f, g) in enumerate(zip(spec.factors[0::2], spec.factors[1::2])):
+                if not math.isfinite(values[2 * p, "value"] * values[2 * p + 1, "value"]):
+                    return ConfigValidationError(
+                        f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
+                        f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2]}, {where}"
+                    )
+            if not (
+                np.isfinite(evaluate_structure(spec, x)).all()
+                and np.isfinite(structure_partials(spec, x)).all()
+            ):
+                break
+    return ConfigValidationError(f"J or its partials overflow at {where}")
+
+
+def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerms:
+    """jacobi_terms of a spec field: W from one factor pass per block, and
+    per point C = (J W^T) L^T and max |dJ| = max |L W| with L the pair
+    minors, so the (n, n, n) partials tensor is never formed for C.
+    Raises ConfigValidationError when J or W is not finite on the block."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            structures = evaluate_structure(spec, X)
+            W = pair_slopes(spec, X)
+        except OverflowError:
+            raise _non_finite(spec, X) from None
+    if not (np.isfinite(structures).all() and np.isfinite(W).all()):
+        raise _non_finite(spec, X)
+    L = spec.pair_minors
+
+    def terms():
+        for x, J, slopes in zip(X, structures, W):
+            dJ_max = float(np.max(np.abs(L @ slopes)))
+            if not math.isfinite(dJ_max):
+                raise _non_finite(spec, x[None])
+            yield (J @ slopes.T) @ L.T, dJ_max
+
+    return structures, terms()
+
+
 def structure_field(spec: MultiseparableSpec) -> StructureField:
-    """Field view of a spec with analytic partials."""
+    """Field view of a spec with analytic partials; its Jacobi contraction
+    goes through the pair minors (see :func:`_contract_pair_minors`)."""
     return StructureField(
         n=spec.n,
         domain=spec.domain,
         evaluate=lambda x: evaluate_structure(spec, x),
         partials=lambda x: structure_partials(spec, x),
+        contract=lambda X: _contract_pair_minors(spec, X),
     )
 
 
@@ -99,7 +191,7 @@ def fd_structure_field(spec: MultiseparableSpec) -> StructureField:
     validity intervals still apply.
     """
     oracle = fd_partials(lambda x: unchecked_structure(spec, np.asarray(x, float)))
-    return replace(structure_field(spec), partials=oracle)
+    return replace(structure_field(spec), partials=oracle, contract=None)
 
 
 def generic_field(
@@ -200,7 +292,11 @@ def jacobi_sweep(
     box = sample_box if sample_box is not None else field.domain
     points = box.halton_points(num_points, seed)
     n = field.n
-    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=int).reshape(-1, 3)
+    index = np.arange(n)
+    # All i < j < k, in lexicographic order.
+    triples = np.argwhere(
+        (index[:, None, None] < index[None, :, None]) & (index[None, :, None] < index)
+    )
     a, b, c = triples.T
     # Flat offsets of C[a, b, c], C[c, a, b] and C[b, c, a]; summed in the
     # order of _residual_tensor.
@@ -213,17 +309,16 @@ def jacobi_sweep(
     argmax_triple = None
     argmax_point = None
     for X in point_blocks(points, n):
-        structures = np.asarray(field.evaluate(X))
+        structures, terms = field.jacobi_terms(X)
         if visit is not None:
             visit(structures)
         # With n < 3 there are no triples and nothing to sweep.
-        for x, J in zip(X, structures) if triples.size else ():
-            T = np.asarray(field.partials(x))
-            C = _contraction(J, T).ravel()
+        for x, J, (C, dJ_max) in zip(X, structures, terms) if triples.size else ():
+            C = C.ravel()
             res = np.abs(C[abc] + C[cab] + C[bca])
             idx = int(np.argmax(res))
             worst = float(res[idx])
-            scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
+            scale = 1.0 + float(np.max(np.abs(J))) * dJ_max
             max_norm = max(max_norm, worst / scale)
             if argmax_triple is None or worst > max_abs:
                 argmax_triple = tuple(int(t) + 1 for t in triples[idx])

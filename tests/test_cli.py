@@ -12,7 +12,8 @@ import pytest
 import poissonkit
 import poissonkit.structure
 from poissonkit import BoxDomain
-from poissonkit.cli import dump_json, main
+from poissonkit.cli import dump_json, main, run_verify
+from poissonkit.config import load_system
 
 KMK_CONFIG = {
     "version": 1,
@@ -174,6 +175,22 @@ class TestVerifyCommand:
         # One sample point per block of structure matrices.
         monkeypatch.setattr(poissonkit.structure, "BLOCK_FLOATS", 1)
         assert [_run(capsys, argv) for argv in argvs] == whole
+
+    def test_spec_sweep_never_forms_partials(self, refuse_partials_tensor):
+        for system in ({"name": "kmk"}, {"name": "toda", "params": {"N": 4}}):
+            code, report = run_verify(load_system({"system": system}), 30, 2)
+            assert code == 0 and report["passed"] is True
+
+    @pytest.mark.parametrize("param", ["kappa1=1e308", "R=1e308"])
+    def test_overflowing_parameter_is_a_named_usage_error(self, capsys, param):
+        code, out, err = _run(capsys, ["verify", "--system", "kmk", "--param", param])
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "(linear)" in err and "y = " in err and "sample point x = [" in err
+        assert ("factor 1 (linear) value is inf" in err) == (param == "kappa1=1e308")
+        assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
 
     def test_counterexample_fails_with_exit_one(self, capsys):
         code, out, _ = _run(

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from specgen import dimension_rank_pairs, random_spec
 
 from poissonkit import (
     BoxDomain,
@@ -15,10 +16,12 @@ from poissonkit import (
     constant_symplectic,
     coordinate_hamiltonian,
     darboux_chart,
+    evaluate_structure,
     integrate_canonical,
     integrate_direct,
     linear_hamiltonian,
     quadratic_hamiltonian,
+    structure_partials,
     toda,
     trajectory_to_csv,
     vector_field,
@@ -193,6 +196,28 @@ class TestNewtonJacobians:
                 assert jacobian is not None
                 u = z[: spec.r]
                 _assert_relative(jacobian(u), _fd_jacobian(f, u), 1e-6)
+
+    def test_direct_matches_partials_tensor(self):
+        """The factored Newton matrix against J Hess H + (dJ/dx) grad H
+        contracted from the partials tensor, for every (n, r) up to n = 8."""
+        rng = np.random.default_rng(61)
+        for n, r in dimension_rank_pairs():
+            spec = random_spec(rng, n, r)
+            H = quadratic_hamiltonian(rng.uniform(0.5, 2.0, size=n))
+            _, jacobian = _direct_system(spec, H)
+            for x in spec.domain.halton_points(4, seed=12):
+                reference = evaluate_structure(spec, x) @ H.hessian_at(x) + np.einsum(
+                    "ijl,j->il", structure_partials(spec, x), H.gradient_at(x)
+                )
+                scale = float(np.max(np.abs(reference)))
+                assert float(np.max(np.abs(jacobian(x) - reference))) <= 1e-13 * scale
+
+    def test_implicit_midpoint_never_forms_partials(
+        self, refuse_partials_tensor, kmk_spec, toda3_spec
+    ):
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
+            record = integrate_direct(spec, H, x0, 1e-3, 20, method="implicit-midpoint")
+            assert record.num_records == 21 and not record.domain_exit
 
     def test_without_hessian_falls_back(self, kmk_spec):
         H = HamiltonianField(value=lambda x: 0.0, gradient=lambda x: np.zeros(3))
