@@ -45,8 +45,8 @@ def kermack_mckendrick(
     """Three-species epidemic bracket J(x) = R x1 x2 * [[0,1,-1],[-1,0,1],[1,-1,0]]
     on the positive octant.
 
-    The two linear factor slopes must multiply to R; by default they are
-    split as sqrt(R) each.
+    The two linear factor slopes must multiply to R within 1e-12 relative;
+    by default they are split as sqrt(R) each.
     """
     if not R > 0.0:
         raise ParameterMismatchError(f"R must be positive, got {R!r}")
@@ -57,7 +57,7 @@ def kermack_mckendrick(
         kappa1 = R / kappa2
     elif kappa2 is None:
         kappa2 = R / kappa1
-    if abs(kappa1 * kappa2 - R) > 1e-12:
+    if abs(kappa1 * kappa2 - R) > 1e-12 * R:
         raise ParameterMismatchError(
             f"kappa1 * kappa2 = {kappa1 * kappa2!r} does not match R = {R!r}"
         )

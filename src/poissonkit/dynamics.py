@@ -9,34 +9,46 @@ exactly fixed, and maps each state back.  Casimir drift on the canonical
 route is therefore bounded by chart round-trip error alone, independent of
 the number of steps.
 
-Implicit midpoint solves its stage equation by simplified Newton iteration.
-When the Hamiltonian carries an analytic Hessian, the Newton matrix is
-formed analytically.  On the direct route, with g = grad H(x) and W the
-pair-product slopes of the structure (dJ_ij/dx_l = sum_p L_ij^p W[p, l]
-through the pair minors L), it is
+Implicit midpoint solves its stage equation by simplified Newton iteration
+and evaluates each Newton point once: an evaluator returns the field value
+and a thunk that forms the Newton matrix from the same intermediate
+values, so a refresh takes no second domain check, factor pass or chart
+inversion.  When the Hamiltonian carries an analytic Hessian, the Newton
+matrix is formed analytically.  On the direct route one structure_slopes
+call gives J and, with g = grad H(x), the pair-product slopes W of the
+structure (dJ_ij/dx_l = sum_p L_ij^p W[p, l] through the pair minors L);
+the field is J g and the Newton matrix is
 
     J(x) Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W,
 
 which is J Hess H + (dJ/dx) grad H without forming the (n, n, n) partials
-tensor.  On the canonical route, with y the inverted quadrature chart,
-x = A y, e = phi(y) and g = (A^T grad H(x))[:r], it is
+tensor.  On the canonical route one chart pull-back y = F^{-1}(z),
+x = A y, e = phi(y), g = (A^T grad H(x))[:r] gives the field K_r (e g),
+and the Newton matrix adds only phi'(y) and the Hessian:
 
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
+The accepted state's pull-back is the recorded x, and once that x has
+passed the box check it also gives the next step's predictor, so a step
+inverts the chart once per Newton point plus once for the accepted state.
 Without a Hessian the Newton matrix falls back to central differences of
 the vector field.
 
 Both integrators are fixed-step; states that leave the certified box
 truncate the trajectory with a domain-exit flag rather than extrapolating
-past the region where the structural guarantees hold.
+past the region where the structural guarantees hold.  The first field
+evaluation, at the initial state, is checked for overflow: a non-finite
+factor value, derivative, pair product or field value there raises
+ConfigValidationError naming it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +70,7 @@ from .structure import (
     evaluate_structure,
     factor_derivatives,
     factor_values,
+    non_finite_error,
     structure_slopes,
 )
 from .verify import central_differences
@@ -222,39 +235,44 @@ def _record_stride(steps: int) -> int:
     return math.ceil(steps / MAX_DENSE_RECORDS)
 
 
-def _rk4_step(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
+def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step from x, where f(x) = fx."""
+    k2 = f(x + 0.5 * dt * fx)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (dt / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
     return central_differences(f, x, 1e-7)
 
 
-def _implicit_midpoint_step(
-    f: Callable, x: np.ndarray, dt: float, jacobian: Callable | None = None
-) -> np.ndarray:
-    """One implicit-midpoint step by simplified Newton iteration.
+#: p -> (f(p), newton): a field value and a zero-argument thunk that forms
+#: Df(p) from the same evaluation's intermediate values.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
-    The Newton matrix I - dt/2 Df(mid) is refreshed every ten iterations;
-    Df comes from ``jacobian`` when given, else from central differences
-    of f.  Raises MaxNewtonIterationsError when the residual does not
-    reach NEWTON_TOL within the cap."""
+
+def _implicit_midpoint_step(
+    evaluate: Evaluator, x: np.ndarray, fx: np.ndarray, dt: float
+) -> np.ndarray:
+    """One implicit-midpoint step from x, where f(x) = fx, by simplified
+    Newton iteration.
+
+    Each Newton point is evaluated once; the Newton matrix I - dt/2 Df(mid)
+    comes from that evaluation's thunk on the first iteration and every
+    tenth after.  Raises MaxNewtonIterationsError when the residual does
+    not reach NEWTON_TOL within the cap."""
     n = x.shape[0]
     scale = 1.0 + float(np.max(np.abs(x)))
-    u = x + dt * f(x)
+    u = x + dt * fx
     M = None
     for it in range(NEWTON_MAX_ITERS):
-        mid = 0.5 * (x + u)
-        g = u - x - dt * f(mid)
+        f_mid, newton = evaluate(0.5 * (x + u))
+        g = u - x - dt * f_mid
         if float(np.max(np.abs(g))) <= NEWTON_TOL * scale:
             return u
         if M is None or it % 10 == 9:
-            Df = _fd_jacobian(f, mid) if jacobian is None else jacobian(mid)
-            M = np.eye(n) - 0.5 * dt * Df
+            M = np.eye(n) - 0.5 * dt * newton()
         u = u - np.linalg.solve(M, g)
     raise MaxNewtonIterationsError(
         f"implicit midpoint: no convergence in {NEWTON_MAX_ITERS} iterations"
@@ -268,27 +286,95 @@ def _check_step_controls(dt: float, steps: int) -> None:
         raise ValueError("steps must be >= 0")
 
 
-def _direct_system(
-    spec: MultiseparableSpec, H: HamiltonianField
-) -> tuple[Callable, Callable | None]:
-    """The direct-route field x -> J(x) grad H(x) and its analytic Jacobian
-    J(x) Hess H(x) + sum_j dJ_ij/dx_l grad_j H(x) (None without a Hessian),
-    the latter as A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W."""
+def _first_value(spec: MultiseparableSpec, x0: np.ndarray, evaluate: Callable) -> np.ndarray:
+    """``evaluate()``, a trajectory's first field value, taken at x0 under
+    np.errstate.  A non-finite value, or an OverflowError, raises
+    ConfigValidationError naming the first non-finite factor value,
+    derivative or pair product at x0, else J or the field."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = evaluate()
+        except OverflowError:
+            value = None
+    if value is None or not np.isfinite(value).all():
+        raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
+    return value
+
+
+def _direct_system(spec: MultiseparableSpec, H: HamiltonianField) -> Evaluator:
+    """The direct-route evaluator of x -> J(x) grad H(x).
+
+    With a Hessian, one structure_slopes call gives J and W (one domain
+    check, one factor pass), shared by the field J g and the Newton thunk
+    J Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W, which
+    is J Hess H + sum_j dJ_ij/dx_l g_j.  Without one, the thunk is central
+    differences of the field."""
     f = partial(vector_field, spec, H)
     if H.hessian is None:
-        return f, None
+        return lambda x: (f(x), partial(_fd_jacobian, f, x))
     odd, even = spec.A[:, 0 : spec.r : 2], spec.A[:, 1 : spec.r : 2]
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray):
         J, W = structure_slopes(spec, x)
         g = H.gradient_at(x)
-        return (
-            J @ H.hessian_at(x)
-            + odd @ ((even.T @ g)[:, None] * W)
-            - even @ ((odd.T @ g)[:, None] * W)
-        )
 
-    return f, jacobian
+        def newton() -> np.ndarray:
+            return (
+                J @ H.hessian_at(x)
+                + odd @ ((even.T @ g)[:, None] * W)
+                - even @ ((odd.T @ g)[:, None] * W)
+            )
+
+        return J @ g, newton
+
+    return evaluate
+
+
+@dataclass(frozen=True)
+class _CanonicalSystem:
+    """The reduced canonical-route field on the first r chart coordinates u,
+    with z_{r+1..n} held at ``tail``; calling it is an evaluator.
+
+    One pull-back inverts the quadrature chart, y = F^{-1}(u, tail) and
+    x = A y (:meth:`pull_back`); :meth:`at` completes it with e = phi(y)
+    and g = (A^T grad H(x))[:r], and the field is K_r (e g).  Since
+    dy_i/du_i = e_i, its Newton thunk adds only phi'(y) and the Hessian:
+    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
+    Without a Hessian the thunk is central differences of the field.
+    """
+
+    spec: MultiseparableSpec
+    H: HamiltonianField
+    anchors: tuple[float, ...]
+    tail: np.ndarray
+    K: np.ndarray
+    A_r: np.ndarray
+
+    def pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        spec = self.spec
+        y = inverse_quadrature_chart(spec, self.anchors, np.concatenate([u, self.tail]))
+        return y, spec.A @ y
+
+    def at(self, u: np.ndarray, y: np.ndarray, x: np.ndarray):
+        """The field at u and its Newton thunk, from u's pull-back (y, x)."""
+        spec, H, K, A_r = self.spec, self.H, self.K, self.A_r
+        e = factor_values(spec, y)
+        g = A_r.T @ H.gradient_at(x)
+        if H.hessian is None:
+            return K @ (e * g), partial(_fd_jacobian, self.field, u)
+
+        def newton() -> np.ndarray:
+            curvature = A_r.T @ H.hessian_at(x) @ A_r
+            D = np.diag(factor_derivatives(spec, y) * e * g) + e[:, None] * curvature * e
+            return K @ D
+
+        return K @ (e * g), newton
+
+    def __call__(self, u: np.ndarray):
+        return self.at(u, *self.pull_back(u))
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        return self(u)[0]
 
 
 def _canonical_system(
@@ -296,38 +382,11 @@ def _canonical_system(
     H: HamiltonianField,
     chart: DarbouxChart,
     tail: np.ndarray,
-) -> tuple[Callable, Callable | None]:
-    """The reduced canonical-route field on the first r chart coordinates u,
-    with z_{r+1..n} held at ``tail``, and its analytic Jacobian (None
-    without a Hessian).
-
-    Each evaluation inverts the quadrature chart once: y = F^{-1}(u, tail),
-    x = A y, e = phi(y), g = (A^T grad H(x))[:r], and the field is
-    K_r (e g).  Since dy_i/du_i = e_i, its Jacobian is
-    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
-    """
-    K = canonical_matrix(spec.r, spec.r)
-    A_r = spec.A[:, : spec.r]
-
-    def pull_back(u: np.ndarray):
-        y = inverse_quadrature_chart(spec, chart.anchors, np.concatenate([u, tail]))
-        x = spec.A @ y
-        return y, x, factor_values(spec, y), A_r.T @ H.gradient_at(x)
-
-    def f(u: np.ndarray) -> np.ndarray:
-        _, _, e, g = pull_back(u)
-        return K @ (e * g)
-
-    if H.hessian is None:
-        return f, None
-
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        y, x, e, g = pull_back(u)
-        curvature = A_r.T @ H.hessian_at(x) @ A_r
-        D = np.diag(factor_derivatives(spec, y) * e * g) + e[:, None] * curvature * e
-        return K @ D
-
-    return f, jacobian
+) -> _CanonicalSystem:
+    """The canonical-route evaluator on the first r chart coordinates, with
+    z_{r+1..n} held at ``tail``."""
+    r = spec.r
+    return _CanonicalSystem(spec, H, chart.anchors, tail, canonical_matrix(r, r), spec.A[:, :r])
 
 
 def _march(
@@ -336,18 +395,18 @@ def _march(
     x0: np.ndarray,
     dt: float,
     steps: int,
-    step: Callable[[], np.ndarray],
+    states: Iterator[np.ndarray],
 ) -> TrajectoryRecord:
-    """The fixed-step loop of both routes; ``step()`` advances by dt and
-    returns the new x.  A step that leaves the box, or a factor or chart
-    interval, ends the trajectory with a domain-exit flag."""
+    """The fixed-step loop of both routes; each ``next(states)`` advances by
+    dt and returns the new x.  A step that leaves the box, or a factor or
+    chart interval, ends the trajectory with a domain-exit flag."""
     stride = _record_stride(steps)
     times = [0.0]
-    states = [x0]
+    recorded = [x0]
     domain_exit = False
     for k in range(1, steps + 1):
         try:
-            x = step()
+            x = next(states)
         except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
             domain_exit = True
             break
@@ -356,8 +415,8 @@ def _march(
             break
         if k % stride == 0 or k == steps:
             times.append(k * dt)
-            states.append(x)
-    return _record(spec, H, times, states, domain_exit)
+            recorded.append(x)
+    return _record(spec, H, times, recorded, domain_exit)
 
 
 def integrate_direct(
@@ -373,24 +432,28 @@ def integrate_direct(
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
     truncated with a domain-exit flag if any accepted state (or any stage
     evaluation) leaves the certified box.  ``dt`` must be finite and
-    positive.
+    positive; a field that is not finite at x0 raises
+    ConfigValidationError.
     """
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
-    x = spec.domain.require_inside(x0).copy()
-    f, jacobian = _direct_system(spec, H)
+    x_start = spec.domain.require_inside(x0).copy()
+    f = partial(vector_field, spec, H)
     if method == "rk4":
-        stepper = _rk4_step
+        advance = partial(_rk4_step, f)
     else:
-        stepper = partial(_implicit_midpoint_step, jacobian=jacobian)
+        advance = partial(_implicit_midpoint_step, _direct_system(spec, H))
 
-    def step() -> np.ndarray:
-        nonlocal x
-        x = stepper(f, x, dt)
-        return x
+    def states() -> Iterator[np.ndarray]:
+        x = x_start
+        fx = _first_value(spec, x, partial(f, x))
+        while True:
+            x = advance(x, fx, dt)
+            yield x
+            fx = f(x)
 
-    return _march(spec, H, x, dt, steps, step)
+    return _march(spec, H, x_start, dt, steps, states())
 
 
 def integrate_canonical(
@@ -406,7 +469,11 @@ def integrate_canonical(
     The first r components of z follow implicit midpoint on
     dz/dt = K grad_z H(x(z)) with the constant canonical K; the remaining
     components are held bitwise constant, so Casimir levels survive up to
-    the chart round trip only.  ``dt`` must be finite and positive.
+    the chart round trip only.  Each accepted u is pulled back once: its
+    x is the recorded state, and, once that state has passed the box
+    check, the pull-back also gives the next step's predictor.  ``dt``
+    must be finite and positive; a field that is not finite at x0 raises
+    ConfigValidationError.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0)
@@ -414,18 +481,20 @@ def integrate_canonical(
         chart = darboux_chart(spec)
     r = spec.r
     z = chart.forward(x_start)
-    tail = z[r:].copy()
-    f_reduced, jacobian = _canonical_system(spec, H, chart, tail)
-    u = z[:r].copy()
+    if r == 0:
+        return _march(spec, H, x_start, dt, steps, itertools.repeat(x_start))
+    system = _canonical_system(spec, H, chart, z[r:].copy())
 
-    def step() -> np.ndarray:
-        nonlocal u
-        if r == 0:
-            return x_start
-        u = _implicit_midpoint_step(f_reduced, u, dt, jacobian)
-        return chart.inverse(np.concatenate([u, tail]))
+    def states() -> Iterator[np.ndarray]:
+        u = z[:r].copy()
+        fu = _first_value(spec, x_start, partial(system.field, u))
+        while True:
+            u = _implicit_midpoint_step(system, u, fu, dt)
+            y, x = system.pull_back(u)
+            yield x
+            fu, _ = system.at(u, y, x)
 
-    return _march(spec, H, x_start, dt, steps, step)
+    return _march(spec, H, x_start, dt, steps, states())
 
 
 def trajectory_csv_header(n: int, r: int) -> str:
@@ -439,9 +508,10 @@ def trajectory_to_csv(record: TrajectoryRecord) -> str:
     """Serialize a trajectory; floats carry 17 significant digits so the
     binary64 values round-trip exactly."""
     spec = record.spec
+    table = np.column_stack(
+        (record.times, record.states, record.energy_drift, record.casimir_drift)
+    )
+    row = ",".join(["%.17g"] * table.shape[1])
     lines = [trajectory_csv_header(spec.n, spec.r)]
-    for k in range(record.num_records):
-        vals = [record.times[k], *record.states[k], record.energy_drift[k]]
-        vals += list(record.casimir_drift[k])
-        lines.append(",".join(f"{v:.17g}" for v in vals))
+    lines += [row % tuple(values) for values in table.tolist()]
     return "\n".join(lines) + "\n"

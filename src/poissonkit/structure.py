@@ -26,6 +26,7 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from .domain import BoxDomain
 from .errors import (
+    ConfigValidationError,
     FactorVanishesError,
     IndexOutOfRangeError,
     OddRankError,
@@ -301,3 +303,43 @@ def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
     x = spec.domain.require_inside(x)
     n = spec.n
     return (spec.pair_minors @ pair_slopes(spec, x)).reshape(x.shape[:-1] + (n, n, n))
+
+
+def non_finite_error(
+    spec: MultiseparableSpec,
+    X: np.ndarray,
+    point: str = "sample point",
+    otherwise: str = "J or its partials overflow",
+) -> ConfigValidationError:
+    """The error for a block X at which a quantity derived from the factors
+    is not finite.  It names the first factor value or derivative, else
+    the first pair product, that is not finite, with its y and ``point``
+    x; else the first point at which J or its partials overflow; else
+    says ``otherwise`` at the last point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in X:
+            y = (spec.B @ x).tolist()
+            where = f"{point} x = {x.tolist()}"
+            values = {}
+            for q, f in enumerate(spec.factors):
+                for name in ("value", "derivative"):
+                    try:
+                        v = values[q, name] = getattr(f, name)(y[q])
+                    except OverflowError:
+                        v = math.inf
+                    if not math.isfinite(v):
+                        return ConfigValidationError(
+                            f"factor {q + 1} ({f.kind}) {name} is {v!r} at y = {y[q]!r}, {where}"
+                        )
+            for p, (f, g) in enumerate(zip(spec.factors[0::2], spec.factors[1::2])):
+                if not math.isfinite(values[2 * p, "value"] * values[2 * p + 1, "value"]):
+                    return ConfigValidationError(
+                        f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
+                        f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2]}, {where}"
+                    )
+            if not (
+                np.isfinite(evaluate_structure(spec, x)).all()
+                and np.isfinite(structure_partials(spec, x)).all()
+            ):
+                return ConfigValidationError(f"J or its partials overflow at {where}")
+    return ConfigValidationError(f"{otherwise} at {where}")

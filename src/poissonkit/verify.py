@@ -33,10 +33,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .domain import BoxDomain
-from .errors import ConfigValidationError, IndexOutOfRangeError
+from .errors import IndexOutOfRangeError
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
+    non_finite_error,
     pair_slopes,
     point_blocks,
     structure_partials,
@@ -113,39 +114,6 @@ def fd_partials(
     return lambda x: central_differences(evaluate, x, step_scale)
 
 
-def _non_finite(spec: MultiseparableSpec, X: np.ndarray) -> ConfigValidationError:
-    """The error for a block X at which J or its partials are not finite.
-    It names the first factor value or derivative, else the first pair
-    product, that is not finite, with its y and sample point."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in X:
-            y = (spec.B @ x).tolist()
-            where = f"sample point x = {x.tolist()}"
-            values = {}
-            for q, f in enumerate(spec.factors):
-                for name in ("value", "derivative"):
-                    try:
-                        v = values[q, name] = getattr(f, name)(y[q])
-                    except OverflowError:
-                        v = math.inf
-                    if not math.isfinite(v):
-                        return ConfigValidationError(
-                            f"factor {q + 1} ({f.kind}) {name} is {v!r} at y = {y[q]!r}, {where}"
-                        )
-            for p, (f, g) in enumerate(zip(spec.factors[0::2], spec.factors[1::2])):
-                if not math.isfinite(values[2 * p, "value"] * values[2 * p + 1, "value"]):
-                    return ConfigValidationError(
-                        f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
-                        f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2]}, {where}"
-                    )
-            if not (
-                np.isfinite(evaluate_structure(spec, x)).all()
-                and np.isfinite(structure_partials(spec, x)).all()
-            ):
-                break
-    return ConfigValidationError(f"J or its partials overflow at {where}")
-
-
 def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerms:
     """jacobi_terms of a spec field: W from one factor pass per block, and
     per point C = (J W^T) L^T and max |dJ| = max |L W| with L the pair
@@ -156,16 +124,16 @@ def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerm
             structures = evaluate_structure(spec, X)
             W = pair_slopes(spec, X)
         except OverflowError:
-            raise _non_finite(spec, X) from None
+            raise non_finite_error(spec, X) from None
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
-        raise _non_finite(spec, X)
+        raise non_finite_error(spec, X)
     L = spec.pair_minors
 
     def terms():
         for x, J, slopes in zip(X, structures, W):
             dJ_max = float(np.max(np.abs(L @ slopes)))
             if not math.isfinite(dJ_max):
-                raise _non_finite(spec, x[None])
+                raise non_finite_error(spec, x[None])
             yield (J @ slopes.T) @ L.T, dJ_max
 
     return structures, terms()

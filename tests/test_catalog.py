@@ -39,6 +39,23 @@ class TestKermackMcKendrick:
         slopes = [f.slope for f in spec.factors]
         assert slopes[0] * slopes[1] == pytest.approx(4.0, abs=1e-12)
 
+    def test_default_split_accepted_at_every_magnitude(self):
+        """The slopes must multiply to R relative to R: the default split
+        is one rounding off R, which exceeds any absolute bound for large
+        R."""
+        rng = np.random.default_rng(509129)
+        for R in 10.0 ** rng.uniform(-5.0, 300.0, size=2000):
+            slopes = [f.slope for f in kermack_mckendrick(float(R)).factors]
+            assert slopes[0] * slopes[1] == pytest.approx(R, rel=1e-15)
+        kermack_mckendrick(509129.9814107553)
+
+    def test_explicit_mismatch_rejected(self):
+        with pytest.raises(ParameterMismatchError):
+            kermack_mckendrick(1.0, 2.0, 3.0)
+        # A mismatch far below 1e-12 in absolute terms is still a mismatch.
+        with pytest.raises(ParameterMismatchError):
+            kermack_mckendrick(1e-15, 1.0, 2e-15)
+
     def test_parameter_mismatch(self):
         with pytest.raises(ParameterMismatchError):
             kermack_mckendrick(1.0, 2.0, 1.0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,13 @@ class TestVerifyCommand:
         assert ("factor 1 (linear) value is inf" in err) == (param == "kappa1=1e308")
         assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
 
+    def test_default_kmk_split_of_large_rate_accepted(self, capsys):
+        code, out, err = _run(
+            capsys, ["verify", "--system", "kmk", "--param", "R=509129.9814107553"]
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["passed"] is True
+
     def test_counterexample_fails_with_exit_one(self, capsys):
         code, out, _ = _run(
             capsys, ["verify", "--system", "counterexample3", "--points", "20"]
@@ -275,6 +283,35 @@ class TestDarbouxCommand:
 
 
 class TestIntegrateCommand:
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    def test_overflowing_parameter_is_a_named_usage_error(self, capsys, route, method):
+        argv = [
+            "integrate", "--system", "kmk", "--param", "kappa1=1e308",
+            "--hamiltonian", "quadratic-diagonal:1,1,1", "--x0", "2,1,1",
+            "--steps", "3", "--route", route, "--method", method,
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, argv)
+        assert caught == []
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0] == (
+            "error: factor 1 (linear) value is inf at y = 2.0, "
+            "initial state x = [2.0, 1.0, 1.0]"
+        )
+
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    def test_overflowing_hamiltonian_gradient_is_a_usage_error(self, capsys, route):
+        argv = [
+            "integrate", "--system", "kmk", "--hamiltonian", "quadratic-diagonal:1e308,1,1",
+            "--x0", "2,1,1", "--steps", "3", "--route", route,
+        ]
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == "error: the vector field overflows at initial state x = [2.0, 1.0, 1.0]\n"
+
     def test_casimir_hamiltonian_constant_columns(self, capsys):
         code, out, err = _run(
             capsys,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from poissonkit import (
     trajectory_to_csv,
     vector_field,
 )
+from poissonkit import dynamics
 from poissonkit.config import parse_config
+from poissonkit.darboux import DarbouxChart
 from poissonkit.dynamics import (
     _canonical_system,
     _direct_system,
@@ -77,6 +80,15 @@ def _newton_cases(kmk_spec, toda3_spec):
         (_mixed_spec(), quadratic_hamiltonian(MIXED_WEIGHTS),
          [1.0, 0.9, 1.1, 1.0, 0.95, 1.05, 1.0]),
     ]
+
+
+def _without_hessian(H):
+    return HamiltonianField(value=H.value, gradient=H.gradient)
+
+
+def _field_of(evaluate):
+    """The field of an implicit-midpoint evaluator p -> (f(p), newton)."""
+    return lambda p: evaluate(p)[0]
 
 
 def _assert_relative(analytic, fd, rel):
@@ -182,20 +194,20 @@ class TestNewtonJacobians:
 
     def test_direct_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
-            f, jacobian = _direct_system(spec, H)
-            assert jacobian is not None
+            evaluate = _direct_system(spec, H)
+            f = _field_of(evaluate)
             for x in spec.domain.halton_points(8, seed=11):
-                _assert_relative(jacobian(x), _fd_jacobian(f, x), 1e-6)
+                _assert_relative(evaluate(x)[1](), _fd_jacobian(f, x), 1e-6)
 
     def test_canonical_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
             chart = darboux_chart(spec)
             for x in spec.domain.halton_points(8, seed=11):
                 z = chart.forward(x)
-                f, jacobian = _canonical_system(spec, H, chart, z[spec.r :])
-                assert jacobian is not None
+                evaluate = _canonical_system(spec, H, chart, z[spec.r :])
+                f = _field_of(evaluate)
                 u = z[: spec.r]
-                _assert_relative(jacobian(u), _fd_jacobian(f, u), 1e-6)
+                _assert_relative(evaluate(u)[1](), _fd_jacobian(f, u), 1e-6)
 
     def test_direct_matches_partials_tensor(self):
         """The factored Newton matrix against J Hess H + (dJ/dx) grad H
@@ -204,13 +216,13 @@ class TestNewtonJacobians:
         for n, r in dimension_rank_pairs():
             spec = random_spec(rng, n, r)
             H = quadratic_hamiltonian(rng.uniform(0.5, 2.0, size=n))
-            _, jacobian = _direct_system(spec, H)
+            evaluate = _direct_system(spec, H)
             for x in spec.domain.halton_points(4, seed=12):
                 reference = evaluate_structure(spec, x) @ H.hessian_at(x) + np.einsum(
                     "ijl,j->il", structure_partials(spec, x), H.gradient_at(x)
                 )
                 scale = float(np.max(np.abs(reference)))
-                assert float(np.max(np.abs(jacobian(x) - reference))) <= 1e-13 * scale
+                assert float(np.max(np.abs(evaluate(x)[1]() - reference))) <= 1e-13 * scale
 
     def test_implicit_midpoint_never_forms_partials(
         self, refuse_partials_tensor, kmk_spec, toda3_spec
@@ -220,10 +232,18 @@ class TestNewtonJacobians:
             assert record.num_records == 21 and not record.domain_exit
 
     def test_without_hessian_falls_back(self, kmk_spec):
-        H = HamiltonianField(value=lambda x: 0.0, gradient=lambda x: np.zeros(3))
-        assert _direct_system(kmk_spec, H)[1] is None
+        H = _without_hessian(quadratic_hamiltonian([1.0, 2.0, 0.5]))
+        x = np.array([1.0, 1.2, 0.8])
+        evaluate = _direct_system(kmk_spec, H)
+        np.testing.assert_array_equal(
+            evaluate(x)[1](), _fd_jacobian(_field_of(evaluate), x)
+        )
         chart = darboux_chart(kmk_spec)
-        assert _canonical_system(kmk_spec, H, chart, np.zeros(1))[1] is None
+        z = chart.forward(x)
+        evaluate = _canonical_system(kmk_spec, H, chart, z[2:])
+        np.testing.assert_array_equal(
+            evaluate(z[:2])[1](), _fd_jacobian(_field_of(evaluate), z[:2])
+        )
 
     def test_trajectories_match_fd_newton_path(self, kmk_spec, toda3_spec):
         for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
@@ -243,6 +263,130 @@ class TestNewtonJacobians:
                 assert analytic.num_records == fd.num_records == 1001
                 tol = 1e-10 * (1.0 + np.abs(fd.states))
                 assert np.all(np.abs(analytic.states - fd.states) <= tol)
+
+
+def _counter(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` through a wrapper; returns the
+    one-element call count."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _newton_point_counter(monkeypatch):
+    """Count, over every implicit-midpoint step, the evaluator calls (one
+    per Newton point) and the Newton-matrix thunks run (one per refresh);
+    returns [points, refreshes]."""
+    calls = [0, 0]
+    step = dynamics._implicit_midpoint_step
+
+    def counted_step(evaluate, x, fx, dt):
+        def counted(p):
+            calls[0] += 1
+            f, newton = evaluate(p)
+
+            def counted_newton():
+                calls[1] += 1
+                return newton()
+
+            return f, counted_newton
+
+        return step(counted, x, fx, dt)
+
+    monkeypatch.setattr(dynamics, "_implicit_midpoint_step", counted_step)
+    return calls
+
+
+class TestOneEvaluationPerNewtonPoint:
+    """Implicit midpoint evaluates each Newton point once, and the Newton
+    matrix reuses that evaluation; on the canonical route the accepted
+    state's chart pull-back gives the recorded x and the next predictor."""
+
+    STEPS = 30
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_canonical_pull_backs(self, monkeypatch, kmk_spec, toda3_spec, analytic):
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec)[:2]:
+            H = H if analytic else _without_hessian(H)
+            chart = darboux_chart(spec)
+            expected = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
+            with monkeypatch.context() as m:
+                newton_points = _newton_point_counter(m)
+                inversions = _counter(m, dynamics, "inverse_quadrature_chart")
+                values = _counter(m, dynamics, "factor_values")
+                derivatives = _counter(m, dynamics, "factor_derivatives")
+                fd = _counter(m, dynamics, "_fd_jacobian")
+
+                def refuse(self, z):
+                    raise AssertionError("the chart was inverted per step")
+
+                m.setattr(DarbouxChart, "inverse", refuse)
+                record = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
+            assert not record.domain_exit and record.num_records == self.STEPS + 1
+            np.testing.assert_array_equal(record.states, expected.states)
+            assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
+            # With a Hessian, the Newton thunk adds phi' and no pull-back;
+            # without one, each refresh adds 2r field evaluations.
+            assert derivatives[0] == (newton_points[1] if analytic else 0)
+            assert fd[0] == (0 if analytic else newton_points[1])
+            field_evaluations = newton_points[0] + 2 * spec.r * fd[0]
+            assert inversions[0] == 1 + field_evaluations + self.STEPS
+            assert values[0] == 1 + field_evaluations + self.STEPS - 1
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_direct_newton_points(self, monkeypatch, kmk_spec, toda3_spec, analytic):
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec)[:2]:
+            H = H if analytic else _without_hessian(H)
+            expected = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
+            with monkeypatch.context() as m:
+                newton_points = _newton_point_counter(m)
+                slopes = _counter(m, dynamics, "structure_slopes")
+                structures = _counter(m, dynamics, "evaluate_structure")
+                fd = _counter(m, dynamics, "_fd_jacobian")
+                record = integrate_direct(
+                    spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint"
+                )
+            assert not record.domain_exit and record.num_records == self.STEPS + 1
+            np.testing.assert_array_equal(record.states, expected.states)
+            assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
+            assert fd[0] == (0 if analytic else newton_points[1])
+            if analytic:
+                # One structure_slopes call per Newton point; the only other
+                # structure evaluation is each step's predictor f(x).
+                assert slopes[0] == newton_points[0]
+                assert structures[0] == self.STEPS
+            else:
+                assert slopes[0] == 0
+                field_evaluations = newton_points[0] + 2 * spec.n * fd[0]
+                assert structures[0] == self.STEPS + field_evaluations
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_rank_zero(self, monkeypatch, analytic):
+        spec = constant_symplectic(0, 3)
+        H = quadratic_hamiltonian([1.0, 2.0, 0.5])
+        H = H if analytic else _without_hessian(H)
+        x0 = [0.1, 0.2, 0.3]
+        chart = darboux_chart(spec)
+        with monkeypatch.context() as m:
+            newton_points = _newton_point_counter(m)
+            inversions = _counter(m, dynamics, "inverse_quadrature_chart")
+            slopes = _counter(m, dynamics, "structure_slopes")
+            m.setattr(DarbouxChart, "inverse", None)
+            canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
+            assert newton_points[0] == inversions[0] == 0
+            direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
+        # J = 0: every step converges at its first Newton point.
+        assert newton_points[0] == self.STEPS
+        assert slopes[0] == (self.STEPS if analytic else 0)
+        for record in (canonical, direct):
+            assert record.num_records == self.STEPS + 1 and not record.domain_exit
+            np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
 
 
 class TestIntegrateDirect:
@@ -391,6 +535,32 @@ class TestTrajectoryCsv:
         parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
         np.testing.assert_array_equal(parsed[:, 1:4], rec.states)
         np.testing.assert_array_equal(parsed[:, 4], rec.energy_drift)
+
+
+    def test_one_template_matches_per_value_format(self, kmk_spec):
+        states = np.array(
+            [
+                [1.0, 1.2, 0.8],
+                [math.nan, math.inf, -math.inf],
+                [-0.0, 5e-324, 1e308],
+                [0.1, -2.2250738585072014e-308, 1.0 / 3.0],
+            ]
+        )
+        record = dynamics.TrajectoryRecord(
+            spec=kmk_spec,
+            times=np.array([0.0, 1e-3, -0.0, 2.5e-310]),
+            states=states,
+            energy_drift=np.array([0.0, math.nan, -math.inf, 1e308]),
+            casimir_drift=np.array([[0.0], [-0.0], [math.inf], [5e-324]]),
+        )
+        reference = [dynamics.trajectory_csv_header(3, 2)]
+        for k in range(record.num_records):
+            values = [record.times[k], *states[k], record.energy_drift[k]]
+            values += list(record.casimir_drift[k])
+            reference.append(",".join(format(v, ".17g") for v in values))
+        text = trajectory_to_csv(record)
+        assert text == "\n".join(reference) + "\n"
+        assert "nan" in text and "-inf" in text and "-0," in text and "e-324" in text
 
 
 def test_record_stride_thinning():
