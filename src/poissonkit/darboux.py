@@ -29,12 +29,12 @@ from .errors import (
     OutOfValidityError,
     PoissonKitError,
 )
-from .factors import FactorFunction
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
-    factor_columns,
+    factor_values,
     matvec,
+    non_finite_error,
     point_blocks,
 )
 
@@ -112,13 +112,19 @@ def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
 def quadrature_chart(spec: MultiseparableSpec, anchors, y) -> np.ndarray:
     """z from y: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
     y = np.asarray(y, dtype=float)
-    return factor_columns(spec, "reciprocal_antiderivative", y, y.copy(), anchors)
+    return spec.bank.apply("reciprocal_antiderivative", y, anchors, out=y.copy())
 
 
 def inverse_quadrature_chart(spec: MultiseparableSpec, anchors, z) -> np.ndarray:
     """y from z, inverting each anchored antiderivative."""
     z = np.asarray(z, dtype=float)
-    return factor_columns(spec, "invert_antiderivative", z, z.copy(), anchors)
+    return spec.bank.apply("invert_antiderivative", z, anchors, out=z.copy())
+
+
+def _quadrature_scales(spec: MultiseparableSpec, y: np.ndarray) -> np.ndarray:
+    """dy/dz of the quadrature stage, shaped like y: phi_i(y_i) for i <= r
+    and 1 elsewhere."""
+    return spec.bank.apply("value", y, out=np.ones(y.shape))
 
 
 def canonical_matrix(n: int, r: int) -> np.ndarray:
@@ -130,36 +136,48 @@ def canonical_matrix(n: int, r: int) -> np.ndarray:
     return K
 
 
-def _antiderivative_limit(f: FactorFunction, y_end: float, anchor: float) -> float:
-    """Monotone limit of F at an interval endpoint, found by approach from
-    inside.  Divergence (including slow, logarithmic divergence) is
-    detected by non-shrinking increments between probes and reported as
-    +-inf; arithmetic blow-up at a probe counts as divergence.  For custom
-    factors without a closed form the innermost probe value is used, so
-    those bounds are approximate."""
-    increasing = f.value(anchor) > 0
-    toward_upper = y_end > anchor
-    diverged = math.inf if toward_upper == increasing else -math.inf
-    if math.isfinite(y_end):
-        probes = [y_end + (anchor - y_end) * s for s in (1e-3, 1e-6, 1e-9)]
-    else:
-        sign = 1.0 if y_end > 0 else -1.0
-        probes = [sign * 10.0**k for k in (3, 6, 9)]
-        probes = [p for p in probes if f.validity[0] < p < f.validity[1]]
-        if not probes:
-            probes = [anchor]
-    vals = []
-    for p in probes:
+def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) -> np.ndarray:
+    """Monotone limits of F_q at one end y_q of each projected interval
+    (q <= r), each found by three probes approaching it from inside: a
+    shrinking fraction of the way from a finite end to the anchor, or out
+    to 1e3, 1e6 and 1e9 toward an infinite end (dropping probes outside
+    validity there).  Divergence (including slow, logarithmic divergence)
+    is detected by non-shrinking increments between probes and reported as
+    +-inf; arithmetic blow-up at a probe (an error or a non-finite value)
+    counts as divergence.  For custom factors without a closed form the
+    innermost probe value is used, so those bounds are approximate."""
+    bank = spec.bank
+    ends = ends[: spec.r]
+    increasing = factor_values(spec, anchors) > 0
+    diverged = np.where((ends > anchors) == increasing, math.inf, -math.inf)
+    finite = np.isfinite(ends)
+    near = np.where(finite, ends, anchors)
+    probes = np.where(
+        finite,
+        near + (anchors - near) * np.array([[1e-3], [1e-6], [1e-9]]),
+        np.copysign(np.array([[1e3], [1e6], [1e9]]), ends),
+    )
+    usable = (probes > bank.lo) & (probes < bank.hi)
+    # Unusable probes, and custom columns, are evaluated at the anchor
+    # (F = 0) in the closed-form pass; custom columns then go one factor
+    # at a time, so that a failing one diverges alone.
+    probes = np.where(usable, probes, anchors)
+    closed = probes.copy()
+    closed[:, bank.custom] = anchors[bank.custom]
+    values = bank.apply("reciprocal_antiderivative", closed, anchors)
+    for q in bank.custom:
         try:
-            vals.append(f.reciprocal_antiderivative(p, anchor))
+            values[:, q] = spec.factors[q].reciprocal_antiderivative(probes[:, q], anchors[q])
         except (ArithmeticError, ValueError, PoissonKitError):
-            return diverged
-    if len(vals) >= 3:
-        d1 = abs(vals[1] - vals[0])
-        d2 = abs(vals[2] - vals[1])
-        if d2 > 1e-9 * (1.0 + abs(vals[2])) and d2 >= 0.45 * d1:
-            return diverged
-    return vals[-1]
+            values[:, q] = math.nan
+    with np.errstate(invalid="ignore"):
+        d1 = np.abs(values[1] - values[0])
+        d2 = np.abs(values[2] - values[1])
+    slow = usable.all(axis=0) & (d2 > 1e-9 * (1.0 + np.abs(values[2]))) & (d2 >= 0.45 * d1)
+    blown = ~np.isfinite(values).all(axis=0) | (finite & ~usable.all(axis=0))
+    # The innermost usable probe is the last one: toward an infinite end
+    # the dropped probes are the nearest.
+    return np.where(slow | blown, diverged, values[2])
 
 
 @dataclass(frozen=True)
@@ -194,14 +212,14 @@ class DarbouxChart:
     def forward_jacobian(self, x) -> np.ndarray:
         """dz/dx = diag(1/phi_i(y_i), 1) . B, analytic."""
         spec = self.spec
-        phi = factor_columns(spec, "value", linear_chart(spec, x), np.ones(spec.n))
+        phi = _quadrature_scales(spec, linear_chart(spec, x))
         return (1.0 / phi)[:, None] * spec.B
 
     def inverse_jacobian(self, z) -> np.ndarray:
         """dx/dz = A . diag(phi_i(y_i), 1), analytic."""
         spec = self.spec
         y = inverse_quadrature_chart(spec, self.anchors, z)
-        return spec.A * factor_columns(spec, "value", y, np.ones(spec.n))[None, :]
+        return spec.A * _quadrature_scales(spec, y)[None, :]
 
     def contains_image(self, z) -> bool:
         """True when z is the image of a domain point."""
@@ -236,10 +254,10 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
         y_lo[i], y_hi[i] = spec.domain.projected_interval(spec.B[i])
     z_lo = y_lo.copy()
     z_hi = y_hi.copy()
-    for q, f in enumerate(spec.factors):
-        a = _antiderivative_limit(f, y_lo[q], anchors[q])
-        b = _antiderivative_limit(f, y_hi[q], anchors[q])
-        z_lo[q], z_hi[q] = min(a, b), max(a, b)
+    a = _antiderivative_limits(spec, np.array(anchors), y_lo)
+    b = _antiderivative_limits(spec, np.array(anchors), y_hi)
+    z_lo[: spec.r] = np.where(b < a, b, a)
+    z_hi[: spec.r] = np.where(b > a, b, a)
     z_lo.setflags(write=False)
     z_hi.setflags(write=False)
 
@@ -312,21 +330,29 @@ def certify_canonical(
     max_dev = 0.0
     max_rt = 0.0
     for X in point_blocks(points, spec.n):
-        # 1/phi_i(y_i) for i <= r and 1 elsewhere: the quadrature stage's Jacobian.
-        d = 1.0 / factor_columns(spec, "value", linear_chart(spec, X), np.ones(X.shape))
-        dev = linear_chart_pushforward(spec, X)
-        dev *= d[:, :, None]
-        dev *= d[:, None, :]
-        dev -= target
-        np.abs(dev, out=dev)
-        worst = dev.max(axis=(1, 2))
-        rt, coord, rt_within = _round_trip(chart, X, round_trip_tolerance)
-        dev_failed = worst > tolerance
+        with np.errstate(all="ignore"):
+            phi = _quadrature_scales(spec, linear_chart(spec, X))
+            dev = linear_chart_pushforward(spec, X)
+            # A non-finite pushforward is the structure's fault only when J is.
+            if not (
+                np.isfinite(phi).all()
+                and (np.isfinite(dev).all() or np.isfinite(evaluate_structure(spec, X)).all())
+            ):
+                raise non_finite_error(spec, X)
+            # 1/phi_i(y_i) for i <= r and 1 elsewhere: the quadrature stage's Jacobian.
+            d = 1.0 / phi
+            dev *= d[:, :, None]
+            dev *= d[:, None, :]
+            dev -= target
+            np.abs(dev, out=dev)
+            worst = dev.max(axis=(1, 2))
+            rt, coord, rt_within = _round_trip(chart, X, round_trip_tolerance)
+        dev_within = worst <= tolerance
         # The first failing point, checking deviation before round trip.
-        failed = np.flatnonzero(dev_failed | ~rt_within)
+        failed = np.flatnonzero(~(dev_within & rt_within))
         if failed.size:
             k = int(failed[0])
-            if dev_failed[k]:
+            if not dev_within[k]:
                 entry = np.unravel_index(int(np.argmax(dev[k])), dev[k].shape)
                 raise CertificationFailureError(
                     X[k], (entry[0] + 1, entry[1] + 1), worst[k]

@@ -74,7 +74,7 @@ class BoxDomain:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             return False
-        return bool((x > self.lower).all() and (x < self.upper).all())
+        return np.count_nonzero((x > self.lower) & (x < self.upper)) == x.size
 
     def require_inside(self, x) -> np.ndarray:
         """x as floats, one point (n,) or a (P, n) block, when every point

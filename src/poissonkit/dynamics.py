@@ -288,15 +288,12 @@ def _check_step_controls(dt: float, steps: int) -> None:
 
 def _first_value(spec: MultiseparableSpec, x0: np.ndarray, evaluate: Callable) -> np.ndarray:
     """``evaluate()``, a trajectory's first field value, taken at x0 under
-    np.errstate.  A non-finite value, or an OverflowError, raises
-    ConfigValidationError naming the first non-finite factor value,
-    derivative or pair product at x0, else J or the field."""
+    np.errstate.  A non-finite value raises ConfigValidationError naming
+    the first non-finite factor value, derivative or pair product at x0,
+    else J or the field."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = evaluate()
-        except OverflowError:
-            value = None
-    if value is None or not np.isfinite(value).all():
+        value = evaluate()
+    if not np.isfinite(value).all():
         raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
     return value
 
@@ -345,7 +342,7 @@ class _CanonicalSystem:
 
     spec: MultiseparableSpec
     H: HamiltonianField
-    anchors: tuple[float, ...]
+    anchors: np.ndarray
     tail: np.ndarray
     K: np.ndarray
     A_r: np.ndarray
@@ -386,7 +383,8 @@ def _canonical_system(
     """The canonical-route evaluator on the first r chart coordinates, with
     z_{r+1..n} held at ``tail``."""
     r = spec.r
-    return _CanonicalSystem(spec, H, chart.anchors, tail, canonical_matrix(r, r), spec.A[:, :r])
+    anchors = np.array(chart.anchors)
+    return _CanonicalSystem(spec, H, anchors, tail, canonical_matrix(r, r), spec.A[:, :r])
 
 
 def _march(

@@ -1,4 +1,4 @@
-"""Univariate factor functions.
+"""Univariate factor functions and the factor bank.
 
 Each factor is a scalar function phi(y) that is C1 and nonvanishing on an
 open validity interval.  Besides evaluation and differentiation, factors
@@ -10,24 +10,30 @@ the anchored antiderivative of the reciprocal,
 and its inverse.  Because phi keeps a fixed sign on the validity interval,
 F is strictly monotone there and the inverse is well defined.
 
-Built-in kinds (constant, linear, affine, exponential, power) implement
-both operations in closed form; :class:`CustomFactor` falls back to
-adaptive quadrature and a bracketed root find.
+Built-in kinds (constant, linear, affine, exponential, power) write each
+of the four operations once, in closed form, as a numpy expression (with
+np.exp, np.log and np.power) over a column of arguments and vectors of
+parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
+a pass over the r columns of a point (n,) or a block (P, n) is one
+comparison of the arguments against the validity bounds (for inversions,
+of the results too) plus one expression per kind.  numpy's results do not
+depend on where an element sits in an array, so a block gives bitwise the
+per-point results.  A single factor's methods are a bank of one; they take
+a float or a 1-D array.
 
-The four operations take a float or a 1-D array of arguments (one anchor
-per call).  Arrays go through numpy arithmetic, but exp, log and power are
-applied element by element through the same ``math.exp``, ``math.log`` and
-``**`` calls that floats use, so an array call returns bitwise the values
-of the scalar calls (numpy's vectorized transcendentals may differ from
-libm in the last bit).  An argument or result outside its interval raises
-for the whole array, naming the first offending element.
+An argument or result outside its interval raises for the whole pass,
+naming the first offending factor in column order and its first offending
+element.  An exp that overflows, or a log of a non-positive number, gives
+inf or nan, which fails the result check like any other unreachable
+target.  :class:`CustomFactor` falls back to adaptive quadrature and a
+bracketed root find, one element at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property, wraps
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -36,6 +42,7 @@ from .errors import (
     NoConvergenceError,
     OutOfRangeError,
     OutOfValidityError,
+    PoissonKitError,
     QuadratureFailureError,
 )
 
@@ -52,50 +59,10 @@ def _interval_str(lo: float, hi: float) -> str:
     return f"({lo!r}, {hi!r})"
 
 
-def _libm(fn, t):
-    """fn(t) for a scalar t; for an array, fn of each element, so both give
-    the same libm results."""
-    if type(t) is float or not isinstance(t, np.ndarray):
-        return fn(t)
-    return np.fromiter(map(fn, t.tolist()), float, t.size)
-
-
-def _power(t, p: float):
-    """t**p, element by element for an array (see :func:`_libm`)."""
-    return _libm(lambda v: v**p, t)
-
-
-def _like(y, c: float):
-    """The constant c, shaped like y (a float or an array)."""
-    return c if type(y) is float else np.full(y.shape, c)
-
-
-def _first(v, mask) -> float:
-    """The first element of v where mask holds (v itself for a scalar)."""
-    return float(v[int(np.argmax(mask))]) if isinstance(v, np.ndarray) else float(v)
-
-
-def _require_positive(t, z) -> None:
-    """Raise OutOfRangeError when some t <= 0, naming its z."""
-    if isinstance(t, np.ndarray):
-        bad = t <= 0.0
-        if not bad.any():
-            return
-        z = _first(z, bad)
-    elif not t <= 0.0:
-        return
-    raise OutOfRangeError(f"z = {float(z)!r} outside the antiderivative range")
-
-
-def _overflow(z) -> OutOfRangeError:
-    z = z.tolist() if isinstance(z, np.ndarray) else float(z)
-    return OutOfRangeError(f"z = {z!r} outside the antiderivative range (overflow)")
-
-
 def _elementwise(method):
     """Give a scalar-only method the float-or-array signature by looping."""
 
-    @functools.wraps(method)
+    @wraps(method)
     def apply(self, y, *args):
         if isinstance(y, np.ndarray) and y.ndim:
             return np.array([method(self, v, *args) for v in y.tolist()], dtype=float)
@@ -106,10 +73,15 @@ def _elementwise(method):
 
 @dataclass(frozen=True)
 class FactorFunction:
-    """Base class; concrete kinds override the four operations.
+    """Base class of the factor kinds.
 
     ``validity`` is an open interval (lo, hi), possibly unbounded, on which
-    the factor is C1 and nonvanishing.
+    the factor is C1 and nonvanishing.  Built-in kinds define the four
+    operations as static numpy formulas ``_value(y, *params)``,
+    ``_derivative(y, *params)``, ``_reciprocal_antiderivative(y, anchor,
+    *params)`` and ``_invert_antiderivative(z, anchor, *params)``, with the
+    parameters in field order; the public methods evaluate them through a
+    bank of one.
     """
 
     validity: tuple[float, float] = field(default=(-INF, INF), kw_only=True)
@@ -122,45 +94,24 @@ class FactorFunction:
         if not lo < hi:
             raise ValueError(f"validity interval {_interval_str(lo, hi)} is empty")
 
-    # -- interval helpers -------------------------------------------------
-
     def covers(self, lo: float, hi: float) -> bool:
         """True if the open interval (lo, hi) is contained in the validity interval."""
         vlo, vhi = self.validity
         return vlo <= lo and hi <= vhi
 
-    def _check(self, y):
-        """y (a float or a 1-D array) inside the validity interval."""
-        lo, hi = self.validity
-        if type(y) is float or not (isinstance(y, np.ndarray) and y.ndim):
-            y = float(y)
-            if lo < y < hi:
-                return y
-        else:
-            y = y.astype(float, copy=False)
-            outside = ~((y > lo) & (y < hi))
-            if not outside.any():
-                return y
-            y = _first(y, outside)
-        raise OutOfValidityError(
-            f"{self.kind} factor: y = {y!r} outside validity {_interval_str(lo, hi)}"
+    def _outside(self, y) -> OutOfValidityError:
+        return OutOfValidityError(
+            f"{self.kind} factor: y = {float(y)!r} outside validity "
+            f"{_interval_str(*self.validity)}"
         )
 
-    def _in_validity(self, y, z):
-        """An inversion result y, when it lies in the validity interval;
-        OutOfRangeError naming the first offending z otherwise."""
+    def _check(self, y) -> float:
+        """y as a float, when it lies inside the validity interval."""
         lo, hi = self.validity
-        if type(y) is float:
-            if lo < y < hi:
-                return y
-            outside = True
-        else:
-            outside = ~((y > lo) & (y < hi))
-            if not outside.any():
-                return y
-        raise OutOfRangeError(
-            f"z = {_first(z, outside)!r} maps outside validity interval"
-        )
+        y = float(y)
+        if lo < y < hi:
+            return y
+        raise self._outside(y)
 
     def params(self) -> dict[str, float]:
         """Scalar parameters, for serialization: every field but ``validity``."""
@@ -170,20 +121,29 @@ class FactorFunction:
     # Each takes y (or z) as a float or a 1-D array and returns the same
     # shape; the anchor is a float.
 
+    @cached_property
+    def _bank(self) -> FactorBank:
+        return FactorBank((self,))
+
+    def _one(self, name: str, y, *anchor):
+        y = np.asarray(y, dtype=float)
+        out = self._bank.apply(name, y[..., None], anchor or None)[..., 0]
+        return out if y.ndim else float(out)
+
     def value(self, y):
         """phi(y)."""
-        raise NotImplementedError
+        return self._one("value", y)
 
     def derivative(self, y):
         """phi'(y)."""
-        raise NotImplementedError
+        return self._one("derivative", y)
 
     def reciprocal_antiderivative(self, y, anchor: float):
         """F(y) = integral from anchor to y of dt / phi(t).
 
         Both y and anchor must lie in the validity interval.
         """
-        raise NotImplementedError
+        return self._one("reciprocal_antiderivative", y, anchor)
 
     def invert_antiderivative(self, z, anchor: float):
         """The unique y in the validity interval with F(y) = z.
@@ -191,7 +151,7 @@ class FactorFunction:
         Raises OutOfRangeError when z is outside the range of F on the
         validity interval.
         """
-        raise NotImplementedError
+        return self._one("invert_antiderivative", z, anchor)
 
 
 @dataclass(frozen=True)
@@ -207,20 +167,10 @@ class Constant(FactorFunction):
         if self.c == 0.0:
             raise ValueError("Constant factor requires c != 0")
 
-    def value(self, y):
-        return _like(self._check(y), self.c)
-
-    def derivative(self, y):
-        return _like(self._check(y), 0.0)
-
-    def reciprocal_antiderivative(self, y, anchor: float):
-        y = self._check(y)
-        anchor = self._check(anchor)
-        return (y - anchor) / self.c
-
-    def invert_antiderivative(self, z, anchor: float):
-        anchor = self._check(anchor)
-        return self._in_validity(anchor + self.c * z, z)
+    _value = staticmethod(lambda y, c: c)
+    _derivative = staticmethod(lambda y, c: 0.0)
+    _reciprocal_antiderivative = staticmethod(lambda y, a, c: (y - a) / c)
+    _invert_antiderivative = staticmethod(lambda z, a, c: a + c * z)
 
 
 @dataclass(frozen=True)
@@ -240,25 +190,11 @@ class Linear(FactorFunction):
         if lo < 0.0 < hi:
             raise ValueError("Linear factor validity interval must exclude 0")
 
-    def value(self, y):
-        return self.slope * self._check(y)
-
-    def derivative(self, y):
-        return _like(self._check(y), self.slope)
-
-    def reciprocal_antiderivative(self, y, anchor: float):
-        y = self._check(y)
-        anchor = self._check(anchor)
-        # y and anchor share a sign, so the quotient is positive.
-        return _libm(math.log, y / anchor) / self.slope
-
-    def invert_antiderivative(self, z, anchor: float):
-        anchor = self._check(anchor)
-        try:
-            y = anchor * _libm(math.exp, self.slope * z)
-        except OverflowError:
-            raise _overflow(z) from None
-        return self._in_validity(y, z)
+    _value = staticmethod(lambda y, slope: slope * y)
+    _derivative = staticmethod(lambda y, slope: slope)
+    # y and the anchor share a sign, so the quotient is positive.
+    _reciprocal_antiderivative = staticmethod(lambda y, a, slope: np.log(y / a) / slope)
+    _invert_antiderivative = staticmethod(lambda z, a, slope: a * np.exp(slope * z))
 
 
 @dataclass(frozen=True)
@@ -289,27 +225,14 @@ class Affine(FactorFunction):
                 f"Affine factor validity interval must exclude the root {root!r}"
             )
 
-    def value(self, y):
-        return self.slope * self._check(y) + self.intercept
-
-    def derivative(self, y):
-        return _like(self._check(y), self.slope)
-
-    def reciprocal_antiderivative(self, y, anchor: float):
-        y = self._check(y)
-        anchor = self._check(anchor)
-        u = self.slope * y + self.intercept
-        u0 = self.slope * anchor + self.intercept
-        return _libm(math.log, u / u0) / self.slope
-
-    def invert_antiderivative(self, z, anchor: float):
-        anchor = self._check(anchor)
-        u0 = self.slope * anchor + self.intercept
-        try:
-            y = (u0 * _libm(math.exp, self.slope * z) - self.intercept) / self.slope
-        except OverflowError:
-            raise _overflow(z) from None
-        return self._in_validity(y, z)
+    _value = staticmethod(lambda y, slope, b: slope * y + b)
+    _derivative = staticmethod(lambda y, slope, b: slope)
+    _reciprocal_antiderivative = staticmethod(
+        lambda y, a, slope, b: np.log((slope * y + b) / (slope * a + b)) / slope
+    )
+    _invert_antiderivative = staticmethod(
+        lambda z, a, slope, b: ((slope * a + b) * np.exp(slope * z) - b) / slope
+    )
 
 
 @dataclass(frozen=True)
@@ -326,31 +249,28 @@ class Exponential(FactorFunction):
         if self.amplitude == 0.0:
             raise ValueError("Exponential factor requires amplitude != 0")
 
-    def value(self, y):
-        return self.amplitude * _libm(math.exp, self.rate * self._check(y))
+    _value = staticmethod(lambda y, amp, rate: amp * np.exp(rate * y))
+    _derivative = staticmethod(lambda y, amp, rate: rate * (amp * np.exp(rate * y)))
 
-    def derivative(self, y):
-        return self.rate * self.value(y)
-
-    def reciprocal_antiderivative(self, y, anchor: float):
-        y = self._check(y)
-        anchor = self._check(anchor)
-        if self.rate == 0.0:
-            return (y - anchor) / self.amplitude
-        return (math.exp(-self.rate * anchor) - _libm(math.exp, -self.rate * y)) / (
-            self.amplitude * self.rate
+    @staticmethod
+    def _reciprocal_antiderivative(y, a, amp, rate):
+        return np.where(
+            rate == 0.0,
+            (y - a) / amp,
+            (np.exp(-rate * a) - np.exp(-rate * y)) / (amp * rate),
         )
 
-    def invert_antiderivative(self, z, anchor: float):
-        anchor = self._check(anchor)
-        if self.rate == 0.0:
-            return self._in_validity(anchor + self.amplitude * z, z)
-        try:
-            t = math.exp(-self.rate * anchor) - self.amplitude * self.rate * z
-        except OverflowError:
-            raise _overflow(z) from None
-        _require_positive(t, z)
-        return self._in_validity(-_libm(math.log, t) / self.rate, z)
+    @staticmethod
+    def _invert_antiderivative(z, a, amp, rate):
+        t = np.exp(-rate * a) - amp * rate * z
+        return np.where(rate == 0.0, a + amp * z, -np.log(t) / rate)
+
+
+def _spread(p, t: np.ndarray) -> np.ndarray:
+    """The exponents p as an array of t's shape.  numpy computes a
+    broadcast (stride-0) exponent of 2, 0.5 or -1 as a square, square root
+    or reciprocal, which can differ from its pow in the last bit."""
+    return np.full(t.shape, p)
 
 
 @dataclass(frozen=True)
@@ -371,36 +291,25 @@ class Power(FactorFunction):
         if lo < 0.0:
             raise ValueError("Power factor validity interval must lie in y > 0")
 
-    def value(self, y):
-        return self.coefficient * _power(self._check(y), self.exponent)
+    _value = staticmethod(lambda y, c, p: c * np.power(y, _spread(p, y)))
+    _derivative = staticmethod(lambda y, c, p: c * p * np.power(y, _spread(p - 1.0, y)))
 
-    def derivative(self, y):
-        y = self._check(y)
-        return self.coefficient * self.exponent * _power(y, self.exponent - 1.0)
-
-    def reciprocal_antiderivative(self, y, anchor: float):
-        y = self._check(y)
-        anchor = self._check(anchor)
-        p = self.exponent
-        if p == 1.0:
-            return _libm(math.log, y / anchor) / self.coefficient
+    @staticmethod
+    def _reciprocal_antiderivative(y, a, c, p):
         q = 1.0 - p
-        return (_power(y, q) - anchor**q) / (self.coefficient * q)
+        return np.where(
+            p == 1.0,
+            np.log(y / a) / c,
+            (np.power(y, _spread(q, y)) - np.power(a, q)) / (c * q),
+        )
 
-    def invert_antiderivative(self, z, anchor: float):
-        anchor = self._check(anchor)
-        p = self.exponent
-        try:
-            if p == 1.0:
-                y = anchor * _libm(math.exp, self.coefficient * z)
-            else:
-                q = 1.0 - p
-                t = anchor**q + self.coefficient * q * z
-                _require_positive(t, z)
-                y = _power(t, 1.0 / q)
-        except OverflowError:
-            raise _overflow(z) from None
-        return self._in_validity(y, z)
+    @staticmethod
+    def _invert_antiderivative(z, a, c, p):
+        q = 1.0 - p
+        t = np.power(a, q) + c * q * z
+        # t <= 0 is past the end of F's range (nan: no preimage).
+        y = np.where(t > 0.0, np.power(t, _spread(1.0 / q, t)), np.nan)
+        return np.where(p == 1.0, a * np.exp(c * z), y)
 
 
 @dataclass(frozen=True)
@@ -548,6 +457,94 @@ class CustomFactor(FactorFunction):
                 f"antiderivative inversion did not reach {INVERSION_TOL:g}"
             )
         return y
+
+
+class FactorBank:
+    """The factors of one spec, grouped by kind for columnwise passes.
+
+    Each group of built-in factors holds its columns (a slice when they
+    are evenly spaced, so a pass takes a view) and its parameters as
+    vectors; ``lo`` and ``hi`` are the validity bounds of all r columns.
+    CustomFactor columns go through their own methods.
+    """
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.r = len(self.factors)
+        self.lo = np.array([f.validity[0] for f in self.factors], dtype=float)
+        self.hi = np.array([f.validity[1] for f in self.factors], dtype=float)
+        self.custom = [q for q, f in enumerate(self.factors) if isinstance(f, CustomFactor)]
+        columns = {}
+        for q, f in enumerate(self.factors):
+            if q not in self.custom:
+                columns.setdefault(type(f), []).append(q)
+        self.groups = []
+        for kind, cols in columns.items():
+            params = np.array([list(self.factors[q].params().values()) for q in cols]).T
+            step = cols[1] - cols[0] if len(cols) > 1 else 1
+            if cols == list(range(cols[0], cols[-1] + 1, step)):
+                cols = slice(cols[0], cols[-1] + 1, step)
+            self.groups.append((kind, cols, tuple(params)))
+
+    def apply(self, name: str, y, anchors=None, out=None) -> np.ndarray:
+        """The operation ``name`` (value, derivative,
+        reciprocal_antiderivative or invert_antiderivative) of factor q on
+        column q of y, for q < r, with anchors[q] as its anchor for the
+        last two: shape (r,) for a point y (n,), (P, r) for a block (P, n).
+        Values and derivatives are evaluated only at valid arguments.  With
+        ``out`` (not y itself), the results go to its first r columns and
+        out is returned.
+        """
+        r = self.r
+        y = np.asarray(y, dtype=float)[..., :r]
+        res = np.empty(y.shape) if out is None else out[..., :r]
+        a = () if anchors is None else (np.asarray(anchors, dtype=float),)
+        inside = self._anchored(name, y, a[0], res) if a else (y > self.lo) & (y < self.hi)
+        valid = np.count_nonzero(inside) == inside.size
+        for kind, cols, params in self.groups if valid and not a else ():
+            res[..., cols] = getattr(kind, "_" + name)(y[..., cols], *params)
+        first = r if valid else int(np.argmin(inside.reshape(-1, r).all(axis=0)))
+        # Custom columns before the first offending one run (and may raise) first.
+        for q in self.custom:
+            if q >= first:
+                break
+            res[..., q] = getattr(self.factors[q], name)(y[..., q], *(v[q] for v in a))
+        if first < r:
+            raise self._error(name, first, y, a, res)
+        return res if out is None else out
+
+    @np.errstate(all="ignore")
+    def _anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
+        """A chart operation's closed forms into res, and where the
+        arguments (for inversions, the results) and the anchors are inside.
+        Its formulas take both branches at degenerate parameters and
+        overflow at unreachable targets, hence the errstate."""
+        if self.custom:
+            # Custom results are not checked: their anchors stand in.
+            res[..., self.custom] = a[self.custom]
+        for kind, cols, params in self.groups:
+            res[..., cols] = getattr(kind, "_" + name)(y[..., cols], a[cols], *params)
+        # Both are inside when the smaller is above lo and the larger below
+        # hi; nan fails both.
+        v = res if name == "invert_antiderivative" else y
+        return (np.minimum(v, a) > self.lo) & (np.maximum(v, a) < self.hi)
+
+    def _error(self, name: str, q: int, y, a, res) -> PoissonKitError:
+        """The error of a pass that fails at column q: an argument outside
+        validity (y before the anchor; for inversions the anchor alone),
+        else the first z whose result is outside."""
+        f, lo, hi = self.factors[q], self.lo[q], self.hi[q]
+        args = y[..., q].reshape(-1)
+        outside = ~((args > lo) & (args < hi))
+        if name != "invert_antiderivative" and outside.any():
+            return f._outside(args[np.argmax(outside)])
+        if a and not lo < a[0][q] < hi:
+            return f._outside(a[0][q])
+        result = res[..., q].reshape(-1)
+        k = int(np.argmin((result > lo) & (result < hi)))
+        if math.isfinite(result[k]):
+            return OutOfRangeError(f"z = {float(args[k])!r} maps outside validity interval")
+        return OutOfRangeError(f"z = {float(args[k])!r} outside the antiderivative range")
 
 
 #: Built-in factor kinds addressable from configuration files.

@@ -26,8 +26,7 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     RankExceedsDimensionError,
     SingularMatrixError,
 )
-from .factors import CustomFactor, FactorFunction
+from .factors import CustomFactor, FactorBank, FactorFunction
 
 #: max-norm tolerance on A.B - I after LU inversion.
 INVERSION_TOL = 1e-10
@@ -68,7 +67,8 @@ class MultiseparableSpec:
     """Immutable defining data of one structure matrix of the family.
 
     Instances are produced by :func:`build_spec`; all operations on a spec
-    are pure functions, safe for concurrent use.
+    are pure functions, safe for concurrent use.  ``bank`` evaluates the
+    factors a column per factor (see :class:`~poissonkit.factors.FactorBank`).
     """
 
     n: int
@@ -78,17 +78,12 @@ class MultiseparableSpec:
     factors: tuple[FactorFunction, ...]
     domain: BoxDomain
     projected_intervals: tuple[tuple[float, float], ...]
+    bank: FactorBank = field(repr=False, compare=False)
     heuristic_nonvanishing: bool = False
 
     @property
     def num_pairs(self) -> int:
         return self.r // 2
-
-    @cached_property
-    def _operations(self) -> dict[str, tuple]:
-        """Each factor operation bound to every factor, looked up once."""
-        names = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
-        return {name: tuple(getattr(f, name) for f in self.factors) for name in names}
 
     @cached_property
     def pair_minors(self) -> np.ndarray:
@@ -183,6 +178,7 @@ def build_spec(
         factors=factors,
         domain=domain,
         projected_intervals=tuple(intervals),
+        bank=FactorBank(factors),
         heuristic_nonvanishing=heuristic,
     )
 
@@ -210,36 +206,15 @@ def point_blocks(points: np.ndarray, n: int) -> list[np.ndarray]:
     return [points[k : k + step] for k in range(0, points.shape[0], step)]
 
 
-def factor_columns(
-    spec: MultiseparableSpec, name: str, y: np.ndarray, out: np.ndarray, anchors=None
-) -> np.ndarray:
-    """out[..., q] = factors[q].<name>(y[..., q]), with anchors[q] as second
-    argument when anchors are given, for q < r; returns out.  y is a float
-    point (n,), passed as floats, or a (P, n) block, passed as columns;
-    out has y's leading shape and at least r columns."""
-    target = out.T
-    columns = y.tolist() if y.ndim == 1 else y.T
-    operations = spec._operations[name]
-    if anchors is None:
-        for q, (method, v) in enumerate(zip(operations, columns)):
-            target[q] = method(v)
-    else:
-        for q, (method, v, a) in enumerate(zip(operations, columns, anchors)):
-            target[q] = method(v, a)
-    return out
-
-
 def factor_values(spec: MultiseparableSpec, y) -> np.ndarray:
     """phi_i(y_i) for i = 1..r at linear-chart coordinates y: shape (r,) for
     one point, (P, r) for a (P, n) block."""
-    y = np.asarray(y, dtype=float)
-    return factor_columns(spec, "value", y, np.empty(y.shape[:-1] + (spec.r,)))
+    return spec.bank.apply("value", y)
 
 
 def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
     """phi_i'(y_i) for i = 1..r, shaped as :func:`factor_values`."""
-    y = np.asarray(y, dtype=float)
-    return factor_columns(spec, "derivative", y, np.empty(y.shape[:-1] + (spec.r,)))
+    return spec.bank.apply("derivative", y)
 
 
 def _structure(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
@@ -318,25 +293,28 @@ def non_finite_error(
     says ``otherwise`` at the last point."""
     with np.errstate(over="ignore", invalid="ignore"):
         for x in X:
-            y = (spec.B @ x).tolist()
+            y = spec.B @ x
             where = f"{point} x = {x.tolist()}"
-            values = {}
-            for q, f in enumerate(spec.factors):
-                for name in ("value", "derivative"):
-                    try:
-                        v = values[q, name] = getattr(f, name)(y[q])
-                    except OverflowError:
-                        v = math.inf
-                    if not math.isfinite(v):
-                        return ConfigValidationError(
-                            f"factor {q + 1} ({f.kind}) {name} is {v!r} at y = {y[q]!r}, {where}"
-                        )
-            for p, (f, g) in enumerate(zip(spec.factors[0::2], spec.factors[1::2])):
-                if not math.isfinite(values[2 * p, "value"] * values[2 * p + 1, "value"]):
-                    return ConfigValidationError(
-                        f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
-                        f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2]}, {where}"
-                    )
+            phi = factor_values(spec, y)
+            # Per factor, its value then its derivative.
+            values = np.stack([phi, factor_derivatives(spec, y)], axis=-1).ravel()
+            bad = ~np.isfinite(values)
+            if bad.any():
+                k = int(np.argmax(bad))
+                q = k // 2
+                return ConfigValidationError(
+                    f"factor {q + 1} ({spec.factors[q].kind}) "
+                    f"{('value', 'derivative')[k % 2]} is {float(values[k])!r} "
+                    f"at y = {float(y[q])!r}, {where}"
+                )
+            bad = ~np.isfinite(phi[0::2] * phi[1::2])
+            if bad.any():
+                p = int(np.argmax(bad))
+                f, g = spec.factors[2 * p : 2 * p + 2]
+                return ConfigValidationError(
+                    f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
+                    f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2].tolist()}, {where}"
+                )
             if not (
                 np.isfinite(evaluate_structure(spec, x)).all()
                 and np.isfinite(structure_partials(spec, x)).all()

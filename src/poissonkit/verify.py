@@ -120,11 +120,8 @@ def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerm
     minors, so the (n, n, n) partials tensor is never formed for C.
     Raises ConfigValidationError when J or W is not finite on the block."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            structures = evaluate_structure(spec, X)
-            W = pair_slopes(spec, X)
-        except OverflowError:
-            raise non_finite_error(spec, X) from None
+        structures = evaluate_structure(spec, X)
+        W = pair_slopes(spec, X)
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
         raise non_finite_error(spec, X)
     L = spec.pair_minors

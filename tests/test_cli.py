@@ -281,6 +281,20 @@ class TestDarbouxCommand:
         assert code == 2
         assert "multiseparable" in err
 
+    @pytest.mark.parametrize("param", ["kappa1=1e308", "R=1e308"])
+    def test_overflowing_parameter_is_a_named_usage_error(self, capsys, param):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, ["darboux", "--system", "kmk", "--param", param])
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "(linear)" in err and "y = " in err and "sample point x = [" in err
+        assert ("factor 1 (linear) value is inf" in err) == (param == "kappa1=1e308")
+        assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
+
 
 class TestIntegrateCommand:
     @pytest.mark.parametrize("route", ["direct", "canonical"])

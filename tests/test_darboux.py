@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from specgen import random_spec
 
+import poissonkit.darboux
 from poissonkit import (
     BoxDomain,
     CertificationFailureError,
     Constant,
+    CustomFactor,
     DarbouxChart,
     Exponential,
     build_spec,
@@ -237,6 +241,24 @@ class TestDarbouxChart:
         assert chart.image_lower[0] == -np.inf and chart.image_upper[0] == np.inf
         assert chart.image_lower[2] == 0.0 and chart.image_upper[2] == np.inf
 
+    def test_image_bounds_custom_factor_matches_closed_form(self):
+        # phi = exp(y / 1000) on y < 1, in closed form and as a custom factor
+        # whose antiderivative raises OverflowError at the farthest probe:
+        # both diverge toward -inf and share the limit at y = 1.
+        custom = CustomFactor(
+            value_fn=lambda y: math.exp(1e-3 * y),
+            derivative_fn=lambda y: 1e-3 * math.exp(1e-3 * y),
+            antiderivative_fn=lambda y: -1e3 * math.exp(-1e-3 * y),
+        )
+        spec = build_spec(
+            4, 4, np.eye(4), (Exponential(1.0, 1e-3), Constant(1.0), custom, Constant(1.0)),
+            BoxDomain([-np.inf] * 4, [1.0] * 4, [-2.0] * 4, [0.0] * 4),
+        )
+        chart = darboux_chart(spec)
+        assert chart.image_lower[0] == chart.image_lower[2] == -np.inf
+        assert np.isfinite(chart.image_upper[0])
+        assert chart.image_upper[2] == pytest.approx(chart.image_upper[0], rel=1e-12)
+
     def test_contains_image(self, kmk_spec):
         chart = darboux_chart(kmk_spec)
         x = np.array([1.0, 2.0, 0.5])
@@ -264,6 +286,17 @@ class TestCertificationFailure:
         )
         with pytest.raises(CertificationFailureError):
             certify_canonical(kmk_spec, corrupted)
+
+    def test_non_finite_pushforward_fails(self, kmk_spec, monkeypatch):
+        chart = darboux_chart(kmk_spec)
+        monkeypatch.setattr(
+            poissonkit.darboux,
+            "linear_chart_pushforward",
+            lambda spec, X: np.full((len(X), spec.n, spec.n), np.nan),
+        )
+        with pytest.raises(CertificationFailureError) as err:
+            certify_canonical(kmk_spec, chart)
+        assert np.isnan(err.value.deviation)
 
     def test_failure_carries_location(self, kmk_spec):
         chart = darboux_chart(kmk_spec)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from poissonkit import (
     OutOfValidityError,
     Power,
 )
+from poissonkit.factors import FactorBank
 
 UNIT_FLOATS = st.floats(min_value=0.1, max_value=5.0)
 
@@ -333,18 +335,42 @@ def test_narrowed_validity_inversions_raise():
 def test_array_calls_equal_scalar_calls_bitwise(name, rng):
     f = FACTORY[name]()
     anchor = _point_inside(f, 2.0)
-    ys = np.array([_point_inside(f, float(u)) for u in rng.uniform(0.2, 4.8, size=30)])
-    for op in (f.value, f.derivative):
-        np.testing.assert_array_equal(op(ys), [op(float(v)) for v in ys])
-    zs = f.reciprocal_antiderivative(ys, anchor)
-    np.testing.assert_array_equal(
-        zs, [f.reciprocal_antiderivative(float(v), anchor) for v in ys]
-    )
-    np.testing.assert_array_equal(
-        f.invert_antiderivative(zs, anchor),
-        [f.invert_antiderivative(float(z), anchor) for z in zs],
-    )
-    assert f.value(ys[:0]).shape == (0,)
+    full = np.array([_point_inside(f, float(u)) for u in rng.uniform(0.2, 4.8, size=30)])
+    # Contiguous, misaligned and strided inputs.
+    for ys in (full, full[1:], full[::3]):
+        for op in (f.value, f.derivative):
+            np.testing.assert_array_equal(op(ys), [op(float(v)) for v in ys])
+        zs = f.reciprocal_antiderivative(ys, anchor)
+        np.testing.assert_array_equal(
+            zs, [f.reciprocal_antiderivative(float(v), anchor) for v in ys]
+        )
+        np.testing.assert_array_equal(
+            f.invert_antiderivative(zs, anchor),
+            [f.invert_antiderivative(float(z), anchor) for z in zs],
+        )
+    assert f.value(full[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "factor,z,anchor",
+    [
+        (Linear(1.0), 1e6, 1.0),  # exp overflows
+        (Exponential(1.0, 1.0), 2.0, 0.0),  # log of a negative number
+        (Exponential(1.0, 1.0), 1.0, 0.0),  # log of zero
+        (Power(1.0, 2.0), 1.5, 1.0),  # a negative base of the root
+        (Power(1.0, 0.5), -5.0, 1.0),
+    ],
+)
+def test_unreachable_inversion_raises_without_warning(factor, z, anchor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRangeError, match="outside the antiderivative range"):
+            factor.invert_antiderivative(z, anchor)
+        with pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
+            factor.invert_antiderivative(np.array([0.0, z, 0.0]), anchor)
+        bank = FactorBank((Constant(1.0), factor))
+        with pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
+            bank.apply("invert_antiderivative", np.array([[0.0, 0.0], [3.0, z]]), (0.0, anchor))
 
 
 def test_array_outside_validity_names_first_offender():

@@ -1,20 +1,29 @@
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pytest
-from specgen import random_spec
+from specgen import random_spec, spec_suite
 
 from poissonkit import (
+    Affine,
     BoxDomain,
     Constant,
+    CustomFactor,
+    Exponential,
     FactorVanishesError,
     IndexOutOfRangeError,
     Linear,
     OddRankError,
     OutOfDomainError,
+    PoissonKitError,
+    Power,
     RankExceedsDimensionError,
     SingularMatrixError,
     build_spec,
+    default_anchors,
     evaluate_structure,
     lambda_coefficient,
     structure_partials,
@@ -198,3 +207,99 @@ def test_factored_form_matches_minor_sum(rng):
                 minor = lambda_coefficient(spec, i, j, 2 * p + 1, 2 * p + 2)
                 expected[i - 1, j - 1] += minor * phi[2 * p] * phi[2 * p + 1]
     np.testing.assert_allclose(evaluate_structure(spec, x), expected, rtol=1e-13, atol=1e-13)
+
+
+OPERATIONS = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
+
+
+def _gudermannian_factor() -> CustomFactor:
+    """phi = cosh, with its closed-form antiderivative gd(y) = 2 atan(tanh(y / 2))."""
+    return CustomFactor(
+        value_fn=math.cosh,
+        derivative_fn=math.sinh,
+        antiderivative_fn=lambda y: 2.0 * math.atan(math.tanh(0.5 * y)),
+    )
+
+
+def _mixed_spec_with_custom():
+    """n=32, r=30 on (0.5, 1.5)^32, factors cycling through the five
+    built-in kinds, with a CustomFactor in column 12."""
+    rng = np.random.default_rng(8)
+    n, r = 32, 30
+    B = np.eye(n) + np.triu(rng.random((n, n)) < 0.15, 1)
+    kinds = (
+        lambda: Linear(rng.uniform(0.5, 2.0)),
+        lambda: Affine(rng.uniform(0.5, 2.0), rng.uniform(0.1, 1.0)),
+        lambda: Exponential(rng.uniform(0.5, 2.0), rng.uniform(-0.3, 0.3)),
+        lambda: Power(rng.uniform(0.5, 2.0), rng.choice([-1.0, 0.5, 1.0, 2.0, 1.3])),
+        lambda: Constant(rng.uniform(0.5, 2.0)),
+    )
+    factors = [kinds[q % 5]() for q in range(r)]
+    factors[12] = _gudermannian_factor()
+    return build_spec(n, r, B, factors, BoxDomain([0.5] * n, [1.5] * n))
+
+
+def _bank_cases():
+    """(spec, anchors, the four passes' arguments on a block) for the
+    randomized suite and the mixed spec."""
+    for spec in spec_suite(41, 30) + [_mixed_spec_with_custom()]:
+        anchors = np.array(default_anchors(spec))
+        Y = spec.domain.halton_points(5, seed=3) @ spec.B.T
+        Z = spec.bank.apply("reciprocal_antiderivative", Y, anchors)
+        yield spec, anchors, dict(zip(OPERATIONS, (Y, Y, Y, Z)))
+
+
+def test_bank_matches_single_factors_bitwise():
+    for spec, anchors, args in _bank_cases():
+        for name in OPERATIONS:
+            anchored = name in OPERATIONS[2:]
+            extra = (anchors,) if anchored else ()
+            block = spec.bank.apply(name, args[name], *extra)
+            assert block.shape == (5, spec.r)
+            for k, point in enumerate(args[name]):
+                np.testing.assert_array_equal(spec.bank.apply(name, point, *extra), block[k])
+            for q, f in enumerate(spec.factors):
+                method = getattr(f, name)
+                column = args[name][:, q]
+                a = (float(anchors[q]),) if anchored else ()
+                np.testing.assert_array_equal(block[:, q], method(column, *a))
+                assert block[0, q] == method(float(column[0]), *a)
+
+
+def _first_error(calls):
+    for call in calls:
+        try:
+            call()
+        except PoissonKitError as exc:
+            return exc
+    raise AssertionError("no factor raised")
+
+
+@pytest.mark.parametrize(
+    "name,q",
+    # Column 12 is the custom factor, whose inversion results the bank does
+    # not check.
+    [(name, q) for name in OPERATIONS for q in (0, 7, 12, 29) if (name, q) != (OPERATIONS[3], 12)],
+)
+def test_block_error_names_first_offender_like_single_factors(name, q):
+    """The bank raises for the first offending factor in column order, and
+    within it for the first offending point, as the single factors do."""
+    spec = _mixed_spec_with_custom()
+    anchors = np.array(default_anchors(spec))
+    anchored = name in OPERATIONS[2:]
+    Y = spec.domain.halton_points(6, seed=4) @ spec.B.T
+    if name == "invert_antiderivative":
+        Y = spec.bank.apply("reciprocal_antiderivative", Y, anchors)
+    Y[3, q] = math.nan
+    Y[4, q] = -math.inf
+    # A later column offends at an earlier point: columns come first.
+    Y[1, 29] = Y[1, 29] if q == 29 else math.inf
+    calls = [
+        functools.partial(getattr(f, name), Y[:, p], *((anchors[p],) if anchored else ()))
+        for p, f in enumerate(spec.factors)
+    ]
+    expected = _first_error(calls)
+    with pytest.raises(type(expected)) as caught:
+        spec.bank.apply(name, Y, *((anchors,) if anchored else ()))
+    assert str(caught.value) == str(expected)
+    assert "nan" in str(expected) and "np.float64" not in str(expected)
