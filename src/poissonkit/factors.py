@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -59,18 +59,6 @@ def _interval_str(lo: float, hi: float) -> str:
     return f"({lo!r}, {hi!r})"
 
 
-def _elementwise(method):
-    """Give a scalar-only method the float-or-array signature by looping."""
-
-    @wraps(method)
-    def apply(self, y, *args):
-        if isinstance(y, np.ndarray) and y.ndim:
-            return np.array([method(self, v, *args) for v in y.tolist()], dtype=float)
-        return method(self, y, *args)
-
-    return apply
-
-
 @dataclass(frozen=True)
 class FactorFunction:
     """Base class of the factor kinds.
@@ -80,8 +68,8 @@ class FactorFunction:
     operations as static numpy formulas ``_value(y, *params)``,
     ``_derivative(y, *params)``, ``_reciprocal_antiderivative(y, anchor,
     *params)`` and ``_invert_antiderivative(z, anchor, *params)``, with the
-    parameters in field order; the public methods evaluate them through a
-    bank of one.
+    parameters in field order; CustomFactor defines them as methods on one
+    valid float.  The public methods evaluate them through a bank of one.
     """
 
     validity: tuple[float, float] = field(default=(-INF, INF), kw_only=True)
@@ -104,14 +92,6 @@ class FactorFunction:
             f"{self.kind} factor: y = {float(y)!r} outside validity "
             f"{_interval_str(*self.validity)}"
         )
-
-    def _check(self, y) -> float:
-        """y as a float, when it lies inside the validity interval."""
-        lo, hi = self.validity
-        y = float(y)
-        if lo < y < hi:
-            return y
-        raise self._outside(y)
 
     def params(self) -> dict[str, float]:
         """Scalar parameters, for serialization: every field but ``validity``."""
@@ -254,16 +234,11 @@ class Exponential(FactorFunction):
 
     @staticmethod
     def _reciprocal_antiderivative(y, a, amp, rate):
-        return np.where(
-            rate == 0.0,
-            (y - a) / amp,
-            (np.exp(-rate * a) - np.exp(-rate * y)) / (amp * rate),
-        )
+        return (np.exp(-rate * a) - np.exp(-rate * y)) / (amp * rate)
 
     @staticmethod
     def _invert_antiderivative(z, a, amp, rate):
-        t = np.exp(-rate * a) - amp * rate * z
-        return np.where(rate == 0.0, a + amp * z, -np.log(t) / rate)
+        return -np.log(np.exp(-rate * a) - amp * rate * z) / rate
 
 
 def _spread(p, t: np.ndarray) -> np.ndarray:
@@ -297,19 +272,14 @@ class Power(FactorFunction):
     @staticmethod
     def _reciprocal_antiderivative(y, a, c, p):
         q = 1.0 - p
-        return np.where(
-            p == 1.0,
-            np.log(y / a) / c,
-            (np.power(y, _spread(q, y)) - np.power(a, q)) / (c * q),
-        )
+        return (np.power(y, _spread(q, y)) - np.power(a, q)) / (c * q)
 
     @staticmethod
     def _invert_antiderivative(z, a, c, p):
         q = 1.0 - p
         t = np.power(a, q) + c * q * z
         # t <= 0 is past the end of F's range (nan: no preimage).
-        y = np.where(t > 0.0, np.power(t, _spread(1.0 / q, t)), np.nan)
-        return np.where(p == 1.0, a * np.exp(c * z), y)
+        return np.where(t > 0.0, np.power(t, _spread(1.0 / q, t)), np.nan)
 
 
 @dataclass(frozen=True)
@@ -337,18 +307,13 @@ class CustomFactor(FactorFunction):
     def params(self) -> dict[str, float]:
         return {}
 
-    @_elementwise
-    def value(self, y: float) -> float:
-        return float(self.value_fn(self._check(y)))
+    def _value(self, y: float) -> float:
+        return float(self.value_fn(y))
 
-    @_elementwise
-    def derivative(self, y: float) -> float:
-        return float(self.derivative_fn(self._check(y)))
+    def _derivative(self, y: float) -> float:
+        return float(self.derivative_fn(y))
 
-    @_elementwise
-    def reciprocal_antiderivative(self, y: float, anchor: float) -> float:
-        y = self._check(y)
-        anchor = self._check(anchor)
+    def _reciprocal_antiderivative(self, y: float, anchor: float) -> float:
         if self.antiderivative_fn is not None:
             return float(self.antiderivative_fn(y)) - float(self.antiderivative_fn(anchor))
         if y == anchor:
@@ -369,10 +334,7 @@ class CustomFactor(FactorFunction):
             )
         return float(result)
 
-    @_elementwise
-    def invert_antiderivative(self, z: float, anchor: float) -> float:
-        anchor = self._check(anchor)
-        z = float(z)
+    def _invert_antiderivative(self, z: float, anchor: float) -> float:
         lo, hi = self._bracket(z, anchor)
         return self._solve(z, anchor, lo, hi)
 
@@ -427,7 +389,7 @@ class CustomFactor(FactorFunction):
                 cand = vlo + 1e-12 * (1.0 + abs(vlo))
                 terminal = True
             try:
-                f_cand = self.reciprocal_antiderivative(cand, anchor)
+                f_cand = self._reciprocal_antiderivative(cand, anchor)
             except (OverflowError, ZeroDivisionError, ValueError) as exc:
                 raise OutOfRangeError(
                     f"z = {z!r} unreachable before arithmetic failed at y = {cand!r}"
@@ -446,26 +408,38 @@ class CustomFactor(FactorFunction):
         from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
         y = brentq(
-            lambda t: self.reciprocal_antiderivative(t, anchor) - z,
+            lambda t: self._reciprocal_antiderivative(t, anchor) - z,
             lo,
             hi,
             xtol=math.ulp(0.0),
             disp=False,
         )
-        if not abs(self.reciprocal_antiderivative(y, anchor) - z) <= INVERSION_TOL:
+        if not abs(self._reciprocal_antiderivative(y, anchor) - z) <= INVERSION_TOL:
             raise NoConvergenceError(
                 f"antiderivative inversion did not reach {INVERSION_TOL:g}"
             )
         return y
 
 
+def _closed_form(f: FactorFunction) -> tuple[type, tuple[float, ...]]:
+    """The kind whose formulas evaluate f, and f's parameters for them: an
+    Exponential with rate 0 is a Constant and a Power with exponent 1 a
+    Linear, so no formula divides by zero.  (The Constant's zero derivative
+    is +0.0 where rate * phi(y) gave -0.0.)"""
+    if isinstance(f, Exponential) and f.rate == 0.0:
+        return Constant, (f.amplitude,)
+    if isinstance(f, Power) and f.exponent == 1.0:
+        return Linear, (f.coefficient,)
+    return type(f), tuple(f.params().values())
+
+
 class FactorBank:
     """The factors of one spec, grouped by kind for columnwise passes.
 
     Each group of built-in factors holds its columns (a slice when they
-    are evenly spaced, so a pass takes a view) and its parameters as
-    vectors; ``lo`` and ``hi`` are the validity bounds of all r columns.
-    CustomFactor columns go through their own methods.
+    are evenly spaced, so a pass takes a view), its parameters as vectors
+    and its four formulas; ``lo`` and ``hi`` are the validity bounds of all
+    r columns.  CustomFactor columns go through their scalar methods.
     """
 
     def __init__(self, factors):
@@ -474,17 +448,25 @@ class FactorBank:
         self.lo = np.array([f.validity[0] for f in self.factors], dtype=float)
         self.hi = np.array([f.validity[1] for f in self.factors], dtype=float)
         self.custom = [q for q, f in enumerate(self.factors) if isinstance(f, CustomFactor)]
-        columns = {}
+        members = {}
         for q, f in enumerate(self.factors):
             if q not in self.custom:
-                columns.setdefault(type(f), []).append(q)
-        self.groups = []
-        for kind, cols in columns.items():
-            params = np.array([list(self.factors[q].params().values()) for q in cols]).T
+                kind, params = _closed_form(f)
+                members.setdefault(kind, []).append((q, params))
+        names = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
+        self.passes = {name: [] for name in names}
+        for kind, group in members.items():
+            cols = [q for q, _ in group]
+            params = tuple(np.array(v) for v in zip(*(p for _, p in group)))
             step = cols[1] - cols[0] if len(cols) > 1 else 1
             if cols == list(range(cols[0], cols[-1] + 1, step)):
                 cols = slice(cols[0], cols[-1] + 1, step)
-            self.groups.append((kind, cols, tuple(params)))
+            for name in names:
+                self.passes[name].append((cols, getattr(kind, "_" + name), params))
+
+    def __reduce__(self):
+        # The formulas are lambdas, which pickle cannot name; rebuild instead.
+        return FactorBank, (self.factors,)
 
     def apply(self, name: str, y, anchors=None, out=None) -> np.ndarray:
         """The operation ``name`` (value, derivative,
@@ -501,14 +483,17 @@ class FactorBank:
         a = () if anchors is None else (np.asarray(anchors, dtype=float),)
         inside = self._anchored(name, y, a[0], res) if a else (y > self.lo) & (y < self.hi)
         valid = np.count_nonzero(inside) == inside.size
-        for kind, cols, params in self.groups if valid and not a else ():
-            res[..., cols] = getattr(kind, "_" + name)(y[..., cols], *params)
+        for cols, formula, params in self.passes[name] if valid and not a else ():
+            res[..., cols] = formula(y[..., cols], *params)
         first = r if valid else int(np.argmin(inside.reshape(-1, r).all(axis=0)))
-        # Custom columns before the first offending one run (and may raise) first.
+        # Custom columns before the first offending one run (and may raise)
+        # first, one element at a time.
         for q in self.custom:
             if q >= first:
                 break
-            res[..., q] = getattr(self.factors[q], name)(y[..., q], *(v[q] for v in a))
+            method, anchor = getattr(self.factors[q], "_" + name), [float(v[q]) for v in a]
+            values = [method(v, *anchor) for v in y[..., q].ravel().tolist()]
+            res[..., q] = np.reshape(values, res.shape[:-1])
         if first < r:
             raise self._error(name, first, y, a, res)
         return res if out is None else out
@@ -517,13 +502,12 @@ class FactorBank:
     def _anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
         """A chart operation's closed forms into res, and where the
         arguments (for inversions, the results) and the anchors are inside.
-        Its formulas take both branches at degenerate parameters and
-        overflow at unreachable targets, hence the errstate."""
+        Its formulas overflow at unreachable targets, hence the errstate."""
         if self.custom:
             # Custom results are not checked: their anchors stand in.
             res[..., self.custom] = a[self.custom]
-        for kind, cols, params in self.groups:
-            res[..., cols] = getattr(kind, "_" + name)(y[..., cols], a[cols], *params)
+        for cols, formula, params in self.passes[name]:
+            res[..., cols] = formula(y[..., cols], a[cols], *params)
         # Both are inside when the smaller is above lo and the larger below
         # hi; nan fails both.
         v = res if name == "invert_antiderivative" else y

@@ -26,7 +26,7 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -67,8 +67,7 @@ class MultiseparableSpec:
     """Immutable defining data of one structure matrix of the family.
 
     Instances are produced by :func:`build_spec`; all operations on a spec
-    are pure functions, safe for concurrent use.  ``bank`` evaluates the
-    factors a column per factor (see :class:`~poissonkit.factors.FactorBank`).
+    are pure functions, safe for concurrent use.
     """
 
     n: int
@@ -78,12 +77,16 @@ class MultiseparableSpec:
     factors: tuple[FactorFunction, ...]
     domain: BoxDomain
     projected_intervals: tuple[tuple[float, float], ...]
-    bank: FactorBank = field(repr=False, compare=False)
     heuristic_nonvanishing: bool = False
 
     @property
     def num_pairs(self) -> int:
         return self.r // 2
+
+    @cached_property
+    def bank(self) -> FactorBank:
+        """The factors grouped by kind, for passes a column per factor."""
+        return FactorBank(self.factors)
 
     @cached_property
     def pair_minors(self) -> np.ndarray:
@@ -178,7 +181,6 @@ def build_spec(
         factors=factors,
         domain=domain,
         projected_intervals=tuple(intervals),
-        bank=FactorBank(factors),
         heuristic_nonvanishing=heuristic,
     )
 

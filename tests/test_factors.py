@@ -373,6 +373,21 @@ def test_unreachable_inversion_raises_without_warning(factor, z, anchor):
             bank.apply("invert_antiderivative", np.array([[0.0, 0.0], [3.0, z]]), (0.0, anchor))
 
 
+@pytest.mark.parametrize(
+    "degenerate,simpler",
+    [(Exponential(-1.5, 0.0), Constant(-1.5)), (Power(0.8, 1.0), Linear(0.8))],
+)
+def test_degenerate_parameters_evaluate_as_the_simpler_kind(degenerate, simpler):
+    ys = np.array([0.3, 1.0, 2.7])
+    for name in ("value", "derivative"):
+        np.testing.assert_array_equal(getattr(degenerate, name)(ys), getattr(simpler, name)(ys))
+    zs = degenerate.reciprocal_antiderivative(ys, 1.0)
+    np.testing.assert_array_equal(zs, simpler.reciprocal_antiderivative(ys, 1.0))
+    np.testing.assert_array_equal(
+        degenerate.invert_antiderivative(zs, 1.0), simpler.invert_antiderivative(zs, 1.0)
+    )
+
+
 def test_array_outside_validity_names_first_offender():
     ys = np.array([1.0, 2.0, -3.0, -4.0])
     with pytest.raises(OutOfValidityError, match="-3.0"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -264,6 +265,14 @@ def test_bank_matches_single_factors_bitwise():
                 a = (float(anchors[q]),) if anchored else ()
                 np.testing.assert_array_equal(block[:, q], method(column, *a))
                 assert block[0, q] == method(float(column[0]), *a)
+
+
+def test_spec_pickles_after_a_factor_pass(kmk_spec):
+    y = kmk_spec.B @ np.array([1.0, 2.0, 0.5])
+    values = kmk_spec.bank.apply("value", y)
+    copy = pickle.loads(pickle.dumps(kmk_spec))
+    np.testing.assert_array_equal(copy.bank.apply("value", y), values)
+    assert copy.factors[0].value(2.0) == kmk_spec.factors[0].value(2.0)
 
 
 def _first_error(calls):
