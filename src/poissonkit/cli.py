@@ -369,6 +369,12 @@ def main(argv=None) -> int:
             for name, description in CATALOG.items():
                 sys.stdout.write(f"{name}: {description}\n")
             return EXIT_OK
+        if args.cmd in ("verify", "darboux"):
+            for flag, value, least in (("--points", args.points, 1), ("--seed", args.seed, 0)):
+                if value < least:
+                    raise ConfigValidationError(
+                        f"{flag}: expected an integer >= {least}, got {value}"
+                    )
         if args.cmd == "verify":
             code, report = run_verify(_system_from_args(args), args.points, args.seed)
             _write_output(dump_json(report), args.out)

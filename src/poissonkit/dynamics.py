@@ -9,15 +9,15 @@ exactly fixed, and maps each state back.  Casimir drift on the canonical
 route is therefore bounded by chart round-trip error alone, independent of
 the number of steps.
 
-Implicit midpoint solves its stage equation by simplified Newton iteration
-and evaluates each Newton point once: an evaluator returns the field value
-and a thunk that forms the Newton matrix from the same intermediate
-values, so a refresh takes no second domain check, factor pass or chart
-inversion.  When the Hamiltonian carries an analytic Hessian, the Newton
-matrix is formed analytically.  On the direct route one structure_slopes
-call gives J and, with g = grad H(x), the pair-product slopes W of the
-structure (dJ_ij/dx_l = sum_p L_ij^p W[p, l] through the pair minors L);
-the field is J g and the Newton matrix is
+Each route has one evaluator p -> (f(p), newton): the field value and a
+thunk that forms the Newton matrix Df(p) from the same evaluation, with
+the structure part analytic and Hess H from HamiltonianField.hessian_at.
+Implicit midpoint (simplified Newton) evaluates each Newton point once.
+On the direct route, whose evaluator also serves RK4 stages and
+predictors, one structure_slopes call gives J and the field J g with
+g = grad H(x); only a refresh takes the derivative pass for the
+pair-product slopes W (dJ_ij/dx_l = sum_p L_ij^p W[p, l] through the pair
+minors L), and the Newton matrix is
 
     J(x) Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W,
 
@@ -31,15 +31,14 @@ and the Newton matrix adds only phi'(y) and the Hessian:
 The accepted state's pull-back is the recorded x, and once that x has
 passed the box check it also gives the next step's predictor, so a step
 inverts the chart once per Newton point plus once for the accepted state.
-Without a Hessian the Newton matrix falls back to central differences of
-the vector field.
 
 Both integrators are fixed-step; states that leave the certified box
 truncate the trajectory with a domain-exit flag rather than extrapolating
-past the region where the structural guarantees hold.  The first field
-evaluation, at the initial state, is checked for overflow: a non-finite
-factor value, derivative, pair product or field value there raises
-ConfigValidationError naming it.
+past the region where the structural guarantees hold; on the canonical
+route a step that overflows ends it the same way, without a warning.  The
+first field evaluation, at the initial state, is checked for overflow: a
+non-finite factor value, derivative, pair product or field value there
+raises ConfigValidationError naming it.
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ MAX_DENSE_RECORDS = 1_000_000
 class HamiltonianField:
     """Scalar function with optional gradient and Hessian providers.
 
-    When no analytic gradient is supplied, central finite differences with
-    step 1e-6 (1 + |x_l|) are used.  The Hessian is optional: with it,
-    implicit midpoint forms its Newton matrix analytically; without it,
-    the Newton matrix comes from central differences of the vector field.
+    Without an analytic gradient, central differences of the value with
+    step 1e-6 (1 + |x_l|) are used; without a Hessian, central differences
+    of the gradient with step 1e-4 (1 + |x_l|), large enough to keep the
+    rounding noise of a differenced gradient (about 1e-10) small.
     """
 
     value: Callable[[np.ndarray], float]
@@ -107,8 +106,10 @@ class HamiltonianField:
         return central_differences(lambda p: float(self.value(p)), x, 1e-6)
 
     def hessian_at(self, x) -> np.ndarray:
-        """The analytic Hessian; only defined when ``hessian`` is set."""
-        return np.asarray(self.hessian(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self.hessian is None:
+            return central_differences(self.gradient_at, x, 1e-4)
+        return np.asarray(self.hessian(x), dtype=float)
 
 
 def quadratic_hamiltonian(weights) -> HamiltonianField:
@@ -151,9 +152,33 @@ def validate_gradient(H: HamiltonianField, points, tol: float = 1e-6) -> float:
     return worst
 
 
+#: p -> (f(p), newton): a field value and a zero-argument thunk that forms
+#: Df(p) from the same evaluation's intermediate values.
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
+
+
+def _direct_field(spec: MultiseparableSpec, H: HamiltonianField, x):
+    """The direct-route evaluator of x -> J(x) grad H(x) (see the module
+    docstring): J g from one structure_slopes call, and a Newton thunk
+    that takes the derivative pass for W."""
+    J, slopes = structure_slopes(spec, x)
+    g = H.gradient_at(x)
+
+    def newton() -> np.ndarray:
+        W = slopes()
+        odd, even = spec.A[:, 0 : spec.r : 2], spec.A[:, 1 : spec.r : 2]
+        return (
+            J @ H.hessian_at(x)
+            + odd @ ((even.T @ g)[:, None] * W)
+            - even @ ((odd.T @ g)[:, None] * W)
+        )
+
+    return J @ g, newton
+
+
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
     """dx/dt = J(x) grad H(x)."""
-    return evaluate_structure(spec, x) @ H.gradient_at(x)
+    return _direct_field(spec, H, x)[0]
 
 
 def bracket(
@@ -235,21 +260,13 @@ def _record_stride(steps: int) -> int:
     return math.ceil(steps / MAX_DENSE_RECORDS)
 
 
-def _rk4_step(f: Callable, x: np.ndarray, fx: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step from x, where f(x) = fx."""
-    k2 = f(x + 0.5 * dt * fx)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
+def _rk4_step(evaluate: Evaluator, x: np.ndarray, fx: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step from x, where f(x) = fx; the stages take only the
+    field values of ``evaluate``."""
+    k2 = evaluate(x + 0.5 * dt * fx)[0]
+    k3 = evaluate(x + 0.5 * dt * k2)[0]
+    k4 = evaluate(x + dt * k3)[0]
     return x + (dt / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _fd_jacobian(f: Callable, x: np.ndarray) -> np.ndarray:
-    return central_differences(f, x, 1e-7)
-
-
-#: p -> (f(p), newton): a field value and a zero-argument thunk that forms
-#: Df(p) from the same evaluation's intermediate values.
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
 def _implicit_midpoint_step(
@@ -286,45 +303,18 @@ def _check_step_controls(dt: float, steps: int) -> None:
         raise ValueError("steps must be >= 0")
 
 
-def _first_value(spec: MultiseparableSpec, x0: np.ndarray, evaluate: Callable) -> np.ndarray:
-    """``evaluate()``, a trajectory's first field value, taken at x0 under
-    np.errstate.  A non-finite value raises ConfigValidationError naming
-    the first non-finite factor value, derivative or pair product at x0,
-    else J or the field."""
+def _first_value(
+    spec: MultiseparableSpec, x0: np.ndarray, evaluate: Evaluator, p: np.ndarray
+) -> np.ndarray:
+    """A trajectory's first field value, evaluated at p, the coordinates of
+    x0, under np.errstate.  A non-finite value raises ConfigValidationError
+    naming the first non-finite factor value, derivative or pair product at
+    x0, else J or the field."""
     with np.errstate(over="ignore", invalid="ignore"):
-        value = evaluate()
+        value = evaluate(p)[0]
     if not np.isfinite(value).all():
         raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
     return value
-
-
-def _direct_system(spec: MultiseparableSpec, H: HamiltonianField) -> Evaluator:
-    """The direct-route evaluator of x -> J(x) grad H(x).
-
-    With a Hessian, one structure_slopes call gives J and W (one domain
-    check, one factor pass), shared by the field J g and the Newton thunk
-    J Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W, which
-    is J Hess H + sum_j dJ_ij/dx_l g_j.  Without one, the thunk is central
-    differences of the field."""
-    f = partial(vector_field, spec, H)
-    if H.hessian is None:
-        return lambda x: (f(x), partial(_fd_jacobian, f, x))
-    odd, even = spec.A[:, 0 : spec.r : 2], spec.A[:, 1 : spec.r : 2]
-
-    def evaluate(x: np.ndarray):
-        J, W = structure_slopes(spec, x)
-        g = H.gradient_at(x)
-
-        def newton() -> np.ndarray:
-            return (
-                J @ H.hessian_at(x)
-                + odd @ ((even.T @ g)[:, None] * W)
-                - even @ ((odd.T @ g)[:, None] * W)
-            )
-
-        return J @ g, newton
-
-    return evaluate
 
 
 @dataclass(frozen=True)
@@ -337,7 +327,6 @@ class _CanonicalSystem:
     and g = (A^T grad H(x))[:r], and the field is K_r (e g).  Since
     dy_i/du_i = e_i, its Newton thunk adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
-    Without a Hessian the thunk is central differences of the field.
     """
 
     spec: MultiseparableSpec
@@ -357,8 +346,6 @@ class _CanonicalSystem:
         spec, H, K, A_r = self.spec, self.H, self.K, self.A_r
         e = factor_values(spec, y)
         g = A_r.T @ H.gradient_at(x)
-        if H.hessian is None:
-            return K @ (e * g), partial(_fd_jacobian, self.field, u)
 
         def newton() -> np.ndarray:
             curvature = A_r.T @ H.hessian_at(x) @ A_r
@@ -369,9 +356,6 @@ class _CanonicalSystem:
 
     def __call__(self, u: np.ndarray):
         return self.at(u, *self.pull_back(u))
-
-    def field(self, u: np.ndarray) -> np.ndarray:
-        return self(u)[0]
 
 
 def _canonical_system(
@@ -437,19 +421,16 @@ def integrate_direct(
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()
-    f = partial(vector_field, spec, H)
-    if method == "rk4":
-        advance = partial(_rk4_step, f)
-    else:
-        advance = partial(_implicit_midpoint_step, _direct_system(spec, H))
+    evaluate = partial(_direct_field, spec, H)
+    step = _rk4_step if method == "rk4" else _implicit_midpoint_step
 
     def states() -> Iterator[np.ndarray]:
         x = x_start
-        fx = _first_value(spec, x, partial(f, x))
+        fx = _first_value(spec, x, evaluate, x)
         while True:
-            x = advance(x, fx, dt)
+            x = step(evaluate, x, fx, dt)
             yield x
-            fx = f(x)
+            fx = evaluate(x)[0]
 
     return _march(spec, H, x_start, dt, steps, states())
 
@@ -485,14 +466,17 @@ def integrate_canonical(
 
     def states() -> Iterator[np.ndarray]:
         u = z[:r].copy()
-        fu = _first_value(spec, x_start, partial(system.field, u))
+        fu = _first_value(spec, x_start, system, u)
         while True:
             u = _implicit_midpoint_step(system, u, fu, dt)
             y, x = system.pull_back(u)
             yield x
             fu, _ = system.at(u, y, x)
 
-    return _march(spec, H, x_start, dt, steps, states())
+    # A large step can overflow in the reduced field; the non-finite
+    # iterate then fails the chart's pull-back, a domain exit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _march(spec, H, x_start, dt, steps, states())
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

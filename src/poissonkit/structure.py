@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -254,32 +255,26 @@ def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
     return unchecked_structure(spec, spec.domain.require_inside(x))
 
 
-def pair_slopes(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
-    """The pair-product slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l
-    at a point or (P, n) block of float points, without the domain check;
-    shape (r/2, n) or (P, r/2, n).  d_l J_ij = (L W)[i*n + j, l] with L
-    the spec's pair minors."""
-    y = matvec(spec.B, x)
-    return _slopes(spec, y, factor_values(spec, y))
-
-
-def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """J and W (see :func:`pair_slopes`) at a point or (P, n) block, from
-    one domain check and one pass over the factor values, which both
-    share."""
+def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """J at a point or (P, n) block, from one domain check and one pass
+    over the factor values, and a zero-argument thunk that takes the
+    derivative pass and forms, from the same y and phi, the pair-product
+    slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l, shaped (r/2, n)
+    or (P, r/2, n).  d_l J_ij = (L W)[i*n + j, l] with L the spec's pair
+    minors."""
     x = spec.domain.require_inside(x)
     y = matvec(spec.B, x)
     phi = factor_values(spec, y)
-    return _structure(spec, phi), _slopes(spec, y, phi)
+    return _structure(spec, phi), lambda: _slopes(spec, y, phi)
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
     """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
     or the (P, n, n, n) stack of them for a (P, n) block: the pair minors
     times the pair-product slopes, L W, which is exactly skew in (i, j)."""
-    x = spec.domain.require_inside(x)
+    _, slopes = structure_slopes(spec, x)
     n = spec.n
-    return (spec.pair_minors @ pair_slopes(spec, x)).reshape(x.shape[:-1] + (n, n, n))
+    return (spec.pair_minors @ slopes()).reshape(np.shape(x)[:-1] + (n, n, n))
 
 
 def non_finite_error(
@@ -317,9 +312,7 @@ def non_finite_error(
                     f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
                     f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2].tolist()}, {where}"
                 )
-            if not (
-                np.isfinite(evaluate_structure(spec, x)).all()
-                and np.isfinite(structure_partials(spec, x)).all()
-            ):
+            J, slopes = structure_slopes(spec, x)
+            if not (np.isfinite(J).all() and np.isfinite(spec.pair_minors @ slopes()).all()):
                 return ConfigValidationError(f"J or its partials overflow at {where}")
     return ConfigValidationError(f"{otherwise} at {where}")

@@ -6,8 +6,8 @@ and SVD-based rank.  Structure fields wrap either a multiseparable spec
 (analytic partials) or a user-supplied candidate matrix field, which may
 well fail the Jacobi identity; a finite-difference partials provider is
 available as an independent oracle for cross-checking the analytic path.
-Its stencil, :func:`central_differences`, also serves the integrators'
-finite-difference gradients and Newton matrices.
+Its stencil, :func:`central_differences`, also serves the Hamiltonian
+fields' finite-difference gradients and Hessians.
 
 Every field evaluates a point or a (P, n) block of points: a spec field
 in one kernel call, a user field row by row.  A sweep evaluates J once
@@ -16,8 +16,9 @@ contraction C[i, (j, k)] = sum_l J_il d_l J_jk and max |dJ|; the field
 decides how they are formed.  A spec field never forms the partials
 tensor for C: with L its constant pair minors and W the pair-product
 slopes (see :mod:`poissonkit.structure`), d J = L W, so C = (J W^T) L^T,
-two small products per point, and max |dJ| is max |L W|.  W is taken for
-a whole block from one pass over the factor values and derivatives.
+two small products per point, and max |dJ| is max |L W|.  J and W are
+taken for a whole block from one pass over the factor values and one
+over their derivatives.
 Other fields, the finite-difference oracle among them, contract their
 own partials one point at a time.  Either way memory stays at one block
 of J and one (n, n, n) array, and the kernel and rank checks can reuse
@@ -38,9 +39,9 @@ from .structure import (
     MultiseparableSpec,
     evaluate_structure,
     non_finite_error,
-    pair_slopes,
     point_blocks,
     structure_partials,
+    structure_slopes,
     unchecked_structure,
 )
 
@@ -115,13 +116,14 @@ def fd_partials(
 
 
 def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerms:
-    """jacobi_terms of a spec field: W from one factor pass per block, and
-    per point C = (J W^T) L^T and max |dJ| = max |L W| with L the pair
-    minors, so the (n, n, n) partials tensor is never formed for C.
-    Raises ConfigValidationError when J or W is not finite on the block."""
+    """jacobi_terms of a spec field: J and W from one structure_slopes call
+    per block, and per point C = (J W^T) L^T and max |dJ| = max |L W| with
+    L the pair minors, so the (n, n, n) partials tensor is never formed
+    for C.  Raises ConfigValidationError when J or W is not finite on the
+    block."""
     with np.errstate(over="ignore", invalid="ignore"):
-        structures = evaluate_structure(spec, X)
-        W = pair_slopes(spec, X)
+        structures, slopes = structure_slopes(spec, X)
+        W = slopes()
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
         raise non_finite_error(spec, X)
     L = spec.pair_minors

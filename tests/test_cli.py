@@ -146,7 +146,7 @@ class TestVerifyCommand:
         assert jacobi["max_normalized_residual"] == pytest.approx(0.75, abs=0.01)
 
     def test_one_sample_draw_and_one_structure_evaluation(self, capsys, monkeypatch):
-        calls = {"halton": 0, "evaluate": 0}
+        calls = {"halton": 0, "evaluate": 0, "values": 0}
         halton = BoxDomain.halton_points
 
         def counting_halton(self, num, seed):
@@ -156,16 +156,25 @@ class TestVerifyCommand:
         monkeypatch.setattr(BoxDomain, "halton_points", counting_halton)
         import poissonkit.verify as verify_module
 
-        evaluate = verify_module.evaluate_structure
+        structure_slopes = verify_module.structure_slopes
 
-        def counting_evaluate(spec, x):
+        def counting_structure_slopes(spec, x):
             calls["evaluate"] += 1
-            return evaluate(spec, x)
+            return structure_slopes(spec, x)
 
-        monkeypatch.setattr(verify_module, "evaluate_structure", counting_evaluate)
+        # One structure_slopes call per block gives J and W from one factor
+        # value pass; the default 50 points at n = 5 are one block.
+        monkeypatch.setattr(verify_module, "structure_slopes", counting_structure_slopes)
+        values = poissonkit.structure.factor_values
+
+        def counting_values(spec, y):
+            calls["values"] += 1
+            return values(spec, y)
+
+        monkeypatch.setattr(poissonkit.structure, "factor_values", counting_values)
         code, _, _ = _run(capsys, ["verify", "--system", "toda", "--param", "N=3"])
         assert code == 0
-        assert calls == {"halton": 1, "evaluate": 1}
+        assert calls == {"halton": 1, "evaluate": 1, "values": 1}
 
     def test_reports_do_not_depend_on_block_size(self, capsys, monkeypatch):
         argvs = [
@@ -325,6 +334,22 @@ class TestIntegrateCommand:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: the vector field overflows at initial state x = [2.0, 1.0, 1.0]\n"
+
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    def test_overflowing_step_is_a_silent_domain_exit(self, capsys, route, method):
+        argv = [
+            "integrate", "--system", "kmk", "--hamiltonian", "quadratic-diagonal:1,2,3",
+            "--x0", "2,1,1", "--steps", "50", "--dt", "3", "--route", route,
+            "--method", method,
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = _run(capsys, argv)
+        assert caught == []
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1 and "domain_exit=true" in lines[0]
 
     def test_casimir_hamiltonian_constant_columns(self, capsys):
         code, out, err = _run(
@@ -511,8 +536,12 @@ def test_unknown_builder_param_is_usage_error(capsys):
 
 
 def test_invalid_points_is_usage_error(capsys):
-    code, _, err = _run(capsys, ["verify", "--system", "kmk", "--points", "0"])
-    assert code == 2
+    for command in ("verify", "darboux"):
+        for flag, value in (("--points", "0"), ("--seed", "-1")):
+            code, out, err = _run(capsys, [command, "--system", "kmk", flag, value])
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,16 +28,16 @@ from poissonkit import (
     trajectory_to_csv,
     vector_field,
 )
-from poissonkit import dynamics
+from poissonkit import dynamics, structure
 from poissonkit.config import parse_config
 from poissonkit.darboux import DarbouxChart
 from poissonkit.dynamics import (
     _canonical_system,
-    _direct_system,
-    _fd_jacobian,
+    _direct_field,
     _record_stride,
     validate_gradient,
 )
+from poissonkit.verify import central_differences
 
 #: Explicit n=7, r=6 system over all five factor kinds on (0.5, 1.5)^7,
 #: where every projected interval is positive.  The catalog systems use
@@ -86,9 +87,15 @@ def _without_hessian(H):
     return HamiltonianField(value=H.value, gradient=H.gradient)
 
 
-def _field_of(evaluate):
-    """The field of an implicit-midpoint evaluator p -> (f(p), newton)."""
-    return lambda p: evaluate(p)[0]
+def _variants(H):
+    """H, H without its Hessian, and H with only its value."""
+    return [H, _without_hessian(H), HamiltonianField(value=H.value)]
+
+
+def _fd_newton(evaluate, p):
+    """Central differences, step 1e-7 (1 + |p_l|), of the field of an
+    implicit-midpoint evaluator p -> (f(p), newton)."""
+    return central_differences(lambda q: evaluate(q)[0], p, 1e-7)
 
 
 def _assert_relative(analytic, fd, rel):
@@ -190,24 +197,30 @@ class TestBracket:
 
 
 class TestNewtonJacobians:
-    """Analytic Newton matrices against central differences of the field."""
+    """Newton matrices against central differences of the field, for a
+    Hamiltonian with a Hessian, without one, and with only a value.  The
+    differences are taken of the field of the Hamiltonian with analytic
+    derivatives: a value-only field carries the rounding noise of its
+    differenced gradient, about 1e-10, which a 1e-7 step would amplify
+    past the bound."""
 
     def test_direct_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
-            evaluate = _direct_system(spec, H)
-            f = _field_of(evaluate)
             for x in spec.domain.halton_points(8, seed=11):
-                _assert_relative(evaluate(x)[1](), _fd_jacobian(f, x), 1e-6)
+                fd = _fd_newton(partial(_direct_field, spec, H), x)
+                for variant in _variants(H):
+                    _assert_relative(_direct_field(spec, variant, x)[1](), fd, 1e-6)
 
     def test_canonical_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
             chart = darboux_chart(spec)
             for x in spec.domain.halton_points(8, seed=11):
                 z = chart.forward(x)
-                evaluate = _canonical_system(spec, H, chart, z[spec.r :])
-                f = _field_of(evaluate)
                 u = z[: spec.r]
-                _assert_relative(evaluate(u)[1](), _fd_jacobian(f, u), 1e-6)
+                fd = _fd_newton(_canonical_system(spec, H, chart, z[spec.r :]), u)
+                for variant in _variants(H):
+                    evaluate = _canonical_system(spec, variant, chart, z[spec.r :])
+                    _assert_relative(evaluate(u)[1](), fd, 1e-6)
 
     def test_direct_matches_partials_tensor(self):
         """The factored Newton matrix against J Hess H + (dJ/dx) grad H
@@ -216,13 +229,13 @@ class TestNewtonJacobians:
         for n, r in dimension_rank_pairs():
             spec = random_spec(rng, n, r)
             H = quadratic_hamiltonian(rng.uniform(0.5, 2.0, size=n))
-            evaluate = _direct_system(spec, H)
             for x in spec.domain.halton_points(4, seed=12):
                 reference = evaluate_structure(spec, x) @ H.hessian_at(x) + np.einsum(
                     "ijl,j->il", structure_partials(spec, x), H.gradient_at(x)
                 )
                 scale = float(np.max(np.abs(reference)))
-                assert float(np.max(np.abs(evaluate(x)[1]() - reference))) <= 1e-13 * scale
+                newton = _direct_field(spec, H, x)[1]()
+                assert float(np.max(np.abs(newton - reference))) <= 1e-13 * scale
 
     def test_implicit_midpoint_never_forms_partials(
         self, refuse_partials_tensor, kmk_spec, toda3_spec
@@ -231,19 +244,27 @@ class TestNewtonJacobians:
             record = integrate_direct(spec, H, x0, 1e-3, 20, method="implicit-midpoint")
             assert record.num_records == 21 and not record.domain_exit
 
-    def test_without_hessian_falls_back(self, kmk_spec):
-        H = _without_hessian(quadratic_hamiltonian([1.0, 2.0, 0.5]))
-        x = np.array([1.0, 1.2, 0.8])
-        evaluate = _direct_system(kmk_spec, H)
-        np.testing.assert_array_equal(
-            evaluate(x)[1](), _fd_jacobian(_field_of(evaluate), x)
-        )
-        chart = darboux_chart(kmk_spec)
-        z = chart.forward(x)
-        evaluate = _canonical_system(kmk_spec, H, chart, z[2:])
-        np.testing.assert_array_equal(
-            evaluate(z[:2])[1](), _fd_jacobian(_field_of(evaluate), z[:2])
-        )
+    def test_without_hessian_falls_back(self, kmk_spec, toda3_spec):
+        """Without a Hessian, hessian_at is central differences of
+        gradient_at, and on both routes the Newton thunk is bitwise the
+        analytic one built with that Hessian."""
+        for spec, H, x in _newton_cases(kmk_spec, toda3_spec):
+            x = np.asarray(x)
+            chart = darboux_chart(spec)
+            z = chart.forward(x)
+            for H_fd in _variants(H)[1:]:
+                np.testing.assert_array_equal(
+                    H_fd.hessian_at(x), central_differences(H_fd.gradient_at, x, 1e-4)
+                )
+                H_with = HamiltonianField(H_fd.value, H_fd.gradient, H_fd.hessian_at)
+                np.testing.assert_array_equal(
+                    _direct_field(spec, H_fd, x)[1](), _direct_field(spec, H_with, x)[1]()
+                )
+                thunks = [
+                    _canonical_system(spec, field, chart, z[spec.r :])(z[: spec.r])[1]()
+                    for field in (H_fd, H_with)
+                ]
+                np.testing.assert_array_equal(*thunks)
 
     def test_trajectories_match_fd_newton_path(self, kmk_spec, toda3_spec):
         for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
@@ -305,8 +326,9 @@ def _newton_point_counter(monkeypatch):
 
 class TestOneEvaluationPerNewtonPoint:
     """Implicit midpoint evaluates each Newton point once, and the Newton
-    matrix reuses that evaluation; on the canonical route the accepted
-    state's chart pull-back gives the recorded x and the next predictor."""
+    matrix reuses that evaluation; only a refresh takes a factor derivative
+    pass.  On the canonical route the accepted state's chart pull-back
+    gives the recorded x and the next predictor."""
 
     STEPS = 30
 
@@ -318,10 +340,10 @@ class TestOneEvaluationPerNewtonPoint:
             expected = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
             with monkeypatch.context() as m:
                 newton_points = _newton_point_counter(m)
+                evaluations = _counter(m, dynamics._CanonicalSystem, "__call__")
                 inversions = _counter(m, dynamics, "inverse_quadrature_chart")
                 values = _counter(m, dynamics, "factor_values")
                 derivatives = _counter(m, dynamics, "factor_derivatives")
-                fd = _counter(m, dynamics, "_fd_jacobian")
 
                 def refuse(self, z):
                     raise AssertionError("the chart was inverted per step")
@@ -331,40 +353,42 @@ class TestOneEvaluationPerNewtonPoint:
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            # With a Hessian, the Newton thunk adds phi' and no pull-back;
-            # without one, each refresh adds 2r field evaluations.
-            assert derivatives[0] == (newton_points[1] if analytic else 0)
-            assert fd[0] == (0 if analytic else newton_points[1])
-            field_evaluations = newton_points[0] + 2 * spec.r * fd[0]
-            assert inversions[0] == 1 + field_evaluations + self.STEPS
-            assert values[0] == 1 + field_evaluations + self.STEPS - 1
+            # The evaluator runs at x0 and at each Newton point; each
+            # refresh adds phi' and no pull-back.
+            assert evaluations[0] == 1 + newton_points[0]
+            assert derivatives[0] == newton_points[1]
+            assert inversions[0] == 1 + newton_points[0] + self.STEPS
+            assert values[0] == newton_points[0] + self.STEPS
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_direct_newton_points(self, monkeypatch, kmk_spec, toda3_spec, analytic):
         for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec)[:2]:
             H = H if analytic else _without_hessian(H)
-            expected = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
-            with monkeypatch.context() as m:
-                newton_points = _newton_point_counter(m)
-                slopes = _counter(m, dynamics, "structure_slopes")
-                structures = _counter(m, dynamics, "evaluate_structure")
-                fd = _counter(m, dynamics, "_fd_jacobian")
-                record = integrate_direct(
-                    spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint"
-                )
-            assert not record.domain_exit and record.num_records == self.STEPS + 1
-            np.testing.assert_array_equal(record.states, expected.states)
-            assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            assert fd[0] == (0 if analytic else newton_points[1])
-            if analytic:
-                # One structure_slopes call per Newton point; the only other
-                # structure evaluation is each step's predictor f(x).
-                assert slopes[0] == newton_points[0]
-                assert structures[0] == self.STEPS
-            else:
-                assert slopes[0] == 0
-                field_evaluations = newton_points[0] + 2 * spec.n * fd[0]
-                assert structures[0] == self.STEPS + field_evaluations
+            for method in ("implicit-midpoint", "rk4"):
+                expected = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
+                with monkeypatch.context() as m:
+                    newton_points = _newton_point_counter(m)
+                    evaluations = _counter(m, dynamics, "_direct_field")
+                    slopes = _counter(m, dynamics, "structure_slopes")
+                    structures = _counter(m, dynamics, "evaluate_structure")
+                    values = _counter(m, structure, "factor_values")
+                    derivatives = _counter(m, structure, "factor_derivatives")
+                    record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
+                assert not record.domain_exit and record.num_records == self.STEPS + 1
+                np.testing.assert_array_equal(record.states, expected.states)
+                # One evaluator serves x0, each step's predictor f(x), the
+                # RK4 stages and the Newton points; each of its calls takes
+                # one structure_slopes call and one factor value pass, and
+                # only a Newton-matrix refresh takes a derivative pass.
+                if method == "rk4":
+                    assert newton_points == [0, 0]
+                    assert evaluations[0] == 4 * self.STEPS
+                else:
+                    assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
+                    assert evaluations[0] == self.STEPS + newton_points[0]
+                assert slopes[0] == values[0] == evaluations[0]
+                assert derivatives[0] == newton_points[1]
+                assert structures[0] == 0
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rank_zero(self, monkeypatch, analytic):
@@ -381,9 +405,10 @@ class TestOneEvaluationPerNewtonPoint:
             canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
             assert newton_points[0] == inversions[0] == 0
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
-        # J = 0: every step converges at its first Newton point.
+        # J = 0: every step converges at its first Newton point, and the
+        # direct evaluator also runs at x0 and at each later predictor.
         assert newton_points[0] == self.STEPS
-        assert slopes[0] == (self.STEPS if analytic else 0)
+        assert slopes[0] == 2 * self.STEPS
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
