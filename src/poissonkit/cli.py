@@ -39,6 +39,7 @@ from .errors import (
     CertificationFailureError,
     ConfigError,
     ConfigValidationError,
+    EmptyDomainSampleError,
     PoissonKitError,
 )
 from .structure import MultiseparableSpec
@@ -375,6 +376,11 @@ def main(argv=None) -> int:
                     raise ConfigValidationError(
                         f"{flag}: expected an integer >= {least}, got {value}"
                     )
+        if args.cmd == "integrate":
+            if args.steps < 0:
+                raise ConfigValidationError(f"--steps: expected an integer >= 0, got {args.steps}")
+            if not (math.isfinite(args.dt) and args.dt > 0):
+                raise ConfigValidationError(f"--dt: expected a finite number > 0, got {args.dt}")
         if args.cmd == "verify":
             code, report = run_verify(_system_from_args(args), args.points, args.seed)
             _write_output(dump_json(report), args.out)
@@ -400,11 +406,11 @@ def main(argv=None) -> int:
             _write_output(csv_text, args.out)
             sys.stderr.write(summary + "\n")
             return code
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except EmptyDomainSampleError as exc:  # a sweep over a box with no sample box
+        sys.stderr.write(f"error: domain.sample_lower/domain.sample_upper: {exc}\n")
         return EXIT_USAGE
     except PoissonKitError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,8 +1,16 @@
-"""Axis-aligned box domains and deterministic low-discrepancy sampling."""
+"""Axis-aligned box domains and deterministic low-discrepancy sampling.
+
+Sweep points are Owen's scrambled Halton points (A. B. Owen, "A randomized
+Halton algorithm in R", arXiv:1706.02808), drawn with numpy alone and equal
+bit for bit to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``'s.
+"""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -11,6 +19,52 @@ from .errors import EmptyDomainSampleError, OutOfDomainError
 #: Absolute inset from box faces used when drawing sweep points, so samples
 #: stay strictly inside the open box.
 FACE_INSET = 1e-9
+
+
+@lru_cache(maxsize=8)
+def _halton_scrambling(d: int, seed: int):
+    """(bases, offsets, steps) for ``_scrambled_halton``, drawn as scipy does.
+
+    The bases are the first d primes.  Each base b in turn shuffles its
+    ``ceil(54 / log2 b) - 1`` rows of ``arange(b)`` in place with one
+    generator seeded with ``seed``; row j, the permutation of digit j,
+    weighs ``w_j``, with ``w_0 = 1 / b`` and ``w_{j+1} = w_j / b``.  Step j
+    is ``(a, perm_j[digit] * w_j)`` for the a leading bases that have a row
+    j, base after base from ``offsets``.  Bases and offsets are columns.
+    """
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    bases = list(itertools.islice(primes, d))
+    rng = np.random.default_rng(seed)
+    terms = []  # per base: (rows, base) array of perm * weight
+    for b in bases:
+        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for row in perms:
+            rng.shuffle(row)
+        terms.append(perms * np.divide.accumulate([1.0] + [b] * len(perms))[1:, None])
+    steps = []
+    for j in range(max(map(len, terms), default=0)):
+        active = [t[j] for t in terms if j < len(t)]  # rows shrink as b grows
+        steps.append((len(active), np.concatenate(active)))
+    offsets = np.cumsum([0] + bases[:-1])[:, None]
+    return np.array(bases)[:, None], offsets, steps
+
+
+def _scrambled_halton(num: int, d: int, seed: int) -> np.ndarray:
+    """Indices 0..num-1 of the sequence in [0, 1)^d.  Digit terms are
+    summed in digit order, as scipy sums them; once every index has run
+    out of digits, the remaining terms are those of digit 0."""
+    bases, offsets, steps = _halton_scrambling(d, seed)
+    u = np.zeros((d, num))  # row i: base bases[i]
+    k = np.arange(num)
+    steps = iter(steps)
+    for a, terms in steps:
+        k, digits = np.divmod(k, bases)
+        u[:a] += terms[offsets[:a] + digits[:a]]
+        if not k.any():
+            break
+    for a, terms in steps:  # every index is out of digits: digit 0 from here
+        u[:a] += terms[offsets[:a]]
+    return u.T
 
 
 def _as_bounds(v, n: int | None = None) -> np.ndarray:
@@ -107,20 +161,19 @@ class BoxDomain:
     def halton_points(self, num: int, seed: int) -> np.ndarray:
         """``num`` scrambled-Halton points strictly inside the sampling box.
 
-        Deterministic for a fixed seed; points are inset from the faces so
-        open-interval guarantees apply, and a point that rounding still put
-        on a face (an inset below the float spacing) moves to the nearest
-        float inside.
+        The unit points are ``scipy.stats.qmc.Halton(d, scramble=True,
+        seed=seed).random(num)`` bit for bit, from numpy alone; the digit
+        permutations are cached per (dimension, seed) within a process.
+        Points are inset from the faces so open-interval guarantees apply,
+        and a point that rounding still put on a face (an inset below the
+        float spacing) moves to the nearest float inside.
         """
         if num < 1:
             raise ValueError("num must be >= 1")
         lo, hi = self.sampling_bounds()
         width = hi - lo
         inset = np.minimum(FACE_INSET, 0.25 * width)
-        from scipy.stats import qmc  # deferred: scipy.stats is slow to import
-
-        engine = qmc.Halton(d=self.dimension, scramble=True, seed=seed)
-        u = engine.random(num)
+        u = _scrambled_halton(num, self.dimension, seed)
         points = (lo + inset) + u * (width - 2.0 * inset)
         return np.clip(points, np.nextafter(lo, hi), np.nextafter(hi, lo))
 

@@ -78,20 +78,60 @@ class TestDumpJson:
         assert "[0.10000000000000001, -0, null]" in dump_json(m)
 
 
-def test_cli_import_defers_scipy():
+FIVE_KIND_CONFIG = {
+    "version": 1,
+    "n": 6,
+    "r": 6,
+    "B": [1, 0, 1, 0, 0, 0,
+          0, 1, 0, 0, 1, 0,
+          0, 0, 1, 1, 0, 0,
+          0, 0, 0, 1, 0, 1,
+          0, 0, 0, 0, 1, 0,
+          0, 0, 0, 0, 0, 1],
+    "factors": [
+        {"kind": "linear", "params": {"slope": 1.5}},
+        {"kind": "affine", "params": {"slope": 1.0, "intercept": 0.5}},
+        {"kind": "exponential", "params": {"amplitude": 1.0, "rate": 0.2}},
+        {"kind": "power", "params": {"coefficient": 1.0, "exponent": 0.5}},
+        {"kind": "constant", "params": {"c": 2.0}},
+        {"kind": "linear", "params": {"slope": 0.5}},
+    ],
+    "domain": {"lower": [0.5] * 6, "upper": [1.5] * 6},
+}
+
+
+def test_cli_import_defers_scipy(tmp_path):
+    """Importing the CLI imports no scipy module, and neither do verify,
+    darboux and a canonical integrate whose factors are built in: their
+    Halton draws need numpy alone."""
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(FIVE_KIND_CONFIG), encoding="utf-8")
+    runs = [
+        [command, *system, "--points", "10"]
+        for command in ("verify", "darboux")
+        for system in (["--system", "kmk"], ["--config", str(path)])
+    ]
+    runs.append(
+        ["integrate", "--system", "toda", "--param", "N=3",
+         "--hamiltonian", "quadratic-diagonal:1,1,1,1,1", "--x0", "0.8,0.7,0.1,-0.2,0.3",
+         "--route", "canonical", "--steps", "5"]
+    )
     code = (
-        "import sys, poissonkit.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        "import contextlib, io, json, sys\n"
+        "from poissonkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
     src = os.path.dirname(os.path.dirname(poissonkit.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, json.dumps(runs)],
         capture_output=True,
         text=True,
         check=True,
         env={"PYTHONPATH": src},
     ).stdout
-    assert out.strip() == "[]"
+    assert json.loads(out) == [[0] * len(runs), []]
 
 
 class TestCatalogCommand:
@@ -474,7 +514,7 @@ def test_bad_dt_is_usage_error(capsys, dt, route):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: dt must be finite and positive")
+    assert err.startswith("error: --dt: expected a finite number > 0, got ")
 
 
 @pytest.mark.parametrize(
@@ -550,15 +590,18 @@ def test_invalid_points_is_usage_error(capsys):
         ("--hamiltonian", "quadratic-diagonal:1,a,1"),
         ("--hamiltonian", "coordinate:2.9"),
         ("--x0", "1,b,1"),
+        ("--steps", "-1"),
+        ("--dt", "0"),
+        ("--dt", "nan"),
+        ("--dt", "-1e-3"),
     ],
 )
 def test_malformed_integrate_flag_names_flag(capsys, flag, value):
-    argv = {"--hamiltonian": "quadratic-diagonal:1,1,1", "--x0": "1,1.1,0.9"}
+    argv = {"--hamiltonian": "quadratic-diagonal:1,1,1", "--x0": "1,1.1,0.9", "--steps": "5"}
     argv[flag] = value
     code, out, err = _run(
         capsys,
-        ["integrate", "--system", "kmk", "--steps", "5",
-         "--hamiltonian", argv["--hamiltonian"], "--x0", argv["--x0"]],
+        ["integrate", "--system", "kmk", *(f"{k}={v}" for k, v in argv.items())],
     )
     assert code == 2
     assert out == ""
@@ -611,6 +654,26 @@ def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, messa
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_unbounded_domain_without_sample_box_is_usage_error(tmp_path, capsys):
+    config = _with(EXPLICIT_CONFIG, ("domain",), {"lower": [0, 0, 0], "upper": [None, None, 1]})
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    for command in ("verify", "darboux"):
+        code, out, err = _run(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: domain.sample_lower/domain.sample_upper: ")
+    # The canonical route runs on a chart that is left unvalidated.
+    code, out, err = _run(
+        capsys,
+        ["integrate", "--config", str(path), "--route", "canonical", "--steps", "3",
+         "--hamiltonian", "quadratic-diagonal:1,1,1", "--x0", "1,0.5,0.5"],
+    )
+    assert code == 0, err
+    assert "domain_exit=false" in err
 
 
 def test_infinite_domain_bound_is_an_unbounded_side(tmp_path, capsys):

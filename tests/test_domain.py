@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from poissonkit import BoxDomain, EmptyDomainSampleError, OutOfDomainError
+from poissonkit.domain import _scrambled_halton
 
 
 def test_contains_is_strict():
@@ -48,6 +50,25 @@ def test_halton_points_inside_boxes_far_from_origin(lo, width):
     box = BoxDomain([lo, lo], [lo + width, lo + width])
     points = box.halton_points(200, seed=0)
     assert sum(box.contains(x) for x in points) == 200
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 123456, 2**32 + 1, 2**64 + 3])
+def test_scrambled_halton_is_scipys_bit_for_bit(seed):
+    for d in [*range(1, 41), 51, 64]:
+        engine = qmc.Halton(d=d, scramble=True, seed=seed)
+        for num in (1, 2, 7, 50, 100, 300, 1000):
+            expected = engine.reset().random(num)  # reset: a fresh engine's draw
+            u = _scrambled_halton(num, d, seed)
+            assert u.shape == expected.shape, (d, num)
+            assert u.tobytes() == expected.tobytes(), (d, num)
+
+
+@pytest.mark.parametrize("d", [1, 3, 32])
+def test_halton_points_are_a_prefix_of_a_longer_draw(d):
+    box = BoxDomain(-np.ones(d), np.full(d, 2.0))
+    points = box.halton_points(300, seed=4)
+    for m in (1, 2, 7, 50, 299):
+        assert box.halton_points(m, seed=4).tobytes() == points[:m].tobytes()
 
 
 def test_require_inside_points_and_blocks():
