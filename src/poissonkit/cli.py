@@ -25,8 +25,8 @@ from .config import (
     System,
     build_hamiltonian,
     load_system,
-    number_list,
     parse_config,
+    state_in_box,
 )
 from .darboux import casimirs, certify_canonical, darboux_chart
 from .dynamics import (
@@ -232,17 +232,23 @@ def run_integrate(
     dt: float,
     steps: int,
     route: str,
-    method: str = "rk4",
+    method: str | None = None,
 ) -> tuple[int, str, str]:
-    """Returns (exit code, CSV text, one-line summary)."""
+    """Returns (exit code, CSV text, one-line summary).  ``method`` defaults
+    to the route's: rk4 on the direct route, implicit-midpoint on the
+    canonical route, which has no other."""
     if spec is None:
         raise ConfigValidationError("integrate requires a multiseparable system")
     if H is None:
         raise ConfigValidationError("no hamiltonian given (config or --hamiltonian)")
     if x0 is None:
         raise ConfigValidationError("no initial state given (config or --x0)")
+    if route == "canonical" and method not in (None, "implicit-midpoint"):
+        raise ConfigValidationError(
+            f"--method: the canonical route integrates by implicit-midpoint only, got {method!r}"
+        )
     if route == "direct":
-        record = integrate_direct(spec, H, x0, dt, steps, method=method)
+        record = integrate_direct(spec, H, x0, dt, steps, method=method or "rk4")
     elif route == "canonical":
         record = integrate_canonical(spec, H, x0, dt, steps)
     else:
@@ -321,11 +327,15 @@ def _add_system_args(parser: argparse.ArgumentParser):
 
 
 def _write_output(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        message = exc.strerror or exc
+        raise ConfigValidationError(f"--out: cannot write {out!r}: {message}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--dt", type=float, default=1e-3)
     p_int.add_argument("--steps", type=int, default=1000)
     p_int.add_argument("--route", choices=("direct", "canonical"), default="direct")
-    p_int.add_argument("--method", choices=("rk4", "implicit-midpoint"), default="rk4")
+    p_int.add_argument("--method", choices=("rk4", "implicit-midpoint"))
     p_int.add_argument("--out")
 
     p_cat = sub.add_parser("catalog", help="catalog operations")
@@ -395,11 +405,10 @@ def main(argv=None) -> int:
             system = _system_from_args(args)
             n = system.field.n
             H = _hamiltonian_flag(args.hamiltonian, n) if args.hamiltonian else system.hamiltonian
-            x0 = (
-                number_list(_flag_numbers("--x0", float, args.x0.split(",")), "--x0", n)
-                if args.x0
-                else system.initial_state
-            )
+            x0 = system.initial_state
+            if args.x0:
+                x0 = _flag_numbers("--x0", float, args.x0.split(","))
+                x0 = state_in_box(x0, "--x0", system.field.domain)
             code, csv_text, summary = run_integrate(
                 system.spec, H, x0, args.dt, args.steps, args.route, args.method
             )

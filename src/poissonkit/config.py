@@ -21,9 +21,9 @@ coordinate (params.index, 1-based)) and "initial_state".
 One rule holds whatever the command: :func:`load_system` validates the
 whole definition when it is loaded and builds the system in the same pass,
 checking "hamiltonian" and "initial_state" against the system's dimension
-n.  Every number must be finite, except domain and validity bounds, where
-null or an infinity marks an unbounded side.  Errors name the offending
-field path.
+n, and "initial_state" against the open domain box.  Every number must be
+finite, except domain and validity bounds, where null or an infinity marks
+an unbounded side.  Errors name the offending field path.
 """
 
 from __future__ import annotations
@@ -117,6 +117,15 @@ def number_list(raw, path: str, n: int | None = None) -> np.ndarray:
     if n is not None and values.shape != (n,):
         _fail(path, f"expected {n} numbers")
     return values
+
+
+def state_in_box(raw, path: str, domain: BoxDomain) -> np.ndarray:
+    """A :func:`number_list` state of the domain's dimension that lies in its
+    open box; errors name ``path``."""
+    x = number_list(raw, path, domain.dimension)
+    if not domain.contains(x):
+        _fail(path, f"point {x.tolist()} is outside the domain box")
+    return x
 
 
 def _bound_list(raw, n: int, path: str, sign: float) -> np.ndarray:
@@ -275,7 +284,7 @@ def load_system(raw) -> System:
     if "hamiltonian" in raw:
         hamiltonian = hamiltonian_from_descriptor(raw["hamiltonian"], fld.n)
     if "initial_state" in raw:
-        initial_state = number_list(raw["initial_state"], "initial_state", fld.n)
+        initial_state = state_in_box(raw["initial_state"], "initial_state", fld.domain)
     return System(descriptor, spec, fld, hamiltonian, initial_state)
 
 

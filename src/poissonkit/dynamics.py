@@ -13,18 +13,17 @@ Each route has one evaluator p -> (f(p), newton): the field value and a
 thunk that forms the Newton matrix Df(p) from the same evaluation, with
 the structure part analytic and Hess H from HamiltonianField.hessian_at.
 Implicit midpoint (simplified Newton) evaluates each Newton point once.
-On the direct route, whose evaluator also serves RK4 stages and
-predictors, one structure_slopes call gives J and the field J g with
-g = grad H(x); only a refresh takes the derivative pass for the
-pair-product slopes W (dJ_ij/dx_l = sum_p L_ij^p W[p, l] through the pair
-minors L), and the Newton matrix is
+The direct route never forms J: with the pair products w = phi_odd phi_even,
+g = grad H(x) and M_g = A_odd diag(A_even^T g) - A_even diag(A_odd^T g),
+the field is J g = M_g w, and only a Newton-matrix refresh takes the
+derivative pass for the pair-product slopes W = dw/dx:
 
-    J(x) Hess H + A_odd diag(A_even^T g) W - A_even diag(A_odd^T g) W,
+    J Hess H + (dJ/dx) g = M_g W + A_odd diag(w) A_even^T Hess H
+                                 - A_even diag(w) A_odd^T Hess H.
 
-which is J Hess H + (dJ/dx) grad H without forming the (n, n, n) partials
-tensor.  On the canonical route one chart pull-back y = F^{-1}(z),
-x = A y, e = phi(y), g = (A^T grad H(x))[:r] gives the field K_r (e g),
-and the Newton matrix adds only phi'(y) and the Hessian:
+On the canonical route one chart pull-back y = F^{-1}(z), x = A y,
+e = phi(y), g = (A^T grad H(x))[:r] gives the field K_r (e g), and the
+Newton matrix adds only phi'(y) and the Hessian:
 
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
@@ -66,11 +65,11 @@ from .errors import (
 )
 from .structure import (
     MultiseparableSpec,
-    evaluate_structure,
     factor_derivatives,
     factor_values,
+    factors_at,
     non_finite_error,
-    structure_slopes,
+    pair_slopes,
 )
 from .verify import central_differences
 
@@ -158,22 +157,21 @@ Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
 def _direct_field(spec: MultiseparableSpec, H: HamiltonianField, x):
-    """The direct-route evaluator of x -> J(x) grad H(x) (see the module
-    docstring): J g from one structure_slopes call, and a Newton thunk
-    that takes the derivative pass for W."""
-    J, slopes = structure_slopes(spec, x)
-    g = H.gradient_at(x)
+    """The direct-route evaluator of x -> J(x) grad H(x): M_g w from the pair
+    products, and a Newton thunk that takes the derivative pass for W (see
+    the module docstring)."""
+    y, phi = factors_at(spec, x)
+    w = phi[0::2] * phi[1::2]
+    A_r = spec.A[:, : spec.r]
+    odd, even = A_r[:, 0::2], A_r[:, 1::2]
+    c = H.gradient_at(x) @ A_r  # A_r^T g
+    M = odd * c[1::2] - even * c[0::2]
 
     def newton() -> np.ndarray:
-        W = slopes()
-        odd, even = spec.A[:, 0 : spec.r : 2], spec.A[:, 1 : spec.r : 2]
-        return (
-            J @ H.hessian_at(x)
-            + odd @ ((even.T @ g)[:, None] * W)
-            - even @ ((odd.T @ g)[:, None] * W)
-        )
+        C = A_r.T @ H.hessian_at(x)
+        return M @ pair_slopes(spec, y, phi) + ((odd * w) @ C[1::2] - (even * w) @ C[0::2])
 
-    return J @ g, newton
+    return M @ w, newton
 
 
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
@@ -189,8 +187,7 @@ def bracket(
     Evaluated as grad f . (J grad g) so that brackets against a function
     whose gradient J annihilates (a Casimir) vanish exactly.
     """
-    J = evaluate_structure(spec, x)
-    return float(f.gradient_at(x) @ (J @ g.gradient_at(x)))
+    return float(f.gradient_at(x) @ vector_field(spec, g, x))
 
 
 @dataclass(frozen=True)

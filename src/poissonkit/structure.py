@@ -17,7 +17,8 @@ every partial of J is L times the pair-product slopes
 
 and the partials tensor is the product L W, reshaped.  J, W and the
 partials accept a single point or a (P, n) block of points, and a block
-gives bitwise the per-point results.
+gives bitwise the per-point results.  A product J v needs neither L nor J:
+it is A_odd (w * A_even^T v) - A_even (w * A_odd^T v), w = phi_odd * phi_even.
 
 Index convention: public operations take and report 1-based indices, the
 standard convention in the analytic treatment of these brackets; array
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -228,9 +228,10 @@ def _structure(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
     return U - U.swapaxes(-1, -2)
 
 
-def _slopes(spec: MultiseparableSpec, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The pair-product slopes W, shaped (..., r/2, n), at linear-chart
-    points y with factor values phi: chain rule through y_q = B_q . x."""
+def pair_slopes(spec: MultiseparableSpec, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The pair-product slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l,
+    shaped (..., r/2, n), at linear-chart points y with factor values phi:
+    chain rule through y_q = B_q . x."""
     r = spec.r
     dphi = factor_derivatives(spec, y)
     W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
@@ -255,26 +256,27 @@ def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
     return unchecked_structure(spec, spec.domain.require_inside(x))
 
 
-def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """J at a point or (P, n) block, from one domain check and one pass
-    over the factor values, and a zero-argument thunk that takes the
-    derivative pass and forms, from the same y and phi, the pair-product
-    slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l, shaped (r/2, n)
-    or (P, r/2, n).  d_l J_ij = (L W)[i*n + j, l] with L the spec's pair
-    minors."""
-    x = spec.domain.require_inside(x)
-    y = matvec(spec.B, x)
-    phi = factor_values(spec, y)
-    return _structure(spec, phi), lambda: _slopes(spec, y, phi)
+def factors_at(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """y = B x and the factor values phi(y), from one domain check and one
+    factor value pass, at a point or (P, n) block inside the domain box."""
+    y = matvec(spec.B, spec.domain.require_inside(x))
+    return y, factor_values(spec, y)
+
+
+def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
+    """J and the pair-product slopes W (see :func:`pair_slopes`) at a point
+    or (P, n) block, from one :func:`factors_at` pass; d_l J_ij =
+    (L W)[i*n + j, l] with L the spec's pair minors."""
+    y, phi = factors_at(spec, x)
+    return _structure(spec, phi), pair_slopes(spec, y, phi)
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
     """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
     or the (P, n, n, n) stack of them for a (P, n) block: the pair minors
     times the pair-product slopes, L W, which is exactly skew in (i, j)."""
-    _, slopes = structure_slopes(spec, x)
-    n = spec.n
-    return (spec.pair_minors @ slopes()).reshape(np.shape(x)[:-1] + (n, n, n))
+    W = pair_slopes(spec, *factors_at(spec, x))
+    return (spec.pair_minors @ W).reshape(np.shape(x)[:-1] + (spec.n,) * 3)
 
 
 def non_finite_error(
@@ -312,7 +314,7 @@ def non_finite_error(
                     f"product of factors {2 * p + 1} ({f.kind}) and {2 * p + 2} "
                     f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2].tolist()}, {where}"
                 )
-            J, slopes = structure_slopes(spec, x)
-            if not (np.isfinite(J).all() and np.isfinite(spec.pair_minors @ slopes()).all()):
+            J, W = structure_slopes(spec, x)
+            if not (np.isfinite(J).all() and np.isfinite(spec.pair_minors @ W).all()):
                 return ConfigValidationError(f"J or its partials overflow at {where}")
     return ConfigValidationError(f"{otherwise} at {where}")

@@ -122,8 +122,7 @@ def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerm
     for C.  Raises ConfigValidationError when J or W is not finite on the
     block."""
     with np.errstate(over="ignore", invalid="ignore"):
-        structures, slopes = structure_slopes(spec, X)
-        W = slopes()
+        structures, W = structure_slopes(spec, X)
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
         raise non_finite_error(spec, X)
     L = spec.pair_minors

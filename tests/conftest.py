@@ -23,14 +23,30 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+#: The structure operations that form J, its pair-product slopes or its
+#: partials tensor.
+STRUCTURE_FORMS = (
+    "evaluate_structure",
+    "structure_slopes",
+    "unchecked_structure",
+    "structure_partials",
+)
+
+
 @pytest.fixture
-def refuse_partials_tensor(monkeypatch):
-    """Make structure_partials raise wherever a poissonkit module binds it,
-    so a test can show that a path never forms the partials tensor."""
+def refuse_structure(monkeypatch):
+    """A function that makes the named structure operations, by default all
+    of STRUCTURE_FORMS, raise wherever a poissonkit module binds them, so a
+    test can show that a path never calls them."""
 
-    def refuse(spec, x):
-        raise AssertionError("the partials tensor was formed")
+    def refuse(*names):
+        for name in names or STRUCTURE_FORMS:
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "poissonkit" and hasattr(module, "structure_partials"):
-            monkeypatch.setattr(module, "structure_partials", refuse)
+            def refused(*args, name=name, **kwargs):
+                raise AssertionError(f"{name} was called")
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "poissonkit" and hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+
+    return refuse

@@ -23,6 +23,8 @@ KMK_CONFIG = {
     "initial_state": [1.0, 1.1, 0.9],
 }
 
+KMK_INTEGRATE = ["integrate", "--system", "kmk", "--steps", "5"]
+
 
 EXPLICIT_CONFIG = {
     "version": 1,
@@ -226,7 +228,8 @@ class TestVerifyCommand:
         monkeypatch.setattr(poissonkit.structure, "BLOCK_FLOATS", 1)
         assert [_run(capsys, argv) for argv in argvs] == whole
 
-    def test_spec_sweep_never_forms_partials(self, refuse_partials_tensor):
+    def test_spec_sweep_never_forms_partials(self, refuse_structure):
+        refuse_structure("structure_partials")
         for system in ({"name": "kmk"}, {"name": "toda", "params": {"N": 4}}):
             code, report = run_verify(load_system({"system": system}), 30, 2)
             assert code == 0 and report["passed"] is True
@@ -345,9 +348,14 @@ class TestDarbouxCommand:
         assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
 
 
+#: The (method, route) pairs that integrate: rk4 runs on the direct route
+#: only.
+METHOD_ROUTES = [("rk4", "direct"), ("implicit-midpoint", "direct"),
+                 ("implicit-midpoint", "canonical")]
+
+
 class TestIntegrateCommand:
-    @pytest.mark.parametrize("route", ["direct", "canonical"])
-    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    @pytest.mark.parametrize("method, route", METHOD_ROUTES)
     def test_overflowing_parameter_is_a_named_usage_error(self, capsys, route, method):
         argv = [
             "integrate", "--system", "kmk", "--param", "kappa1=1e308",
@@ -375,8 +383,7 @@ class TestIntegrateCommand:
         assert code == 2 and out == ""
         assert err == "error: the vector field overflows at initial state x = [2.0, 1.0, 1.0]\n"
 
-    @pytest.mark.parametrize("route", ["direct", "canonical"])
-    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    @pytest.mark.parametrize("method, route", METHOD_ROUTES)
     def test_overflowing_step_is_a_silent_domain_exit(self, capsys, route, method):
         argv = [
             "integrate", "--system", "kmk", "--hamiltonian", "quadratic-diagonal:1,2,3",
@@ -501,6 +508,36 @@ class TestIntegrateCommand:
         assert code == 0
         assert target.read_text().startswith("t,x1,x2,x3,dH,dC_3")
 
+    def test_canonical_route_method(self, capsys):
+        """The canonical route integrates by implicit midpoint, its default;
+        asking it for rk4 is a usage error naming --method."""
+        argv = KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9",
+                                "--route", "canonical"]
+        default = _run(capsys, argv)
+        assert default[0] == 0
+        assert _run(capsys, argv + ["--method", "implicit-midpoint"]) == default
+        code, out, err = _run(capsys, argv + ["--method", "rk4"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --method: the canonical route integrates by implicit-midpoint only, "
+            "got 'rk4'\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--system", "kmk", "--points", "5"],
+        ["darboux", "--system", "kmk", "--points", "5"],
+        KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"],
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report"
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: cannot write {str(target)!r}: No such file or directory\n"
+
 
 @pytest.mark.parametrize("route", ["direct", "canonical"])
 @pytest.mark.parametrize("dt", ["nan", "inf", "-1"])
@@ -608,7 +645,6 @@ def test_malformed_integrate_flag_names_flag(capsys, flag, value):
     assert err.startswith(f"error: {flag}: ")
 
 
-KMK_INTEGRATE = ["integrate", "--system", "kmk", "--steps", "5"]
 WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
 
 
@@ -641,6 +677,12 @@ WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
          "--hamiltonian: expected 3 numbers"),
         (None, KMK_INTEGRATE + ["--hamiltonian", "coordinate", "--x0", "1,1,1"],
          "--hamiltonian: expected a number that is an integer"),
+        (None, KMK_INTEGRATE + ["--hamiltonian", "linear:1,1,1", "--x0=-1,1,1"],
+         "--x0: point [-1.0, 1.0, 1.0] is outside the domain box"),
+        (_with(KMK_CONFIG, ("initial_state",), [0, 1, 1]), ["integrate"],
+         "initial_state: point [0.0, 1.0, 1.0] is outside the domain box"),
+        (_with(KMK_CONFIG, ("initial_state",), [0, 1, 1]), ["verify"],
+         "initial_state: point [0.0, 1.0, 1.0] is outside the domain box"),
     ],
 )
 def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, message):

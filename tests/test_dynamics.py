@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -13,6 +14,7 @@ from poissonkit import (
     Constant,
     HamiltonianField,
     MaxNewtonIterationsError,
+    OutOfDomainError,
     build_spec,
     bracket,
     constant_symplectic,
@@ -21,6 +23,7 @@ from poissonkit import (
     evaluate_structure,
     integrate_canonical,
     integrate_direct,
+    kermack_mckendrick,
     linear_hamiltonian,
     quadratic_hamiltonian,
     structure_partials,
@@ -28,7 +31,7 @@ from poissonkit import (
     trajectory_to_csv,
     vector_field,
 )
-from poissonkit import dynamics, structure
+from poissonkit import dynamics
 from poissonkit.config import parse_config
 from poissonkit.darboux import DarbouxChart
 from poissonkit.dynamics import (
@@ -37,7 +40,8 @@ from poissonkit.dynamics import (
     _record_stride,
     validate_gradient,
 )
-from poissonkit.verify import central_differences
+from poissonkit.factors import FactorBank
+from poissonkit.verify import central_differences, jacobi_sweep, structure_field
 
 #: Explicit n=7, r=6 system over all five factor kinds on (0.5, 1.5)^7,
 #: where every projected interval is positive.  The catalog systems use
@@ -143,6 +147,10 @@ class TestHamiltonianField:
 
 
 class TestVectorField:
+    @pytest.fixture(autouse=True)
+    def _never_forms_structure(self, refuse_structure):
+        refuse_structure()
+
     def test_casimir_gives_zero_field(self, kmk_spec, toda3_spec):
         H = linear_hamiltonian([1.0, 1.0, 1.0])
         np.testing.assert_array_equal(
@@ -160,6 +168,15 @@ class TestVectorField:
             vector_field(spec, H, [0.3, 0.4, 0.5]), np.zeros(3)
         )
 
+    def test_pair_products_keep_extreme_factors_finite(self):
+        """phi_1 = 1e300 y_1 and phi_2 = 1e-300 y_2: the field scales by the
+        pair product w = phi_1 phi_2, finite, never by one factor alone."""
+        spec = kermack_mckendrick(1.0, kappa1=1e300)
+        H = quadratic_hamiltonian([1e9, 1.0, 1.0])
+        np.testing.assert_array_equal(
+            vector_field(spec, H, [1.0, 1.0, 1.0]), [0.0, 1.0 - 1e9, 1e9 - 1.0]
+        )
+
     def test_kmk_coordinate_hamiltonian(self, kmk_spec):
         H = coordinate_hamiltonian(3, 3)
         np.testing.assert_allclose(
@@ -168,6 +185,10 @@ class TestVectorField:
 
 
 class TestBracket:
+    @pytest.fixture(autouse=True)
+    def _never_forms_structure(self, refuse_structure):
+        refuse_structure()
+
     def test_self_bracket_vanishes(self, kmk_spec, rng):
         H = quadratic_hamiltonian([1.0, 2.0, 0.5])
         for x in rng.uniform(0.5, 2.0, size=(10, 3)):
@@ -237,9 +258,8 @@ class TestNewtonJacobians:
                 newton = _direct_field(spec, H, x)[1]()
                 assert float(np.max(np.abs(newton - reference))) <= 1e-13 * scale
 
-    def test_implicit_midpoint_never_forms_partials(
-        self, refuse_partials_tensor, kmk_spec, toda3_spec
-    ):
+    def test_implicit_midpoint_never_forms_partials(self, refuse_structure, kmk_spec, toda3_spec):
+        refuse_structure()
         for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
             record = integrate_direct(spec, H, x0, 1e-3, 20, method="implicit-midpoint")
             assert record.num_records == 21 and not record.domain_exit
@@ -298,6 +318,19 @@ def _counter(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _pass_counter(monkeypatch):
+    """Count the factor bank passes by operation; returns the Counter."""
+    passes = Counter()
+    apply = FactorBank.apply
+
+    def counted(self, name, *args, **kwargs):
+        passes[name] += 1
+        return apply(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(FactorBank, "apply", counted)
+    return passes
 
 
 def _newton_point_counter(monkeypatch):
@@ -369,26 +402,21 @@ class TestOneEvaluationPerNewtonPoint:
                 with monkeypatch.context() as m:
                     newton_points = _newton_point_counter(m)
                     evaluations = _counter(m, dynamics, "_direct_field")
-                    slopes = _counter(m, dynamics, "structure_slopes")
-                    structures = _counter(m, dynamics, "evaluate_structure")
-                    values = _counter(m, structure, "factor_values")
-                    derivatives = _counter(m, structure, "factor_derivatives")
+                    passes = _pass_counter(m)
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
                 np.testing.assert_array_equal(record.states, expected.states)
                 # One evaluator serves x0, each step's predictor f(x), the
                 # RK4 stages and the Newton points; each of its calls takes
-                # one structure_slopes call and one factor value pass, and
-                # only a Newton-matrix refresh takes a derivative pass.
+                # one factor value pass, and only a Newton-matrix refresh
+                # takes a derivative pass.
                 if method == "rk4":
                     assert newton_points == [0, 0]
                     assert evaluations[0] == 4 * self.STEPS
                 else:
                     assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
                     assert evaluations[0] == self.STEPS + newton_points[0]
-                assert slopes[0] == values[0] == evaluations[0]
-                assert derivatives[0] == newton_points[1]
-                assert structures[0] == 0
+                assert passes == Counter(value=evaluations[0], derivative=newton_points[1])
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rank_zero(self, monkeypatch, analytic):
@@ -400,21 +428,46 @@ class TestOneEvaluationPerNewtonPoint:
         with monkeypatch.context() as m:
             newton_points = _newton_point_counter(m)
             inversions = _counter(m, dynamics, "inverse_quadrature_chart")
-            slopes = _counter(m, dynamics, "structure_slopes")
             m.setattr(DarbouxChart, "inverse", None)
             canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
             assert newton_points[0] == inversions[0] == 0
+            passes = _pass_counter(m)
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
         # J = 0: every step converges at its first Newton point, and the
         # direct evaluator also runs at x0 and at each later predictor.
         assert newton_points[0] == self.STEPS
-        assert slopes[0] == 2 * self.STEPS
+        assert passes == {"value": 2 * self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
 
 
+@pytest.mark.parametrize("integrate", [integrate_direct, integrate_canonical])
+def test_start_outside_box_raises(kmk_spec, integrate):
+    """The library integrators raise OutOfDomainError for a start outside
+    the open box or on a face; the CLI names --x0 or initial_state."""
+    H = quadratic_hamiltonian([1.0, 1.0, 1.0])
+    for x0 in ([-1.0, 1.0, 1.0], [0.0, 1.0, 1.0]):
+        with pytest.raises(OutOfDomainError, match="is outside the domain box"):
+            integrate(kmk_spec, H, x0, 1e-2, 3)
+
+
 class TestIntegrateDirect:
+    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    def test_never_forms_structure(self, refuse_structure, kmk_spec, toda3_spec, method):
+        """The direct route integrates from the pair products alone: with J,
+        its slopes and its partials refused everywhere it still runs, while
+        the sweep, which forms J, is refused."""
+        cases = _newton_cases(kmk_spec, toda3_spec)[:2] + [
+            (constant_symplectic(0, 3), quadratic_hamiltonian([1.0, 2.0, 0.5]), [0.1, 0.2, 0.3])
+        ]
+        refuse_structure()
+        for spec, H, x0 in cases:
+            record = integrate_direct(spec, H, x0, 1e-2, 20, method=method)
+            assert record.num_records == 21 and not record.domain_exit
+            with pytest.raises(AssertionError, match="was called"):
+                jacobi_sweep(structure_field(spec), 4)
+
     def test_zero_steps(self, kmk_spec):
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
         rec = integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, 0)

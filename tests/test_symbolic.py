@@ -4,7 +4,9 @@ sympy checks, with symbolic factors phi_i and random rational B, that the
 factored form J = U - U^T, U = A_odd diag(phi_odd phi_even) A_even^T,
 equals the minor-sum definition and satisfies the Jacobi identity
 exactly.  mpmath evaluates J and its partials at 50 digits for concrete
-factors and checks the float kernel against them.
+factors and checks the float kernel against them, and, from the same
+minor sum, the direct-route field J grad H and its Newton matrix, which
+the integrator forms from the pair products without J.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from specgen import dimension_rank_pairs, random_spec
+
 from poissonkit import (
     Affine,
     BoxDomain,
@@ -25,8 +29,12 @@ from poissonkit import (
     Power,
     build_spec,
     evaluate_structure,
+    kermack_mckendrick,
+    quadratic_hamiltonian,
     structure_partials,
+    toda,
 )
+from poissonkit.dynamics import _direct_field
 from poissonkit.verify import _residual_tensor
 
 
@@ -142,3 +150,56 @@ def test_float_kernel_matches_50_digit_reference():
             assert np.max(np.abs(T - T_ref)) <= 1e-14 * T_scale
             # The float Jacobi residual is round-off against |J| |dJ|.
             assert np.max(np.abs(_residual_tensor(J, T))) <= 1e-13 * J_scale * T_scale
+
+
+def _mp_factor(f):
+    """The mpmath function of a built-in factor, from its parameters."""
+    p = {k: mpmath.mpf(v) for k, v in f.params().items()}
+    return {
+        "constant": lambda t: p["c"] + 0 * t,
+        "linear": lambda t: p["slope"] * t,
+        "affine": lambda t: p["slope"] * t + p["intercept"],
+        "exponential": lambda t: p["amplitude"] * mpmath.exp(p["rate"] * t),
+        "power": lambda t: p["coefficient"] * t ** p["exponent"],
+    }[f.kind]
+
+
+def test_direct_field_and_newton_match_50_digit_minor_sum():
+    """J g and J Hess H + (dJ/dx) g, with g = grad H for a diagonal
+    quadratic H, from the 50-digit minor sum against the evaluator's pair
+    form.  The bound is relative to the same sums taken over absolute
+    values, which bound their rounding error."""
+    to_float = np.vectorize(float)
+    spec_rng = np.random.default_rng(67)
+    specs = [random_spec(spec_rng, n, r) for n, r in dimension_rank_pairs()]
+    rng = np.random.default_rng(71)
+    for spec in specs + [kermack_mckendrick(1.0, 1.0, 1.0), toda(3)]:
+        n, r = spec.n, spec.r
+        weights = rng.uniform(0.5, 2.0, size=n)
+        H = quadratic_hamiltonian(weights)
+        odd, even = np.abs(spec.A[:, 0:r:2]), np.abs(spec.A[:, 1:r:2])
+        with mpmath.workdps(50):
+            B = mpmath.matrix(spec.B.tolist())
+            fns = [_mp_factor(f) for f in spec.factors]
+            weights_mp = np.array([mpmath.mpf(float(c)) for c in weights], dtype=object)
+            for x in spec.domain.halton_points(3, seed=13):
+                x_mp = [mpmath.mpf(float(v)) for v in x]
+                J_mp, T_mp = _mp_structure(B, fns, x_mp)
+                g = weights_mp * np.array(x_mp, dtype=object)
+                field_ref = to_float(J_mp @ g)
+                newton_ref = to_float(J_mp * weights_mp + np.einsum("ijl,j->il", T_mp, g))
+                field, newton = _direct_field(spec, H, x)
+                newton = newton()
+                y = spec.B @ x
+                phi = np.abs([f.value(t) for f, t in zip(spec.factors, y)])
+                dphi = np.abs([f.derivative(t) for f, t in zip(spec.factors, y)])
+                w = phi[0::2] * phi[1::2]
+                W = (dphi[0::2] * phi[1::2])[:, None] * np.abs(spec.B[0:r:2])
+                W += (phi[0::2] * dphi[1::2])[:, None] * np.abs(spec.B[1:r:2])
+                g_abs = np.abs(H.gradient_at(x))
+                M = odd * (even.T @ g_abs) + even * (odd.T @ g_abs)
+                field_scale = float(np.max(M @ w))
+                J_hessian = (odd * w) @ (even.T * weights) + (even * w) @ (odd.T * weights)
+                newton_scale = float(np.max(M @ W + J_hessian))
+                assert np.max(np.abs(field - field_ref)) <= 1e-14 * field_scale
+                assert np.max(np.abs(newton - newton_ref)) <= 1e-14 * newton_scale
