@@ -10,7 +10,8 @@ followed by an (n - r) zero block.  Rows r+1..n of B are a complete set of
 linear Casimir coefficient vectors, and the chart leaves those coordinates
 untouched, so Casimir levels are preserved exactly.
 
-The chart maps and their inverses take one point (n,) or a (P, n) block;
+The chart maps, their inverses and their Jacobians take one point (n,) or
+a (P, n) block (the Jacobians of a block are a (P, n, n) stack);
 validation and certification check a whole sample block at once.
 """
 
@@ -213,13 +214,12 @@ class DarbouxChart:
         """dz/dx = diag(1/phi_i(y_i), 1) . B, analytic."""
         spec = self.spec
         phi = _quadrature_scales(spec, linear_chart(spec, x))
-        return (1.0 / phi)[:, None] * spec.B
+        return (1.0 / phi)[..., :, None] * spec.B
 
     def inverse_jacobian(self, z) -> np.ndarray:
         """dx/dz = A . diag(phi_i(y_i), 1), analytic."""
-        spec = self.spec
-        y = inverse_quadrature_chart(spec, self.anchors, z)
-        return spec.A * _quadrature_scales(spec, y)[None, :]
+        spec, z = self.spec, np.asarray(z, dtype=float)
+        return spec.A * spec.bank.invert_values(z, self.anchors, z.copy())[1][..., None, :]
 
     def contains_image(self, z) -> bool:
         """True when z is the image of a domain point."""

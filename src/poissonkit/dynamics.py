@@ -28,8 +28,9 @@ Newton matrix adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
 The accepted state's pull-back is the recorded x, and once that x has
-passed the box check it also gives the next step's predictor, so a step
-inverts the chart once per Newton point plus once for the accepted state.
+passed the box check it also gives the next step's predictor.  A pull-back
+is one factor bank pass that inverts the chart and evaluates phi, so a step
+takes one such pass per Newton point plus one for the accepted state.
 
 Both integrators are fixed-step; states that leave the certified box
 truncate the trajectory with a domain-exit flag rather than extrapolating
@@ -50,13 +51,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .darboux import (
-    DarbouxChart,
-    canonical_matrix,
-    casimirs,
-    darboux_chart,
-    inverse_quadrature_chart,
-)
+from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
 from .errors import (
     MaxNewtonIterationsError,
     OutOfDomainError,
@@ -66,7 +61,6 @@ from .errors import (
 from .structure import (
     MultiseparableSpec,
     factor_derivatives,
-    factor_values,
     factors_at,
     non_finite_error,
     pair_slopes,
@@ -277,13 +271,13 @@ def _implicit_midpoint_step(
     tenth after.  Raises MaxNewtonIterationsError when the residual does
     not reach NEWTON_TOL within the cap."""
     n = x.shape[0]
-    scale = 1.0 + float(np.max(np.abs(x)))
+    scale = 1.0 + float(np.abs(x).max())
     u = x + dt * fx
     M = None
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = evaluate(0.5 * (x + u))
         g = u - x - dt * f_mid
-        if float(np.max(np.abs(g))) <= NEWTON_TOL * scale:
+        if float(np.abs(g).max()) <= NEWTON_TOL * scale:
             return u
         if M is None or it % 10 == 9:
             M = np.eye(n) - 0.5 * dt * newton()
@@ -319,9 +313,9 @@ class _CanonicalSystem:
     """The reduced canonical-route field on the first r chart coordinates u,
     with z_{r+1..n} held at ``tail``; calling it is an evaluator.
 
-    One pull-back inverts the quadrature chart, y = F^{-1}(u, tail) and
-    x = A y (:meth:`pull_back`); :meth:`at` completes it with e = phi(y)
-    and g = (A^T grad H(x))[:r], and the field is K_r (e g).  Since
+    One pull-back (:meth:`pull_back`), y = F^{-1}(u, tail) with e = phi(y)
+    from the same bank pass (FactorBank.invert_values) and x = A y, gives
+    the field K_r (e g) with g = (A^T grad H(x))[:r] (:meth:`at`).  Since
     dy_i/du_i = e_i, its Newton thunk adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
     """
@@ -333,15 +327,13 @@ class _CanonicalSystem:
     K: np.ndarray
     A_r: np.ndarray
 
-    def pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.spec
-        y = inverse_quadrature_chart(spec, self.anchors, np.concatenate([u, self.tail]))
-        return y, spec.A @ y
+    def pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        y, e = self.spec.bank.invert_values(u, self.anchors, np.concatenate([u, self.tail]))
+        return y, self.spec.A @ y, e[: self.spec.r]
 
-    def at(self, u: np.ndarray, y: np.ndarray, x: np.ndarray):
-        """The field at u and its Newton thunk, from u's pull-back (y, x)."""
+    def at(self, y: np.ndarray, x: np.ndarray, e: np.ndarray):
+        """The field and its Newton thunk at the pull-back (y, x, e) of u."""
         spec, H, K, A_r = self.spec, self.H, self.K, self.A_r
-        e = factor_values(spec, y)
         g = A_r.T @ H.gradient_at(x)
 
         def newton() -> np.ndarray:
@@ -352,7 +344,7 @@ class _CanonicalSystem:
         return K @ (e * g), newton
 
     def __call__(self, u: np.ndarray):
-        return self.at(u, *self.pull_back(u))
+        return self.at(*self.pull_back(u))
 
 
 def _canonical_system(
@@ -466,9 +458,9 @@ def integrate_canonical(
         fu = _first_value(spec, x_start, system, u)
         while True:
             u = _implicit_midpoint_step(system, u, fu, dt)
-            y, x = system.pull_back(u)
+            y, x, e = system.pull_back(u)
             yield x
-            fu, _ = system.at(u, y, x)
+            fu, _ = system.at(y, x, e)
 
     # A large step can overflow in the reduced field; the non-finite
     # iterate then fails the chart's pull-back, a domain exit.

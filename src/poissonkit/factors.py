@@ -16,10 +16,11 @@ np.exp, np.log and np.power) over a column of arguments and vectors of
 parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
 a pass over the r columns of a point (n,) or a block (P, n) is one
 comparison of the arguments against the validity bounds (for inversions,
-of the results too) plus one expression per kind.  numpy's results do not
-depend on where an element sits in an array, so a block gives bitwise the
-per-point results.  A single factor's methods are a bank of one; they take
-a float or a 1-D array.
+of the results too) plus one expression per kind; an inversion pass can
+also evaluate phi at its results (FactorBank.invert_values).  numpy's
+results do not depend on where an element sits in an array, so a block
+gives bitwise the per-point results.  A single factor's methods are a
+bank of one; they take a float or a 1-D array.
 
 An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
@@ -439,7 +440,8 @@ class FactorBank:
     Each group of built-in factors holds its columns (a slice when they
     are evenly spaced, so a pass takes a view), its parameters as vectors
     and its four formulas; ``lo`` and ``hi`` are the validity bounds of all
-    r columns.  CustomFactor columns go through their scalar methods.
+    r columns.  CustomFactor columns go through their scalar methods.  A
+    pass is :meth:`apply`, or :meth:`invert_values` for F^{-1} and phi.
     """
 
     def __init__(self, factors):
@@ -497,6 +499,18 @@ class FactorBank:
         if first < r:
             raise self._error(name, first, y, a, res)
         return res if out is None else out
+
+    def invert_values(self, z, anchors, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y = apply("invert_antiderivative", z, anchors, out) and phi(y),
+        shaped like y with 1 past column r (dy/dz of the quadrature chart),
+        in one pass: the value formulas run unchecked at the checked y."""
+        y, phi = self.apply("invert_antiderivative", z, anchors, out), np.ones(out.shape)
+        for cols, formula, params in self.passes["value"]:
+            phi[..., cols] = formula(y[..., cols], *params)
+        for q in self.custom:
+            values = [self.factors[q]._value(t) for t in y[..., q].ravel().tolist()]
+            phi[..., q] = np.reshape(values, phi.shape[:-1])
+        return y, phi
 
     @np.errstate(all="ignore")
     def _anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):

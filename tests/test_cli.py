@@ -539,6 +539,54 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert err == f"error: --out: cannot write {str(target)!r}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--system", "kmk", "--points", "5"],
+        ["darboux", "--system", "kmk", "--points", "5"],
+        KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"],
+    ],
+)
+@pytest.mark.parametrize(
+    "parent, reason",
+    [
+        ("missing", "No such file or directory"),
+        ("file", "Not a directory"),
+        ("read-only", "Permission denied"),
+    ],
+)
+def test_unwritable_out_fails_before_the_command_runs(
+    tmp_path, capsys, monkeypatch, argv, parent, reason
+):
+    """An --out whose directory is missing, a file or not writable exits 2
+    before the sweep, the chart or the integration starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("run_verify", "run_darboux", "run_integrate"):
+        monkeypatch.setattr(poissonkit.cli, name, refuse)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "read-only").mkdir()
+    access = os.access
+    monkeypatch.setattr(
+        os, "access", lambda path, mode: "read-only" not in str(path) and access(path, mode)
+    )
+    target = tmp_path / parent / "report"
+    code, out, err = _run(capsys, argv + ["--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: cannot write {str(target)!r}: {reason}\n"
+
+
+def test_out_that_fails_at_write_time_is_usage_error(tmp_path, capsys):
+    """A failure that only opening the file finds, here an --out that is a
+    directory, is reported the same way after the run."""
+    argv = ["verify", "--system", "kmk", "--points", "5", "--out", str(tmp_path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --out: cannot write {str(tmp_path)!r}: Is a directory\n"
+
+
 @pytest.mark.parametrize("route", ["direct", "canonical"])
 @pytest.mark.parametrize("dt", ["nan", "inf", "-1"])
 def test_bad_dt_is_usage_error(capsys, dt, route):

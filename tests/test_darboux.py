@@ -234,6 +234,16 @@ class TestDarbouxChart:
         G = chart.inverse_jacobian(chart.forward(x))
         np.testing.assert_allclose(F @ G, np.eye(5), atol=1e-12)
 
+    def test_jacobians_of_a_block_are_the_per_point_jacobians(self, toda3_spec):
+        chart = darboux_chart(toda3_spec)
+        X = np.array([[1.2, 0.9, 0.3, -0.1, 0.5], [0.8, 0.7, 0.1, -0.2, 0.3]])
+        Z = chart.forward(X)
+        for jacobian, points in ((chart.forward_jacobian, X), (chart.inverse_jacobian, Z)):
+            block = jacobian(points)
+            assert block.shape == (2, 5, 5)
+            for k in range(2):
+                np.testing.assert_array_equal(block[k], jacobian(points[k]))
+
     def test_image_bounds_kmk(self, kmk_spec):
         chart = darboux_chart(kmk_spec)
         # log coordinates reach every real value; the Casimir coordinate

@@ -360,8 +360,9 @@ def _newton_point_counter(monkeypatch):
 class TestOneEvaluationPerNewtonPoint:
     """Implicit midpoint evaluates each Newton point once, and the Newton
     matrix reuses that evaluation; only a refresh takes a factor derivative
-    pass.  On the canonical route the accepted state's chart pull-back
-    gives the recorded x and the next predictor."""
+    pass.  On the canonical route a pull-back is one inversion pass that
+    also gives phi, and the accepted state's pull-back gives the recorded x
+    and the next predictor."""
 
     STEPS = 30
 
@@ -374,9 +375,7 @@ class TestOneEvaluationPerNewtonPoint:
             with monkeypatch.context() as m:
                 newton_points = _newton_point_counter(m)
                 evaluations = _counter(m, dynamics._CanonicalSystem, "__call__")
-                inversions = _counter(m, dynamics, "inverse_quadrature_chart")
-                values = _counter(m, dynamics, "factor_values")
-                derivatives = _counter(m, dynamics, "factor_derivatives")
+                passes = _pass_counter(m)
 
                 def refuse(self, z):
                     raise AssertionError("the chart was inverted per step")
@@ -386,12 +385,16 @@ class TestOneEvaluationPerNewtonPoint:
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            # The evaluator runs at x0 and at each Newton point; each
-            # refresh adds phi' and no pull-back.
+            # x0 is mapped forward once.  The evaluator runs at x0 and at
+            # each Newton point, and each accepted state is pulled back once
+            # more; a pull-back's phi takes no value pass, and each refresh
+            # adds phi' and no pull-back.
             assert evaluations[0] == 1 + newton_points[0]
-            assert derivatives[0] == newton_points[1]
-            assert inversions[0] == 1 + newton_points[0] + self.STEPS
-            assert values[0] == newton_points[0] + self.STEPS
+            assert passes == Counter(
+                reciprocal_antiderivative=1,
+                invert_antiderivative=1 + newton_points[0] + self.STEPS,
+                derivative=newton_points[1],
+            )
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_direct_newton_points(self, monkeypatch, kmk_spec, toda3_spec, analytic):
@@ -427,11 +430,12 @@ class TestOneEvaluationPerNewtonPoint:
         chart = darboux_chart(spec)
         with monkeypatch.context() as m:
             newton_points = _newton_point_counter(m)
-            inversions = _counter(m, dynamics, "inverse_quadrature_chart")
+            passes = _pass_counter(m)
             m.setattr(DarbouxChart, "inverse", None)
             canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
-            assert newton_points[0] == inversions[0] == 0
-            passes = _pass_counter(m)
+            # x0's forward map is the only pass: nothing is inverted.
+            assert newton_points[0] == 0 and passes == {"reciprocal_antiderivative": 1}
+            passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
         # J = 0: every step converges at its first Newton point, and the
         # direct evaluator also runs at x0 and at each later predictor.

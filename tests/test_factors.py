@@ -401,3 +401,61 @@ def test_custom_factor_loops_over_arrays():
     np.testing.assert_array_equal(f.derivative(ys), [math.sinh(v) for v in ys])
     zs = f.reciprocal_antiderivative(ys, 0.0)
     np.testing.assert_allclose(f.invert_antiderivative(zs, 0.0), ys, atol=1e-10)
+
+
+class TestInvertValues:
+    """FactorBank.invert_values is an inversion pass followed by a value
+    pass, bitwise, in one pass: every kind, the degenerate parameters that
+    evaluate as a simpler kind, a bounded interval and a custom column."""
+
+    FACTORS = tuple(make() for make in FACTORY.values()) + (
+        Exponential(-1.5, 0.0),
+        Power(0.8, 1.0),
+        CustomFactor(
+            value_fn=math.cosh,
+            derivative_fn=math.sinh,
+            antiderivative_fn=lambda y: math.atan(math.sinh(y)),
+        ),
+        Linear(1.0, validity=(0.5, 4.0)),
+    )
+    TAIL = 2
+
+    def _targets(self, rng):
+        """The bank, its anchors and a (5, r + TAIL) block of reachable z."""
+        bank = FactorBank(self.FACTORS)
+        anchors = np.array([_point_inside(f, 2.0) for f in self.FACTORS])
+        us = rng.uniform(0.2, 4.8, 5)
+        Y = np.array([[_point_inside(f, u) for f in self.FACTORS] for u in us])
+        Z = bank.apply("reciprocal_antiderivative", Y, anchors)
+        return bank, anchors, np.hstack([Z, rng.normal(size=(5, self.TAIL))])
+
+    def test_equals_an_inversion_then_a_value_pass(self, rng):
+        bank, anchors, Z = self._targets(rng)
+        for z in (Z[0], Z):
+            y = bank.apply("invert_antiderivative", z, anchors, out=z.copy())
+            phi = bank.apply("value", y, out=np.ones(z.shape))
+            out = z.copy()
+            fused_y, fused_phi = bank.invert_values(z, anchors, out)
+            assert fused_y is out
+            assert fused_y.tobytes() == y.tobytes() and fused_phi.tobytes() == phi.tobytes()
+            assert fused_phi.shape == z.shape and (fused_phi[..., bank.r :] == 1.0).all()
+
+    def test_raises_as_the_inversion_does(self, rng):
+        bank, anchors, Z = self._targets(rng)
+        linear, custom, narrow = 0, bank.r - 2, bank.r - 1
+        outside_anchor = anchors.copy()
+        outside_anchor[narrow] = 5.0
+        cases = [
+            (linear, 1e6, anchors),  # out of range: exp overflows
+            (custom, 10.0, anchors),  # out of a custom factor's range
+            (narrow, math.log(8.0), anchors),  # maps outside validity: 8 times the anchor
+            (narrow, 0.0, outside_anchor),  # an anchor outside validity
+        ]
+        for q, value, a in cases:
+            for z in (Z[0].copy(), Z.copy()):
+                z[..., q] = value
+                with pytest.raises(OutOfRangeError if a is anchors else OutOfValidityError) as exc:
+                    bank.apply("invert_antiderivative", z, a, out=z.copy())
+                with pytest.raises(type(exc.value)) as fused:
+                    bank.invert_values(z, a, z.copy())
+                assert str(fused.value) == str(exc.value)
