@@ -12,7 +12,6 @@ Sweeps run in one thread with numpy batching.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import math
 import os
@@ -328,19 +327,6 @@ def _add_system_args(parser: argparse.ArgumentParser):
     )
 
 
-def _check_out(out: str) -> None:
-    """Refuse --out before the command runs when its directory is missing,
-    not a directory or not writable; _write_output reports later failures."""
-    parent = os.path.dirname(out) or "."
-    if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    elif not os.access(parent, os.W_OK | os.X_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise ConfigValidationError(f"--out: cannot write {out!r}: {os.strerror(code)}")
-
-
 def _write_output(text: str, out: str | None):
     if not out:
         sys.stdout.write(text)
@@ -406,8 +392,12 @@ def main(argv=None) -> int:
                 raise ConfigValidationError(f"--steps: expected an integer >= 0, got {args.steps}")
             if not (math.isfinite(args.dt) and args.dt > 0):
                 raise ConfigValidationError(f"--dt: expected a finite number > 0, got {args.dt}")
-        if args.out:
-            _check_out(args.out)
+        if args.out:  # an existing file must be writable, a new one its directory
+            parent = os.path.dirname(args.out) or "."
+            if not os.access(args.out if os.path.exists(args.out) else parent, os.W_OK):
+                missing = not os.path.exists(parent)
+                reason = "No such file or directory" if missing else "Permission denied"
+                raise ConfigValidationError(f"--out: cannot write {args.out!r}: {reason}")
         if args.cmd == "verify":
             code, report = run_verify(_system_from_args(args), args.points, args.seed)
             _write_output(dump_json(report), args.out)

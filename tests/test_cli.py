@@ -539,52 +539,80 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert err == f"error: --out: cannot write {str(target)!r}: No such file or directory\n"
 
 
+OUT_COMMANDS = [
+    ["verify", "--system", "kmk", "--points", "5"],
+    ["darboux", "--system", "kmk", "--points", "5"],
+    KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"],
+]
+
+
+def _lock(monkeypatch, tmp_path):
+    """Make os.access report every path named "locked..." as not writable,
+    whoever runs the tests, and give tmp_path a locked directory holding an
+    existing file and a locked existing file."""
+    access = os.access
+
+    def locked_access(path, mode):
+        return not os.path.basename(path).startswith("locked") and access(path, mode)
+
+    monkeypatch.setattr(os, "access", locked_access)
+    (tmp_path / "locked").mkdir()
+    (tmp_path / "locked" / "report").write_text("old")
+    (tmp_path / "locked-file").write_text("old")
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
 @pytest.mark.parametrize(
-    "argv",
+    "target, reason",
     [
-        ["verify", "--system", "kmk", "--points", "5"],
-        ["darboux", "--system", "kmk", "--points", "5"],
-        KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"],
-    ],
-)
-@pytest.mark.parametrize(
-    "parent, reason",
-    [
-        ("missing", "No such file or directory"),
-        ("file", "Not a directory"),
-        ("read-only", "Permission denied"),
+        ("missing/report", "No such file or directory"),
+        ("locked/new", "Permission denied"),
+        ("locked-file", "Permission denied"),
     ],
 )
 def test_unwritable_out_fails_before_the_command_runs(
-    tmp_path, capsys, monkeypatch, argv, parent, reason
+    tmp_path, capsys, monkeypatch, argv, target, reason
 ):
-    """An --out whose directory is missing, a file or not writable exits 2
-    before the sweep, the chart or the integration starts."""
+    """A new --out in a missing or unwritable directory, or an existing
+    --out that is not writable, exits 2 before the sweep, the chart or the
+    integration starts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command ran")
 
     for name in ("run_verify", "run_darboux", "run_integrate"):
         monkeypatch.setattr(poissonkit.cli, name, refuse)
-    (tmp_path / "file").write_text("")
-    (tmp_path / "read-only").mkdir()
-    access = os.access
-    monkeypatch.setattr(
-        os, "access", lambda path, mode: "read-only" not in str(path) and access(path, mode)
-    )
-    target = tmp_path / parent / "report"
+    _lock(monkeypatch, tmp_path)
+    target = tmp_path / target
     code, out, err = _run(capsys, argv + ["--out", str(target)])
     assert (code, out) == (2, "")
     assert err == f"error: --out: cannot write {str(target)!r}: {reason}\n"
 
 
-def test_out_that_fails_at_write_time_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", OUT_COMMANDS)
+def test_writable_file_in_unwritable_directory_is_written(tmp_path, capsys, monkeypatch, argv):
+    """Overwriting an existing file needs access to the file, not to its
+    directory, so the command runs and replaces the file; so does
+    os.devnull."""
+    _lock(monkeypatch, tmp_path)
+    target = tmp_path / "locked" / "report"
+    assert _run(capsys, argv + ["--out", str(target)])[:2] == (0, "")
+    assert target.read_text() not in ("", "old")
+    assert _run(capsys, argv + ["--out", os.devnull])[:2] == (0, "")
+
+
+@pytest.mark.parametrize(
+    "target, reason", [(".", "Is a directory"), ("file/report", "Not a directory")]
+)
+def test_out_that_fails_at_write_time_is_usage_error(tmp_path, capsys, target, reason):
     """A failure that only opening the file finds, here an --out that is a
-    directory, is reported the same way after the run."""
-    argv = ["verify", "--system", "kmk", "--points", "5", "--out", str(tmp_path)]
+    directory or lies under a file, is reported the same way after the run."""
+    (tmp_path / "file").write_text("")
+    target = os.path.normpath(tmp_path / target)
+    argv = ["verify", "--system", "kmk", "--points", "5", "--out", target]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
-    assert err == f"error: --out: cannot write {str(tmp_path)!r}: Is a directory\n"
+    assert err == f"error: --out: cannot write {target!r}: {reason}\n"
 
 
 @pytest.mark.parametrize("route", ["direct", "canonical"])
