@@ -25,12 +25,14 @@ FACE_INSET = 1e-9
 def _halton_scrambling(d: int, seed: int):
     """(bases, offsets, steps) for ``_scrambled_halton``, drawn as scipy does.
 
-    The bases are the first d primes.  Each base b in turn shuffles its
-    ``ceil(54 / log2 b) - 1`` rows of ``arange(b)`` in place with one
-    generator seeded with ``seed``; row j, the permutation of digit j,
-    weighs ``w_j``, with ``w_0 = 1 / b`` and ``w_{j+1} = w_j / b``.  Step j
-    is ``(a, perm_j[digit] * w_j)`` for the a leading bases that have a row
-    j, base after base from ``offsets``.  Bases and offsets are columns.
+    The bases are the first d primes.  Each base b in turn permutes its
+    ``ceil(54 / log2 b) - 1`` rows of ``arange(b)`` in place, row after
+    row, with one generator seeded with ``seed``: one ``permuted`` call
+    draws the stream of one ``shuffle`` per row.  Row j, the permutation
+    of digit j, weighs ``w_j``, with ``w_0 = 1 / b`` and
+    ``w_{j+1} = w_j / b``.  Step j is ``(a, perm_j[digit] * w_j)`` for the
+    a leading bases that have a row j, base after base from ``offsets``.
+    Bases and offsets are columns.
     """
     primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     bases = list(itertools.islice(primes, d))
@@ -38,8 +40,7 @@ def _halton_scrambling(d: int, seed: int):
     terms = []  # per base: (rows, base) array of perm * weight
     for b in bases:
         perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
-        for row in perms:
-            rng.shuffle(row)
+        rng.permuted(perms, axis=1, out=perms)
         terms.append(perms * np.divide.accumulate([1.0] + [b] * len(perms))[1:, None])
     steps = []
     for j in range(max(map(len, terms), default=0)):

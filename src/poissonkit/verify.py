@@ -11,18 +11,20 @@ fields' finite-difference gradients and Hessians.
 
 Every field evaluates a point or a (P, n) block of points: a spec field
 in one kernel call, a user field row by row.  A sweep evaluates J once
-per sample point, a block at a time, and at each point needs the
-contraction C[i, (j, k)] = sum_l J_il d_l J_jk and max |dJ|; the field
-decides how they are formed.  A spec field never forms the partials
-tensor for C: with L its constant pair minors and W the pair-product
-slopes (see :mod:`poissonkit.structure`), d J = L W, so C = (J W^T) L^T,
-two small products per point, and max |dJ| is max |L W|.  J and W are
-taken for a whole block from one pass over the factor values and one
-over their derivatives.
-Other fields, the finite-difference oracle among them, contract their
-own partials one point at a time.  Either way memory stays at one block
-of J and one (n, n, n) array, and the kernel and rank checks can reuse
-each block of J.
+per sample point, a block at a time, and at each point needs max |dJ| and
+the residuals C[a, bc] + C[c, ab] + C[b, ca] at all a < b < c, with
+C[i, jk] = sum_l J_il d_l J_jk; the field decides how they are formed.
+A spec field never forms the partials tensor for C: with L its constant
+pair minors and W the pair-product slopes (see :mod:`poissonkit.structure`),
+d J = L W, so C = (J W^T) L^T.  As L is exactly skew, only the columns
+j < k are formed, C' = (J W^T) L'^T with L' the rows i < j of L, two small
+products per point, and C[b, ca] is read as -C'[b, ac], bitwise; max |dJ|
+is max |L' W|.  J and W are taken for a whole block from one pass over the
+factor values and one over their derivatives.  Other fields, the
+finite-difference oracle among them, need not be skew: they contract their
+own partials into all n*n columns one point at a time.  Either way memory
+stays at one block of J and one (n, n, n) array, and the kernel and rank
+checks can reuse each block of J.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ RANK_REL_TOL = 1e-9
 FD_STEP_SCALE = 1e-5
 
 
-#: A block's (P, n, n) stack of J, and per point the Jacobi contraction
-#: C (n, n*n) with max |dJ| (see :meth:`StructureField.jacobi_terms`).
+#: A block's (P, n, n) stack of J, and per point the signed Jacobi
+#: residuals at the given triples with max |dJ| (see
+#: :meth:`StructureField.jacobi_terms`).
 JacobiTerms = tuple[np.ndarray, Iterator[tuple[np.ndarray, float]]]
 
 
@@ -72,21 +75,27 @@ class StructureField:
     domain: BoxDomain
     evaluate: Callable[[np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray], np.ndarray]
-    contract: Callable[[np.ndarray], JacobiTerms] | None = None
+    contract: Callable[[np.ndarray, np.ndarray], JacobiTerms] | None = None
 
-    def jacobi_terms(self, X: np.ndarray) -> JacobiTerms:
+    def jacobi_terms(self, X: np.ndarray, triples: np.ndarray) -> JacobiTerms:
         """J's (P, n, n) stack over a (P, n) block X, and an iterator that
-        yields, point by point, the contraction C[i, j*n + k] =
-        sum_l J_il d_l J_jk and max |dJ|.  Formed by ``contract`` when the
-        field has one, else from ``partials`` one point at a time."""
+        yields, point by point, max |dJ| and the residuals
+        C[a, b*n + c] + C[c, a*n + b] + C[b, c*n + a] at the (T, 3) 0-based
+        triples a < b < c, with C[i, j*n + k] = sum_l J_il d_l J_jk.
+        Formed by ``contract`` when the field has one, else from
+        ``partials`` one point at a time."""
         if self.contract is not None:
-            return self.contract(X)
+            return self.contract(X, triples)
         structures = np.asarray(self.evaluate(X))
+        n = self.n
+        a, b, c = triples.T
+        abc, cab, bca = (a * n + b) * n + c, (c * n + a) * n + b, (b * n + c) * n + a
 
         def terms():
             for x, J in zip(X, structures):
                 T = np.asarray(self.partials(x))
-                yield _contraction(J, T), float(np.max(np.abs(T)))
+                C = _contraction(J, T).ravel()
+                yield C[abc] + C[cab] + C[bca], float(np.max(np.abs(T)))
 
         return structures, terms()
 
@@ -115,24 +124,35 @@ def fd_partials(
     return lambda x: central_differences(evaluate, x, step_scale)
 
 
-def _contract_pair_minors(spec: MultiseparableSpec, X: np.ndarray) -> JacobiTerms:
+def _contract_pair_minors(
+    spec: MultiseparableSpec, X: np.ndarray, triples: np.ndarray
+) -> JacobiTerms:
     """jacobi_terms of a spec field: J and W from one structure_slopes call
-    per block, and per point C = (J W^T) L^T and max |dJ| = max |L W| with
-    L the pair minors, so the (n, n, n) partials tensor is never formed
-    for C.  Raises ConfigValidationError when J or W is not finite on the
-    block."""
+    per block, and per point C' = (J W^T) L'^T and max |dJ| = max |L' W|
+    with L' the rows i < j of the pair minors L.  L is exactly skew, so the
+    residual at a < b < c is C'[a, bc] + C'[c, ab] - C'[b, ac], bitwise the
+    full C's.  Raises ConfigValidationError when J or W is not finite on
+    the block."""
     with np.errstate(over="ignore", invalid="ignore"):
         structures, W = structure_slopes(spec, X)
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
         raise non_finite_error(spec, X)
-    L = spec.pair_minors
+    n = spec.n
+    rows, cols = np.triu_indices(n, 1)
+    L, m = spec.pair_minors[rows * n + cols], rows.size
+    pair = np.zeros((n, n), dtype=np.intp)  # pair[i, j]: the column of i < j in C'
+    pair[rows, cols] = np.arange(m)
+    a, b, c = triples.T
+    # Flat offsets of C'[a, bc], C'[c, ab] and C'[b, ac].
+    bc, ab, ac = a * m + pair[b, c], c * m + pair[a, b], b * m + pair[a, c]
 
     def terms():
         for x, J, slopes in zip(X, structures, W):
             dJ_max = float(np.max(np.abs(L @ slopes)))
             if not math.isfinite(dJ_max):
                 raise non_finite_error(spec, x[None])
-            yield (J @ slopes.T) @ L.T, dJ_max
+            C = ((J @ slopes.T) @ L.T).ravel()
+            yield C[bc] + C[ab] - C[ac], dJ_max
 
     return structures, terms()
 
@@ -145,7 +165,7 @@ def structure_field(spec: MultiseparableSpec) -> StructureField:
         domain=spec.domain,
         evaluate=lambda x: evaluate_structure(spec, x),
         partials=lambda x: structure_partials(spec, x),
-        contract=lambda X: _contract_pair_minors(spec, X),
+        contract=lambda X, triples: _contract_pair_minors(spec, X, triples),
     )
 
 
@@ -263,25 +283,18 @@ def jacobi_sweep(
     triples = np.argwhere(
         (index[:, None, None] < index[None, :, None]) & (index[None, :, None] < index)
     )
-    a, b, c = triples.T
-    # Flat offsets of C[a, b, c], C[c, a, b] and C[b, c, a]; summed in the
-    # order of _residual_tensor.
-    abc = (a * n + b) * n + c
-    cab = (c * n + a) * n + b
-    bca = (b * n + c) * n + a
 
     max_abs = 0.0
     max_norm = 0.0
     argmax_triple = None
     argmax_point = None
     for X in point_blocks(points, n):
-        structures, terms = field.jacobi_terms(X)
+        structures, terms = field.jacobi_terms(X, triples)
         if visit is not None:
             visit(structures)
         # With n < 3 there are no triples and nothing to sweep.
-        for x, J, (C, dJ_max) in zip(X, structures, terms) if triples.size else ():
-            C = C.ravel()
-            res = np.abs(C[abc] + C[cab] + C[bca])
+        for x, J, (residuals, dJ_max) in zip(X, structures, terms) if triples.size else ():
+            res = np.abs(residuals)
             idx = int(np.argmax(res))
             worst = float(res[idx])
             scale = 1.0 + float(np.max(np.abs(J))) * dJ_max

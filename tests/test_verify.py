@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import gc
 import itertools
+import json
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
-from specgen import random_spec, spec_suite
+from specgen import dimension_rank_pairs, random_spec, spec_suite
 
 import poissonkit.structure
 from poissonkit import (
@@ -25,13 +30,20 @@ from poissonkit import (
     generic_field,
     jacobi_residual,
     jacobi_sweep,
+    kermack_mckendrick,
     kernel_check,
     rank_at,
     structure_field,
     structure_partials,
     toda,
 )
+from poissonkit.cli import run_darboux, run_verify
+from poissonkit.config import parse_config
+from poissonkit.structure import structure_slopes
 from poissonkit.verify import _contraction, _residual_tensor
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def test_constant_field_residual_zero():
@@ -183,21 +195,99 @@ def _oracle_specs():
     return spec_suite(31, 24) + [_mixed_spec()]
 
 
+def _triples(n: int) -> np.ndarray:
+    """All 0-based a < b < c in lexicographic order, shaped (T, 3)."""
+    return np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+
+
+def _factored_contraction(spec, J, slopes) -> np.ndarray:
+    """C = (J W^T) L^T over all n*n columns, L the pair minors and W the
+    pair-product slopes at one point: shape (n, n*n)."""
+    return (J @ slopes.T) @ spec.pair_minors.T
+
+
 def test_factored_contraction_matches_partials_tensor():
     for spec in _oracle_specs():
         n = spec.n
+        triples = _triples(n)
         X = spec.domain.halton_points(4, seed=2)
-        structures, terms = structure_field(spec).jacobi_terms(X)
-        for x, J, (C, dJ_max) in zip(X, structures, terms):
+        structures, terms = structure_field(spec).jacobi_terms(X, triples)
+        _, W = structure_slopes(spec, X)
+        for x, J, slopes, (residuals, dJ_max) in zip(X, structures, W, terms):
             T = structure_partials(spec, x)
+            C = _factored_contraction(spec, J, slopes)
             R = C.reshape(n, n, n)
             R = R + R.transpose(1, 2, 0) + R.transpose(2, 0, 1)
             scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
             # The residual of a genuine structure is round-off, so C itself
-            # is compared too.
+            # is compared too; the sweep's residuals equal C's bitwise (see
+            # test_half_sweep_equals_full_contraction_bitwise).
             assert float(np.max(np.abs(C - _contraction(J, T)))) <= 1e-12 * scale
             assert float(np.max(np.abs(R - _residual_tensor(J, T)))) <= 1e-12 * scale
+            tensor = _residual_tensor(J, T)[tuple(triples.T)]
+            assert float(np.max(np.abs(residuals - tensor), initial=0.0)) <= 1e-12 * scale
             assert dJ_max == pytest.approx(float(np.max(np.abs(T))), rel=1e-14, abs=0.0)
+
+
+def _reference_spec_sweep(spec, num_points: int, seed: int, third: float = 1.0) -> JacobiReport:
+    """jacobi_sweep of a spec field spelled out over all n*n columns of
+    C = (J W^T) L^T: |C[abc] + C[cab] + third * C[bca]| at the flat
+    offsets, and max |dJ| = max |L W| over all rows of L."""
+    n = spec.n
+    triples = _triples(n)
+    a, b, c = triples.T
+    abc, cab, bca = (a * n + b) * n + c, (c * n + a) * n + b, (b * n + c) * n + a
+    points = spec.domain.halton_points(num_points, seed)
+    structures, W = structure_slopes(spec, points)
+    max_abs = max_norm = 0.0
+    argmax_triple = argmax_point = None
+    for x, J, slopes in zip(points, structures, W) if triples.size else ():
+        C = _factored_contraction(spec, J, slopes).ravel()
+        res = np.abs(C[abc] + C[cab] + third * C[bca])
+        idx = int(np.argmax(res))
+        worst = float(res[idx])
+        scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(spec.pair_minors @ slopes)))
+        max_norm = max(max_norm, worst / scale)
+        if argmax_triple is None or worst > max_abs:
+            argmax_triple = tuple(int(t) + 1 for t in triples[idx])
+            argmax_point = tuple(float(v) for v in x)
+        max_abs = max(max_abs, worst)
+    return JacobiReport(
+        dimension=n,
+        num_points=num_points,
+        num_triples=int(triples.shape[0]),
+        tolerance=1e-7,
+        max_abs_residual=max_abs,
+        max_normalized_residual=max_norm,
+        argmax_triple=argmax_triple,
+        argmax_point=argmax_point,
+        passed=bool(max_norm <= 1e-7),
+    )
+
+
+def _bitwise_specs():
+    count = len(dimension_rank_pairs())
+    return (
+        spec_suite(34, count)
+        + [_mixed_spec(6), kermack_mckendrick(1.0, 1.0, 1.0), toda(3)]
+    )
+
+
+@pytest.mark.parametrize("block_floats", [1, poissonkit.structure.BLOCK_FLOATS])
+def test_half_sweep_equals_full_contraction_bitwise(monkeypatch, block_floats):
+    monkeypatch.setattr(poissonkit.structure, "BLOCK_FLOATS", block_floats)
+    for spec in _bitwise_specs():
+        for seed in (1, 8):
+            reference = _reference_spec_sweep(spec, 12, seed)
+            assert jacobi_sweep(structure_field(spec), 12, seed=seed) == reference
+
+
+def test_full_contraction_reference_sees_a_sign_error():
+    assert any(
+        jacobi_sweep(structure_field(spec), 12, seed=1)
+        != _reference_spec_sweep(spec, 12, 1, third=-1.0)
+        for spec in _bitwise_specs()
+    )
 
 
 def _reference_sweep(field, num_points: int, seed: int) -> JacobiReport:
@@ -254,6 +344,35 @@ def test_fd_field_sweep_equals_reference_loop():
         field = fd_structure_field(random_spec(rng, n, r))
         assert field.contract is None
         assert jacobi_sweep(field, 6, seed=7) == _reference_sweep(field, 6, seed=7)
+
+
+def test_generic_field_takes_no_skew_shortcut():
+    # J21 = x3 and J31 = x1 (1-based), every other entry 0: J is not skew.
+    def evaluate(x):
+        J = np.zeros((3, 3))
+        J[1, 0], J[2, 0] = x[2], x[0]
+        return J
+
+    field = generic_field(3, evaluate, BoxDomain([0.5] * 3, [1.5] * 3))
+    assert field.contract is None
+    report = jacobi_sweep(field, 6, seed=2)
+    assert report == _reference_sweep(field, 6, seed=2)
+    # The half formula C[a, bc] + C[c, ab] - C[b, ac] reads 0 here; the
+    # residual C[b, ca] = J21 d1 J31 = x3 does not.
+    for x in field.domain.halton_points(6, seed=2):
+        C = _contraction(field.evaluate(x), field.partials(x)).reshape(3, 3, 3)
+        assert C[0, 1, 2] + C[2, 0, 1] - C[1, 0, 2] == 0.0
+    assert report.max_abs_residual >= 0.5
+
+
+def test_sweep_keeps_no_state_of_the_spec():
+    system = parse_config(json.dumps(WORKLOADS["check-mixed"].config(1)))
+    assert run_verify(system, 50, 3)[0] == 0
+    assert run_darboux(system, 100, 3)[0] == 0
+    spec = weakref.ref(system.spec)
+    del system
+    gc.collect()
+    assert spec() is None
 
 
 @pytest.mark.parametrize("block_floats", [1, 3000, 1 << 20])
