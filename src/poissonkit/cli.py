@@ -6,12 +6,14 @@ plus canonical-form certification), ``integrate`` (trajectory CSV), and
 verification or certification failure, 2 usage or configuration error.
 Reports are byte-deterministic for a fixed config and seed; floats are
 serialized with 17 significant digits so binary64 values round-trip.
-Sweeps run in one thread with numpy batching.
+Sweeps run in one thread with numpy batching.  One parser, built on first
+use, serves every ``main`` call in a process; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -74,11 +76,16 @@ def _number(v: float) -> str:
     return format(v, ".17g") if math.isfinite(v) else "null"
 
 
-def _emit_floats(arr: np.ndarray) -> str:
-    """A float array, row by row; the same text as the generic path."""
-    if arr.ndim == 1:
-        return "[" + ", ".join(map(_number, arr.tolist())) + "]"
-    return "[" + ", ".join(_emit_floats(row) for row in arr) + "]"
+def _emit_floats(arr: np.ndarray, finite: bool | None = None) -> str:
+    """A float array, row by row; the same text as the generic path.  A
+    finite array writes each row in one format call; nan and inf write null."""
+    if finite is None:
+        finite = bool(np.isfinite(arr).all())
+    if arr.ndim > 1:
+        return "[" + ", ".join(_emit_floats(row, finite) for row in arr) + "]"
+    if finite:
+        return "[" + ", ".join(["%.17g"] * len(arr)) % tuple(arr.tolist()) + "]"
+    return "[" + ", ".join(map(_number, arr.tolist())) + "]"
 
 
 def _emit(obj, indent: int) -> str:
@@ -373,9 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)  # built on the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.cmd == "catalog":
             for name, description in CATALOG.items():

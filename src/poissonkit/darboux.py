@@ -248,14 +248,9 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
         raise ValueError(f"expected {spec.r} anchors, got {len(anchors)}")
 
     # y-stage bounding box, then componentwise monotone z-images.
-    y_lo = np.empty(spec.n)
-    y_hi = np.empty(spec.n)
-    for i in range(spec.n):
-        y_lo[i], y_hi[i] = spec.domain.projected_interval(spec.B[i])
-    z_lo = y_lo.copy()
-    z_hi = y_hi.copy()
-    a = _antiderivative_limits(spec, np.array(anchors), y_lo)
-    b = _antiderivative_limits(spec, np.array(anchors), y_hi)
+    z_lo, z_hi = spec.domain.projected_interval(spec.B).T.copy()
+    a = _antiderivative_limits(spec, np.array(anchors), z_lo)
+    b = _antiderivative_limits(spec, np.array(anchors), z_hi)
     z_lo[: spec.r] = np.where(b < a, b, a)
     z_hi[: spec.r] = np.where(b > a, b, a)
     z_lo.setflags(write=False)

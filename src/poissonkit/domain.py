@@ -178,17 +178,20 @@ class BoxDomain:
         points = (lo + inset) + u * (width - 2.0 * inset)
         return np.clip(points, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
-    def projected_interval(self, row) -> tuple[float, float]:
-        """Open interval {row . x : x in box} by interval arithmetic."""
-        row = np.asarray(row, dtype=float).reshape(-1)
-        if row.shape != (self.dimension,):
+    def projected_interval(self, rows):
+        """Open interval {row . x : x in box} by interval arithmetic: a
+        (float, float) tuple for one row, a (k, 2) array of (lower, upper)
+        for a (k, n) block of rows.  Zero coefficients add +0.0, keeping
+        0 * inf out; each row's terms are summed in order from +0.0 by
+        np.cumsum, bitwise as a sequential loop.  Overflow is silent (inf).
+        """
+        block = np.atleast_2d(np.asarray(rows, dtype=float))
+        if block.shape[1:] != (self.dimension,):
             raise ValueError("row length must match the box dimension")
-        lo = 0.0
-        hi = 0.0
-        for b, a, c in zip(row, self.lower, self.upper):
-            if b == 0.0:
-                continue
-            p, q = b * a, b * c
-            lo += min(p, q)
-            hi += max(p, q)
-        return float(lo), float(hi)
+        terms = np.zeros((2, len(block), self.dimension + 1))  # leading +0.0 column
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, q = block * self.lower, block * self.upper
+            np.minimum(p, q, out=terms[0, :, 1:], where=block != 0.0)
+            np.maximum(p, q, out=terms[1, :, 1:], where=block != 0.0)
+            lo, hi = np.cumsum(terms, axis=2)[:, :, -1]
+        return np.stack([lo, hi], axis=1) if np.ndim(rows) == 2 else (float(lo[0]), float(hi[0]))

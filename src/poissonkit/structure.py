@@ -27,6 +27,7 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,7 +125,9 @@ def build_spec(
     the closed forms of the catalog builders, is given; either way
     max |A.B - I| must be within INVERSION_TOL.  Raises
     SingularMatrixError, OddRankError, RankExceedsDimensionError, or
-    FactorVanishesError when the defining requirements fail.
+    FactorVanishesError when the defining requirements fail, and
+    ConfigValidationError when a factor's projected interval overflows
+    although every face its row touches is finite.
     """
     n = int(n)
     r = int(r)
@@ -155,11 +158,14 @@ def build_spec(
             f"max |A.B - I| = {residual:.3e} exceeds {INVERSION_TOL:g}"
         )
 
-    intervals = []
+    intervals = tuple(map(tuple, domain.projected_interval(B[:r]).tolist()))
+    bounded = np.isfinite(domain.lower) & np.isfinite(domain.upper)
     heuristic = False
-    for idx, f in enumerate(factors, start=1):
-        lo, hi = domain.projected_interval(B[idx - 1])
-        intervals.append((lo, hi))
+    for idx, (f, (lo, hi)) in enumerate(zip(factors, intervals), start=1):
+        if not (math.isfinite(lo) and math.isfinite(hi)) and bounded[B[idx - 1] != 0].all():
+            raise ConfigValidationError(
+                f"B row {idx}: the projected interval ({lo!r}, {hi!r}) of factor {idx} overflows"
+            )
         if not f.covers(lo, hi):
             witness = _uncovered_witness(lo, hi, *f.validity)
             raise FactorVanishesError(
@@ -181,7 +187,7 @@ def build_spec(
         A=A,
         factors=factors,
         domain=domain,
-        projected_intervals=tuple(intervals),
+        projected_intervals=intervals,
         heuristic_nonvanishing=heuristic,
     )
 

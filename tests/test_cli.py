@@ -13,7 +13,7 @@ import pytest
 import poissonkit
 import poissonkit.structure
 from poissonkit import BoxDomain
-from poissonkit.cli import dump_json, main, run_verify
+from poissonkit.cli import _emit_floats, _number, dump_json, main, run_verify
 from poissonkit.config import load_system
 
 KMK_CONFIG = {
@@ -78,6 +78,21 @@ class TestDumpJson:
             # A list goes through the element-by-element path.
             assert dump_json({"a": value}) == dump_json({"a": value.tolist()})
         assert "[0.10000000000000001, -0, null]" in dump_json(m)
+
+    def test_row_format_path_writes_the_element_text(self):
+        def by_element(arr):
+            if arr.ndim == 1:
+                return "[" + ", ".join(map(_number, arr.tolist())) + "]"
+            return "[" + ", ".join(by_element(row) for row in arr) + "]"
+
+        edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3])
+        finite = [edge, -edge, edge.reshape(2, 3), edge.reshape(3, 2), edge.reshape(1, 3, 2)]
+        empty = [np.zeros(0), np.zeros((2, 0)), np.zeros((2, 0, 3)), np.arange(24.0).reshape(2, 3, 4)]
+        special = [np.array([1.0, np.nan]), edge.reshape(2, 3) * np.array([1, np.inf, 1]),
+                   np.array([[[-np.inf]], [[0.5]]])]
+        for arr in finite + empty + special:
+            assert _emit_floats(arr) == by_element(arr)
+        assert _emit_floats(special[0]) == "[1, null]"
 
 
 FIVE_KIND_CONFIG = {
@@ -848,3 +863,50 @@ def test_verify_box_far_from_origin(tmp_path, capsys):
     code, out, err = _run(capsys, ["verify", "--config", str(path)])
     assert code == 0, err
     assert json.loads(out)["passed"] is True
+
+
+def test_overflowing_projected_interval_is_a_usage_error(tmp_path, capsys):
+    config = {
+        "version": 1, "n": 2, "r": 2, "B": [1e308, 0, 0, 1],
+        "factors": [{"kind": "linear", "params": {"slope": 1.0}}] * 2,
+        "domain": {"lower": [0.5, 0.5], "upper": [10, 10]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    integrate = ["integrate", "--x0", "1,1", "--hamiltonian", "quadratic-diagonal:1,1"]
+    for argv in (["verify"], ["darboux"], integrate):
+        code, out, err = _run(capsys, [*argv, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "B row 1: the projected interval (5e+307, inf) of factor 1 overflows" in err
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    toda = ["--hamiltonian", "quadratic-diagonal:1,1,1,1,1", "--x0", "0.1,0.2,0.3,1,1"]
+    kmk = [*KMK_INTEGRATE, "--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"]
+    argvs = [
+        ["integrate", "--system", "toda", "--param", "N=3", "--steps", "3", *toda],
+        ["verify", "--system", "kmk", "--points", "5"],
+        ["integrate", "--system", "kmk", "--route", "sideways"],
+        [*kmk, "--method", "implicit-midpoint"],
+        kmk,
+    ]
+    src = os.path.dirname(os.path.dirname(poissonkit.__file__))
+    results = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "poissonkit.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+        )
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 0]
+    assert results[3][1] != results[4][1]  # the last call integrates by rk4 again

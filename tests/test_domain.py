@@ -107,3 +107,62 @@ def test_projected_interval_with_infinities():
     assert box.projected_interval([1.0, 0.0]) == (0.0, np.inf)
     assert box.projected_interval([0.0, 1.0]) == (-np.inf, 0.0)
     assert box.projected_interval([1.0, -2.0]) == (0.0, np.inf)
+
+
+def _interval_by_loop(box: BoxDomain, row) -> tuple[float, float]:
+    """Reference: the interval bounds summed term by term in row order,
+    skipping zero coefficients."""
+    lo = 0.0
+    hi = 0.0
+    for b, a, c in zip(np.asarray(row, dtype=float), box.lower, box.upper):
+        if b == 0.0:
+            continue
+        p, q = b * a, b * c
+        lo += min(p, q)
+        hi += max(p, q)
+    return float(lo), float(hi)
+
+
+def _random_box(rng, n: int) -> BoxDomain:
+    """Faces of random sign and magnitude 1e-3 to 1e3; about a quarter of
+    the lower faces are -inf and a quarter of the upper faces +inf."""
+    lower = np.sign(rng.standard_normal(n)) * 10.0 ** rng.uniform(-3, 3, n)
+    upper = lower + 10.0 ** rng.uniform(-3, 3, n)
+    lower[rng.random(n) < 0.25] = -np.inf
+    upper[rng.random(n) < 0.25] = np.inf
+    return BoxDomain(lower, upper)
+
+
+def test_projected_interval_block_matches_the_loop_bitwise():
+    rng = np.random.default_rng(14)
+    for n in range(1, 41):
+        for _ in range(3):
+            box = _random_box(rng, n)
+            rows = rng.standard_normal((5, n)) * 10.0 ** rng.uniform(-3, 3, (5, n))
+            zero = rng.random((5, n)) < 0.4
+            rows[zero] = np.copysign(0.0, rows[zero])  # zeros of both signs
+            expected = np.array([_interval_by_loop(box, row) for row in rows])
+            got = box.projected_interval(rows)
+            assert got.shape == (5, 2)
+            assert got.tobytes() == expected.tobytes()
+            single = box.projected_interval(rows[1])
+            assert type(single) is tuple and all(type(v) is float for v in single)
+            assert np.array(single).tobytes() == expected[1].tobytes()
+
+
+def test_projected_interval_zero_coefficient_on_an_infinite_face():
+    box = BoxDomain([-np.inf, 1.0], [np.inf, 2.0])
+    assert box.projected_interval([0.0, -3.0]) == (-6.0, -3.0)
+    assert box.projected_interval(np.array([[0.0, 1.0], [-0.0, 2.0]])).tolist() == [
+        [1.0, 2.0],
+        [2.0, 4.0],
+    ]
+    assert box.projected_interval(np.zeros((0, 2))).shape == (0, 2)
+    # A -0.0 term leaves the running sum at +0.0, as the loop's.
+    lo, hi = BoxDomain([0.0], [1.0]).projected_interval([-1.0])
+    assert (lo, hi) == (-1.0, 0.0) and not np.signbit(hi)
+
+
+def test_projected_interval_overflow_is_silent():
+    box = BoxDomain([0.5, 0.5], [10.0, 10.0])
+    assert box.projected_interval([1e308, 0.0]) == (5e307, np.inf)
