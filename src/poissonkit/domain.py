@@ -178,7 +178,7 @@ class BoxDomain:
         points = (lo + inset) + u * (width - 2.0 * inset)
         return np.clip(points, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
-    def projected_interval(self, rows):
+    def projected_interval(self, rows) -> tuple[float, float] | np.ndarray:
         """Open interval {row . x : x in box} by interval arithmetic: a
         (float, float) tuple for one row, a (k, 2) array of (lower, upper)
         for a (k, n) block of rows.  Zero coefficients add +0.0, keeping
