@@ -28,7 +28,6 @@ from .errors import (
     EmptyDomainSampleError,
     OutOfRangeError,
     OutOfValidityError,
-    PoissonKitError,
 )
 from .structure import (
     MultiseparableSpec,
@@ -98,7 +97,7 @@ def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
     chart for reproducibility.
     """
     anchors = []
-    for lo, hi in spec.projected_intervals:
+    for lo, hi in spec.projected_intervals[: spec.r]:
         if math.isfinite(lo) and math.isfinite(hi):
             anchors.append(0.5 * (lo + hi))
         elif math.isfinite(lo):
@@ -138,56 +137,36 @@ def canonical_matrix(n: int, r: int) -> np.ndarray:
 
 
 def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) -> np.ndarray:
-    """Monotone limits of F_q at one end y_q of each projected interval
-    (q <= r), each found by three probes approaching it from inside: a
-    shrinking fraction of the way from a finite end to the anchor, or out
-    to 1e3, 1e6 and 1e9 toward an infinite end (dropping probes outside
-    validity there).  Divergence (including slow, logarithmic divergence)
-    is detected by non-shrinking increments between probes and reported as
-    +-inf; arithmetic blow-up at a probe (an error or a non-finite value)
-    counts as divergence.  For custom factors without a closed form the
-    innermost probe value is used, so those bounds are approximate."""
+    """F_q at the ends y_q of the projected intervals, a (k, r) array
+    (q <= r), from the closed forms evaluated at the ends themselves.  At
+    an infinite end or a validity bound a closed form gives F's monotone
+    limit: +-inf where F diverges, its finite value where F converges; a
+    nan maps to the infinity F runs toward.  A custom factor is evaluated
+    only at an end strictly inside its validity interval and gets that
+    infinity elsewhere, which bounds its image whatever F does there."""
     bank = spec.bank
-    ends = ends[: spec.r]
-    increasing = factor_values(spec, anchors) > 0
-    diverged = np.where((ends > anchors) == increasing, math.inf, -math.inf)
-    finite = np.isfinite(ends)
-    near = np.where(finite, ends, anchors)
-    probes = np.where(
-        finite,
-        near + (anchors - near) * np.array([[1e-3], [1e-6], [1e-9]]),
-        np.copysign(np.array([[1e3], [1e6], [1e9]]), ends),
-    )
-    usable = (probes > bank.lo) & (probes < bank.hi)
-    # Unusable probes, and custom columns, are evaluated at the anchor
-    # (F = 0) in the closed-form pass; custom columns then go one factor
-    # at a time, so that a failing one diverges alone.
-    probes = np.where(usable, probes, anchors)
-    closed = probes.copy()
-    closed[:, bank.custom] = anchors[bank.custom]
-    values = bank.apply("reciprocal_antiderivative", closed, anchors)
+    values = np.full(ends.shape, math.nan)
+    with np.errstate(all="ignore"):
+        for cols, formula, params in bank.passes["reciprocal_antiderivative"]:
+            values[:, cols] = formula(ends[:, cols], anchors[cols], *params)
     for q in bank.custom:
-        try:
-            values[:, q] = spec.factors[q].reciprocal_antiderivative(probes[:, q], anchors[q])
-        except (ArithmeticError, ValueError, PoissonKitError):
-            values[:, q] = math.nan
-    with np.errstate(invalid="ignore"):
-        d1 = np.abs(values[1] - values[0])
-        d2 = np.abs(values[2] - values[1])
-    slow = usable.all(axis=0) & (d2 > 1e-9 * (1.0 + np.abs(values[2]))) & (d2 >= 0.45 * d1)
-    blown = ~np.isfinite(values).all(axis=0) | (finite & ~usable.all(axis=0))
-    # The innermost usable probe is the last one: toward an infinite end
-    # the dropped probes are the nearest.
-    return np.where(slow | blown, diverged, values[2])
+        inside = (ends[:, q] > bank.lo[q]) & (ends[:, q] < bank.hi[q])
+        values[inside, q] = spec.factors[q].reciprocal_antiderivative(ends[inside, q], anchors[q])
+    increasing = factor_values(spec, anchors) > 0
+    toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
+    return np.where(np.isnan(values), toward, values)
 
 
 @dataclass(frozen=True)
 class DarbouxChart:
     """Composite diffeomorphism x -> z and its inverse.
 
-    ``image_lower``/``image_upper`` bound the z-image of the domain box
-    (componentwise monotone propagation of the projected intervals);
-    membership in the exact image is decided by mapping back.
+    ``image_lower``/``image_upper`` bound the z-image of the domain box,
+    coordinate by coordinate: the projected interval of row q of B, and for
+    q <= r the anchored antiderivative F_q evaluated in closed form at that
+    interval's two ends (+-inf where F_q diverges toward an infinite end or
+    a validity bound; a custom factor gets +-inf at such an end).
+    Membership in the exact image is decided by mapping back.
     """
 
     spec: MultiseparableSpec
@@ -233,6 +212,8 @@ class DarbouxChart:
 def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
     """Build the composite chart and certify its invariants on a sample.
 
+    The image bounds (see :class:`DarbouxChart`) come from the projected
+    intervals the spec holds, with one closed-form pass over their ends.
     For r = 0 the quadrature stage is the identity and the chart reduces
     to the linear change of variables (already canonical, since J is the
     zero matrix).  Validation checks the forward and inverse composition
@@ -248,9 +229,9 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
         raise ValueError(f"expected {spec.r} anchors, got {len(anchors)}")
 
     # y-stage bounding box, then componentwise monotone z-images.
-    z_lo, z_hi = spec.domain.projected_interval(spec.B).T.copy()
-    a = _antiderivative_limits(spec, np.array(anchors), z_lo)
-    b = _antiderivative_limits(spec, np.array(anchors), z_hi)
+    ends = np.array(spec.projected_intervals).T
+    a, b = _antiderivative_limits(spec, np.array(anchors), ends[:, : spec.r])
+    z_lo, z_hi = ends.copy()
     z_lo[: spec.r] = np.where(b < a, b, a)
     z_hi[: spec.r] = np.where(b > a, b, a)
     z_lo.setflags(write=False)

@@ -27,7 +27,6 @@ storage is 0-based internally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +68,8 @@ class MultiseparableSpec:
     """Immutable defining data of one structure matrix of the family.
 
     Instances are produced by :func:`build_spec`; all operations on a spec
-    are pure functions, safe for concurrent use.
+    are pure functions, safe for concurrent use.  ``projected_intervals``
+    holds the interval of B_q . x over the box for every row q of B.
     """
 
     n: int
@@ -126,8 +126,8 @@ def build_spec(
     max |A.B - I| must be within INVERSION_TOL.  Raises
     SingularMatrixError, OddRankError, RankExceedsDimensionError, or
     FactorVanishesError when the defining requirements fail, and
-    ConfigValidationError when a factor's projected interval overflows
-    although every face its row touches is finite.
+    ConfigValidationError when the projected interval of a row of B
+    overflows although every face the row touches is finite.
     """
     n = int(n)
     r = int(r)
@@ -158,14 +158,22 @@ def build_spec(
             f"max |A.B - I| = {residual:.3e} exceeds {INVERSION_TOL:g}"
         )
 
-    intervals = tuple(map(tuple, domain.projected_interval(B[:r]).tolist()))
-    bounded = np.isfinite(domain.lower) & np.isfinite(domain.upper)
+    block = domain.projected_interval(B)
+    intervals = tuple(map(tuple, block.tolist()))
+    unbounded = ~np.isfinite(block).all(axis=1)
+    if unbounded.any():
+        # A row that touches an infinite face may have an infinite interval.
+        bounded = np.isfinite(domain.lower) & np.isfinite(domain.upper)
+        overflows = unbounded & (bounded | (B == 0)).all(axis=1)
+        if overflows.any():
+            q = int(np.argmax(overflows))
+            lo, hi = intervals[q]
+            factor = f" of factor {q + 1}" if q < r else ""
+            raise ConfigValidationError(
+                f"B row {q + 1}: the projected interval ({lo!r}, {hi!r}){factor} overflows"
+            )
     heuristic = False
     for idx, (f, (lo, hi)) in enumerate(zip(factors, intervals), start=1):
-        if not (math.isfinite(lo) and math.isfinite(hi)) and bounded[B[idx - 1] != 0].all():
-            raise ConfigValidationError(
-                f"B row {idx}: the projected interval ({lo!r}, {hi!r}) of factor {idx} overflows"
-            )
         if not f.covers(lo, hi):
             witness = _uncovered_witness(lo, hi, *f.validity)
             raise FactorVanishesError(

@@ -866,20 +866,33 @@ def test_verify_box_far_from_origin(tmp_path, capsys):
 
 
 def test_overflowing_projected_interval_is_a_usage_error(tmp_path, capsys):
-    config = {
+    linear = {"kind": "linear", "params": {"slope": 1.0}}
+    factor_row = {
         "version": 1, "n": 2, "r": 2, "B": [1e308, 0, 0, 1],
-        "factors": [{"kind": "linear", "params": {"slope": 1.0}}] * 2,
+        "factors": [linear] * 2,
         "domain": {"lower": [0.5, 0.5], "upper": [10, 10]},
     }
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    integrate = ["integrate", "--x0", "1,1", "--hamiltonian", "quadratic-diagonal:1,1"]
-    for argv in (["verify"], ["darboux"], integrate):
-        code, out, err = _run(capsys, [*argv, "--config", str(path)])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert "B row 1: the projected interval (5e+307, inf) of factor 1 overflows" in err
+    # A Casimir row (q > r) is checked like a factor row.
+    casimir_row = {
+        "version": 1, "n": 3, "r": 2, "B": [1, 0, 0, 0, 1, 0, 0, 0, 1e308],
+        "factors": [linear] * 2,
+        "domain": {"lower": [0.5] * 3, "upper": [10] * 3},
+    }
+    cases = (
+        (factor_row, "B row 1: the projected interval (5e+307, inf) of factor 1 overflows"),
+        (casimir_row, "B row 3: the projected interval (5e+307, inf) overflows"),
+    )
+    for config, message in cases:
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        ones = ",".join(["1"] * config["n"])
+        integrate = ["integrate", "--x0", ones, "--hamiltonian", "quadratic-diagonal:" + ones]
+        for argv in (["verify"], ["darboux"], integrate, [*integrate, "--route", "canonical"]):
+            code, out, err = _run(capsys, [*argv, "--config", str(path)])
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert message in err
 
 
 def test_reused_parser_leaks_no_state(capsys):

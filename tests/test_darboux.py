@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import json
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 from specgen import random_spec
 
 import poissonkit.darboux
 from poissonkit import (
+    Affine,
     BoxDomain,
     CertificationFailureError,
     Constant,
     CustomFactor,
     DarbouxChart,
     Exponential,
+    Linear,
+    Power,
     build_spec,
     canonical_matrix,
     casimirs,
@@ -31,7 +39,53 @@ from poissonkit import (
     structure_field,
     toda,
 )
+from poissonkit.config import parse_config
 from poissonkit.structure import factor_values
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS  # noqa: E402
+
+INF = math.inf
+
+#: (factor, projected interval of its row, anchor): every end the image
+#: bounds take, F's value at it against sympy's exact integral of 1/phi.
+ORACLE_CASES = [
+    # finite ends inside the validity interval, one case per kind
+    (Constant(2.0), (-1.0, 3.0), 1.0),
+    (Linear(1.5), (0.5, 3.0), 1.0),
+    (Affine(2.0, -1.0), (1.0, 4.0), 2.0),
+    (Exponential(1.5, 0.25), (-2.0, 2.0), 0.5),
+    (Power(0.75, 1.5), (0.5, 3.0), 1.0),
+    # validity bounds: F converges (square root) or diverges
+    (Power(0.75, 0.5), (0.0, 4.0), 1.0),
+    (Linear(1.5), (0.0, 4.0), 1.0),
+    (Linear(-1.5, validity=(-INF, 0.0)), (-4.0, 0.0), -1.0),
+    (Affine(2.0, -1.0), (0.5, 3.0), 1.0),
+    (Power(0.75, 2.0), (0.0, 4.0), 1.0),
+    (Power(-0.75, 2.0), (0.0, 4.0), 1.0),
+    # infinite ends: F converges or diverges
+    (Exponential(1.5, 0.25), (-1.0, INF), 0.0),
+    (Exponential(-1.5, -0.25), (-INF, 1.0), 0.0),
+    (Power(0.75, 2.0), (1.0, INF), 2.0),
+    (Constant(-2.0), (-INF, INF), 0.0),
+    (Linear(1.5), (1.0, INF), 2.0),
+    (Affine(-2.0, 1.0), (-INF, 0.5), -1.0),
+]
+
+
+def _sympy_phi(f, t):
+    p = {k: sp.Rational(v) for k, v in f.params().items()}
+    return {
+        "constant": lambda: p["c"],
+        "linear": lambda: p["slope"] * t,
+        "affine": lambda: p["slope"] * t + p["intercept"],
+        "exponential": lambda: p["amplitude"] * sp.exp(p["rate"] * t),
+        "power": lambda: p["coefficient"] * t ** p["exponent"],
+    }[f.kind]()
+
+
+def _exact(v):
+    return sp.oo if v == INF else -sp.oo if v == -INF else sp.Rational(v)
 
 
 class TestCasimirs:
@@ -253,21 +307,80 @@ class TestDarbouxChart:
 
     def test_image_bounds_custom_factor_matches_closed_form(self):
         # phi = exp(y / 1000) on y < 1, in closed form and as a custom factor
-        # whose antiderivative raises OverflowError at the farthest probe:
-        # both diverge toward -inf and share the limit at y = 1.
+        # whose antiderivative overflows far out: both diverge toward -inf
+        # and share the value at y = 1.  A custom factor is not evaluated at
+        # an infinite end: phi = 2 + sin y, integrated by quadrature, gets
+        # -inf and inf there, and no IntegrationWarning.
         custom = CustomFactor(
             value_fn=lambda y: math.exp(1e-3 * y),
             derivative_fn=lambda y: 1e-3 * math.exp(1e-3 * y),
             antiderivative_fn=lambda y: -1e3 * math.exp(-1e-3 * y),
         )
+        wavy = CustomFactor(value_fn=lambda y: 2.0 + math.sin(y), derivative_fn=math.cos)
         spec = build_spec(
-            4, 4, np.eye(4), (Exponential(1.0, 1e-3), Constant(1.0), custom, Constant(1.0)),
-            BoxDomain([-np.inf] * 4, [1.0] * 4, [-2.0] * 4, [0.0] * 4),
+            4, 4, np.eye(4), (Exponential(1.0, 1e-3), Constant(1.0), custom, wavy),
+            BoxDomain([-np.inf] * 4, [1.0, 1.0, 1.0, np.inf], [-2.0] * 4, [0.0] * 4),
         )
-        chart = darboux_chart(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chart = darboux_chart(spec)
+        assert chart.validated
         assert chart.image_lower[0] == chart.image_lower[2] == -np.inf
         assert np.isfinite(chart.image_upper[0])
         assert chart.image_upper[2] == pytest.approx(chart.image_upper[0], rel=1e-12)
+        assert chart.image_lower[3] == -np.inf and chart.image_upper[3] == np.inf
+
+    def test_image_bounds_enclose_the_image_of_a_bounded_box(self):
+        # All five built-in kinds on (0.5, 1.5)^32.  The bounds are F at the
+        # projected interval ends, so no image point falls outside them:
+        # not a sample point, not a point 1e-12 inside a face, and not the
+        # inset corners at which each y_q is least or greatest.
+        spec = parse_config(json.dumps(WORKLOADS["check-mixed"].config(1))).spec
+        chart = darboux_chart(spec)
+        lo, hi = spec.domain.lower + 1e-12, spec.domain.upper - 1e-12
+        sample = spec.domain.halton_points(2000, 0)
+        faces = []
+        for j in range(spec.n):
+            for end in (lo[j], hi[j]):
+                face = sample[:20].copy()
+                face[:, j] = end
+                faces.append(face)
+        corners = [np.where(spec.B > 0, lo, hi), np.where(spec.B > 0, hi, lo)]
+        for points in (sample, *faces, *corners):
+            z = chart.forward(points)
+            assert (z >= chart.image_lower).all() and (z <= chart.image_upper).all()
+
+    def test_image_bound_at_a_square_root_validity_bound_is_exact(self):
+        spec = build_spec(
+            2, 2, np.eye(2), (Power(1.0, 0.5), Constant(1.0)),
+            BoxDomain([0.0, 0.0], [4.0, 4.0]),
+        )
+        chart = darboux_chart(spec)
+        # F(0) = -2 sqrt(2) from the anchor 2; the chart reaches just above it.
+        assert abs(chart.image_lower[0] + 2.0 * math.sqrt(2.0)) <= math.ulp(2.0 * math.sqrt(2.0))
+        assert chart.forward([1e-12, 1.0])[0] >= chart.image_lower[0]
+
+    @pytest.mark.parametrize("factor, interval, anchor", ORACLE_CASES)
+    def test_image_bounds_match_the_exact_integral(self, factor, interval, anchor):
+        lo, hi = interval
+        spec = build_spec(
+            2, 2, np.eye(2), (factor, Constant(1.0)),
+            BoxDomain([lo, 0.0], [hi, 1.0], [max(lo, anchor - 0.5), 0.0], [min(hi, anchor + 0.5), 1.0]),
+        )
+        chart = darboux_chart(spec, anchors=(anchor, 0.5))
+        t = sp.Symbol("t", positive=True) if lo >= 0.0 else sp.Symbol("t", real=True)
+        phi = _sympy_phi(factor, t)
+        # The real part: on negative arguments sympy's log antiderivative
+        # adds a constant imaginary part to an infinite result.
+        ends = [
+            float(sp.re(sp.integrate(1 / phi, (t, _exact(anchor), _exact(v)))))
+            for v in interval
+        ]
+        for got, want in zip((chart.image_lower[0], chart.image_upper[0]), sorted(ends)):
+            if math.isinf(want):
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_contains_image(self, kmk_spec):
         chart = darboux_chart(kmk_spec)
