@@ -401,6 +401,8 @@ def main(argv=None) -> int:
                 raise ConfigValidationError(f"--steps: expected an integer >= 0, got {args.steps}")
             if not (math.isfinite(args.dt) and args.dt > 0):
                 raise ConfigValidationError(f"--dt: expected a finite number > 0, got {args.dt}")
+            if not math.isfinite(args.dt * args.steps):
+                raise ConfigValidationError(f"--dt: {args.dt} * --steps {args.steps} overflows")
         if args.out:  # an existing file must be writable, a new one its directory
             parent = os.path.dirname(args.out) or "."
             if not os.access(args.out if os.path.exists(args.out) else parent, os.W_OK):

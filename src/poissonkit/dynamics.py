@@ -27,27 +27,29 @@ Newton matrix adds only phi'(y) and the Hessian:
 
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
-The accepted state's pull-back is the recorded x, and once that x has
-passed the box check it also gives the next step's predictor.  A pull-back
-is one factor bank pass that inverts the chart and evaluates phi, so a step
-takes one such pass per Newton point plus one for the accepted state.
+Both routes run one fixed-step loop over their stepped state u: x on the
+direct route, z_{1..r} on the canonical route.  Each route gives it an
+evaluator, a step and an accept map from u to its x and a thunk for the
+next field value, called only once x has passed the box check.  On the
+canonical route the accepted u's pull-back is both the recorded x and the
+next predictor.  A pull-back is one factor bank pass that inverts the
+chart and evaluates phi, so a step takes one per Newton point plus one.
 
-Both integrators are fixed-step; states that leave the certified box
-truncate the trajectory with a domain-exit flag rather than extrapolating
-past the region where the structural guarantees hold; on the canonical
-route a step that overflows ends it the same way, without a warning.  The
-first field evaluation, at the initial state, is checked for overflow: a
-non-finite factor value, derivative, pair product or field value there
-raises ConfigValidationError naming it.
+States that leave the certified box truncate the trajectory with a
+domain-exit flag rather than extrapolating past the region where the
+structural guarantees hold; on the canonical route a step that overflows
+ends it the same way, without a warning.  The first field evaluation, at
+the initial state, is checked for overflow: a non-finite factor value,
+derivative, pair product or field value there raises
+ConfigValidationError naming it.  dt * steps must be finite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -134,17 +136,6 @@ def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
     return linear_hamiltonian(e)
 
 
-def validate_gradient(H: HamiltonianField, points, tol: float = 1e-6) -> float:
-    """Max deviation between the analytic gradient and central differences."""
-    fd = HamiltonianField(value=H.value)
-    worst = 0.0
-    for x in points:
-        worst = max(worst, float(np.max(np.abs(H.gradient_at(x) - fd.gradient_at(x)))))
-    if worst > tol:
-        raise ValueError(f"analytic gradient deviates from differences by {worst:.3e}")
-    return worst
-
-
 #: p -> (f(p), newton): a field value and a zero-argument thunk that forms
 #: Df(p) from the same evaluation's intermediate values.
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
@@ -218,33 +209,6 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.casimir_drift)))
 
 
-def _record(
-    spec: MultiseparableSpec,
-    H: HamiltonianField,
-    times: list[float],
-    states: list[np.ndarray],
-    domain_exit: bool,
-) -> TrajectoryRecord:
-    times_arr = np.asarray(times, dtype=float)
-    states_arr = np.asarray(states, dtype=float).reshape(len(times), spec.n)
-    C = casimirs(spec)
-    h0 = H.value_at(states_arr[0])
-    energy = np.array([H.value_at(x) - h0 for x in states_arr])
-    if C.shape[0]:
-        c0 = C @ states_arr[0]
-        casimir = states_arr @ C.T - c0
-    else:
-        casimir = np.zeros((len(times), 0))
-    return TrajectoryRecord(
-        spec=spec,
-        times=times_arr,
-        states=states_arr,
-        energy_drift=energy,
-        casimir_drift=casimir,
-        domain_exit=domain_exit,
-    )
-
-
 def _record_stride(steps: int) -> int:
     if steps <= MAX_DENSE_RECORDS:
         return 1
@@ -292,20 +256,8 @@ def _check_step_controls(dt: float, steps: int) -> None:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-
-
-def _first_value(
-    spec: MultiseparableSpec, x0: np.ndarray, evaluate: Evaluator, p: np.ndarray
-) -> np.ndarray:
-    """A trajectory's first field value, evaluated at p, the coordinates of
-    x0, under np.errstate.  A non-finite value raises ConfigValidationError
-    naming the first non-finite factor value, derivative or pair product at
-    x0, else J or the field."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = evaluate(p)[0]
-    if not np.isfinite(value).all():
-        raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
-    return value
+    if not math.isfinite(dt * steps):
+        raise ValueError(f"dt * steps must be finite, got {dt!r} * {steps}")
 
 
 @dataclass(frozen=True)
@@ -347,37 +299,41 @@ class _CanonicalSystem:
         return self.at(*self.pull_back(u))
 
 
-def _canonical_system(
-    spec: MultiseparableSpec,
-    H: HamiltonianField,
-    chart: DarbouxChart,
-    tail: np.ndarray,
-) -> _CanonicalSystem:
-    """The canonical-route evaluator on the first r chart coordinates, with
-    z_{r+1..n} held at ``tail``."""
-    r = spec.r
-    anchors = np.array(chart.anchors)
-    return _CanonicalSystem(spec, H, anchors, tail, canonical_matrix(r, r), spec.A[:, :r])
-
-
 def _march(
     spec: MultiseparableSpec,
     H: HamiltonianField,
     x0: np.ndarray,
     dt: float,
     steps: int,
-    states: Iterator[np.ndarray],
+    u0: np.ndarray,
+    evaluate: Evaluator,
+    step: Callable[[Evaluator, np.ndarray, np.ndarray, float], np.ndarray],
+    accept: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
 ) -> TrajectoryRecord:
-    """The fixed-step loop of both routes; each ``next(states)`` advances by
-    dt and returns the new x.  A step that leaves the box, or a factor or
-    chart interval, ends the trajectory with a domain-exit flag."""
+    """The fixed-step loop of both routes, from the stepped state u0 whose x
+    is x0.  ``step(evaluate, u, f(u), dt)`` advances u, and ``accept(u)``
+    gives its x and a thunk for the next field value f(u), called only once
+    x has passed the box check and another step follows.  The first field
+    value, f(u0), is checked for overflow.  A step that leaves the box, or a
+    factor or chart interval, ends the trajectory with a domain-exit flag;
+    only every stride-th state, and the last, is recorded."""
+
+    def value() -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = evaluate(u0)[0]
+        if not np.isfinite(f).all():
+            raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
+        return f
+
     stride = _record_stride(steps)
     times = [0.0]
-    recorded = [x0]
+    states = [x0]
     domain_exit = False
+    u = u0
     for k in range(1, steps + 1):
         try:
-            x = next(states)
+            u = step(evaluate, u, value(), dt)
+            x, value = accept(u)
         except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
             domain_exit = True
             break
@@ -386,8 +342,18 @@ def _march(
             break
         if k % stride == 0 or k == steps:
             times.append(k * dt)
-            recorded.append(x)
-    return _record(spec, H, times, recorded, domain_exit)
+            states.append(x)
+    X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
+    C = casimirs(spec)
+    h0 = H.value_at(X[0])
+    return TrajectoryRecord(
+        spec=spec,
+        times=np.asarray(times, dtype=float),
+        states=X,
+        energy_drift=np.array([H.value_at(x) - h0 for x in X]),
+        casimir_drift=X @ C.T - C @ X[0] if C.shape[0] else np.zeros((len(times), 0)),
+        domain_exit=domain_exit,
+    )
 
 
 def integrate_direct(
@@ -403,8 +369,8 @@ def integrate_direct(
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
     truncated with a domain-exit flag if any accepted state (or any stage
     evaluation) leaves the certified box.  ``dt`` must be finite and
-    positive; a field that is not finite at x0 raises
-    ConfigValidationError.
+    positive, and so must ``dt * steps``; a field that is not finite at x0
+    raises ConfigValidationError.
     """
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
@@ -412,16 +378,10 @@ def integrate_direct(
     x_start = spec.domain.require_inside(x0).copy()
     evaluate = partial(_direct_field, spec, H)
     step = _rk4_step if method == "rk4" else _implicit_midpoint_step
-
-    def states() -> Iterator[np.ndarray]:
-        x = x_start
-        fx = _first_value(spec, x, evaluate, x)
-        while True:
-            x = step(evaluate, x, fx, dt)
-            yield x
-            fx = evaluate(x)[0]
-
-    return _march(spec, H, x_start, dt, steps, states())
+    return _march(
+        spec, H, x_start, dt, steps, x_start, evaluate, step,
+        lambda x: (x, lambda: evaluate(x)[0]),
+    )
 
 
 def integrate_canonical(
@@ -440,8 +400,8 @@ def integrate_canonical(
     the chart round trip only.  Each accepted u is pulled back once: its
     x is the recorded state, and, once that state has passed the box
     check, the pull-back also gives the next step's predictor.  ``dt``
-    must be finite and positive; a field that is not finite at x0 raises
-    ConfigValidationError.
+    must be finite and positive, and so must ``dt * steps``; a field that
+    is not finite at x0 raises ConfigValidationError.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0)
@@ -449,23 +409,25 @@ def integrate_canonical(
         chart = darboux_chart(spec)
     r = spec.r
     z = chart.forward(x_start)
-    if r == 0:
-        return _march(spec, H, x_start, dt, steps, itertools.repeat(x_start))
-    system = _canonical_system(spec, H, chart, z[r:].copy())
+    if r == 0:  # J = 0: the field is empty and every step keeps x0
+        return _march(
+            spec, H, x_start, dt, steps, z[:0], lambda u: (u, None),
+            lambda evaluate, u, fu, dt: u, lambda u: (x_start, lambda: u),
+        )
+    system = _CanonicalSystem(
+        spec, H, np.array(chart.anchors), z[r:].copy(), canonical_matrix(r, r), spec.A[:, :r]
+    )
 
-    def states() -> Iterator[np.ndarray]:
-        u = z[:r].copy()
-        fu = _first_value(spec, x_start, system, u)
-        while True:
-            u = _implicit_midpoint_step(system, u, fu, dt)
-            y, x, e = system.pull_back(u)
-            yield x
-            fu, _ = system.at(y, x, e)
+    def accept(u: np.ndarray):
+        y, x, e = system.pull_back(u)
+        return x, lambda: system.at(y, x, e)[0]
 
     # A large step can overflow in the reduced field; the non-finite
     # iterate then fails the chart's pull-back, a domain exit.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _march(spec, H, x_start, dt, steps, states())
+        return _march(
+            spec, H, x_start, dt, steps, z[:r].copy(), system, _implicit_midpoint_step, accept
+        )
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

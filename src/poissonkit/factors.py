@@ -290,8 +290,7 @@ class CustomFactor(FactorFunction):
     When no reciprocal-antiderivative callable is given, F(y) is computed by
     adaptive quadrature to QUADRATURE_TOL and inverted by Brent's method on
     a bracket found by expansion from the anchor.  Nonvanishing on a projected
-    interval can only be checked heuristically by sampling; structure specs
-    built from custom factors carry a warning flag for that reason.
+    interval is not certified: build_spec samples it (sample_nonvanishing).
     """
 
     kind = "custom"

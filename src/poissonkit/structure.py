@@ -79,7 +79,6 @@ class MultiseparableSpec:
     factors: tuple[FactorFunction, ...]
     domain: BoxDomain
     projected_intervals: tuple[tuple[float, float], ...]
-    heuristic_nonvanishing: bool = False
 
     @property
     def num_pairs(self) -> int:
@@ -172,7 +171,6 @@ def build_spec(
             raise ConfigValidationError(
                 f"B row {q + 1}: the projected interval ({lo!r}, {hi!r}){factor} overflows"
             )
-    heuristic = False
     for idx, (f, (lo, hi)) in enumerate(zip(factors, intervals), start=1):
         if not f.covers(lo, hi):
             witness = _uncovered_witness(lo, hi, *f.validity)
@@ -186,7 +184,6 @@ def build_spec(
             witness = f.sample_nonvanishing(lo, hi, tol=VANISH_TOL)
             if witness is not None:
                 raise FactorVanishesError(idx, witness)
-            heuristic = True
 
     return MultiseparableSpec(
         n=n,
@@ -196,7 +193,6 @@ def build_spec(
         factors=factors,
         domain=domain,
         projected_intervals=intervals,
-        heuristic_nonvanishing=heuristic,
     )
 
 

@@ -722,6 +722,7 @@ def test_invalid_points_is_usage_error(capsys):
         ("--dt", "0"),
         ("--dt", "nan"),
         ("--dt", "-1e-3"),
+        ("--dt", "1e308"),
     ],
 )
 def test_malformed_integrate_flag_names_flag(capsys, flag, value):

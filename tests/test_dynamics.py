@@ -33,13 +33,8 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.config import parse_config
-from poissonkit.darboux import DarbouxChart
-from poissonkit.dynamics import (
-    _canonical_system,
-    _direct_field,
-    _record_stride,
-    validate_gradient,
-)
+from poissonkit.darboux import DarbouxChart, canonical_matrix
+from poissonkit.dynamics import _CanonicalSystem, _direct_field, _record_stride
 from poissonkit.factors import FactorBank
 from poissonkit.verify import central_differences, jacobi_sweep, structure_field
 
@@ -102,6 +97,15 @@ def _fd_newton(evaluate, p):
     return central_differences(lambda q: evaluate(q)[0], p, 1e-7)
 
 
+def _canonical(spec, H, chart, tail):
+    """The canonical-route evaluator on the first r chart coordinates, with
+    z_{r+1..n} held at ``tail``."""
+    r = spec.r
+    return _CanonicalSystem(
+        spec, H, np.array(chart.anchors), tail, canonical_matrix(r, r), spec.A[:, :r]
+    )
+
+
 def _assert_relative(analytic, fd, rel):
     scale = float(np.max(np.abs(fd)))
     assert scale > 0.0
@@ -110,10 +114,15 @@ def _assert_relative(analytic, fd, rel):
 
 class TestHamiltonianField:
     def test_builtin_gradients_match_differences(self, kmk_spec, rng):
-        points = rng.uniform(0.5, 2.0, size=(10, 3))
-        validate_gradient(quadratic_hamiltonian([1.0, 2.0, 0.5]), points)
-        validate_gradient(linear_hamiltonian([0.3, -1.0, 2.0]), points)
-        validate_gradient(coordinate_hamiltonian(2, 3), points)
+        fields = [
+            quadratic_hamiltonian([1.0, 2.0, 0.5]),
+            linear_hamiltonian([0.3, -1.0, 2.0]),
+            coordinate_hamiltonian(2, 3),
+        ]
+        for H in fields:
+            for x in rng.uniform(0.5, 2.0, size=(10, 3)):
+                fd = central_differences(H.value, x, 1e-6)
+                assert float(np.max(np.abs(H.gradient_at(x) - fd))) <= 1e-6
 
     def test_fd_gradient_fallback(self):
         H = HamiltonianField(value=lambda x: float(np.sin(x[0]) * x[1]))
@@ -238,9 +247,9 @@ class TestNewtonJacobians:
             for x in spec.domain.halton_points(8, seed=11):
                 z = chart.forward(x)
                 u = z[: spec.r]
-                fd = _fd_newton(_canonical_system(spec, H, chart, z[spec.r :]), u)
+                fd = _fd_newton(_canonical(spec, H, chart, z[spec.r :]), u)
                 for variant in _variants(H):
-                    evaluate = _canonical_system(spec, variant, chart, z[spec.r :])
+                    evaluate = _canonical(spec, variant, chart, z[spec.r :])
                     _assert_relative(evaluate(u)[1](), fd, 1e-6)
 
     def test_direct_matches_partials_tensor(self):
@@ -281,7 +290,7 @@ class TestNewtonJacobians:
                     _direct_field(spec, H_fd, x)[1](), _direct_field(spec, H_with, x)[1]()
                 )
                 thunks = [
-                    _canonical_system(spec, field, chart, z[spec.r :])(z[: spec.r])[1]()
+                    _canonical(spec, field, chart, z[spec.r :])(z[: spec.r])[1]()
                     for field in (H_fd, H_with)
                 ]
                 np.testing.assert_array_equal(*thunks)
@@ -472,10 +481,11 @@ class TestIntegrateDirect:
             with pytest.raises(AssertionError, match="was called"):
                 jacobi_sweep(structure_field(spec), 4)
 
-    def test_zero_steps(self, kmk_spec):
+    @pytest.mark.parametrize("integrate", [integrate_direct, integrate_canonical])
+    def test_zero_steps(self, kmk_spec, integrate):
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
-        rec = integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, 0)
-        assert rec.num_records == 1
+        rec = integrate(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, 0)
+        assert rec.num_records == 1 and not rec.domain_exit
         assert rec.times[0] == 0.0
         np.testing.assert_array_equal(rec.states[0], [1.0, 1.0, 1.0])
 
@@ -526,6 +536,8 @@ class TestIntegrateDirect:
         )
         with pytest.raises(MaxNewtonIterationsError):
             integrate_direct(spec, H, [1.0, 0.5], 50.0, 3, method="implicit-midpoint")
+        with pytest.raises(MaxNewtonIterationsError):
+            integrate_canonical(spec, H, [1.0, 0.5], 50.0, 3)
 
     def test_input_validation(self, kmk_spec):
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
@@ -544,6 +556,21 @@ class TestIntegrateDirect:
                 integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], dt, 10, method=method)
         with pytest.raises(ValueError):
             integrate_canonical(kmk_spec, H, [1.0, 1.0, 1.0], dt, 10)
+
+    def test_time_grid_overflow_rejected(self, kmk_spec):
+        """dt = 1e308 is finite, but three steps would put inf on the time
+        grid; one step stays on it."""
+        cases = [
+            (kmk_spec, linear_hamiltonian([1.0, 1.0, 1.0]), [1.0, 1.0, 1.0]),
+            (constant_symplectic(0, 3), quadratic_hamiltonian([1.0, 1.0, 1.0]), [0.1, 0.2, 0.3]),
+        ]
+        for spec, H, x0 in cases:
+            for integrate in (integrate_direct, integrate_canonical):
+                with pytest.raises(ValueError, match=r"dt \* steps must be finite"):
+                    integrate(spec, H, x0, 1e308, 3)
+                record = integrate(spec, H, x0, 1e308, 1)
+                np.testing.assert_array_equal(record.times, [0.0, 1e308])
+                np.testing.assert_array_equal(record.states, [x0, x0])
 
 
 class TestIntegrateCanonical:
@@ -643,6 +670,30 @@ class TestTrajectoryCsv:
         text = trajectory_to_csv(record)
         assert text == "\n".join(reference) + "\n"
         assert "nan" in text and "-inf" in text and "-0," in text and "e-324" in text
+
+
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        partial(integrate_direct, method="rk4"),
+        partial(integrate_direct, method="implicit-midpoint"),
+        integrate_canonical,
+    ],
+)
+def test_loop_thins_records_by_stride(monkeypatch, kmk_spec, integrate):
+    """With 10 dense records, 25 steps record every third state and the
+    last: times k dt for k = 0, 3, ..., 24, 25, and the dense run's rows."""
+    H = quadratic_hamiltonian([1.0, 2.0, 0.5])
+    x0, dt = [1.0, 1.2, 0.8], 1e-2
+    dense = integrate(kmk_spec, H, x0, dt, 25)
+    monkeypatch.setattr(dynamics, "MAX_DENSE_RECORDS", 10)
+    thinned = integrate(kmk_spec, H, x0, dt, 25)
+    ks = [*range(0, 25, 3), 25]
+    assert dense.num_records == 26 and not thinned.domain_exit
+    np.testing.assert_array_equal(thinned.times, [k * dt for k in ks])
+    np.testing.assert_array_equal(thinned.states, dense.states[ks])
+    np.testing.assert_array_equal(thinned.energy_drift, dense.energy_drift[ks])
+    np.testing.assert_array_equal(thinned.casimir_drift, dense.casimir_drift[ks])
 
 
 def test_record_stride_thinning():

@@ -37,7 +37,6 @@ def test_build_spec_kmk_shape(kmk_spec):
     assert kmk_spec.n == 3
     assert kmk_spec.r == 2
     np.testing.assert_allclose(kmk_spec.A @ kmk_spec.B, np.eye(3), atol=1e-14)
-    assert not kmk_spec.heuristic_nonvanishing
 
 
 def test_build_spec_rank_zero():
