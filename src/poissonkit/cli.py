@@ -52,7 +52,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-JACOBI_SWEEP_TOL = 1e-7
 KERNEL_TOL_FACTOR = 1e-12
 
 
@@ -143,9 +142,7 @@ def run_verify(system: System, points: int, seed: int) -> tuple[int, dict]:
             (numerical_rank(structures), float(np.max(np.abs(structures))), violation)
         )
 
-    jacobi = jacobi_sweep(
-        system.field, points, seed=seed, tolerance=JACOBI_SWEEP_TOL, visit=reuse
-    )
+    jacobi = jacobi_sweep(system.field, points, seed=seed, visit=reuse)
     report["jacobi"] = asdict(jacobi)
 
     ranks = sorted({int(k) for block_ranks, _, _ in blocks for k in block_ranks})

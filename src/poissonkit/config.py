@@ -110,7 +110,9 @@ def number_list(raw, path: str, n: int | None = None) -> np.ndarray:
     try:
         values = np.array(raw, dtype=float)
     except OverflowError:
-        _fail(path, "number out of range")
+        # Infinities allowed, _number fails only at an int too large for a float.
+        for i, v in enumerate(raw):
+            _number(v, f"{path}[{i}]", null=math.inf)
     finite = np.isfinite(values)
     if not finite.all():
         _fail(f"{path}[{int(np.argmin(finite))}]", "expected a finite number")

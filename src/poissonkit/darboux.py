@@ -68,13 +68,14 @@ def inverse_linear_chart(spec: MultiseparableSpec, y) -> np.ndarray:
     return matvec(spec.A, np.asarray(y, dtype=float))
 
 
-def pushforward(field, map_fn: Callable, jacobian_fn: Callable, x) -> np.ndarray:
-    """Transform a structure matrix under a change of variables y = map(x):
+def pushforward(field, jacobian_fn: Callable, x) -> np.ndarray:
+    """Transform a structure matrix under a change of variables y = y(x)
+    whose Jacobian dy/dx at x is ``jacobian_fn(x)``:
 
         J*_ij(y) = sum_kl (dy_i/dx_k) J_kl(x) (dy_j/dx_l)
 
-    evaluated at y = map(x).  ``field`` is a StructureField-like object
-    exposing ``evaluate`` and ``domain``.
+    at y = y(x).  ``field`` is a StructureField-like object exposing
+    ``evaluate`` and ``domain``.
     """
     x = field.domain.require_inside(x)
     M = np.asarray(jacobian_fn(x), dtype=float)

@@ -38,10 +38,13 @@ chart and evaluates phi, so a step takes one per Newton point plus one.
 States that leave the certified box truncate the trajectory with a
 domain-exit flag rather than extrapolating past the region where the
 structural guarantees hold; on the canonical route a step that overflows
-ends it the same way, without a warning.  The first field evaluation, at
-the initial state, is checked for overflow: a non-finite factor value,
-derivative, pair product or field value there raises
-ConfigValidationError naming it.  dt * steps must be finite.
+ends it the same way, without a warning.  The start, the field value and
+H at the initial state, is evaluated once whatever the number of steps
+and checked for overflow: a non-finite factor value, derivative, pair
+product, field value or H there raises ConfigValidationError naming it.
+A start whose evaluation leaves a factor or chart interval ends the
+trajectory with one record and the domain-exit flag.  dt * steps must be
+finite.
 """
 
 from __future__ import annotations
@@ -204,9 +207,7 @@ class TrajectoryRecord:
         return float(np.max(np.abs(self.energy_drift)))
 
     def max_casimir_drift(self) -> float:
-        if self.casimir_drift.shape[1] == 0:
-            return 0.0
-        return float(np.max(np.abs(self.casimir_drift)))
+        return float(np.max(np.abs(self.casimir_drift), initial=0.0))
 
 
 def _record_stride(steps: int) -> int:
@@ -313,28 +314,32 @@ def _march(
     """The fixed-step loop of both routes, from the stepped state u0 whose x
     is x0.  ``step(evaluate, u, f(u), dt)`` advances u, and ``accept(u)``
     gives its x and a thunk for the next field value f(u), called only once
-    x has passed the box check and another step follows.  The first field
-    value, f(u0), is checked for overflow.  A step that leaves the box, or a
-    factor or chart interval, ends the trajectory with a domain-exit flag;
-    only every stride-th state, and the last, is recorded."""
-
-    def value() -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = evaluate(u0)[0]
-        if not np.isfinite(f).all():
-            raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
-        return f
-
+    x has passed the box check and another step follows.  The start, f(u0)
+    and H(x0), is evaluated for every ``steps`` and checked for overflow.
+    A start or a step that leaves a factor or chart interval, or a step
+    that leaves the box, ends the trajectory with a domain-exit flag; only
+    every stride-th state, and the last, is recorded."""
+    exits = (OutOfRangeError, OutOfValidityError, OutOfDomainError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h0 = H.value_at(x0)
+        try:
+            f0 = evaluate(u0)[0]
+        except exits:
+            f0 = None
+    if f0 is not None and not np.isfinite(f0).all():
+        raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
+    if not math.isfinite(h0):
+        raise non_finite_error(spec, x0[None], "initial state", "the Hamiltonian overflows")
     stride = _record_stride(steps)
     times = [0.0]
     states = [x0]
-    domain_exit = False
-    u = u0
-    for k in range(1, steps + 1):
+    domain_exit = f0 is None
+    u, value = u0, lambda: f0
+    for k in range(1, steps + 1) if not domain_exit else ():
         try:
             u = step(evaluate, u, value(), dt)
             x, value = accept(u)
-        except (OutOfRangeError, OutOfValidityError, OutOfDomainError):
+        except exits:
             domain_exit = True
             break
         if not spec.domain.contains(x):
@@ -345,13 +350,14 @@ def _march(
             states.append(x)
     X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
     C = casimirs(spec)
-    h0 = H.value_at(X[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy_drift = np.array([H.value_at(x) - h0 for x in X])
     return TrajectoryRecord(
         spec=spec,
         times=np.asarray(times, dtype=float),
         states=X,
-        energy_drift=np.array([H.value_at(x) - h0 for x in X]),
-        casimir_drift=X @ C.T - C @ X[0] if C.shape[0] else np.zeros((len(times), 0)),
+        energy_drift=energy_drift,
+        casimir_drift=X @ C.T - C @ X[0],
         domain_exit=domain_exit,
     )
 
@@ -369,8 +375,8 @@ def integrate_direct(
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
     truncated with a domain-exit flag if any accepted state (or any stage
     evaluation) leaves the certified box.  ``dt`` must be finite and
-    positive, and so must ``dt * steps``; a field that is not finite at x0
-    raises ConfigValidationError.
+    positive, and so must ``dt * steps``; a field or H that is not finite
+    at x0 raises ConfigValidationError.
     """
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
@@ -400,8 +406,8 @@ def integrate_canonical(
     the chart round trip only.  Each accepted u is pulled back once: its
     x is the recorded state, and, once that state has passed the box
     check, the pull-back also gives the next step's predictor.  ``dt``
-    must be finite and positive, and so must ``dt * steps``; a field that
-    is not finite at x0 raises ConfigValidationError.
+    must be finite and positive, and so must ``dt * steps``; a field or H
+    that is not finite at x0 raises ConfigValidationError.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0)

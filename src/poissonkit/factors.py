@@ -55,6 +55,9 @@ INVERSION_TOL = 1e-12
 #: Absolute tolerance requested from adaptive quadrature for custom factors.
 QUADRATURE_TOL = 1e-12
 
+#: |phi| threshold for the sampling-based nonvanishing heuristic.
+VANISH_TOL = 1e-12
+
 
 def _interval_str(lo: float, hi: float) -> str:
     return f"({lo!r}, {hi!r})"
@@ -288,9 +291,10 @@ class CustomFactor(FactorFunction):
     """User-supplied factor: value and derivative callables are required.
 
     When no reciprocal-antiderivative callable is given, F(y) is computed by
-    adaptive quadrature to QUADRATURE_TOL and inverted by Brent's method on
-    a bracket found by expansion from the anchor.  Nonvanishing on a projected
-    interval is not certified: build_spec samples it (sample_nonvanishing).
+    adaptive quadrature to QUADRATURE_TOL.  Either way F is inverted by
+    Brent's method on a bracket found by expansion from the anchor.
+    Nonvanishing on a projected interval is not certified: build_spec
+    samples it (sample_nonvanishing).
     """
 
     kind = "custom"
@@ -338,11 +342,9 @@ class CustomFactor(FactorFunction):
         lo, hi = self._bracket(z, anchor)
         return self._solve(z, anchor, lo, hi)
 
-    def sample_nonvanishing(
-        self, lo: float, hi: float, num: int = 1000, tol: float = 1e-12
-    ) -> float | None:
+    def sample_nonvanishing(self, lo: float, hi: float, num: int = 1000) -> float | None:
         """Heuristic check: sample the interval and return a witness where
-        |phi| <= tol, or None if every sample clears the threshold.
+        |phi| <= VANISH_TOL, or None if every sample clears the threshold.
 
         Unbounded intervals are clipped to a width-2000 window around their
         finite end (or 0); endpoints are inset so open-interval factors that
@@ -358,7 +360,7 @@ class CustomFactor(FactorFunction):
             return None
         for k in range(num + 1):
             y = lo + (hi - lo) * k / num
-            if abs(self.value_fn(y)) <= tol:
+            if abs(self.value_fn(y)) <= VANISH_TOL:
                 return y
         return None
 

@@ -46,9 +46,6 @@ from .factors import CustomFactor, FactorBank, FactorFunction
 #: max-norm tolerance on A.B - I after LU inversion.
 INVERSION_TOL = 1e-10
 
-#: |phi| threshold for the sampling-based nonvanishing heuristic.
-VANISH_TOL = 1e-12
-
 #: Floats in one (k, n, n) stack of structure matrices when a sample is
 #: evaluated block by block (about 1 MB), so memory does not grow with
 #: the sample size.
@@ -79,10 +76,6 @@ class MultiseparableSpec:
     factors: tuple[FactorFunction, ...]
     domain: BoxDomain
     projected_intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def num_pairs(self) -> int:
-        return self.r // 2
 
     @cached_property
     def bank(self) -> FactorBank:
@@ -181,7 +174,7 @@ def build_spec(
                 f"interval ({lo!r}, {hi!r}); offending point y = {witness!r}",
             )
         if isinstance(f, CustomFactor):
-            witness = f.sample_nonvanishing(lo, hi, tol=VANISH_TOL)
+            witness = f.sample_nonvanishing(lo, hi)
             if witness is not None:
                 raise FactorVanishesError(idx, witness)
 

@@ -117,11 +117,11 @@ def central_differences(f: Callable, x, step_scale: float) -> np.ndarray:
 
 
 def fd_partials(
-    evaluate: Callable[[np.ndarray], np.ndarray], step_scale: float = FD_STEP_SCALE
+    evaluate: Callable[[np.ndarray], np.ndarray],
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Central finite-difference partials of a matrix field (see
-    :func:`central_differences`)."""
-    return lambda x: central_differences(evaluate, x, step_scale)
+    """Central finite-difference partials of a matrix field, step scale
+    FD_STEP_SCALE (see :func:`central_differences`)."""
+    return lambda x: central_differences(evaluate, x, FD_STEP_SCALE)
 
 
 def _contract_pair_minors(
@@ -184,14 +184,12 @@ def generic_field(
     n: int,
     evaluate: Callable[[np.ndarray], np.ndarray],
     domain: BoxDomain,
-    partials: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> StructureField:
     """Wrap a user-supplied candidate matrix field.
 
     ``evaluate`` takes one point; the field evaluates a (P, n) block row by
-    row.  Without an analytic partials callable, central finite
-    differences are used.  The candidate need not satisfy the Jacobi
-    identity; that is what the sweep is for.
+    row, and its partials are central finite differences.  The candidate
+    need not satisfy the Jacobi identity; that is what the sweep is for.
     """
 
     def evaluate_rows(x) -> np.ndarray:
@@ -200,8 +198,7 @@ def generic_field(
             return evaluate(x)
         return np.array([np.asarray(evaluate(p), dtype=float) for p in x])
 
-    if partials is None:
-        partials = fd_partials(evaluate)
+    partials = fd_partials(evaluate)
     return StructureField(n=n, domain=domain, evaluate=evaluate_rows, partials=partials)
 
 
@@ -255,14 +252,13 @@ def jacobi_sweep(
     num_points: int,
     seed: int = 0,
     tolerance: float = 1e-7,
-    sample_box: BoxDomain | None = None,
     visit: Callable[[np.ndarray], None] | None = None,
 ) -> JacobiReport:
     """Evaluate the Jacobi residual over all C(n, 3) triples at quasi-random
     points and report the worst case.
 
-    Deterministic for a fixed seed.  Unbounded domains need a bounded
-    sample box, either on the domain itself or via ``sample_box``.  J is
+    Deterministic for a fixed seed.  An unbounded domain needs a bounded
+    sample box of its own (``sample_lower``/``sample_upper``).  J is
     evaluated once per point, a block of points at a time; ``visit``, when
     given, is called with each block's (k, n, n) stack of J, so that other
     checks at the same points can reuse it.
@@ -275,8 +271,7 @@ def jacobi_sweep(
     """
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
-    box = sample_box if sample_box is not None else field.domain
-    points = box.halton_points(num_points, seed)
+    points = field.domain.halton_points(num_points, seed)
     n = field.n
     index = np.arange(n)
     # All i < j < k, in lexicographic order.
@@ -320,10 +315,7 @@ def jacobi_sweep(
 def kernel_violation(spec: MultiseparableSpec, J: np.ndarray) -> float:
     """Worst max_p || J . grad C_p ||_inf over the linear Casimirs C_p (rows
     r+1..n of B), for one J or a (P, n, n) stack.  Zero for r = n."""
-    rows = spec.B[spec.r :]
-    if rows.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(J @ rows.T)))
+    return float(np.max(np.abs(J @ spec.B[spec.r :].T), initial=0.0))
 
 
 def kernel_check(spec: MultiseparableSpec, x) -> float:

@@ -362,6 +362,22 @@ class TestDarbouxCommand:
         assert ("factor 1 (linear) value is inf" in err) == (param == "kappa1=1e308")
         assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
 
+    def test_certification_failure_is_reported(self, capsys, monkeypatch):
+        point = np.array([1.0, 2.0, 0.5])
+
+        def failing(*args, **kwargs):
+            raise poissonkit.CertificationFailureError(point, (1, 2), 3e-9)
+
+        monkeypatch.setattr(poissonkit.cli, "certify_canonical", failing)
+        code, out, err = _run(capsys, ["darboux", "--system", "kmk"])
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["certification"] == {
+            "passed": False, "worst_point": [1.0, 2.0, 0.5], "worst_entry": [1, 2],
+            "deviation": 3e-09,
+        }
+
 
 #: The (method, route) pairs that integrate: rk4 runs on the direct route
 #: only.
@@ -397,6 +413,41 @@ class TestIntegrateCommand:
         code, out, err = _run(capsys, argv)
         assert code == 2 and out == ""
         assert err == "error: the vector field overflows at initial state x = [2.0, 1.0, 1.0]\n"
+
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    @pytest.mark.parametrize(
+        "hamiltonian, steps, what",
+        [
+            ("quadratic-diagonal:1e308,1,1", "0", "the vector field"),
+            ("linear:1e308,1e308,1e308", "3", "the Hamiltonian"),
+        ],
+    )
+    def test_overflowing_start_is_a_usage_error(self, capsys, route, hamiltonian, steps, what):
+        """The start is checked whether or not a step follows, and H(x0)
+        as well as the field."""
+        argv = [
+            "integrate", "--system", "kmk", "--hamiltonian", hamiltonian,
+            "--x0", "2,1,1", "--steps", steps, "--route", route,
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, argv)
+        assert caught == []
+        assert code == 2 and out == ""
+        assert err == f"error: {what} overflows at initial state x = [2.0, 1.0, 1.0]\n"
+
+    def test_casimir_face_exit_keeps_states_inside(self, capsys):
+        """H = x2 drives x3 to its face x3 = 0: the box check ends the run."""
+        argv = [
+            "integrate", "--system", "kmk", "--hamiltonian", "coordinate:2",
+            "--x0", "1,1,0.5", "--dt", "0.1", "--steps", "100", "--route", "canonical",
+        ]
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        assert "domain_exit=true" in err
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 5
+        assert all(float(row[3]) > 0.0 for row in rows)
 
     @pytest.mark.parametrize("method, route", METHOD_ROUTES)
     def test_overflowing_step_is_a_silent_domain_exit(self, capsys, route, method):
@@ -775,6 +826,25 @@ WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
          "initial_state: point [0.0, 1.0, 1.0] is outside the domain box"),
         (_with(KMK_CONFIG, ("initial_state",), [0, 1, 1]), ["verify"],
          "initial_state: point [0.0, 1.0, 1.0] is outside the domain box"),
+        ([], ["verify"], "<root>: expected a JSON object"),
+        (_with(KMK_CONFIG, ("version",), "1"), ["verify"], "version: expected an integer"),
+        (_with(KMK_CONFIG, ("hamiltonian",), []), ["integrate"],
+         "hamiltonian: expected an object with a kind"),
+        (_with(KMK_CONFIG, ("system", "params"), []), ["verify"],
+         "system.params: expected an object"),
+        (_with(EXPLICIT_CONFIG, ("n",), "3"), ["verify"], "n: expected an integer >= 2"),
+        (_with(EXPLICIT_CONFIG, ("r",), 4), ["verify"], "r: rank must lie in 0..3"),
+        ({k: v for k, v in EXPLICIT_CONFIG.items() if k != "domain"}, ["verify"],
+         "domain: missing"),
+        (_with(EXPLICIT_CONFIG, ("domain", "lower"), [0, 0]), ["verify"],
+         "domain.lower: expected a list of 3 numbers"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0), "linear"), ["verify"],
+         "factors[0]: expected an object with a kind"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "validity"), 0), ["verify"],
+         "factors[0].validity: expected [lo, hi]"),
+        (_with(KMK_CONFIG, ("hamiltonian",), {"kind": "coordinate", "params": {"index": 5}}),
+         ["integrate"], "hamiltonian.params.index: index 5 outside 1..3"),
+        (_with(EXPLICIT_CONFIG, ("B", 0), 10**400), ["verify"], "B[0]: number out of range"),
     ],
 )
 def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, message):

@@ -131,7 +131,7 @@ class TestPushforward:
         field = structure_field(kmk_spec)
         x = np.array([1.5, 0.8, 1.1])
         J = evaluate_structure(kmk_spec, x)
-        pushed = pushforward(field, lambda v: v, lambda v: np.eye(3), x)
+        pushed = pushforward(field, lambda v: np.eye(3), x)
         np.testing.assert_array_equal(pushed, J)
 
     def test_kmk_linear_chart_matches_displayed_matrix(self, kmk_spec):
@@ -144,9 +144,7 @@ class TestPushforward:
             linear_chart_pushforward(kmk_spec, x), expected, atol=1e-12
         )
         field = structure_field(kmk_spec)
-        via_generic = pushforward(
-            field, lambda v: kmk_spec.B @ v, lambda v: kmk_spec.B, x
-        )
+        via_generic = pushforward(field, lambda v: kmk_spec.B, x)
         np.testing.assert_allclose(via_generic, expected, atol=1e-12)
 
     def test_block_form_random_specs(self, rng):
@@ -389,6 +387,10 @@ class TestDarbouxChart:
         # z with negative Casimir coordinate cannot come from the octant
         assert not chart.contains_image(np.array([0.0, 0.0, -1.0]))
 
+    def test_far_point_is_not_an_image(self, toda3_spec):
+        chart = darboux_chart(toda3_spec)
+        assert not chart.contains_image(np.array([1e6, 0.0, 0.0, 0.0, 0.0]))
+
 
 class TestCertificationFailure:
     def test_corrupted_inverse_detected(self, kmk_spec):
@@ -420,6 +422,11 @@ class TestCertificationFailure:
         with pytest.raises(CertificationFailureError) as err:
             certify_canonical(kmk_spec, chart)
         assert np.isnan(err.value.deviation)
+
+    def test_round_trip_beyond_tolerance_fails_validation(self, toda3_spec, monkeypatch):
+        monkeypatch.setattr(poissonkit.darboux, "ROUND_TRIP_TOL", 0.0)
+        with pytest.raises(CertificationFailureError, match=r"chart round trip error .* exceeds 0$"):
+            darboux_chart(toda3_spec)
 
     def test_failure_carries_location(self, kmk_spec):
         chart = darboux_chart(kmk_spec)

@@ -15,6 +15,7 @@ from poissonkit import (
     HamiltonianField,
     MaxNewtonIterationsError,
     OutOfDomainError,
+    OutOfRangeError,
     build_spec,
     bracket,
     constant_symplectic,
@@ -488,6 +489,29 @@ class TestIntegrateDirect:
         assert rec.num_records == 1 and not rec.domain_exit
         assert rec.times[0] == 0.0
         np.testing.assert_array_equal(rec.states[0], [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    def test_start_that_leaves_an_interval_is_a_domain_exit(
+        self, kmk_spec, monkeypatch, route, steps
+    ):
+        """The start is evaluated whether or not a step follows; when that
+        evaluation leaves a factor or chart interval, the run ends with one
+        record, as when a first step leaves one."""
+
+        def leaving(*args):
+            raise OutOfRangeError("left the interval")
+
+        if route == "direct":
+            monkeypatch.setattr(dynamics, "_direct_field", leaving)
+            integrate = integrate_direct
+        else:
+            monkeypatch.setattr(_CanonicalSystem, "pull_back", leaving)
+            integrate = integrate_canonical
+        H = quadratic_hamiltonian([1.0, 1.0, 1.0])
+        rec = integrate(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, steps)
+        assert rec.num_records == 1 and rec.domain_exit
+        np.testing.assert_array_equal(rec.energy_drift, [0.0])
 
     def test_casimir_hamiltonian_constant_trajectory(self, kmk_spec):
         H = linear_hamiltonian([1.0, 1.0, 1.0])

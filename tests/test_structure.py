@@ -72,6 +72,15 @@ def test_build_spec_factor_vanishes():
     assert -1.0 < err.value.witness <= 0.0
 
 
+def test_build_spec_custom_factor_zero_found_by_sampling():
+    unit_square = BoxDomain([0.0, 0.0], [1.0, 1.0])
+    vanishing = CustomFactor(value_fn=lambda y: y - 0.5, derivative_fn=lambda y: 1.0)
+    with pytest.raises(FactorVanishesError) as err:
+        build_spec(2, 2, np.eye(2), (vanishing, Constant(1.0)), unit_square)
+    assert err.value.index == 1
+    assert err.value.witness == pytest.approx(0.5, abs=1e-12)
+
+
 def test_lambda_identity_minor():
     spec = build_spec(3, 2, np.eye(3), (Constant(1.0), Constant(1.0)), UNIT_BOX3)
     assert lambda_coefficient(spec, 1, 2, 1, 2) == 1.0
@@ -203,7 +212,7 @@ def test_factored_form_matches_minor_sum(rng):
     expected = np.zeros((6, 6))
     for i in range(1, 7):
         for j in range(1, 7):
-            for p in range(spec.num_pairs):
+            for p in range(spec.r // 2):
                 minor = lambda_coefficient(spec, i, j, 2 * p + 1, 2 * p + 2)
                 expected[i - 1, j - 1] += minor * phi[2 * p] * phi[2 * p + 1]
     np.testing.assert_allclose(evaluate_structure(spec, x), expected, rtol=1e-13, atol=1e-13)

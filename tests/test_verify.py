@@ -118,13 +118,14 @@ def test_sweep_deterministic_and_thread_invariant(toda3_spec):
 
 
 def test_sweep_unbounded_needs_sample_box():
-    field = generic_field(
-        3, lambda x: np.zeros((3, 3)), BoxDomain.unbounded(3)
-    )
+    def zero(x):
+        return np.zeros((3, 3))
+
+    field = generic_field(3, zero, BoxDomain.unbounded(3))
     with pytest.raises(EmptyDomainSampleError):
         jacobi_sweep(field, 5, seed=0)
-    boxed = BoxDomain([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-    report = jacobi_sweep(field, 5, seed=0, sample_box=boxed)
+    boxed = generic_field(3, zero, BoxDomain.unbounded(3, [0.0] * 3, [1.0] * 3))
+    report = jacobi_sweep(boxed, 5, seed=0)
     assert report.passed
 
 
