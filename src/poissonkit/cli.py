@@ -162,7 +162,7 @@ def run_verify(system: System, points: int, seed: int) -> tuple[int, dict]:
             "observed": ranks,
             "passed": rank_passed,
         }
-        casimir_rank = int(np.linalg.matrix_rank(casimirs(spec))) if spec.n > spec.r else 0
+        casimir_rank = int(np.linalg.matrix_rank(casimirs(spec)))
         casimir_passed = casimir_rank == spec.n - spec.r
         report["casimirs"] = {
             "count": spec.n - spec.r,
@@ -291,7 +291,8 @@ def _system_from_args(args) -> System:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ConfigValidationError(f"cannot read config: {exc}") from exc
+            reason = f"cannot read {args.config!r}: {exc.strerror or exc}"
+            raise ConfigValidationError(f"--config: {reason}") from None
         return parse_config(text)
     if args.system:
         params = dict(_parse_param(p) for p in args.param)
@@ -310,7 +311,8 @@ def _flag_numbers(flag: str, convert, values: list[str]) -> list:
 def _hamiltonian_flag(text: str, n: int) -> HamiltonianField:
     kind, _, rest = text.partition(":")
     if kind not in HAMILTONIAN_KINDS:
-        raise ConfigValidationError(f"unknown hamiltonian kind {kind!r}")
+        kinds = f"unknown kind {kind!r}; choose from {HAMILTONIAN_KINDS}"
+        raise ConfigValidationError(f"--hamiltonian: {kinds}")
     values = [v for v in rest.split(",") if v != ""]
     if kind == "coordinate":
         value = _flag_numbers("--hamiltonian", int, values[:1])[0] if values else None

@@ -139,20 +139,14 @@ def canonical_matrix(n: int, r: int) -> np.ndarray:
 
 def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) -> np.ndarray:
     """F_q at the ends y_q of the projected intervals, a (k, r) array
-    (q <= r), from the closed forms evaluated at the ends themselves.  At
+    (q <= r), from the bank's unchecked pass at the ends themselves.  At
     an infinite end or a validity bound a closed form gives F's monotone
     limit: +-inf where F diverges, its finite value where F converges; a
-    nan maps to the infinity F runs toward.  A custom factor is evaluated
-    only at an end strictly inside its validity interval and gets that
-    infinity elsewhere, which bounds its image whatever F does there."""
-    bank = spec.bank
-    values = np.full(ends.shape, math.nan)
-    with np.errstate(all="ignore"):
-        for cols, formula, params in bank.passes["reciprocal_antiderivative"]:
-            values[:, cols] = formula(ends[:, cols], anchors[cols], *params)
-    for q in bank.custom:
-        inside = (ends[:, q] > bank.lo[q]) & (ends[:, q] < bank.hi[q])
-        values[inside, q] = spec.factors[q].reciprocal_antiderivative(ends[inside, q], anchors[q])
+    nan maps to the infinity F runs toward.  A custom factor gives nan at
+    an end outside its open validity interval, so it gets that infinity
+    there, which bounds its image whatever F does."""
+    values = np.empty(ends.shape)
+    spec.bank.anchored("reciprocal_antiderivative", ends, anchors, values)
     increasing = factor_values(spec, anchors) > 0
     toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
     return np.where(np.isnan(values), toward, values)

@@ -26,8 +26,8 @@ An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
 element.  An exp that overflows, or a log of a non-positive number, gives
 inf or nan, which fails the result check like any other unreachable
-target.  :class:`CustomFactor` falls back to adaptive quadrature and a
-bracketed root find, one element at a time.
+target.  Each :class:`CustomFactor` is a group of its own: its scalar
+methods (adaptive quadrature, a bracketed root find) element by element.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ class FactorFunction:
     operations as static numpy formulas ``_value(y, *params)``,
     ``_derivative(y, *params)``, ``_reciprocal_antiderivative(y, anchor,
     *params)`` and ``_invert_antiderivative(z, anchor, *params)``, with the
-    parameters in field order; CustomFactor defines them as methods on one
-    valid float.  The public methods evaluate them through a bank of one.
+    parameters in field order; a CustomFactor's are methods on one float,
+    which a bank applies element by element as a group of its own.  The
+    public methods evaluate them through a bank of one.
     """
 
     validity: tuple[float, float] = field(default=(-INF, INF), kw_only=True)
@@ -292,7 +293,9 @@ class CustomFactor(FactorFunction):
 
     When no reciprocal-antiderivative callable is given, F(y) is computed by
     adaptive quadrature to QUADRATURE_TOL.  Either way F is inverted by
-    Brent's method on a bracket found by expansion from the anchor.
+    Brent's method on a bracket found by expansion from the anchor.  A bank
+    runs these methods element by element, as a group of its own; they give
+    nan where its check is to fail, so that it names the offending element.
     Nonvanishing on a projected interval is not certified: build_spec
     samples it (sample_nonvanishing).
     """
@@ -318,6 +321,9 @@ class CustomFactor(FactorFunction):
         return float(self.derivative_fn(y))
 
     def _reciprocal_antiderivative(self, y: float, anchor: float) -> float:
+        lo, hi = self.validity
+        if not (lo < y < hi and lo < anchor < hi):
+            return math.nan
         if self.antiderivative_fn is not None:
             return float(self.antiderivative_fn(y)) - float(self.antiderivative_fn(anchor))
         if y == anchor:
@@ -339,8 +345,9 @@ class CustomFactor(FactorFunction):
         return float(result)
 
     def _invert_antiderivative(self, z: float, anchor: float) -> float:
-        lo, hi = self._bracket(z, anchor)
-        return self._solve(z, anchor, lo, hi)
+        lo, hi = self.validity
+        bracket = self._bracket(z, anchor) if lo < anchor < hi else None
+        return math.nan if bracket is None else self._solve(z, anchor, *bracket)
 
     def sample_nonvanishing(self, lo: float, hi: float, num: int = 1000) -> float | None:
         """Heuristic check: sample the interval and return a witness where
@@ -366,11 +373,12 @@ class CustomFactor(FactorFunction):
 
     # -- numeric inversion -------------------------------------------------
 
-    def _bracket(self, z: float, anchor: float) -> tuple[float, float]:
+    def _bracket(self, z: float, anchor: float) -> tuple[float, float] | None:
         """Expand from the anchor toward z (using monotonicity of F) until
-        F brackets it, respecting the open validity interval.  Targets the
-        expansion cannot reach, because the interval ends or the user
-        function blows up first, raise OutOfRangeError."""
+        F brackets it, respecting the open validity interval; None for a
+        target the expansion cannot reach, because the interval ends or the
+        user function blows up first.  The anchor is finite, so a candidate
+        never reaches an infinite end."""
         if z == 0.0:
             return anchor, anchor
         increasing = float(self.value_fn(anchor)) > 0.0
@@ -381,27 +389,21 @@ class CustomFactor(FactorFunction):
             cand = anchor + width if go_up else anchor - width
             terminal = False
             if go_up and cand >= vhi:
-                if not math.isfinite(vhi):
-                    raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
                 cand = vhi - 1e-12 * (1.0 + abs(vhi))
                 terminal = True
             elif not go_up and cand <= vlo:
-                if not math.isfinite(vlo):
-                    raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
                 cand = vlo + 1e-12 * (1.0 + abs(vlo))
                 terminal = True
             try:
                 f_cand = self._reciprocal_antiderivative(cand, anchor)
-            except (OverflowError, ZeroDivisionError, ValueError) as exc:
-                raise OutOfRangeError(
-                    f"z = {z!r} unreachable before arithmetic failed at y = {cand!r}"
-                ) from exc
+            except (OverflowError, ZeroDivisionError, ValueError):
+                return None
             if min(0.0, f_cand) <= z <= max(0.0, f_cand):
                 return (anchor, cand) if go_up else (cand, anchor)
             if terminal:
                 break
             width *= 2.0
-        raise OutOfRangeError(f"z = {z!r} outside the antiderivative range")
+        return None
 
     def _solve(self, z: float, anchor: float, lo: float, hi: float) -> float:
         """The root of F(y) = z in the bracket [lo, hi] by Brent's method,
@@ -423,26 +425,35 @@ class CustomFactor(FactorFunction):
         return y
 
 
-def _closed_form(f: FactorFunction) -> tuple[type, tuple[float, ...]]:
-    """The kind whose formulas evaluate f, and f's parameters for them: an
-    Exponential with rate 0 is a Constant and a Power with exponent 1 a
-    Linear, so no formula divides by zero.  (The Constant's zero derivative
-    is +0.0 where rate * phi(y) gave -0.0.)"""
+#: The four operations of a factor, as a bank pass names them.
+OPERATIONS = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
+
+
+def _group(q: int, f: FactorFunction) -> tuple[object, list[Callable], tuple[float, ...]]:
+    """The key of f's bank group (f at column q), its formulas in OPERATIONS
+    order and f's parameters for them.  A CustomFactor is a group of its
+    own, keyed by its column (its callables need not hash): its scalar
+    methods element by element.  An Exponential with rate 0 is a Constant
+    and a Power with exponent 1 a Linear, so no formula divides by zero.
+    (The Constant's zero derivative is +0.0 where rate * phi(y) gave -0.0.)"""
+    if isinstance(f, CustomFactor):
+        return q, [np.vectorize(getattr(f, "_" + n), otypes=[float]) for n in OPERATIONS], ()
+    kind, params = type(f), tuple(f.params().values())
     if isinstance(f, Exponential) and f.rate == 0.0:
-        return Constant, (f.amplitude,)
-    if isinstance(f, Power) and f.exponent == 1.0:
-        return Linear, (f.coefficient,)
-    return type(f), tuple(f.params().values())
+        kind, params = Constant, (f.amplitude,)
+    elif isinstance(f, Power) and f.exponent == 1.0:
+        kind, params = Linear, (f.coefficient,)
+    return kind, [getattr(kind, "_" + n) for n in OPERATIONS], params
 
 
 class FactorBank:
-    """The factors of one spec, grouped by kind for columnwise passes.
+    """The factors of one spec in groups, for columnwise passes: one per
+    built-in kind, and one per CustomFactor, evaluated element by element.
 
-    Each group of built-in factors holds its columns (a slice when they
-    are evenly spaced, so a pass takes a view), its parameters as vectors
-    and its four formulas; ``lo`` and ``hi`` are the validity bounds of all
-    r columns.  CustomFactor columns go through their scalar methods.  A
-    pass is :meth:`apply`, or :meth:`invert_values` for F^{-1} and phi.
+    Each group holds its columns (a slice when they are evenly spaced, so a
+    pass takes a view), its parameters as vectors and its four formulas;
+    ``lo`` and ``hi`` are the validity bounds of all r columns.  A pass is
+    :meth:`apply`, or :meth:`invert_values` for F^{-1} and phi.
     """
 
     def __init__(self, factors):
@@ -450,22 +461,19 @@ class FactorBank:
         self.r = len(self.factors)
         self.lo = np.array([f.validity[0] for f in self.factors], dtype=float)
         self.hi = np.array([f.validity[1] for f in self.factors], dtype=float)
-        self.custom = [q for q, f in enumerate(self.factors) if isinstance(f, CustomFactor)]
         members = {}
         for q, f in enumerate(self.factors):
-            if q not in self.custom:
-                kind, params = _closed_form(f)
-                members.setdefault(kind, []).append((q, params))
-        names = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")
-        self.passes = {name: [] for name in names}
-        for kind, group in members.items():
+            key, formulas, params = _group(q, f)
+            members.setdefault(key, (formulas, []))[1].append((q, params))
+        self.passes = {name: [] for name in OPERATIONS}
+        for formulas, group in members.values():
             cols = [q for q, _ in group]
             params = tuple(np.array(v) for v in zip(*(p for _, p in group)))
             step = cols[1] - cols[0] if len(cols) > 1 else 1
             if cols == list(range(cols[0], cols[-1] + 1, step)):
                 cols = slice(cols[0], cols[-1] + 1, step)
-            for name in names:
-                self.passes[name].append((cols, getattr(kind, "_" + name), params))
+            for name, formula in zip(OPERATIONS, formulas):
+                self.passes[name].append((cols, formula, params))
 
     def __reduce__(self):
         # The formulas are lambdas, which pickle cannot name; rebuild instead.
@@ -484,21 +492,12 @@ class FactorBank:
         y = np.asarray(y, dtype=float)[..., :r]
         res = np.empty(y.shape) if out is None else out[..., :r]
         a = () if anchors is None else (np.asarray(anchors, dtype=float),)
-        inside = self._anchored(name, y, a[0], res) if a else (y > self.lo) & (y < self.hi)
-        valid = np.count_nonzero(inside) == inside.size
-        for cols, formula, params in self.passes[name] if valid and not a else ():
-            res[..., cols] = formula(y[..., cols], *params)
-        first = r if valid else int(np.argmin(inside.reshape(-1, r).all(axis=0)))
-        # Custom columns before the first offending one run (and may raise)
-        # first, one element at a time.
-        for q in self.custom:
-            if q >= first:
-                break
-            method, anchor = getattr(self.factors[q], "_" + name), [float(v[q]) for v in a]
-            values = [method(v, *anchor) for v in y[..., q].ravel().tolist()]
-            res[..., q] = np.reshape(values, res.shape[:-1])
-        if first < r:
+        inside = self.anchored(name, y, a[0], res) if a else (y > self.lo) & (y < self.hi)
+        if np.count_nonzero(inside) < inside.size:
+            first = int(np.argmin(inside.reshape(-1, r).all(axis=0)))
             raise self._error(name, first, y, a, res)
+        for cols, formula, params in () if a else self.passes[name]:
+            res[..., cols] = formula(y[..., cols], *params)
         return res if out is None else out
 
     def invert_values(self, z, anchors, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,19 +507,13 @@ class FactorBank:
         y, phi = self.apply("invert_antiderivative", z, anchors, out), np.ones(out.shape)
         for cols, formula, params in self.passes["value"]:
             phi[..., cols] = formula(y[..., cols], *params)
-        for q in self.custom:
-            values = [self.factors[q]._value(t) for t in y[..., q].ravel().tolist()]
-            phi[..., q] = np.reshape(values, phi.shape[:-1])
         return y, phi
 
     @np.errstate(all="ignore")
-    def _anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
-        """A chart operation's closed forms into res, and where the
+    def anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
+        """A chart operation's formulas into res, unchecked, and where the
         arguments (for inversions, the results) and the anchors are inside.
         Its formulas overflow at unreachable targets, hence the errstate."""
-        if self.custom:
-            # Custom results are not checked: their anchors stand in.
-            res[..., self.custom] = a[self.custom]
         for cols, formula, params in self.passes[name]:
             res[..., cols] = formula(y[..., cols], a[cols], *params)
         # Both are inside when the smaller is above lo and the larger below

@@ -260,6 +260,27 @@ class TestVerifyCommand:
         assert ("factor 1 (linear) value is inf" in err) == (param == "kappa1=1e308")
         assert ("product of factors 1 (linear) and 2 (linear)" in err) == (param == "R=1e308")
 
+    def test_overflowing_contraction_is_a_named_usage_error(self, tmp_path, capsys):
+        # J and W are finite at every point; the contraction (J W^T) L'^T
+        # is not.  The sweep names the first such point, with no warning.
+        config = {
+            "version": 1, "n": 3, "r": 2, "B": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+            "factors": [
+                {"kind": "exponential", "params": {"amplitude": 1e160, "rate": 1.0}},
+                {"kind": "exponential", "params": {"amplitude": 1.0, "rate": 1.0}},
+            ],
+            "domain": {"lower": [0.5] * 3, "upper": [1.5] * 3},
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = _run(capsys, ["verify", "--config", str(path), "--points", "5"])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the Jacobi contraction overflows at sample point "
+            "x = [0.5991217806861316, 0.5539137627458123, 0.800776229495886]\n"
+        )
+
     def test_default_kmk_split_of_large_rate_accepted(self, capsys):
         code, out, err = _run(
             capsys, ["verify", "--system", "kmk", "--param", "R=509129.9814107553"]
@@ -545,6 +566,29 @@ class TestIntegrateCommand:
         assert code == 0
         assert len(out.strip().split("\n")) == 7
 
+    def test_missing_initial_state_is_usage_error(self, capsys):
+        argv = ["integrate", "--system", "kmk", "--hamiltonian", "linear:1,1,1"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: no initial state given (config or --x0)\n")
+
+    def test_non_multiseparable_system_is_usage_error(self, capsys):
+        argv = ["integrate", "--system", "counterexample3", "--hamiltonian", "linear:1,1,1",
+                "--x0", "2,1,1"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: integrate requires a multiseparable system\n")
+
+    def test_library_failure_exits_one(self, capsys):
+        # A step of 20 on the canonical route leaves Newton's method without
+        # convergence: a PoissonKitError that is not a usage error.
+        argv = [
+            "integrate", "--system", "toda", "--param", "N=3",
+            "--hamiltonian", "quadratic-diagonal:1,1,5,5,5", "--x0", "0.9,0.9,0.2,-0.2,0",
+            "--dt", "20", "--steps", "3", "--route", "canonical",
+        ]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: implicit midpoint: no convergence in 50 iterations\n"
+
     def test_missing_hamiltonian_is_usage_error(self, capsys):
         code, _, err = _run(
             capsys,
@@ -768,6 +812,7 @@ def test_invalid_points_is_usage_error(capsys):
     [
         ("--hamiltonian", "quadratic-diagonal:1,a,1"),
         ("--hamiltonian", "coordinate:2.9"),
+        ("--hamiltonian", "foo:1,2,3"),
         ("--x0", "1,b,1"),
         ("--steps", "-1"),
         ("--dt", "0"),
@@ -786,6 +831,20 @@ def test_malformed_integrate_flag_names_flag(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
+
+
+def test_unreadable_config_names_flag(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = _run(capsys, ["verify", "--config", missing])
+    assert (code, out) == (2, "")
+    assert err == f"error: --config: cannot read {missing!r}: No such file or directory\n"
+
+
+def test_config_and_system_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "kmk.json"
+    path.write_text(json.dumps(KMK_CONFIG), encoding="utf-8")
+    code, out, err = _run(capsys, ["verify", "--config", str(path), "--system", "kmk"])
+    assert (code, out, err) == (2, "", "error: --config and --system are mutually exclusive\n")
 
 
 WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}

@@ -403,6 +403,36 @@ def test_custom_factor_loops_over_arrays():
     np.testing.assert_allclose(f.invert_antiderivative(zs, 0.0), ys, atol=1e-10)
 
 
+class _UnhashableCosh:
+    __hash__ = None
+
+    def __call__(self, y):
+        return math.cosh(y)
+
+
+def test_custom_factors_are_groups_of_their_own_column():
+    """Each custom factor is a bank group keyed by its column, so two
+    columns may share one factor whose callable does not hash."""
+    f = CustomFactor(value_fn=_UnhashableCosh(), derivative_fn=math.sinh)
+    bank = FactorBank((Linear(2.0), f, f))
+    Y = np.array([[1.0, -0.5, 0.25], [2.0, 0.75, -1.5]])
+    expected = [[2.0 * a, math.cosh(b), math.cosh(c)] for a, b, c in Y.tolist()]
+    np.testing.assert_array_equal(bank.apply("value", Y), expected)
+    assert [cols for cols, _, _ in bank.passes["value"]] == [slice(q, q + 1, 1) for q in range(3)]
+
+
+def test_custom_target_past_an_arithmetic_failure_is_out_of_range():
+    # F(y) = atan(sinh(y)) stays above -pi/2; the bracket search reaches
+    # y = -1024, where math.sinh overflows, without enclosing -2.
+    f = CustomFactor(
+        value_fn=math.cosh,
+        derivative_fn=math.sinh,
+        antiderivative_fn=lambda y: math.atan(math.sinh(y)),
+    )
+    with pytest.raises(OutOfRangeError, match=r"^z = -2.0 outside the antiderivative range$"):
+        f.invert_antiderivative(-2.0, 0.0)
+
+
 class TestInvertValues:
     """FactorBank.invert_values is an inversion pass followed by a value
     pass, bitwise, in one pass: every kind, the degenerate parameters that

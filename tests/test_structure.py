@@ -293,10 +293,7 @@ def _first_error(calls):
 
 
 @pytest.mark.parametrize(
-    "name,q",
-    # Column 12 is the custom factor, whose inversion results the bank does
-    # not check.
-    [(name, q) for name in OPERATIONS for q in (0, 7, 12, 29) if (name, q) != (OPERATIONS[3], 12)],
+    "name,q", [(name, q) for name in OPERATIONS for q in (0, 7, 12, 29)]
 )
 def test_block_error_names_first_offender_like_single_factors(name, q):
     """The bank raises for the first offending factor in column order, and

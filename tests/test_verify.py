@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import sys
 import weakref
 from pathlib import Path
@@ -127,6 +128,27 @@ def test_sweep_unbounded_needs_sample_box():
     boxed = generic_field(3, zero, BoxDomain.unbounded(3, [0.0] * 3, [1.0] * 3))
     report = jacobi_sweep(boxed, 5, seed=0)
     assert report.passed
+
+
+def test_generic_sweep_fails_at_a_non_finite_point():
+    """A point whose residual is not finite is never skipped: the sweep
+    fails with both maxima nan and the argmax at the first such point."""
+    box = BoxDomain.unbounded(3, [0.5] * 3, [1.5] * 3)
+    everywhere = generic_field(3, lambda x: np.full((3, 3), np.nan), box)
+    report = jacobi_sweep(everywhere, 10)
+    assert not report.passed
+    assert math.isnan(report.max_abs_residual) and math.isnan(report.max_normalized_residual)
+    assert report.argmax_point == tuple(box.halton_points(10, 0)[0])
+
+    def late(x):
+        return np.full((3, 3), np.nan) if x[0] > 1.2 else np.zeros((3, 3))
+
+    points = box.halton_points(10, 0)
+    first = next(p for p in points if p[0] > 1.2)
+    assert points[0][0] < 1.2
+    report = jacobi_sweep(generic_field(3, late, box), 10)
+    assert not report.passed and math.isnan(report.max_abs_residual)
+    assert report.argmax_point == tuple(first)
 
 
 def test_fd_partials_agree_with_analytic(rng):
