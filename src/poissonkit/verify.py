@@ -68,8 +68,7 @@ class StructureField:
     returns the (P, n, n) stack.  ``partials(x)`` returns the tensor T with
     T[i, j, l] = d J_ij / d x_l (0-based storage axes) at one point.
     ``contract``, when given, is the field's own form of
-    :meth:`jacobi_terms`.  ``spec`` is the spec a spec field views, which
-    names the cause when a sweep meets a point that is not finite.
+    :meth:`jacobi_terms`.
     """
 
     n: int
@@ -77,7 +76,6 @@ class StructureField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     partials: Callable[[np.ndarray], np.ndarray]
     contract: Callable[[np.ndarray, np.ndarray], JacobiTerms] | None = None
-    spec: MultiseparableSpec | None = None
 
     def jacobi_terms(self, X: np.ndarray, triples: np.ndarray) -> JacobiTerms:
         """J's (P, n, n) stack over a (P, n) block X, and an iterator that
@@ -134,7 +132,7 @@ def _contract_pair_minors(
     with L' the rows i < j of the pair minors L.  L is exactly skew, so the
     residual at a < b < c is C'[a, bc] + C'[c, ab] - C'[b, ac], bitwise the
     full C's.  Raises ConfigValidationError when J or W is not finite on
-    the block."""
+    the block, or the residuals or max |dJ| at a point."""
     with np.errstate(over="ignore", invalid="ignore"):
         structures, W = structure_slopes(spec, X)
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
@@ -149,9 +147,13 @@ def _contract_pair_minors(
     bc, ab, ac = a * m + pair[b, c], c * m + pair[a, b], b * m + pair[a, c]
 
     def terms():
-        for J, slopes in zip(structures, W):
+        for x, J, slopes in zip(X, structures, W):
             C = ((J @ slopes.T) @ L.T).ravel()
-            yield C[bc] + C[ab] - C[ac], float(np.max(np.abs(L @ slopes)))
+            residuals, dJ_max = C[bc] + C[ab] - C[ac], float(np.max(np.abs(L @ slopes)))
+            if not (math.isfinite(dJ_max) and np.isfinite(residuals).all()):
+                overflows = "the Jacobi contraction overflows"
+                raise non_finite_error(spec, x[None], otherwise=overflows)
+            yield residuals, dJ_max
 
     return structures, terms()
 
@@ -165,7 +167,6 @@ def structure_field(spec: MultiseparableSpec) -> StructureField:
         evaluate=lambda x: evaluate_structure(spec, x),
         partials=lambda x: structure_partials(spec, x),
         contract=lambda X, triples: _contract_pair_minors(spec, X, triples),
-        spec=spec,
     )
 
 
@@ -267,9 +268,8 @@ def jacobi_sweep(
     the sweep passes when the largest such normalized residual is within
     ``tolerance``, so a genuine structure at a large scale is not failed
     for round-off.  Both the absolute and the normalized maxima are
-    reported.  A point whose worst residual or scale is not finite raises
-    non_finite_error on a spec field; any other field's sweep fails there,
-    with both maxima nan and the argmax at that point.
+    reported.  A non-finite residual or max|dJ| fails the sweep, both
+    maxima nan and the argmax at that point; a spec field raises there.
     """
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
@@ -285,29 +285,28 @@ def jacobi_sweep(
     max_norm = 0.0
     argmax_triple = None
     argmax_point = None
-    sweeping = triples.size > 0  # with n < 3 there are no triples and nothing to sweep
+    finite = True  # no point so far has a non-finite residual or max|dJ|
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite points are caught below
         for X in point_blocks(points, n):
             structures, terms = field.jacobi_terms(X, triples)
             if visit is not None:
                 visit(structures)
-            for x, J, (residuals, dJ_max) in zip(X, structures, terms) if sweeping else ():
+            # No triples when n < 3; after a non-finite point only visit reads the blocks.
+            rows = zip(X, structures, terms) if triples.size and finite else ()
+            for x, J, (residuals, dJ_max) in rows:
                 res = np.abs(residuals)
                 idx = int(np.argmax(res))  # the first nan, if any
                 worst = float(res[idx])
-                scale = 1.0 + float(np.max(np.abs(J))) * dJ_max
-                sweeping = math.isfinite(worst) and math.isfinite(scale)
-                if not sweeping and field.spec is not None:
-                    raise non_finite_error(
-                        field.spec, x[None], otherwise="the Jacobi contraction overflows"
-                    )
-                max_norm = max(max_norm, worst / scale) if sweeping else math.nan
-                if argmax_triple is None or not (sweeping and worst <= max_abs):
+                finite = math.isfinite(worst) and math.isfinite(dJ_max)
+                if argmax_triple is None or not (finite and worst <= max_abs):
                     argmax_triple = tuple(int(t) + 1 for t in triples[idx])
                     argmax_point = tuple(float(v) for v in x)
-                max_abs = max(max_abs, worst) if sweeping else math.nan
-                if not sweeping:
-                    break  # any other field fails at this point, and the sweep ends
+                if not finite:
+                    max_abs = max_norm = math.nan
+                    break
+                # An overflowing scale normalizes a finite residual to 0.
+                max_norm = max(max_norm, worst / (1.0 + float(np.max(np.abs(J))) * dJ_max))
+                max_abs = max(max_abs, worst)
 
     return JacobiReport(
         dimension=n,

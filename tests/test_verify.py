@@ -151,6 +151,20 @@ def test_generic_sweep_fails_at_a_non_finite_point():
     assert report.argmax_point == tuple(first)
 
 
+def test_generic_sweep_overflowing_scale_passes():
+    """Finite residuals and max|dJ| pass even where 1 + max|J| max|dJ|
+    overflows: the normalized residual is 0, not a failure."""
+    box = BoxDomain.unbounded(3, [0.5] * 3, [1.5] * 3)
+
+    def evaluate(x):
+        a, b = 1e160, 1e160 * x[2]
+        return np.array([[0.0, a, b], [-a, 0.0, 0.0], [-b, 0.0, 0.0]])
+
+    report = jacobi_sweep(generic_field(3, evaluate, box), 10)
+    assert report.passed
+    assert (report.max_abs_residual, report.max_normalized_residual) == (0.0, 0.0)
+
+
 def test_fd_partials_agree_with_analytic(rng):
     for _ in range(3):
         spec = random_spec(rng, 5, 4)
