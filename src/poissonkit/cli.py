@@ -290,8 +290,8 @@ def _system_from_args(args) -> System:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            reason = f"cannot read {args.config!r}: {exc.strerror or exc}"
+        except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+            reason = f"cannot read {args.config!r}: {getattr(exc, 'strerror', None) or exc}"
             raise ConfigValidationError(f"--config: {reason}") from None
         return parse_config(text)
     if args.system:

@@ -28,12 +28,12 @@ Newton matrix adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
 Both routes run one fixed-step loop over their stepped state u: x on the
-direct route, z_{1..r} on the canonical route.  Each route gives it an
-evaluator, a step and an accept map from u to its x and a thunk for the
-next field value, called only once x has passed the box check.  On the
-canonical route the accepted u's pull-back is both the recorded x and the
-next predictor.  A pull-back is one factor bank pass that inverts the
-chart and evaluates phi, so a step takes one per Newton point plus one.
+direct route, z_{1..r} on the canonical route.  Each route gives it a
+step and an accept map from u to its x and a thunk for f(u).  RK4 calls
+the thunk every step; implicit midpoint only on its first two, as it then
+starts Newton from the field values at the last two converged midpoints.
+A pull-back is one factor bank pass that inverts the chart and evaluates
+phi, so a canonical step takes one per Newton point plus one for its x.
 
 States that leave the certified box truncate the trajectory with a
 domain-exit flag rather than extrapolating past the region where the
@@ -66,7 +66,6 @@ from .errors import (
 from .structure import (
     MultiseparableSpec,
     factor_derivatives,
-    factors_at,
     non_finite_error,
     pair_slopes,
 )
@@ -144,27 +143,45 @@ def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
 
 
-def _direct_field(spec: MultiseparableSpec, H: HamiltonianField, x):
-    """The direct-route evaluator of x -> J(x) grad H(x): M_g w from the pair
-    products, and a Newton thunk that takes the derivative pass for W (see
-    the module docstring)."""
-    y, phi = factors_at(spec, x)
-    w = phi[0::2] * phi[1::2]
-    A_r = spec.A[:, : spec.r]
-    odd, even = A_r[:, 0::2], A_r[:, 1::2]
-    c = H.gradient_at(x) @ A_r  # A_r^T g
-    M = odd * c[1::2] - even * c[0::2]
+class _DirectSystem:
+    """The direct-route field x -> J(x) grad H(x) of one integration, M_g w
+    from the pair products (see the module docstring), built once with
+    A_r, its odd and even columns and the box bounds.  :meth:`field` gives
+    the value alone; calling it is an evaluator, whose Newton thunk takes
+    the derivative pass for W."""
 
-    def newton() -> np.ndarray:
-        C = A_r.T @ H.hessian_at(x)
-        return M @ pair_slopes(spec, y, phi) + ((odd * w) @ C[1::2] - (even * w) @ C[0::2])
+    def __init__(self, spec: MultiseparableSpec, H: HamiltonianField):
+        self.spec, self.H, self.A_r = spec, H, spec.A[:, : spec.r]
+        self.odd, self.even = self.A_r[:, 0::2], self.A_r[:, 1::2]
+        self.lower, self.upper = spec.domain.lower, spec.domain.upper
 
-    return M @ w, newton
+    def _pair_form(self, x: np.ndarray):
+        """y = B x, phi(y), w and M_g at a float point x in the open box."""
+        if np.count_nonzero((x > self.lower) & (x < self.upper)) < x.size:
+            raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
+        y = self.spec.B @ x
+        phi = self.spec.bank.apply("value", y)
+        c = self.H.gradient_at(x) @ self.A_r  # A_r^T g
+        return y, phi, phi[0::2] * phi[1::2], self.odd * c[1::2] - self.even * c[0::2]
+
+    def field(self, x: np.ndarray) -> np.ndarray:
+        _, _, w, M = self._pair_form(x)
+        return M @ w
+
+    def __call__(self, x: np.ndarray):
+        y, phi, w, M = self._pair_form(x)
+
+        def newton() -> np.ndarray:
+            C = self.A_r.T @ self.H.hessian_at(x)
+            J_hess = (self.odd * w) @ C[1::2] - (self.even * w) @ C[0::2]
+            return M @ pair_slopes(self.spec, y, phi) + J_hess
+
+        return M @ w, newton
 
 
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
     """dx/dt = J(x) grad H(x)."""
-    return _direct_field(spec, H, x)[0]
+    return _DirectSystem(spec, H).field(spec.domain.require_inside(x))
 
 
 def bracket(
@@ -216,33 +233,39 @@ def _record_stride(steps: int) -> int:
     return math.ceil(steps / MAX_DENSE_RECORDS)
 
 
-def _rk4_step(evaluate: Evaluator, x: np.ndarray, fx: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step from x, where f(x) = fx; the stages take only the
-    field values of ``evaluate``."""
-    k2 = evaluate(x + 0.5 * dt * fx)[0]
-    k3 = evaluate(x + 0.5 * dt * k2)[0]
-    k4 = evaluate(x + dt * k3)[0]
-    return x + (dt / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(field: Callable, x: np.ndarray, value: Callable, dt: float) -> np.ndarray:
+    """One RK4 step from x, where value() = f(x); the stages take the field
+    alone."""
+    k1 = value()
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _implicit_midpoint_step(
-    evaluate: Evaluator, x: np.ndarray, fx: np.ndarray, dt: float
+    evaluate: Evaluator, history: list, x: np.ndarray, value: Callable, dt: float
 ) -> np.ndarray:
-    """One implicit-midpoint step from x, where f(x) = fx, by simplified
-    Newton iteration.
+    """One implicit-midpoint step from x by simplified Newton iteration.
 
-    Each Newton point is evaluated once; the Newton matrix I - dt/2 Df(mid)
+    ``history`` holds the field values at the run's last two converged
+    midpoints, oldest first, and the step shifts its own in.  Newton starts
+    from x + dt (2 f_{k-1/2} - f_{k-3/2}) (Hairer, Lubich and Wanner,
+    Geometric Numerical Integration, VIII.6.1), and from the explicit Euler
+    x + dt value() = x + dt f(x) while there are fewer than two.  Each
+    Newton point is evaluated once; the Newton matrix I - dt/2 Df(mid)
     comes from that evaluation's thunk on the first iteration and every
     tenth after.  Raises MaxNewtonIterationsError when the residual does
     not reach NEWTON_TOL within the cap."""
     n = x.shape[0]
     scale = 1.0 + float(np.abs(x).max())
-    u = x + dt * fx
+    u = x + dt * (2.0 * history[1] - history[0] if len(history) == 2 else value())
     M = None
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = evaluate(0.5 * (x + u))
         g = u - x - dt * f_mid
         if float(np.abs(g).max()) <= NEWTON_TOL * scale:
+            history[:] = history[-1:] + [f_mid]
             return u
         if M is None or it % 10 == 9:
             M = np.eye(n) - 0.5 * dt * newton()
@@ -307,23 +330,22 @@ def _march(
     dt: float,
     steps: int,
     u0: np.ndarray,
-    evaluate: Evaluator,
-    step: Callable[[Evaluator, np.ndarray, np.ndarray, float], np.ndarray],
+    step: Callable[[np.ndarray, Callable[[], np.ndarray], float], np.ndarray],
     accept: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
 ) -> TrajectoryRecord:
     """The fixed-step loop of both routes, from the stepped state u0 whose x
-    is x0.  ``step(evaluate, u, f(u), dt)`` advances u, and ``accept(u)``
-    gives its x and a thunk for the next field value f(u), called only once
-    x has passed the box check and another step follows.  The start, f(u0)
-    and H(x0), is evaluated for every ``steps`` and checked for overflow.
-    A start or a step that leaves a factor or chart interval, or a step
-    that leaves the box, ends the trajectory with a domain-exit flag; only
-    every stride-th state, and the last, is recorded."""
+    is x0.  ``accept(u)`` gives u's x and a thunk ``value`` for f(u), and
+    ``step(u, value, dt)`` advances u, calling ``value`` only if it needs
+    f(u).  The start, f(u0) and H(x0), is evaluated for every ``steps``
+    and checked for overflow.  A start or a step that leaves a factor or
+    chart interval, or a step that leaves the box, ends the trajectory with
+    a domain-exit flag; only every stride-th state, and the last, is
+    recorded."""
     exits = (OutOfRangeError, OutOfValidityError, OutOfDomainError)
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = H.value_at(x0)
         try:
-            f0 = evaluate(u0)[0]
+            f0 = accept(u0)[1]()
         except exits:
             f0 = None
     if f0 is not None and not np.isfinite(f0).all():
@@ -337,7 +359,7 @@ def _march(
     u, value = u0, lambda: f0
     for k in range(1, steps + 1) if not domain_exit else ():
         try:
-            u = step(evaluate, u, value(), dt)
+            u = step(u, value, dt)
             x, value = accept(u)
         except exits:
             domain_exit = True
@@ -382,11 +404,13 @@ def integrate_direct(
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()
-    evaluate = partial(_direct_field, spec, H)
-    step = _rk4_step if method == "rk4" else _implicit_midpoint_step
+    system = _DirectSystem(spec, H)
+    if method == "rk4":
+        step = partial(_rk4_step, system.field)
+    else:
+        step = partial(_implicit_midpoint_step, system, [])
     return _march(
-        spec, H, x_start, dt, steps, x_start, evaluate, step,
-        lambda x: (x, lambda: evaluate(x)[0]),
+        spec, H, x_start, dt, steps, x_start, step, lambda x: (x, lambda: system.field(x))
     )
 
 
@@ -403,11 +427,11 @@ def integrate_canonical(
     The first r components of z follow implicit midpoint on
     dz/dt = K grad_z H(x(z)) with the constant canonical K; the remaining
     components are held bitwise constant, so Casimir levels survive up to
-    the chart round trip only.  Each accepted u is pulled back once: its
-    x is the recorded state, and, once that state has passed the box
-    check, the pull-back also gives the next step's predictor.  ``dt``
-    must be finite and positive, and so must ``dt * steps``; a field or H
-    that is not finite at x0 raises ConfigValidationError.
+    the chart round trip only.  Each accepted u is pulled back once, for
+    its x, the recorded state; Newton starts from the field values at
+    earlier midpoints.  ``dt`` must be finite and positive, and so must
+    ``dt * steps``; a field or H that is not finite at x0 raises
+    ConfigValidationError.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0)
@@ -417,8 +441,8 @@ def integrate_canonical(
     z = chart.forward(x_start)
     if r == 0:  # J = 0: the field is empty and every step keeps x0
         return _march(
-            spec, H, x_start, dt, steps, z[:0], lambda u: (u, None),
-            lambda evaluate, u, fu, dt: u, lambda u: (x_start, lambda: u),
+            spec, H, x_start, dt, steps, z[:0],
+            lambda u, value, dt: u, lambda u: (x_start, lambda: u),
         )
     system = _CanonicalSystem(
         spec, H, np.array(chart.anchors), z[r:].copy(), canonical_matrix(r, r), spec.A[:, :r]
@@ -432,7 +456,8 @@ def integrate_canonical(
     # iterate then fails the chart's pull-back, a domain exit.
     with np.errstate(over="ignore", invalid="ignore"):
         return _march(
-            spec, H, x_start, dt, steps, z[:r].copy(), system, _implicit_midpoint_step, accept
+            spec, H, x_start, dt, steps, z[:r].copy(),
+            partial(_implicit_midpoint_step, system, []), accept,
         )
 
 

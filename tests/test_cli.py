@@ -840,6 +840,17 @@ def test_unreadable_config_names_flag(tmp_path, capsys):
     assert err == f"error: --config: cannot read {missing!r}: No such file or directory\n"
 
 
+def test_non_utf8_config_names_flag(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(KMK_CONFIG).encode("utf-16-le"))
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --config: cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+
+
 def test_config_and_system_are_exclusive(tmp_path, capsys):
     path = tmp_path / "kmk.json"
     path.write_text(json.dumps(KMK_CONFIG), encoding="utf-8")

@@ -35,7 +35,7 @@ from poissonkit import (
 from poissonkit import dynamics
 from poissonkit.config import parse_config
 from poissonkit.darboux import DarbouxChart, canonical_matrix
-from poissonkit.dynamics import _CanonicalSystem, _direct_field, _record_stride
+from poissonkit.dynamics import NEWTON_TOL, _CanonicalSystem, _DirectSystem, _record_stride
 from poissonkit.factors import FactorBank
 from poissonkit.verify import central_differences, jacobi_sweep, structure_field
 
@@ -238,9 +238,9 @@ class TestNewtonJacobians:
     def test_direct_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
             for x in spec.domain.halton_points(8, seed=11):
-                fd = _fd_newton(partial(_direct_field, spec, H), x)
+                fd = _fd_newton(_DirectSystem(spec, H), x)
                 for variant in _variants(H):
-                    _assert_relative(_direct_field(spec, variant, x)[1](), fd, 1e-6)
+                    _assert_relative(_DirectSystem(spec, variant)(x)[1](), fd, 1e-6)
 
     def test_canonical_matches_differences(self, kmk_spec, toda3_spec):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
@@ -265,7 +265,7 @@ class TestNewtonJacobians:
                     "ijl,j->il", structure_partials(spec, x), H.gradient_at(x)
                 )
                 scale = float(np.max(np.abs(reference)))
-                newton = _direct_field(spec, H, x)[1]()
+                newton = _DirectSystem(spec, H)(x)[1]()
                 assert float(np.max(np.abs(newton - reference))) <= 1e-13 * scale
 
     def test_implicit_midpoint_never_forms_partials(self, refuse_structure, kmk_spec, toda3_spec):
@@ -288,7 +288,7 @@ class TestNewtonJacobians:
                 )
                 H_with = HamiltonianField(H_fd.value, H_fd.gradient, H_fd.hessian_at)
                 np.testing.assert_array_equal(
-                    _direct_field(spec, H_fd, x)[1](), _direct_field(spec, H_with, x)[1]()
+                    _DirectSystem(spec, H_fd)(x)[1](), _DirectSystem(spec, H_with)(x)[1]()
                 )
                 thunks = [
                     _canonical(spec, field, chart, z[spec.r :])(z[: spec.r])[1]()
@@ -350,7 +350,7 @@ def _newton_point_counter(monkeypatch):
     calls = [0, 0]
     step = dynamics._implicit_midpoint_step
 
-    def counted_step(evaluate, x, fx, dt):
+    def counted_step(evaluate, history, x, value, dt):
         def counted(p):
             calls[0] += 1
             f, newton = evaluate(p)
@@ -361,7 +361,7 @@ def _newton_point_counter(monkeypatch):
 
             return f, counted_newton
 
-        return step(counted, x, fx, dt)
+        return step(counted, history, x, value, dt)
 
     monkeypatch.setattr(dynamics, "_implicit_midpoint_step", counted_step)
     return calls
@@ -370,9 +370,11 @@ def _newton_point_counter(monkeypatch):
 class TestOneEvaluationPerNewtonPoint:
     """Implicit midpoint evaluates each Newton point once, and the Newton
     matrix reuses that evaluation; only a refresh takes a factor derivative
-    pass.  On the canonical route a pull-back is one inversion pass that
-    also gives phi, and the accepted state's pull-back gives the recorded x
-    and the next predictor."""
+    pass.  From the third step on Newton starts from the field values at
+    earlier midpoints, so no route evaluates the field at an accepted
+    state there.  On the canonical route a pull-back is one inversion pass
+    that also gives phi, and the accepted state's pull-back gives the
+    recorded x."""
 
     STEPS = 30
 
@@ -395,11 +397,12 @@ class TestOneEvaluationPerNewtonPoint:
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            # x0 is mapped forward once.  The evaluator runs at x0 and at
-            # each Newton point, and each accepted state is pulled back once
-            # more; a pull-back's phi takes no value pass, and each refresh
-            # adds phi' and no pull-back.
-            assert evaluations[0] == 1 + newton_points[0]
+            # x0 is mapped forward once and u0 pulled back once, for f(u0).
+            # The evaluator runs at each Newton point, and each accepted
+            # state is pulled back once more, for its x (the second step's
+            # Euler start takes f at the first's); a pull-back's phi takes
+            # no value pass, and each refresh adds phi' and no pull-back.
+            assert evaluations[0] == newton_points[0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
                 invert_antiderivative=1 + newton_points[0] + self.STEPS,
@@ -414,22 +417,26 @@ class TestOneEvaluationPerNewtonPoint:
                 expected = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 with monkeypatch.context() as m:
                     newton_points = _newton_point_counter(m)
-                    evaluations = _counter(m, dynamics, "_direct_field")
+                    fields = _counter(m, _DirectSystem, "field")
+                    evaluators = _counter(m, _DirectSystem, "__call__")
                     passes = _pass_counter(m)
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
                 np.testing.assert_array_equal(record.states, expected.states)
-                # One evaluator serves x0, each step's predictor f(x), the
-                # RK4 stages and the Newton points; each of its calls takes
-                # one factor value pass, and only a Newton-matrix refresh
-                # takes a derivative pass.
+                # The field alone serves x0, RK4's f(x) at each later step
+                # and its stages, and the second midpoint step's Euler
+                # start; only the Newton points take the evaluator with its
+                # thunk.  Each call takes one factor value pass, and only a
+                # Newton-matrix refresh takes a derivative pass.
                 if method == "rk4":
                     assert newton_points == [0, 0]
-                    assert evaluations[0] == 4 * self.STEPS
+                    assert (fields[0], evaluators[0]) == (4 * self.STEPS, 0)
                 else:
                     assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-                    assert evaluations[0] == self.STEPS + newton_points[0]
-                assert passes == Counter(value=evaluations[0], derivative=newton_points[1])
+                    assert (fields[0], evaluators[0]) == (2, newton_points[0])
+                assert passes == Counter(
+                    value=fields[0] + evaluators[0], derivative=newton_points[1]
+                )
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rank_zero(self, monkeypatch, analytic):
@@ -448,12 +455,51 @@ class TestOneEvaluationPerNewtonPoint:
             passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
         # J = 0: every step converges at its first Newton point, and the
-        # direct evaluator also runs at x0 and at each later predictor.
+        # direct route also evaluates the field at x0 and x1.
         assert newton_points[0] == self.STEPS
-        assert passes == {"value": 2 * self.STEPS}
+        assert passes == {"value": 2 + self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
+
+
+class TestExtrapolatedStart:
+    """From its third step on, implicit midpoint starts Newton from the
+    field values at the last two converged midpoints."""
+
+    def test_direct_states_solve_the_midpoint_equation(self, kmk_spec, toda3_spec):
+        """From the returned states alone, every step satisfies
+        x_{k+1} - x_k = dt f((x_k + x_{k+1}) / 2) to the Newton tolerance."""
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
+            for dt in (1e-3, 1e-2):
+                record = integrate_direct(spec, H, x0, dt, 100, method="implicit-midpoint")
+                assert record.num_records == 101 and not record.domain_exit
+                X = record.states
+                for x, x_next in zip(X[:-1], X[1:]):
+                    residual = x_next - x - dt * vector_field(spec, H, 0.5 * (x + x_next))
+                    assert np.abs(residual).max() <= NEWTON_TOL * (1.0 + np.abs(x).max())
+
+    def test_direct_energy_drift_stays_at_round_off(self, kmk_spec):
+        """A quadratic H on the kmk bracket: over 1000 steps |dH| stays at
+        round-off (4.4e-15 on x86-64).  A Newton matrix formed on the first
+        step and kept, instead of formed afresh each step, reaches 3.7e-11."""
+        H = quadratic_hamiltonian([1.0, 2.0, 0.5])
+        record = integrate_direct(
+            kmk_spec, H, [1.0, 1.2, 0.8], 1e-3, 1000, method="implicit-midpoint"
+        )
+        assert not record.domain_exit and record.max_energy_drift() <= 1e-13
+
+    @pytest.mark.parametrize("integrate", [integrate_direct, integrate_canonical])
+    def test_newton_points_per_step(self, monkeypatch, toda3_spec, integrate):
+        """At dt 1e-2 a step takes two Newton points past the first two
+        steps: 2.01 per step over 200 steps, where explicit-Euler starts
+        took 2.6."""
+        spec, H, x0 = _newton_cases(None, toda3_spec)[1]
+        points = _newton_point_counter(monkeypatch)
+        kwargs = {"method": "implicit-midpoint"} if integrate is integrate_direct else {}
+        record = integrate(spec, H, x0, 1e-2, 200, **kwargs)
+        assert record.num_records == 201 and not record.domain_exit
+        assert points[0] <= 2.05 * 200
 
 
 @pytest.mark.parametrize("integrate", [integrate_direct, integrate_canonical])
@@ -503,7 +549,7 @@ class TestIntegrateDirect:
             raise OutOfRangeError("left the interval")
 
         if route == "direct":
-            monkeypatch.setattr(dynamics, "_direct_field", leaving)
+            monkeypatch.setattr(_DirectSystem, "field", leaving)
             integrate = integrate_direct
         else:
             monkeypatch.setattr(_CanonicalSystem, "pull_back", leaving)

@@ -34,7 +34,7 @@ from poissonkit import (
     structure_partials,
     toda,
 )
-from poissonkit.dynamics import _direct_field
+from poissonkit.dynamics import _DirectSystem
 from poissonkit.verify import _residual_tensor
 
 
@@ -188,7 +188,7 @@ def test_direct_field_and_newton_match_50_digit_minor_sum():
                 g = weights_mp * np.array(x_mp, dtype=object)
                 field_ref = to_float(J_mp @ g)
                 newton_ref = to_float(J_mp * weights_mp + np.einsum("ijl,j->il", T_mp, g))
-                field, newton = _direct_field(spec, H, x)
+                field, newton = _DirectSystem(spec, H)(x)
                 newton = newton()
                 y = spec.B @ x
                 phi = np.abs([f.value(t) for f, t in zip(spec.factors, y)])
