@@ -36,6 +36,7 @@ from .structure import (
     matvec,
     non_finite_error,
     point_blocks,
+    structure_from_values,
 )
 
 #: forward/inverse composition tolerance certified at chart construction.
@@ -86,7 +87,13 @@ def pushforward(field, jacobian_fn: Callable, x) -> np.ndarray:
 def linear_chart_pushforward(spec: MultiseparableSpec, x) -> np.ndarray:
     """J*(y) at y = B.x: the 2x2-block compression of J under the linear
     chart, or the (P, n, n) stack of them for a (P, n) block."""
-    return spec.B @ evaluate_structure(spec, x) @ spec.B.T
+    return _linear_pushforward(spec, evaluate_structure(spec, x))
+
+
+def _linear_pushforward(spec: MultiseparableSpec, J: np.ndarray) -> np.ndarray:
+    """B J B^T for a structure matrix J or a stack of them, written over J
+    so that a block holds one stack fewer."""
+    return np.matmul(spec.B @ J, spec.B.T, out=J)
 
 
 def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
@@ -292,7 +299,8 @@ def certify_canonical(
     chart with analytic Jacobians (B, then diag(1/phi_i)) and compared
     entrywise to the canonical matrix; the forward/inverse composition is
     checked at the same points.  The sample is checked a block of points
-    at a time (see :func:`~poissonkit.structure.point_blocks`).  Raises
+    at a time (see :func:`~poissonkit.structure.point_blocks`), from one
+    y = B X and one factor value pass per block.  Raises
     CertificationFailureError with the first failing point and its worst
     entry when either check exceeds its tolerance.
     """
@@ -303,13 +311,11 @@ def certify_canonical(
     for X in point_blocks(points, spec.n):
         with np.errstate(all="ignore"):
             phi = _quadrature_scales(spec, linear_chart(spec, X))
-            dev = linear_chart_pushforward(spec, X)
+            J = structure_from_values(spec, phi[:, : spec.r])
             # A non-finite pushforward is the structure's fault only when J is.
-            if not (
-                np.isfinite(phi).all()
-                and (np.isfinite(dev).all() or np.isfinite(evaluate_structure(spec, X)).all())
-            ):
+            if not (np.isfinite(phi).all() and np.isfinite(J).all()):
                 raise non_finite_error(spec, X)
+            dev = _linear_pushforward(spec, J)
             # 1/phi_i(y_i) for i <= r and 1 elsewhere: the quadrature stage's Jacobian.
             d = 1.0 / phi
             dev *= d[:, :, None]

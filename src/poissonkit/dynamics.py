@@ -9,14 +9,15 @@ exactly fixed, and maps each state back.  Casimir drift on the canonical
 route is therefore bounded by chart round-trip error alone, independent of
 the number of steps.
 
-Each route has one evaluator p -> (f(p), newton): the field value and a
-thunk that forms the Newton matrix Df(p) from the same evaluation, with
-the structure part analytic and Hess H from HamiltonianField.hessian_at.
-Implicit midpoint (simplified Newton) evaluates each Newton point once.
-The direct route never forms J: with the pair products w = phi_odd phi_even,
-g = grad H(x) and M_g = A_odd diag(A_even^T g) - A_even diag(A_odd^T g),
-the field is J g = M_g w, and only a Newton-matrix refresh takes the
-derivative pass for the pair-product slopes W = dw/dx:
+Each route's system, called at a point p, gives (f(p), newton): the
+field value and a thunk that forms the Newton matrix Df(p) from the same
+evaluation, with the structure part analytic and Hess H from
+HamiltonianField.hessian_at.  Implicit midpoint (simplified Newton)
+evaluates each Newton point once.  The direct route never forms J: with
+the pair products w = phi_odd phi_even, g = grad H(x) and
+M_g = A_odd diag(A_even^T g) - A_even diag(A_odd^T g), the field is
+J g = M_g w, and only a Newton-matrix refresh takes the derivative pass
+for the pair-product slopes W = dw/dx:
 
     J Hess H + (dJ/dx) g = M_g W + A_odd diag(w) A_even^T Hess H
                                  - A_even diag(w) A_odd^T Hess H.
@@ -28,23 +29,27 @@ Newton matrix adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
 
 Both routes run one fixed-step loop over their stepped state u: x on the
-direct route, z_{1..r} on the canonical route.  Each route gives it a
-step and an accept map from u to its x and a thunk for f(u).  RK4 calls
-the thunk every step; implicit midpoint only on its first two, as it then
-starts Newton from the field values at the last two converged midpoints.
-A pull-back is one factor bank pass that inverts the chart and evaluates
-phi, so a canonical step takes one per Newton point plus one for its x.
+direct route, z_{1..r} on the canonical route.  A route's system also
+gives state(u), u's x (u itself, or the pull-back's x), and field(u),
+f(u) alone; a step calls the system itself.  RK4 takes the field at u
+and at its stages, implicit midpoint only on its first two steps, as it
+then starts Newton from the field values at the last two converged
+midpoints.  A pull-back is one factor bank pass that inverts the chart
+and evaluates phi, so a canonical step takes one per Newton point plus
+one for its x.
 
-States that leave the certified box truncate the trajectory with a
-domain-exit flag rather than extrapolating past the region where the
-structural guarantees hold; on the canonical route a step that overflows
-ends it the same way, without a warning.  The start, the field value and
-H at the initial state, is evaluated once whatever the number of steps
-and checked for overflow: a non-finite factor value, derivative, pair
-product, field value or H there raises ConfigValidationError naming it.
-A start whose evaluation leaves a factor or chart interval ends the
-trajectory with one record and the domain-exit flag.  dt * steps must be
-finite.
+The loop alone decides why a run stops, under one overflow scope.  An
+accepted state outside the certified box, or an evaluation that leaves a
+factor or chart interval (as an overflowing step's does), truncates the
+trajectory with a domain-exit flag and no warning, rather than
+extrapolating past the region where the structural guarantees hold; RK4
+stages and Newton iterates are not held to the box.  The start, the
+field value and H at the initial state, is evaluated once whatever the
+number of steps and checked for overflow: a non-finite factor value,
+derivative, pair product, field value or H there raises
+ConfigValidationError naming it.  A start whose evaluation leaves a
+factor or chart interval ends the trajectory with one record and the
+domain-exit flag.  dt * steps must be finite.
 """
 
 from __future__ import annotations
@@ -52,23 +57,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
-from .errors import (
-    MaxNewtonIterationsError,
-    OutOfDomainError,
-    OutOfRangeError,
-    OutOfValidityError,
-)
-from .structure import (
-    MultiseparableSpec,
-    factor_derivatives,
-    non_finite_error,
-    pair_slopes,
-)
+from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
+from .structure import MultiseparableSpec, factor_derivatives, non_finite_error, pair_slopes
 from .verify import central_differences
 
 #: implicit-midpoint Newton controls.
@@ -138,27 +134,23 @@ def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
     return linear_hamiltonian(e)
 
 
-#: p -> (f(p), newton): a field value and a zero-argument thunk that forms
-#: Df(p) from the same evaluation's intermediate values.
-Evaluator = Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]]
-
-
 class _DirectSystem:
     """The direct-route field x -> J(x) grad H(x) of one integration, M_g w
-    from the pair products (see the module docstring), built once with
-    A_r, its odd and even columns and the box bounds.  :meth:`field` gives
-    the value alone; calling it is an evaluator, whose Newton thunk takes
-    the derivative pass for W."""
+    from the pair products (see the module docstring), built once with A_r
+    and its odd and even columns.  The stepped state is x itself.
+    :meth:`field` gives the value alone; a call gives it with the Newton
+    thunk, which takes the derivative pass for W.  Only the factor bank
+    checks the point, against each factor's validity interval."""
 
     def __init__(self, spec: MultiseparableSpec, H: HamiltonianField):
         self.spec, self.H, self.A_r = spec, H, spec.A[:, : spec.r]
         self.odd, self.even = self.A_r[:, 0::2], self.A_r[:, 1::2]
-        self.lower, self.upper = spec.domain.lower, spec.domain.upper
+
+    def state(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def _pair_form(self, x: np.ndarray):
-        """y = B x, phi(y), w and M_g at a float point x in the open box."""
-        if np.count_nonzero((x > self.lower) & (x < self.upper)) < x.size:
-            raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
+        """y = B x, phi(y), w and M_g at a float point x."""
         y = self.spec.B @ x
         phi = self.spec.bank.apply("value", y)
         c = self.H.gradient_at(x) @ self.A_r  # A_r^T g
@@ -228,41 +220,36 @@ class TrajectoryRecord:
 
 
 def _record_stride(steps: int) -> int:
-    if steps <= MAX_DENSE_RECORDS:
-        return 1
-    return math.ceil(steps / MAX_DENSE_RECORDS)
+    return 1 if steps <= MAX_DENSE_RECORDS else math.ceil(steps / MAX_DENSE_RECORDS)
 
 
-def _rk4_step(field: Callable, x: np.ndarray, value: Callable, dt: float) -> np.ndarray:
-    """One RK4 step from x, where value() = f(x); the stages take the field
-    alone."""
-    k1 = value()
-    k2 = field(x + 0.5 * dt * k1)
-    k3 = field(x + 0.5 * dt * k2)
-    k4 = field(x + dt * k3)
+def _rk4_step(system, x: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step from x; every stage takes the field alone."""
+    k1 = system.field(x)
+    k2 = system.field(x + 0.5 * dt * k1)
+    k3 = system.field(x + 0.5 * dt * k2)
+    k4 = system.field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _implicit_midpoint_step(
-    evaluate: Evaluator, history: list, x: np.ndarray, value: Callable, dt: float
-) -> np.ndarray:
+def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float) -> np.ndarray:
     """One implicit-midpoint step from x by simplified Newton iteration.
 
     ``history`` holds the field values at the run's last two converged
     midpoints, oldest first, and the step shifts its own in.  Newton starts
     from x + dt (2 f_{k-1/2} - f_{k-3/2}) (Hairer, Lubich and Wanner,
     Geometric Numerical Integration, VIII.6.1), and from the explicit Euler
-    x + dt value() = x + dt f(x) while there are fewer than two.  Each
-    Newton point is evaluated once; the Newton matrix I - dt/2 Df(mid)
-    comes from that evaluation's thunk on the first iteration and every
-    tenth after.  Raises MaxNewtonIterationsError when the residual does
-    not reach NEWTON_TOL within the cap."""
+    x + dt system.field(x) while there are fewer than two.  Each Newton
+    point is evaluated once, by calling the system; the Newton matrix
+    I - dt/2 Df(mid) comes from that evaluation's thunk on the first
+    iteration and every tenth after.  Raises MaxNewtonIterationsError when
+    the residual does not reach NEWTON_TOL within the cap."""
     n = x.shape[0]
     scale = 1.0 + float(np.abs(x).max())
-    u = x + dt * (2.0 * history[1] - history[0] if len(history) == 2 else value())
+    u = x + dt * (2.0 * history[1] - history[0] if len(history) == 2 else system.field(x))
     M = None
     for it in range(NEWTON_MAX_ITERS):
-        f_mid, newton = evaluate(0.5 * (x + u))
+        f_mid, newton = system(0.5 * (x + u))
         g = u - x - dt * f_mid
         if float(np.abs(g).max()) <= NEWTON_TOL * scale:
             history[:] = history[-1:] + [f_mid]
@@ -287,12 +274,13 @@ def _check_step_controls(dt: float, steps: int) -> None:
 @dataclass(frozen=True)
 class _CanonicalSystem:
     """The reduced canonical-route field on the first r chart coordinates u,
-    with z_{r+1..n} held at ``tail``; calling it is an evaluator.
+    with z_{r+1..n} held at ``tail``.
 
-    One pull-back (:meth:`pull_back`), y = F^{-1}(u, tail) with e = phi(y)
-    from the same bank pass (FactorBank.invert_values) and x = A y, gives
-    the field K_r (e g) with g = (A^T grad H(x))[:r] (:meth:`at`).  Since
-    dy_i/du_i = e_i, its Newton thunk adds only phi'(y) and the Hessian:
+    Each method takes one pull-back, y = F^{-1}(u, tail) with e = phi(y)
+    from the same bank pass (FactorBank.invert_values) and x = A y:
+    :meth:`state` gives x, and a call gives the field K_r (e g) with
+    g = (A^T grad H(x))[:r] and its Newton thunk.  Since dy_i/du_i = e_i,
+    the thunk adds only phi'(y) and the Hessian:
     K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
     """
 
@@ -303,13 +291,19 @@ class _CanonicalSystem:
     K: np.ndarray
     A_r: np.ndarray
 
-    def pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y, e = self.spec.bank.invert_values(u, self.anchors, np.concatenate([u, self.tail]))
         return y, self.spec.A @ y, e[: self.spec.r]
 
-    def at(self, y: np.ndarray, x: np.ndarray, e: np.ndarray):
-        """The field and its Newton thunk at the pull-back (y, x, e) of u."""
+    def state(self, u: np.ndarray) -> np.ndarray:
+        return self._pull_back(u)[1]
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        return self(u)[0]
+
+    def __call__(self, u: np.ndarray):
         spec, H, K, A_r = self.spec, self.H, self.K, self.A_r
+        y, x, e = self._pull_back(u)
         g = A_r.T @ H.gradient_at(x)
 
         def newton() -> np.ndarray:
@@ -319,61 +313,55 @@ class _CanonicalSystem:
 
         return K @ (e * g), newton
 
-    def __call__(self, u: np.ndarray):
-        return self.at(*self.pull_back(u))
-
 
 def _march(
     spec: MultiseparableSpec,
     H: HamiltonianField,
+    system,
+    step: Callable,
     x0: np.ndarray,
+    u0: np.ndarray,
     dt: float,
     steps: int,
-    u0: np.ndarray,
-    step: Callable[[np.ndarray, Callable[[], np.ndarray], float], np.ndarray],
-    accept: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
 ) -> TrajectoryRecord:
     """The fixed-step loop of both routes, from the stepped state u0 whose x
-    is x0.  ``accept(u)`` gives u's x and a thunk ``value`` for f(u), and
-    ``step(u, value, dt)`` advances u, calling ``value`` only if it needs
-    f(u).  The start, f(u0) and H(x0), is evaluated for every ``steps``
-    and checked for overflow.  A start or a step that leaves a factor or
-    chart interval, or a step that leaves the box, ends the trajectory with
-    a domain-exit flag; only every stride-th state, and the last, is
-    recorded."""
-    exits = (OutOfRangeError, OutOfValidityError, OutOfDomainError)
+    is x0: ``step(system, u, dt)`` advances u, and ``system.state(u)``
+    gives its x.  The start, system.field(u0) and H(x0), is evaluated for
+    every ``steps`` and checked for overflow.  A start or a step that
+    leaves a factor or chart interval, or an accepted state outside the
+    box, ends the trajectory with a domain-exit flag; the one overflow
+    scope lets a step that overflows end it so, without a warning.  Only
+    every stride-th state, and the last, is recorded."""
+    exits = (OutOfRangeError, OutOfValidityError)
+    stride = _record_stride(steps)
+    times, states = [0.0], [x0]
     with np.errstate(over="ignore", invalid="ignore"):
         h0 = H.value_at(x0)
         try:
-            f0 = accept(u0)[1]()
+            f0 = system.field(u0)
         except exits:
             f0 = None
-    if f0 is not None and not np.isfinite(f0).all():
-        raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
-    if not math.isfinite(h0):
-        raise non_finite_error(spec, x0[None], "initial state", "the Hamiltonian overflows")
-    stride = _record_stride(steps)
-    times = [0.0]
-    states = [x0]
-    domain_exit = f0 is None
-    u, value = u0, lambda: f0
-    for k in range(1, steps + 1) if not domain_exit else ():
-        try:
-            u = step(u, value, dt)
-            x, value = accept(u)
-        except exits:
-            domain_exit = True
-            break
-        if not spec.domain.contains(x):
-            domain_exit = True
-            break
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            states.append(x)
-    X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
-    C = casimirs(spec)
-    with np.errstate(over="ignore", invalid="ignore"):
+        if f0 is not None and not np.isfinite(f0).all():
+            raise non_finite_error(spec, x0[None], "initial state", "the vector field overflows")
+        if not math.isfinite(h0):
+            raise non_finite_error(spec, x0[None], "initial state", "the Hamiltonian overflows")
+        domain_exit, u = f0 is None, u0
+        for k in range(1, steps + 1) if not domain_exit else ():
+            try:
+                u = step(system, u, dt)
+                x = system.state(u)
+            except exits:
+                domain_exit = True
+                break
+            if not spec.domain.contains(x):
+                domain_exit = True
+                break
+            if k % stride == 0 or k == steps:
+                times.append(k * dt)
+                states.append(x)
+        X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
         energy_drift = np.array([H.value_at(x) - h0 for x in X])
+    C = casimirs(spec)
     return TrajectoryRecord(
         spec=spec,
         times=np.asarray(times, dtype=float),
@@ -395,23 +383,17 @@ def integrate_direct(
     """Advance dx/dt = J(x) grad H(x) in the original coordinates.
 
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
-    truncated with a domain-exit flag if any accepted state (or any stage
-    evaluation) leaves the certified box.  ``dt`` must be finite and
-    positive, and so must ``dt * steps``; a field or H that is not finite
-    at x0 raises ConfigValidationError.
+    truncated with a domain-exit flag if any accepted state leaves the
+    certified box, or any evaluation leaves a factor's validity interval.
+    ``dt`` must be finite and positive, and so must ``dt * steps``; a field
+    or H that is not finite at x0 raises ConfigValidationError.
     """
     if method not in ("rk4", "implicit-midpoint"):
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()
-    system = _DirectSystem(spec, H)
-    if method == "rk4":
-        step = partial(_rk4_step, system.field)
-    else:
-        step = partial(_implicit_midpoint_step, system, [])
-    return _march(
-        spec, H, x_start, dt, steps, x_start, step, lambda x: (x, lambda: system.field(x))
-    )
+    step = _rk4_step if method == "rk4" else partial(_implicit_midpoint_step, [])
+    return _march(spec, H, _DirectSystem(spec, H), step, x_start, x_start, dt, steps)
 
 
 def integrate_canonical(
@@ -440,25 +422,13 @@ def integrate_canonical(
     r = spec.r
     z = chart.forward(x_start)
     if r == 0:  # J = 0: the field is empty and every step keeps x0
-        return _march(
-            spec, H, x_start, dt, steps, z[:0],
-            lambda u, value, dt: u, lambda u: (x_start, lambda: u),
-        )
+        system = SimpleNamespace(state=lambda u: x_start, field=lambda u: u)
+        return _march(spec, H, system, lambda system, u, dt: u, x_start, z[:0], dt, steps)
     system = _CanonicalSystem(
         spec, H, np.array(chart.anchors), z[r:].copy(), canonical_matrix(r, r), spec.A[:, :r]
     )
-
-    def accept(u: np.ndarray):
-        y, x, e = system.pull_back(u)
-        return x, lambda: system.at(y, x, e)[0]
-
-    # A large step can overflow in the reduced field; the non-finite
-    # iterate then fails the chart's pull-back, a domain exit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _march(
-            spec, H, x_start, dt, steps, z[:r].copy(),
-            partial(_implicit_midpoint_step, system, []), accept,
-        )
+    step = partial(_implicit_midpoint_step, [])
+    return _march(spec, H, system, step, x_start, z[:r].copy(), dt, steps)
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

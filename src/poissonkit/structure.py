@@ -223,7 +223,7 @@ def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
     return spec.bank.apply("derivative", y)
 
 
-def _structure(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
+def structure_from_values(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
     """J from the factor values phi, shaped (..., r)."""
     r = spec.r
     products = phi[..., 0::2] * phi[..., 1::2]
@@ -247,7 +247,7 @@ def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
     check (factor validity still applies).  Shared by
     :func:`evaluate_structure` and the finite-difference oracle, whose
     stencils may poke past the box faces."""
-    return _structure(spec, factor_values(spec, matvec(spec.B, x)))
+    return structure_from_values(spec, factor_values(spec, matvec(spec.B, x)))
 
 
 def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
@@ -271,7 +271,7 @@ def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarra
     or (P, n) block, from one :func:`factors_at` pass; d_l J_ij =
     (L W)[i*n + j, l] with L the spec's pair minors."""
     y, phi = factors_at(spec, x)
-    return _structure(spec, phi), pair_slopes(spec, y, phi)
+    return structure_from_values(spec, phi), pair_slopes(spec, y, phi)
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:

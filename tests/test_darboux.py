@@ -416,8 +416,8 @@ class TestCertificationFailure:
         chart = darboux_chart(kmk_spec)
         monkeypatch.setattr(
             poissonkit.darboux,
-            "linear_chart_pushforward",
-            lambda spec, X: np.full((len(X), spec.n, spec.n), np.nan),
+            "_linear_pushforward",
+            lambda spec, J: np.full(J.shape, np.nan),
         )
         with pytest.raises(CertificationFailureError) as err:
             certify_canonical(kmk_spec, chart)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import Counter
 from functools import partial
 
@@ -93,13 +94,13 @@ def _variants(H):
 
 
 def _fd_newton(evaluate, p):
-    """Central differences, step 1e-7 (1 + |p_l|), of the field of an
-    implicit-midpoint evaluator p -> (f(p), newton)."""
+    """Central differences, step 1e-7 (1 + |p_l|), of the field of a
+    route's system, p -> (f(p), newton)."""
     return central_differences(lambda q: evaluate(q)[0], p, 1e-7)
 
 
 def _canonical(spec, H, chart, tail):
-    """The canonical-route evaluator on the first r chart coordinates, with
+    """The canonical-route system on the first r chart coordinates, with
     z_{r+1..n} held at ``tail``."""
     r = spec.r
     return _CanonicalSystem(
@@ -343,25 +344,33 @@ def _pass_counter(monkeypatch):
     return passes
 
 
+class _CountedSystem:
+    """A route's system whose calls (one per Newton point) and Newton-matrix
+    thunks run (one per refresh) are counted into ``calls``."""
+
+    def __init__(self, system, calls):
+        self.system, self.calls, self.field = system, calls, system.field
+
+    def __call__(self, p):
+        self.calls[0] += 1
+        f, newton = self.system(p)
+
+        def counted_newton():
+            self.calls[1] += 1
+            return newton()
+
+        return f, counted_newton
+
+
 def _newton_point_counter(monkeypatch):
-    """Count, over every implicit-midpoint step, the evaluator calls (one
-    per Newton point) and the Newton-matrix thunks run (one per refresh);
+    """Count, over every implicit-midpoint step, the system calls (one per
+    Newton point) and the Newton-matrix thunks run (one per refresh);
     returns [points, refreshes]."""
     calls = [0, 0]
     step = dynamics._implicit_midpoint_step
 
-    def counted_step(evaluate, history, x, value, dt):
-        def counted(p):
-            calls[0] += 1
-            f, newton = evaluate(p)
-
-            def counted_newton():
-                calls[1] += 1
-                return newton()
-
-            return f, counted_newton
-
-        return step(counted, history, x, value, dt)
+    def counted_step(history, system, x, dt):
+        return step(history, _CountedSystem(system, calls), x, dt)
 
     monkeypatch.setattr(dynamics, "_implicit_midpoint_step", counted_step)
     return calls
@@ -372,9 +381,10 @@ class TestOneEvaluationPerNewtonPoint:
     matrix reuses that evaluation; only a refresh takes a factor derivative
     pass.  From the third step on Newton starts from the field values at
     earlier midpoints, so no route evaluates the field at an accepted
-    state there.  On the canonical route a pull-back is one inversion pass
-    that also gives phi, and the accepted state's pull-back gives the
-    recorded x."""
+    state there.  The field alone serves the start's overflow check and
+    the Euler starts of the first two steps.  On the canonical route a
+    pull-back is one inversion pass that also gives phi, and the accepted
+    state's pull-back gives the recorded x."""
 
     STEPS = 30
 
@@ -387,6 +397,7 @@ class TestOneEvaluationPerNewtonPoint:
             with monkeypatch.context() as m:
                 newton_points = _newton_point_counter(m)
                 evaluations = _counter(m, dynamics._CanonicalSystem, "__call__")
+                fields = _counter(m, dynamics._CanonicalSystem, "field")
                 passes = _pass_counter(m)
 
                 def refuse(self, z):
@@ -397,15 +408,17 @@ class TestOneEvaluationPerNewtonPoint:
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            # x0 is mapped forward once and u0 pulled back once, for f(u0).
-            # The evaluator runs at each Newton point, and each accepted
-            # state is pulled back once more, for its x (the second step's
-            # Euler start takes f at the first's); a pull-back's phi takes
-            # no value pass, and each refresh adds phi' and no pull-back.
-            assert evaluations[0] == newton_points[0]
+            # x0 is mapped forward once.  The field alone, one call and one
+            # pull-back each, serves f(u0) for the start, f(u0) again for
+            # the first Euler start and f(u1) for the second; the system
+            # runs at each Newton point, and each accepted state is pulled
+            # back once, for its x.  A pull-back's phi takes no value pass,
+            # and each refresh adds phi' and no pull-back.
+            assert fields[0] == 3
+            assert evaluations[0] == newton_points[0] + fields[0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
-                invert_antiderivative=1 + newton_points[0] + self.STEPS,
+                invert_antiderivative=3 + newton_points[0] + self.STEPS,
                 derivative=newton_points[1],
             )
 
@@ -423,17 +436,17 @@ class TestOneEvaluationPerNewtonPoint:
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
                 np.testing.assert_array_equal(record.states, expected.states)
-                # The field alone serves x0, RK4's f(x) at each later step
-                # and its stages, and the second midpoint step's Euler
-                # start; only the Newton points take the evaluator with its
-                # thunk.  Each call takes one factor value pass, and only a
-                # Newton-matrix refresh takes a derivative pass.
+                # The field alone serves the start's f(x0), RK4's f(x) and
+                # its stages at every step, and the Euler starts of the
+                # first two midpoint steps; only the Newton points call the
+                # system for its thunk.  Each takes one factor value pass,
+                # and only a Newton-matrix refresh takes a derivative pass.
                 if method == "rk4":
                     assert newton_points == [0, 0]
-                    assert (fields[0], evaluators[0]) == (4 * self.STEPS, 0)
+                    assert (fields[0], evaluators[0]) == (1 + 4 * self.STEPS, 0)
                 else:
                     assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-                    assert (fields[0], evaluators[0]) == (2, newton_points[0])
+                    assert (fields[0], evaluators[0]) == (3, newton_points[0])
                 assert passes == Counter(
                     value=fields[0] + evaluators[0], derivative=newton_points[1]
                 )
@@ -455,9 +468,10 @@ class TestOneEvaluationPerNewtonPoint:
             passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
         # J = 0: every step converges at its first Newton point, and the
-        # direct route also evaluates the field at x0 and x1.
+        # direct route also evaluates the field at x0 (for the start and
+        # the first Euler start) and at x1.
         assert newton_points[0] == self.STEPS
-        assert passes == {"value": 2 + self.STEPS}
+        assert passes == {"value": 3 + self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
@@ -548,12 +562,11 @@ class TestIntegrateDirect:
         def leaving(*args):
             raise OutOfRangeError("left the interval")
 
-        if route == "direct":
-            monkeypatch.setattr(_DirectSystem, "field", leaving)
-            integrate = integrate_direct
-        else:
-            monkeypatch.setattr(_CanonicalSystem, "pull_back", leaving)
-            integrate = integrate_canonical
+        system, integrate = {
+            "direct": (_DirectSystem, integrate_direct),
+            "canonical": (_CanonicalSystem, integrate_canonical),
+        }[route]
+        monkeypatch.setattr(system, "field", leaving)
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
         rec = integrate(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, steps)
         assert rec.num_records == 1 and rec.domain_exit
@@ -598,6 +611,32 @@ class TestIntegrateDirect:
         assert rec.domain_exit
         assert rec.num_records < 11
         assert all(box.contains(x) for x in rec.states)
+
+    def test_rk4_stage_outside_the_box_is_no_exit(self, kmk_spec):
+        """Only accepted states are held to the box: on this run two RK4
+        stage points, the first in step 51, have x3 < 0 while every
+        accepted state stays inside (min x3 about 1e-5), and the run goes
+        on to its last step, close to implicit midpoint's."""
+        H = quadratic_hamiltonian([1.0, 2.0, 3.0])
+        rk4, midpoint = (
+            integrate_direct(kmk_spec, H, [1.0, 1.0, 1.0], 0.01, 400, method=method)
+            for method in ("rk4", "implicit-midpoint")
+        )
+        for record in (rk4, midpoint):
+            assert record.num_records == 401 and not record.domain_exit
+            assert all(kmk_spec.domain.contains(x) for x in record.states)
+        assert float(np.abs(rk4.final_state - midpoint.final_state).max()) <= 1e-3
+
+    def test_overflowing_step_is_a_quiet_domain_exit(self, kmk_spec):
+        """x3 = 1e308 sits inside kmk's box, and the first step whose
+        field overflows ends the run with the domain-exit flag, without a
+        RuntimeWarning."""
+        H = linear_hamiltonian([0.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = integrate_direct(kmk_spec, H, [1.0, 10.0, 1e308], 1.0, 400)
+        assert rec.num_records == 110 and rec.domain_exit
+        assert np.isfinite(rec.states).all()
 
     def test_newton_failure_raises(self):
         spec = constant_symplectic(1, 2)

@@ -166,8 +166,8 @@ def _mp_factor(f):
 
 def test_direct_field_and_newton_match_50_digit_minor_sum():
     """J g and J Hess H + (dJ/dx) g, with g = grad H for a diagonal
-    quadratic H, from the 50-digit minor sum against the evaluator's pair
-    form.  The bound is relative to the same sums taken over absolute
+    quadratic H, from the 50-digit minor sum against the direct system's
+    pair form.  The bound is relative to the same sums taken over absolute
     values, which bound their rounding error."""
     to_float = np.vectorize(float)
     spec_rng = np.random.default_rng(67)
