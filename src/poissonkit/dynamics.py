@@ -1,55 +1,54 @@
 """Integration of structure-matrix ODE systems with invariant monitoring.
 
-Two routes are provided.  The direct route advances dx/dt = J(x) grad H(x)
-in the original coordinates with RK4 or implicit midpoint.  The canonical
-route maps to chart coordinates z, where the bracket is the constant
-canonical block matrix, advances the first r components with implicit
-midpoint (symplectic there), holds the Casimir coordinates z_{r+1..n}
-exactly fixed, and maps each state back.  Casimir drift on the canonical
-route is therefore bounded by chart round-trip error alone, independent of
-the number of steps.
+Both routes step the paper's two-stage chart.  In the linear stage
+y = B x, J is block diagonal with 2x2 blocks +-w_p, the pair products
+w_p = phi_{2p-1} phi_{2p}, and the Casimirs are the coordinates
+y_{r+1..n}, which every flow keeps fixed; the quadrature stage
+z_i = F_i(y_i) makes J the constant canonical K.  So one system steps
+only u, the first r coordinates of a stage: y_{1..r} itself (identity
+stage, direct route) or z_{1..r} with y = F^{-1}(u) (quadrature stage,
+canonical route).  The state is x = x0 + A_r (y - y0), y0 = (B x0)_{1..r}:
+x0 bitwise while y has not moved, and Casimir drift at round-off that
+does not grow with the number of steps.
 
-Each route's system, called at a point p, gives (f(p), newton): the
-field value and a thunk that forms the Newton matrix Df(p) from the same
-evaluation, with the structure part analytic and Hess H from
-HamiltonianField.hessian_at.  Implicit midpoint (simplified Newton)
-evaluates each Newton point once.  The direct route never forms J: with
-the pair products w = phi_odd phi_even, g = grad H(x) and
-M_g = A_odd diag(A_even^T g) - A_even diag(A_odd^T g), the field is
-J g = M_g w, and only a Newton-matrix refresh takes the derivative pass
-for the pair-product slopes W = dw/dx:
+A stage gives a weight rho and sigma = dy/du per coordinate a of u, with
+b the pair partner of a (1 <-> 2, 3 <-> 4, ...): the identity stage
+rho_a = phi_a phi_b (w, once per coordinate) and sigma = 1, the
+quadrature stage rho = sigma = phi.  With c = A_r^T grad H(x), one field
+and one Newton matrix serve both:
 
-    J Hess H + (dJ/dx) g = M_g W + A_odd diag(w) A_even^T Hess H
-                                 - A_even diag(w) A_odd^T Hess H.
+    f = K (rho * c),
+    Df = K [(d rho/du) * c + diag(rho) (A_r^T Hess H A_r) diag(sigma)],
 
-On the canonical route one chart pull-back y = F^{-1}(z), x = A y,
-e = phi(y), g = (A^T grad H(x))[:r] gives the field K_r (e g), and the
-Newton matrix adds only phi'(y) and the Hessian:
+with d rho/du one 2x2 block per pair (diagonal on the quadrature stage),
+its row a scaled by c_a.  K has one entry +-1 per row: f_a = +-rho_b c_b.  The
+identity stage builds rho and its slopes from pair products phi_a phi_b
+and pair slopes phi'_a phi_b alone, never one factor times a gradient
+component, so a huge factor with a tiny partner leaves both finite.  A
+system call gives f(u) and a thunk that forms Df(u) from the same
+evaluation, taking the factor derivative pass only then; field(u) gives
+f(u) alone, and state(u) the x of u, with no factor pass on the identity
+stage.  On the quadrature stage one bank pass inverts the chart and
+evaluates phi (FactorBank.invert_values).  vector_field is A_r f on the
+identity stage.
 
-    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
-
-Both routes run one fixed-step loop over their stepped state u: x on the
-direct route, z_{1..r} on the canonical route.  A route's system also
-gives state(u), u's x (u itself, or the pull-back's x), and field(u),
-f(u) alone; a step calls the system itself.  RK4 takes the field at u
-and at its stages, implicit midpoint only on its first two steps, as it
-then starts Newton from the field values at the last two converged
-midpoints.  A pull-back is one factor bank pass that inverts the chart
-and evaluates phi, so a canonical step takes one per Newton point plus
-one for its x.
+Both routes run one fixed-step loop, and a step calls the system
+itself: RK4 at u and its stages, implicit midpoint (symplectic in the
+canonical chart) only on its first two steps, as it then starts Newton
+from the field values at the last two converged midpoints.  Both methods
+are affine-covariant, so stepping y_{1..r} gives the states of stepping
+x in exact arithmetic.
 
 The loop alone decides why a run stops, under one overflow scope.  An
 accepted state outside the certified box, or an evaluation that leaves a
 factor or chart interval (as an overflowing step's does), truncates the
-trajectory with a domain-exit flag and no warning, rather than
-extrapolating past the region where the structural guarantees hold; RK4
-stages and Newton iterates are not held to the box.  The start, the
-field value and H at the initial state, is evaluated once whatever the
-number of steps and checked for overflow: a non-finite factor value,
-derivative, pair product, field value or H there raises
-ConfigValidationError naming it.  A start whose evaluation leaves a
-factor or chart interval ends the trajectory with one record and the
-domain-exit flag.  dt * steps must be finite.
+trajectory with a domain-exit flag and no warning; RK4 stages and Newton
+iterates are not held to the box.  The start, the field value and H at
+the initial state, is evaluated whatever the number of steps: a
+non-finite factor value, derivative, pair product, field value or H there
+raises ConfigValidationError naming it, and a start whose evaluation
+leaves a factor or chart interval ends the trajectory with one record
+and the domain-exit flag.  dt * steps must be finite.
 """
 
 from __future__ import annotations
@@ -57,14 +56,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
 from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
-from .structure import MultiseparableSpec, factor_derivatives, non_finite_error, pair_slopes
+from .structure import MultiseparableSpec, non_finite_error
 from .verify import central_differences
 
 #: implicit-midpoint Newton controls.
@@ -134,46 +132,88 @@ def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
     return linear_hamiltonian(e)
 
 
-class _DirectSystem:
-    """The direct-route field x -> J(x) grad H(x) of one integration, M_g w
-    from the pair products (see the module docstring), built once with A_r
-    and its odd and even columns.  The stepped state is x itself.
-    :meth:`field` gives the value alone; a call gives it with the Newton
-    thunk, which takes the derivative pass for W.  Only the factor bank
-    checks the point, against each factor's validity interval."""
+class _Identity:
+    """The direct route's stage, y = u: rho_a = phi_a phi_b (b the pair
+    partner of a), sigma = 1, d rho_a/du_a = phi'_a phi_b and
+    d rho_a/du_b = phi_a phi'_b."""
 
-    def __init__(self, spec: MultiseparableSpec, H: HamiltonianField):
-        self.spec, self.H, self.A_r = spec, H, spec.A[:, : spec.r]
-        self.odd, self.even = self.A_r[:, 0::2], self.A_r[:, 1::2]
+    def __init__(self, spec: MultiseparableSpec):
+        self.bank, self.partners = spec.bank, np.arange(spec.r) ^ 1
+        self.mask = np.kron(np.eye(spec.r // 2), np.ones((2, 2)))
 
-    def state(self, x: np.ndarray) -> np.ndarray:
-        return x
+    def y(self, u: np.ndarray) -> np.ndarray:
+        return u
 
-    def _pair_form(self, x: np.ndarray):
-        """y = B x, phi(y), w and M_g at a float point x."""
-        y = self.spec.B @ x
-        phi = self.spec.bank.apply("value", y)
-        c = self.H.gradient_at(x) @ self.A_r  # A_r^T g
-        return y, phi, phi[0::2] * phi[1::2], self.odd * c[1::2] - self.even * c[0::2]
+    def values(self, u: np.ndarray) -> tuple:
+        """y, phi(y), rho and sigma at u."""
+        phi = self.bank.apply("value", u)
+        return u, phi, phi * phi[self.partners], 1.0
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        _, _, w, M = self._pair_form(x)
-        return M @ w
+    def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+        return self.mask * (dphi * phi[self.partners])
 
-    def __call__(self, x: np.ndarray):
-        y, phi, w, M = self._pair_form(x)
+
+class _Quadrature:
+    """The canonical route's stage, y = F^{-1}(u) with the chart's
+    anchors: rho = sigma = phi from the same bank pass, and
+    d rho_a/du_a = phi'_a phi_a."""
+
+    def __init__(self, spec: MultiseparableSpec, anchors):
+        self.bank, self.anchors = spec.bank, np.array(anchors, dtype=float)
+
+    def y(self, u: np.ndarray) -> np.ndarray:
+        return self.values(u)[0]
+
+    def values(self, u: np.ndarray) -> tuple:
+        """y, phi(y), rho and sigma at u."""
+        y, phi = self.bank.invert_values(u, self.anchors)
+        return y, phi, phi, phi
+
+    def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+        return np.diag(dphi * phi)
+
+
+class _ChartSystem:
+    """The field of one integration on u, the first r coordinates of a
+    stage's chart, from x0 (see the module docstring): :meth:`state` gives
+    x, :meth:`field` f(u), and a call f(u) with its Newton thunk.  Only
+    the factor bank checks a point, against each factor's validity or
+    chart interval."""
+
+    def __init__(self, spec: MultiseparableSpec, H: HamiltonianField, stage, x0: np.ndarray):
+        r = spec.r
+        self.H, self.stage, self.bank, self.x0 = H, stage, spec.bank, x0
+        self.A_r, self.K = spec.A[:, :r], canonical_matrix(r, r)
+        self.y0 = (spec.B @ x0)[:r]
+
+    def state(self, u: np.ndarray) -> np.ndarray:
+        return self.x0 + self.A_r @ (self.stage.y(u) - self.y0)
+
+    def _evaluate(self, u: np.ndarray) -> tuple:
+        """y, x, phi(y), rho, sigma and c at u."""
+        y, phi, rho, sigma = self.stage.values(u)
+        x = self.x0 + self.A_r @ (y - self.y0)
+        return y, x, phi, rho, sigma, self.H.gradient_at(x) @ self.A_r
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        _, _, _, rho, _, c = self._evaluate(u)
+        return self.K @ (rho * c)
+
+    def __call__(self, u: np.ndarray):
+        y, x, phi, rho, sigma, c = self._evaluate(u)
 
         def newton() -> np.ndarray:
-            C = self.A_r.T @ self.H.hessian_at(x)
-            J_hess = (self.odd * w) @ C[1::2] - (self.even * w) @ C[0::2]
-            return M @ pair_slopes(self.spec, y, phi) + J_hess
+            slopes = self.stage.slopes(phi, self.bank.apply("derivative", y))
+            curvature = self.A_r.T @ self.H.hessian_at(x) @ self.A_r
+            return self.K @ (slopes * c[:, None] + rho[:, None] * curvature * sigma)
 
-        return M @ w, newton
+        return self.K @ (rho * c), newton
 
 
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
-    """dx/dt = J(x) grad H(x)."""
-    return _DirectSystem(spec, H).field(spec.domain.require_inside(x))
+    """dx/dt = J(x) grad H(x), as A_r f from the identity stage's field f."""
+    system = _ChartSystem(spec, H, _Identity(spec), spec.domain.require_inside(x))
+    return system.A_r @ system.field(system.y0)
 
 
 def bracket(
@@ -245,13 +285,13 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float) -> 
     iteration and every tenth after.  Raises MaxNewtonIterationsError when
     the residual does not reach NEWTON_TOL within the cap."""
     n = x.shape[0]
-    scale = 1.0 + float(np.abs(x).max())
+    scale = 1.0 + float(np.abs(x).max(initial=0.0))
     u = x + dt * (2.0 * history[1] - history[0] if len(history) == 2 else system.field(x))
     M = None
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = system(0.5 * (x + u))
         g = u - x - dt * f_mid
-        if float(np.abs(g).max()) <= NEWTON_TOL * scale:
+        if float(np.abs(g).max(initial=0.0)) <= NEWTON_TOL * scale:
             history[:] = history[-1:] + [f_mid]
             return u
         if M is None or it % 10 == 9:
@@ -269,49 +309,6 @@ def _check_step_controls(dt: float, steps: int) -> None:
         raise ValueError("steps must be >= 0")
     if not math.isfinite(dt * steps):
         raise ValueError(f"dt * steps must be finite, got {dt!r} * {steps}")
-
-
-@dataclass(frozen=True)
-class _CanonicalSystem:
-    """The reduced canonical-route field on the first r chart coordinates u,
-    with z_{r+1..n} held at ``tail``.
-
-    Each method takes one pull-back, y = F^{-1}(u, tail) with e = phi(y)
-    from the same bank pass (FactorBank.invert_values) and x = A y:
-    :meth:`state` gives x, and a call gives the field K_r (e g) with
-    g = (A^T grad H(x))[:r] and its Newton thunk.  Since dy_i/du_i = e_i,
-    the thunk adds only phi'(y) and the Hessian:
-    K_r [diag(phi'(y) e g) + diag(e) (A^T Hess H A)_{r x r} diag(e)].
-    """
-
-    spec: MultiseparableSpec
-    H: HamiltonianField
-    anchors: np.ndarray
-    tail: np.ndarray
-    K: np.ndarray
-    A_r: np.ndarray
-
-    def _pull_back(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        y, e = self.spec.bank.invert_values(u, self.anchors, np.concatenate([u, self.tail]))
-        return y, self.spec.A @ y, e[: self.spec.r]
-
-    def state(self, u: np.ndarray) -> np.ndarray:
-        return self._pull_back(u)[1]
-
-    def field(self, u: np.ndarray) -> np.ndarray:
-        return self(u)[0]
-
-    def __call__(self, u: np.ndarray):
-        spec, H, K, A_r = self.spec, self.H, self.K, self.A_r
-        y, x, e = self._pull_back(u)
-        g = A_r.T @ H.gradient_at(x)
-
-        def newton() -> np.ndarray:
-            curvature = A_r.T @ H.hessian_at(x) @ A_r
-            D = np.diag(factor_derivatives(spec, y) * e * g) + e[:, None] * curvature * e
-            return K @ D
-
-        return K @ (e * g), newton
 
 
 def _march(
@@ -380,7 +377,8 @@ def integrate_direct(
     steps: int,
     method: str = "rk4",
 ) -> TrajectoryRecord:
-    """Advance dx/dt = J(x) grad H(x) in the original coordinates.
+    """Advance dx/dt = J(x) grad H(x) by stepping y_{1..r} of the linear
+    chart (the identity stage), with the Casimir coordinates held.
 
     ``method`` is "rk4" or "implicit-midpoint".  The trajectory is
     truncated with a domain-exit flag if any accepted state leaves the
@@ -392,8 +390,9 @@ def integrate_direct(
         raise ValueError(f"unknown method {method!r}")
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()
+    system = _ChartSystem(spec, H, _Identity(spec), x_start)
     step = _rk4_step if method == "rk4" else partial(_implicit_midpoint_step, [])
-    return _march(spec, H, _DirectSystem(spec, H), step, x_start, x_start, dt, steps)
+    return _march(spec, H, system, step, x_start, system.y0, dt, steps)
 
 
 def integrate_canonical(
@@ -407,28 +406,20 @@ def integrate_canonical(
     """Advance the system in canonical coordinates.
 
     The first r components of z follow implicit midpoint on
-    dz/dt = K grad_z H(x(z)) with the constant canonical K; the remaining
-    components are held bitwise constant, so Casimir levels survive up to
-    the chart round trip only.  Each accepted u is pulled back once, for
-    its x, the recorded state; Newton starts from the field values at
-    earlier midpoints.  ``dt`` must be finite and positive, and so must
-    ``dt * steps``; a field or H that is not finite at x0 raises
+    dz/dt = K grad_z H(x(z)) with the constant canonical K (the quadrature
+    stage); the Casimir coordinates are held.  Each accepted u is pulled
+    back once, for its x, the recorded state; Newton starts from the field
+    values at earlier midpoints.  ``dt`` must be finite and positive, and
+    so must ``dt * steps``; a field or H that is not finite at x0 raises
     ConfigValidationError.
     """
     _check_step_controls(dt, steps)
-    x_start = spec.domain.require_inside(x0)
+    x_start = spec.domain.require_inside(x0).copy()
     if chart is None:
         chart = darboux_chart(spec)
-    r = spec.r
-    z = chart.forward(x_start)
-    if r == 0:  # J = 0: the field is empty and every step keeps x0
-        system = SimpleNamespace(state=lambda u: x_start, field=lambda u: u)
-        return _march(spec, H, system, lambda system, u, dt: u, x_start, z[:0], dt, steps)
-    system = _CanonicalSystem(
-        spec, H, np.array(chart.anchors), z[r:].copy(), canonical_matrix(r, r), spec.A[:, :r]
-    )
-    step = partial(_implicit_midpoint_step, [])
-    return _march(spec, H, system, step, x_start, z[:r].copy(), dt, steps)
+    system = _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x_start)
+    u0 = chart.forward(x_start)[: spec.r]
+    return _march(spec, H, system, partial(_implicit_midpoint_step, []), x_start, u0, dt, steps)
 
 
 def trajectory_csv_header(n: int, r: int) -> str:

@@ -500,11 +500,12 @@ class FactorBank:
             res[..., cols] = formula(y[..., cols], *params)
         return res if out is None else out
 
-    def invert_values(self, z, anchors, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def invert_values(self, z, anchors, out=None) -> tuple[np.ndarray, np.ndarray]:
         """y = apply("invert_antiderivative", z, anchors, out) and phi(y),
         shaped like y with 1 past column r (dy/dz of the quadrature chart),
         in one pass: the value formulas run unchecked at the checked y."""
-        y, phi = self.apply("invert_antiderivative", z, anchors, out), np.ones(out.shape)
+        y = self.apply("invert_antiderivative", z, anchors, out)
+        phi = np.ones(y.shape)
         for cols, formula, params in self.passes["value"]:
             phi[..., cols] = formula(y[..., cols], *params)
         return y, phi

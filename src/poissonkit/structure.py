@@ -17,8 +17,7 @@ every partial of J is L times the pair-product slopes
 
 and the partials tensor is the product L W, reshaped.  J, W and the
 partials accept a single point or a (P, n) block of points, and a block
-gives bitwise the per-point results.  A product J v needs neither L nor J:
-it is A_odd (w * A_even^T v) - A_even (w * A_odd^T v), w = phi_odd * phi_even.
+gives bitwise the per-point results.
 
 Index convention: public operations take and report 1-based indices, the
 standard convention in the analytic treatment of these brackets; array

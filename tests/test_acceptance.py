@@ -40,6 +40,7 @@ from poissonkit import (
     toda,
     vector_field,
 )
+from poissonkit import dynamics
 from poissonkit.cli import main
 from poissonkit.structure import factor_values
 from poissonkit.verify import _residual_tensor
@@ -241,8 +242,8 @@ def test_criterion_09_toda_reproduction(rng):
             assert certify_canonical(spec, chart, tolerance=1e-9).passed
 
 
-def test_criterion_10_dynamics():
-    with criterion(10, "dynamics: Casimir flows, canonical drift, RK4 order, <= 30 s"):
+def test_criterion_10_dynamics(monkeypatch):
+    with criterion(10, "dynamics: Casimir flows, Casimir drift, RK4 order, <= 30 s"):
         start = time.perf_counter()
         kmk = kermack_mckendrick(1.0, 1.0, 1.0)
         toda3 = toda(3)
@@ -269,7 +270,37 @@ def test_criterion_10_dynamics():
             assert not record.domain_exit
             assert record.max_casimir_drift() <= 1e-10
 
-        # (c) halving dt cuts the RK4 energy drift by a fourth-order factor
+        # (c) direct-route Casimir drift over 1e4 steps at dt = 1e-3, RK4 and
+        # implicit midpoint: every step advances y_{1..r} alone, so the
+        # Casimir coordinates are never stepped and stay bitwise at their
+        # start, and |dC| stays at round-off without accumulating
+        stepped = []
+        march = dynamics._march
+
+        def recording(spec, H, system, step, x0, u0, dt, steps):
+            def recorded(system, u, dt):
+                u = step(system, u, dt)
+                stepped.append(u.shape)
+                return u
+
+            return march(spec, H, system, recorded, x0, u0, dt, steps)
+
+        monkeypatch.setattr(dynamics, "_march", recording)
+        toda6_run = (
+            toda(6),
+            quadratic_hamiltonian(np.ones(11)),
+            [1.0, 0.9, 0.8, 0.7, 0.6, 0.3, -0.2, 0.4, 0.1, -0.3, 0.2],
+        )
+        for spec, H, x0 in (runs[0], toda6_run):
+            for method in ("rk4", "implicit-midpoint"):
+                stepped.clear()
+                record = integrate_direct(spec, H, x0, 1e-3, 10_000, method=method)
+                assert not record.domain_exit
+                assert set(stepped) == {(spec.r,)} and len(stepped) == 10_000
+                assert record.max_casimir_drift() <= 1e-15
+        monkeypatch.undo()
+
+        # (d) halving dt cuts the RK4 energy drift by a fourth-order factor
         H = quadratic_hamiltonian([1.0, 2.0, 0.5])
         x0 = [1.0, 1.2, 0.8]
         drifts = []

@@ -35,8 +35,8 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.config import parse_config
-from poissonkit.darboux import DarbouxChart, canonical_matrix
-from poissonkit.dynamics import NEWTON_TOL, _CanonicalSystem, _DirectSystem, _record_stride
+from poissonkit.darboux import DarbouxChart
+from poissonkit.dynamics import NEWTON_TOL, _ChartSystem, _Identity, _Quadrature, _record_stride
 from poissonkit.factors import FactorBank
 from poissonkit.verify import central_differences, jacobi_sweep, structure_field
 
@@ -95,17 +95,20 @@ def _variants(H):
 
 def _fd_newton(evaluate, p):
     """Central differences, step 1e-7 (1 + |p_l|), of the field of a
-    route's system, p -> (f(p), newton)."""
+    system, u -> (f(u), newton)."""
     return central_differences(lambda q: evaluate(q)[0], p, 1e-7)
 
 
-def _canonical(spec, H, chart, tail):
-    """The canonical-route system on the first r chart coordinates, with
-    z_{r+1..n} held at ``tail``."""
-    r = spec.r
-    return _CanonicalSystem(
-        spec, H, np.array(chart.anchors), tail, canonical_matrix(r, r), spec.A[:, :r]
-    )
+def _system(route, spec, H, x, chart=None):
+    """The route's system from x and its u there: y_{1..r} for the direct
+    route (the identity stage), z_{1..r} for the canonical route (the
+    quadrature stage, on ``chart`` or the spec's default chart)."""
+    x = np.asarray(x, dtype=float)
+    if route == "direct":
+        system = _ChartSystem(spec, H, _Identity(spec), x)
+        return system, system.y0
+    chart = chart or darboux_chart(spec)
+    return _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x), chart.forward(x)[: spec.r]
 
 
 def _assert_relative(analytic, fd, rel):
@@ -236,27 +239,21 @@ class TestNewtonJacobians:
     differenced gradient, about 1e-10, which a 1e-7 step would amplify
     past the bound."""
 
-    def test_direct_matches_differences(self, kmk_spec, toda3_spec):
-        for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
-            for x in spec.domain.halton_points(8, seed=11):
-                fd = _fd_newton(_DirectSystem(spec, H), x)
-                for variant in _variants(H):
-                    _assert_relative(_DirectSystem(spec, variant)(x)[1](), fd, 1e-6)
-
-    def test_canonical_matches_differences(self, kmk_spec, toda3_spec):
+    @pytest.mark.parametrize("route", ["direct", "canonical"])
+    def test_matches_differences(self, kmk_spec, toda3_spec, route):
         for spec, H, _ in _newton_cases(kmk_spec, toda3_spec):
             chart = darboux_chart(spec)
             for x in spec.domain.halton_points(8, seed=11):
-                z = chart.forward(x)
-                u = z[: spec.r]
-                fd = _fd_newton(_canonical(spec, H, chart, z[spec.r :]), u)
+                system, u = _system(route, spec, H, x, chart)
+                fd = _fd_newton(system, u)
                 for variant in _variants(H):
-                    evaluate = _canonical(spec, variant, chart, z[spec.r :])
-                    _assert_relative(evaluate(u)[1](), fd, 1e-6)
+                    system, u = _system(route, spec, variant, x, chart)
+                    _assert_relative(system(u)[1](), fd, 1e-6)
 
     def test_direct_matches_partials_tensor(self):
-        """The factored Newton matrix against J Hess H + (dJ/dx) grad H
-        contracted from the partials tensor, for every (n, r) up to n = 8."""
+        """The identity stage's Newton matrix against J Hess H + (dJ/dx) grad H
+        contracted from the partials tensor and read in the linear chart,
+        B_r (.) A_r, for every (n, r) up to n = 8."""
         rng = np.random.default_rng(61)
         for n, r in dimension_rank_pairs():
             spec = random_spec(rng, n, r)
@@ -265,9 +262,11 @@ class TestNewtonJacobians:
                 reference = evaluate_structure(spec, x) @ H.hessian_at(x) + np.einsum(
                     "ijl,j->il", structure_partials(spec, x), H.gradient_at(x)
                 )
-                scale = float(np.max(np.abs(reference)))
-                newton = _DirectSystem(spec, H)(x)[1]()
-                assert float(np.max(np.abs(newton - reference))) <= 1e-13 * scale
+                reference = spec.B[:r] @ reference @ spec.A[:, :r]
+                scale = float(np.max(np.abs(reference), initial=0.0))
+                system, u = _system("direct", spec, H, x)
+                newton = system(u)[1]()
+                assert float(np.max(np.abs(newton - reference), initial=0.0)) <= 1e-13 * scale
 
     def test_implicit_midpoint_never_forms_partials(self, refuse_structure, kmk_spec, toda3_spec):
         refuse_structure()
@@ -282,20 +281,17 @@ class TestNewtonJacobians:
         for spec, H, x in _newton_cases(kmk_spec, toda3_spec):
             x = np.asarray(x)
             chart = darboux_chart(spec)
-            z = chart.forward(x)
             for H_fd in _variants(H)[1:]:
                 np.testing.assert_array_equal(
                     H_fd.hessian_at(x), central_differences(H_fd.gradient_at, x, 1e-4)
                 )
                 H_with = HamiltonianField(H_fd.value, H_fd.gradient, H_fd.hessian_at)
-                np.testing.assert_array_equal(
-                    _DirectSystem(spec, H_fd)(x)[1](), _DirectSystem(spec, H_with)(x)[1]()
-                )
-                thunks = [
-                    _canonical(spec, field, chart, z[spec.r :])(z[: spec.r])[1]()
-                    for field in (H_fd, H_with)
-                ]
-                np.testing.assert_array_equal(*thunks)
+                for route in ("direct", "canonical"):
+                    thunks = []
+                    for field in (H_fd, H_with):
+                        system, u = _system(route, spec, field, x, chart)
+                        thunks.append(system(u)[1]())
+                    np.testing.assert_array_equal(*thunks)
 
     def test_trajectories_match_fd_newton_path(self, kmk_spec, toda3_spec):
         for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
@@ -396,8 +392,8 @@ class TestOneEvaluationPerNewtonPoint:
             expected = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
             with monkeypatch.context() as m:
                 newton_points = _newton_point_counter(m)
-                evaluations = _counter(m, dynamics._CanonicalSystem, "__call__")
-                fields = _counter(m, dynamics._CanonicalSystem, "field")
+                evaluations = _counter(m, _ChartSystem, "__call__")
+                fields = _counter(m, _ChartSystem, "field")
                 passes = _pass_counter(m)
 
                 def refuse(self, z):
@@ -408,14 +404,14 @@ class TestOneEvaluationPerNewtonPoint:
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-            # x0 is mapped forward once.  The field alone, one call and one
-            # pull-back each, serves f(u0) for the start, f(u0) again for
-            # the first Euler start and f(u1) for the second; the system
-            # runs at each Newton point, and each accepted state is pulled
-            # back once, for its x.  A pull-back's phi takes no value pass,
-            # and each refresh adds phi' and no pull-back.
+            # x0 is mapped forward once.  The field alone, one pull-back
+            # each, serves f(u0) for the start, f(u0) again for the first
+            # Euler start and f(u1) for the second; the system runs at each
+            # Newton point, and each accepted state is pulled back once,
+            # for its x.  A pull-back's phi takes no value pass, and each
+            # refresh adds phi' and no pull-back.
             assert fields[0] == 3
-            assert evaluations[0] == newton_points[0] + fields[0]
+            assert evaluations[0] == newton_points[0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
                 invert_antiderivative=3 + newton_points[0] + self.STEPS,
@@ -430,8 +426,8 @@ class TestOneEvaluationPerNewtonPoint:
                 expected = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 with monkeypatch.context() as m:
                     newton_points = _newton_point_counter(m)
-                    fields = _counter(m, _DirectSystem, "field")
-                    evaluators = _counter(m, _DirectSystem, "__call__")
+                    fields = _counter(m, _ChartSystem, "field")
+                    evaluators = _counter(m, _ChartSystem, "__call__")
                     passes = _pass_counter(m)
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
@@ -440,7 +436,8 @@ class TestOneEvaluationPerNewtonPoint:
                 # its stages at every step, and the Euler starts of the
                 # first two midpoint steps; only the Newton points call the
                 # system for its thunk.  Each takes one factor value pass,
-                # and only a Newton-matrix refresh takes a derivative pass.
+                # and only a Newton-matrix refresh takes a derivative pass;
+                # an accepted state's x takes none, since y_{1..r} is u.
                 if method == "rk4":
                     assert newton_points == [0, 0]
                     assert (fields[0], evaluators[0]) == (1 + 4 * self.STEPS, 0)
@@ -453,6 +450,10 @@ class TestOneEvaluationPerNewtonPoint:
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rank_zero(self, monkeypatch, analytic):
+        """J = 0 and u is empty: on both routes every step converges at its
+        first Newton point, with no refresh, and every state is x0
+        bitwise.  The passes are those of any r, over no columns, and the
+        chart is never inverted."""
         spec = constant_symplectic(0, 3)
         H = quadratic_hamiltonian([1.0, 2.0, 0.5])
         H = H if analytic else _without_hessian(H)
@@ -463,14 +464,13 @@ class TestOneEvaluationPerNewtonPoint:
             passes = _pass_counter(m)
             m.setattr(DarbouxChart, "inverse", None)
             canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
-            # x0's forward map is the only pass: nothing is inverted.
-            assert newton_points[0] == 0 and passes == {"reciprocal_antiderivative": 1}
+            assert newton_points == [self.STEPS, 0]
+            assert passes == Counter(
+                reciprocal_antiderivative=1, invert_antiderivative=3 + 2 * self.STEPS
+            )
             passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
-        # J = 0: every step converges at its first Newton point, and the
-        # direct route also evaluates the field at x0 (for the start and
-        # the first Euler start) and at x1.
-        assert newton_points[0] == self.STEPS
+        assert newton_points == [2 * self.STEPS, 0]
         assert passes == {"value": 3 + self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
@@ -490,7 +490,9 @@ class TestExtrapolatedStart:
                 assert record.num_records == 101 and not record.domain_exit
                 X = record.states
                 for x, x_next in zip(X[:-1], X[1:]):
-                    residual = x_next - x - dt * vector_field(spec, H, 0.5 * (x + x_next))
+                    mid = 0.5 * (x + x_next)
+                    field = evaluate_structure(spec, mid) @ H.gradient_at(mid)
+                    residual = x_next - x - dt * field
                     assert np.abs(residual).max() <= NEWTON_TOL * (1.0 + np.abs(x).max())
 
     def test_direct_energy_drift_stays_at_round_off(self, kmk_spec):
@@ -542,6 +544,22 @@ class TestIntegrateDirect:
             with pytest.raises(AssertionError, match="was called"):
                 jacobi_sweep(structure_field(spec), 4)
 
+    def test_extreme_factors_keep_the_newton_matrix_finite(self):
+        """phi_1 = 1e300 y_1, phi_2 = 1e-300 y_2 and a gradient near 1e9: the
+        Newton matrix, like the field, is built from pair products and pair
+        slopes, never from one factor times a gradient component, so
+        implicit midpoint keeps every step and agrees with RK4 (to 2e-9 on
+        x86-64)."""
+        spec = kermack_mckendrick(1.0, kappa1=1e300)
+        H = quadratic_hamiltonian([1e9, 1.0, 1.0])
+        midpoint, rk4 = (
+            integrate_direct(spec, H, [1.0, 1.2, 0.8], 1e-12, 20, method=method)
+            for method in ("implicit-midpoint", "rk4")
+        )
+        for record in (midpoint, rk4):
+            assert record.num_records == 21 and not record.domain_exit
+        np.testing.assert_allclose(midpoint.states, rk4.states, rtol=0.0, atol=1e-8)
+
     @pytest.mark.parametrize("integrate", [integrate_direct, integrate_canonical])
     def test_zero_steps(self, kmk_spec, integrate):
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
@@ -562,11 +580,8 @@ class TestIntegrateDirect:
         def leaving(*args):
             raise OutOfRangeError("left the interval")
 
-        system, integrate = {
-            "direct": (_DirectSystem, integrate_direct),
-            "canonical": (_CanonicalSystem, integrate_canonical),
-        }[route]
-        monkeypatch.setattr(system, "field", leaving)
+        integrate = {"direct": integrate_direct, "canonical": integrate_canonical}[route]
+        monkeypatch.setattr(_ChartSystem, "field", leaving)
         H = quadratic_hamiltonian([1.0, 1.0, 1.0])
         rec = integrate(kmk_spec, H, [1.0, 1.0, 1.0], 0.1, steps)
         assert rec.num_records == 1 and rec.domain_exit

@@ -5,8 +5,8 @@ factored form J = U - U^T, U = A_odd diag(phi_odd phi_even) A_even^T,
 equals the minor-sum definition and satisfies the Jacobi identity
 exactly.  mpmath evaluates J and its partials at 50 digits for concrete
 factors and checks the float kernel against them, and, from the same
-minor sum, the direct-route field J grad H and its Newton matrix, which
-the integrator forms from the pair products without J.
+minor sum, the integrator's field on the chart coordinates u and its
+Newton matrix on both stages, which the integrator forms without J.
 """
 
 from __future__ import annotations
@@ -28,13 +28,15 @@ from poissonkit import (
     Linear,
     Power,
     build_spec,
+    darboux_chart,
     evaluate_structure,
     kermack_mckendrick,
     quadratic_hamiltonian,
     structure_partials,
     toda,
 )
-from poissonkit.dynamics import _DirectSystem
+from poissonkit.darboux import canonical_matrix
+from poissonkit.dynamics import _ChartSystem, _Identity, _Quadrature
 from poissonkit.verify import _residual_tensor
 
 
@@ -164,10 +166,39 @@ def _mp_factor(f):
     }[f.kind]
 
 
-def test_direct_field_and_newton_match_50_digit_minor_sum():
-    """J g and J Hess H + (dJ/dx) g, with g = grad H for a diagonal
-    quadratic H, from the 50-digit minor sum against the direct system's
-    pair form.  The bound is relative to the same sums taken over absolute
+def _mp_chart_field(B, fns, weights, tail, scaled):
+    """The field on u as a function of y_{1..r}, in mpmath from the
+    minor-sum J, with y = (y_{1..r}, tail) and x = A y: the linear-chart
+    field (B J grad H)_{1..r} for H = sum_l weights_l x_l^2 / 2, divided
+    by phi(y) when ``scaled`` (on the quadrature chart dz/dt =
+    diag(1/phi) dy/dt).  Takes and returns mpmath column matrices."""
+    n, r = B.rows, len(fns)
+    A = B**-1
+
+    def field(y_r):
+        y = mpmath.matrix(list(y_r) + list(tail))
+        x = A * y
+        phi = [fn(y[q]) for q, fn in enumerate(fns)]
+        Jg = mpmath.matrix(n, 1)
+        for i, j in itertools.product(range(n), repeat=2):
+            for p in range(r // 2):
+                a, b = 2 * p, 2 * p + 1
+                minor = A[i, a] * A[j, b] - A[i, b] * A[j, a]
+                Jg[i] += minor * phi[a] * phi[b] * weights[j] * x[j]
+        f = B * Jg
+        return mpmath.matrix([f[a] / phi[a] if scaled else f[a] for a in range(r)])
+
+    return field
+
+
+@pytest.mark.parametrize("route", ["direct", "canonical"])
+def test_chart_system_matches_50_digit_minor_sum(route):
+    """The one chart system on either stage, at 50 digits, at the y its
+    stage reached.  The field against (B J grad H)_{1..r} from the minor
+    sum (identity stage) or K (phi * c), c = A_r^T grad H (quadrature
+    stage); the Newton matrix against mpmath differentiation in y of the
+    minor-sum field on u, times dy/du (1, or phi on the quadrature chart).
+    The bounds are relative to the same products taken over absolute
     values, which bound their rounding error."""
     to_float = np.vectorize(float)
     spec_rng = np.random.default_rng(67)
@@ -176,30 +207,56 @@ def test_direct_field_and_newton_match_50_digit_minor_sum():
     for spec in specs + [kermack_mckendrick(1.0, 1.0, 1.0), toda(3)]:
         n, r = spec.n, spec.r
         weights = rng.uniform(0.5, 2.0, size=n)
+        if r == 0:
+            continue
         H = quadratic_hamiltonian(weights)
-        odd, even = np.abs(spec.A[:, 0:r:2]), np.abs(spec.A[:, 1:r:2])
+        chart = darboux_chart(spec)
+        A_r, K = spec.A[:, :r], canonical_matrix(r, r)
         with mpmath.workdps(50):
             B = mpmath.matrix(spec.B.tolist())
             fns = [_mp_factor(f) for f in spec.factors]
-            weights_mp = np.array([mpmath.mpf(float(c)) for c in weights], dtype=object)
-            for x in spec.domain.halton_points(3, seed=13):
-                x_mp = [mpmath.mpf(float(v)) for v in x]
-                J_mp, T_mp = _mp_structure(B, fns, x_mp)
-                g = weights_mp * np.array(x_mp, dtype=object)
-                field_ref = to_float(J_mp @ g)
-                newton_ref = to_float(J_mp * weights_mp + np.einsum("ijl,j->il", T_mp, g))
-                field, newton = _DirectSystem(spec, H)(x)
+            weights_mp = [mpmath.mpf(float(c)) for c in weights]
+            for x in spec.domain.halton_points(2, seed=13):
+                if route == "direct":
+                    system = _ChartSystem(spec, H, _Identity(spec), x)
+                    u = system.y0
+                else:
+                    system = _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x)
+                    u = chart.forward(x)[:r]
+                field, newton = system(u)
                 newton = newton()
-                y = spec.B @ x
-                phi = np.abs([f.value(t) for f, t in zip(spec.factors, y)])
-                dphi = np.abs([f.derivative(t) for f, t in zip(spec.factors, y)])
-                w = phi[0::2] * phi[1::2]
-                W = (dphi[0::2] * phi[1::2])[:, None] * np.abs(spec.B[0:r:2])
-                W += (phi[0::2] * dphi[1::2])[:, None] * np.abs(spec.B[1:r:2])
-                g_abs = np.abs(H.gradient_at(x))
-                M = odd * (even.T @ g_abs) + even * (odd.T @ g_abs)
-                field_scale = float(np.max(M @ w))
-                J_hessian = (odd * w) @ (even.T * weights) + (even * w) @ (odd.T * weights)
-                newton_scale = float(np.max(M @ W + J_hessian))
+                y = [mpmath.mpf(float(v)) for v in system.stage.y(u)]
+                tail = (B * mpmath.matrix([mpmath.mpf(float(v)) for v in x]))[r:]
+                reference = _mp_chart_field(B, fns, weights_mp, tail, route == "canonical")
+                phi = np.array([fn(t) for fn, t in zip(fns, y)], dtype=object)
+                sigma = np.ones(r) if route == "direct" else to_float(phi)
+                columns = [
+                    mpmath.diff(lambda t: reference([v + t * (a == b) for a, v in enumerate(y)]), 0)
+                    for b in range(r)
+                ]
+                newton_ref = to_float(np.array([list(c) for c in columns], dtype=object).T) * sigma
+                if route == "direct":
+                    field_ref = to_float(np.array(list(reference(y)), dtype=object))
+                else:
+                    x_mp = B**-1 * mpmath.matrix(y + list(tail))
+                    g = np.array([w * v for w, v in zip(weights_mp, x_mp)], dtype=object)
+                    c = spec.A[:, :r].T.astype(object) @ g
+                    field_ref = K @ to_float(phi * c)
+                # Rounding scales: |K| (|rho| |c|) and its Newton counterpart,
+                # |K| (|d rho / d u| |c| + |rho| |A_r|^T Hess H |A_r| |sigma|).
+                phi_abs = np.abs(to_float(phi))
+                dphi_abs = np.abs([float(mpmath.diff(fn, t)) for fn, t in zip(fns, y)])
+                if route == "direct":  # rho = phi_a phi_b, slopes phi'_a phi_b, phi_a phi'_b
+                    partner = phi_abs[np.arange(r) ^ 1]
+                    pairs = np.kron(np.eye(r // 2), np.ones((2, 2)))
+                    rho, slopes = phi_abs * partner, pairs * (dphi_abs * partner)
+                else:  # rho = phi, slope phi'_a phi_a on the diagonal
+                    rho, slopes = phi_abs, np.diag(dphi_abs * phi_abs)
+                c_abs = np.abs(A_r).T @ np.abs(weights * x)
+                curvature = np.abs(A_r).T @ (weights[:, None] * np.abs(A_r))
+                field_scale = float(np.max(np.abs(K) @ (rho * c_abs)))
+                newton_scale = float(np.max(np.abs(K) @ (
+                    slopes * c_abs[:, None] + rho[:, None] * curvature * np.abs(sigma)
+                )))
                 assert np.max(np.abs(field - field_ref)) <= 1e-14 * field_scale
                 assert np.max(np.abs(newton - newton_ref)) <= 1e-14 * newton_scale
