@@ -7,9 +7,10 @@ y_{r+1..n}, which every flow keeps fixed; the quadrature stage
 z_i = F_i(y_i) makes J the constant canonical K.  So one system steps
 only u, the first r coordinates of a stage: y_{1..r} itself (identity
 stage, direct route) or z_{1..r} with y = F^{-1}(u) (quadrature stage,
-canonical route).  The state is x = x0 + A_r (y - y0), y0 = (B x0)_{1..r}:
-x0 bitwise while y has not moved, and Casimir drift at round-off that
-does not grow with the number of steps.
+canonical route).  The state is x = x0 - A_r (y0 - y), y0 = (B x0)_{1..r}:
+x0 bitwise, signed zeros included, while y has not moved (as at r = 0,
+where u is empty), and Casimir drift at round-off that does not grow with
+the number of steps.
 
 A stage gives a weight rho and sigma = dy/du per coordinate a of u, with
 b the pair partner of a (1 <-> 2, 3 <-> 4, ...): the identity stage
@@ -187,12 +188,12 @@ class _ChartSystem:
         self.y0 = (spec.B @ x0)[:r]
 
     def state(self, u: np.ndarray) -> np.ndarray:
-        return self.x0 + self.A_r @ (self.stage.y(u) - self.y0)
+        return self.x0 - self.A_r @ (self.y0 - self.stage.y(u))
 
     def _evaluate(self, u: np.ndarray) -> tuple:
         """y, x, phi(y), rho, sigma and c at u."""
         y, phi, rho, sigma = self.stage.values(u)
-        x = self.x0 + self.A_r @ (y - self.y0)
+        x = self.x0 - self.A_r @ (self.y0 - y)
         return y, x, phi, rho, sigma, self.H.gradient_at(x) @ self.A_r
 
     def field(self, u: np.ndarray) -> np.ndarray:

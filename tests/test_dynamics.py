@@ -452,12 +452,12 @@ class TestOneEvaluationPerNewtonPoint:
     def test_rank_zero(self, monkeypatch, analytic):
         """J = 0 and u is empty: on both routes every step converges at its
         first Newton point, with no refresh, and every state is x0
-        bitwise.  The passes are those of any r, over no columns, and the
-        chart is never inverted."""
+        bitwise, its -0.0 included.  The passes are those of any r, over
+        no columns, and the chart is never inverted."""
         spec = constant_symplectic(0, 3)
         H = quadratic_hamiltonian([1.0, 2.0, 0.5])
         H = H if analytic else _without_hessian(H)
-        x0 = [0.1, 0.2, 0.3]
+        x0 = np.array([0.1, -0.0, 0.3])
         chart = darboux_chart(spec)
         with monkeypatch.context() as m:
             newton_points = _newton_point_counter(m)
@@ -474,7 +474,7 @@ class TestOneEvaluationPerNewtonPoint:
         assert passes == {"value": 3 + self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
-            np.testing.assert_array_equal(record.states, np.tile(x0, (self.STEPS + 1, 1)))
+            assert record.states.tobytes() == np.tile(x0, (self.STEPS + 1, 1)).tobytes()
 
 
 class TestExtrapolatedStart:
