@@ -32,11 +32,10 @@ from .errors import (
 from .structure import (
     MultiseparableSpec,
     evaluate_structure,
-    factor_values,
     matvec,
     non_finite_error,
     point_blocks,
-    structure_from_values,
+    skew_sum,
 )
 
 #: forward/inverse composition tolerance certified at chart construction.
@@ -154,7 +153,7 @@ def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) 
     there, which bounds its image whatever F does."""
     values = np.empty(ends.shape)
     spec.bank.anchored("reciprocal_antiderivative", ends, anchors, values)
-    increasing = factor_values(spec, anchors) > 0
+    increasing = spec.bank.apply("value", anchors) > 0
     toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
     return np.where(np.isnan(values), toward, values)
 
@@ -311,7 +310,7 @@ def certify_canonical(
     for X in point_blocks(points, spec.n):
         with np.errstate(all="ignore"):
             phi = _quadrature_scales(spec, linear_chart(spec, X))
-            J = structure_from_values(spec, phi[:, : spec.r])
+            J = skew_sum(spec, phi[:, 0 : spec.r : 2] * phi[:, 1 : spec.r : 2])
             # A non-finite pushforward is the structure's fault only when J is.
             if not (np.isfinite(phi).all() and np.isfinite(J).all()):
                 raise non_finite_error(spec, X)

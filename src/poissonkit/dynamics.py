@@ -163,7 +163,7 @@ class _Quadrature:
         self.bank, self.anchors = spec.bank, np.array(anchors, dtype=float)
 
     def y(self, u: np.ndarray) -> np.ndarray:
-        return self.values(u)[0]
+        return self.bank.apply("invert_antiderivative", u, self.anchors)
 
     def values(self, u: np.ndarray) -> tuple:
         """y, phi(y), rho and sigma at u."""

@@ -49,7 +49,7 @@ from .errors import (
 
 INF = math.inf
 
-#: |F(y) - z| target for numeric inversion of the anchored antiderivative.
+#: |F(y) - z| target, relative to max(1, |z|), for inverting an antiderivative.
 INVERSION_TOL = 1e-12
 
 #: Absolute tolerance requested from adaptive quadrature for custom factors.
@@ -376,15 +376,17 @@ class CustomFactor(FactorFunction):
     def _bracket(self, z: float, anchor: float) -> tuple[float, float] | None:
         """Expand from the anchor toward z (using monotonicity of F) until
         F brackets it, respecting the open validity interval; None for a
-        target the expansion cannot reach, because the interval ends or the
-        user function blows up first.  The anchor is finite, so a candidate
-        never reaches an infinite end."""
+        target the expansion cannot reach, because the interval ends or F
+        stays short of it.  Where F raises or is not finite (the user
+        function blows up), the step is halved back toward the last finite
+        candidate.  The anchor is finite, so a candidate never reaches an
+        infinite end."""
         if z == 0.0:
             return anchor, anchor
         increasing = float(self.value_fn(anchor)) > 0.0
         go_up = (z > 0.0) == increasing
         vlo, vhi = self.validity
-        width = 1.0
+        finite, width = 0.0, 1.0  # the widths of the last finite candidate and the next
         for _ in range(80):
             cand = anchor + width if go_up else anchor - width
             terminal = False
@@ -397,18 +399,21 @@ class CustomFactor(FactorFunction):
             try:
                 f_cand = self._reciprocal_antiderivative(cand, anchor)
             except (OverflowError, ZeroDivisionError, ValueError):
-                return None
+                f_cand = math.nan
+            if not math.isfinite(f_cand):
+                width = 0.5 * (finite + width)
+                continue
             if min(0.0, f_cand) <= z <= max(0.0, f_cand):
                 return (anchor, cand) if go_up else (cand, anchor)
             if terminal:
                 break
-            width *= 2.0
+            finite, width = width, 2.0 * width
         return None
 
     def _solve(self, z: float, anchor: float, lo: float, hi: float) -> float:
         """The root of F(y) = z in the bracket [lo, hi] by Brent's method,
         refined to the float grid; NoConvergenceError unless
-        |F(y) - z| <= INVERSION_TOL."""
+        |F(y) - z| <= INVERSION_TOL max(1, |z|)."""
         from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
         y = brentq(
@@ -418,9 +423,10 @@ class CustomFactor(FactorFunction):
             xtol=math.ulp(0.0),
             disp=False,
         )
-        if not abs(self._reciprocal_antiderivative(y, anchor) - z) <= INVERSION_TOL:
+        tolerance = INVERSION_TOL * max(1.0, abs(z))
+        if not abs(self._reciprocal_antiderivative(y, anchor) - z) <= tolerance:
             raise NoConvergenceError(
-                f"antiderivative inversion did not reach {INVERSION_TOL:g}"
+                f"antiderivative inversion did not reach {tolerance:g}"
             )
         return y
 

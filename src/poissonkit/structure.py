@@ -3,21 +3,22 @@
 A structure matrix of this family is determined by an invertible matrix B
 (with inverse A), an even rank r, and r univariate nonvanishing factors
 phi_1..phi_r.  In the linear chart y = B.x it is block diagonal with 2x2
-blocks of entries +-phi_{2p-1}(y_{2p-1}) phi_{2p}(y_{2p}); read back in x,
+blocks of entries +-w_p, the pair products w_p = phi_{2p-1} phi_{2p}; read
+back in x it is one skew sum,
 
-    J(x) = U - U^T,   U = A_odd diag(phi_odd * phi_even) A_even^T,
+    J(x) = U - U^T,   U = A_odd diag(w) A_even^T,
 
 where A_odd and A_even are the odd and even columns among the first r
-columns of A (1-based).  Entrywise this is the minor sum
-J_ij = sum_p L_ij^p phi_{2p-1} phi_{2p} with the skew pair minors
-L_ij^p = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1}.  L is constant, so
-every partial of J is L times the pair-product slopes
+columns of A (1-based): the minor sum J_ij = sum_p L_ij^p w_p with the
+constant pair minors L_ij^p = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1}.
+So each partial d_l J is the same skew sum at column l of the pair-product
+slopes
 
-    W[p, l] = d (phi_{2p-1} phi_{2p}) / d x_l,
+    W[p, l] = d w_p / d x_l,
 
-and the partials tensor is the product L W, reshaped.  J, W and the
-partials accept a single point or a (P, n) block of points, and a block
-gives bitwise the per-point results.
+and :func:`skew_sum` is the one formula for J and every partial; no table
+of minors is kept.  J, W and the partials accept a single point or a
+(P, n) block of points, and a block gives bitwise the per-point results.
 
 Index convention: public operations take and report 1-based indices, the
 standard convention in the analytic treatment of these brackets; array
@@ -80,17 +81,6 @@ class MultiseparableSpec:
     def bank(self) -> FactorBank:
         """The factors grouped by kind, for passes a column per factor."""
         return FactorBank(self.factors)
-
-    @cached_property
-    def pair_minors(self) -> np.ndarray:
-        """The (n*n, r/2) skew pair minors, row i*n + j holding L_ij^p (0-based
-        i, j); exactly skew: row j*n + i is the negation of row i*n + j."""
-        n, r = self.n, self.r
-        odd, even = self.A[:, 0:r:2], self.A[:, 1:r:2]
-        L = odd[:, None, :] * even[None, :, :] - even[:, None, :] * odd[None, :, :]
-        L = L.reshape(n * n, r // 2)
-        L.setflags(write=False)
-        return L
 
 
 def _uncovered_witness(lo: float, hi: float, vlo: float, vhi: float) -> float:
@@ -211,34 +201,13 @@ def point_blocks(points: np.ndarray, n: int) -> list[np.ndarray]:
     return [points[k : k + step] for k in range(0, points.shape[0], step)]
 
 
-def factor_values(spec: MultiseparableSpec, y) -> np.ndarray:
-    """phi_i(y_i) for i = 1..r at linear-chart coordinates y: shape (r,) for
-    one point, (P, r) for a (P, n) block."""
-    return spec.bank.apply("value", y)
-
-
-def factor_derivatives(spec: MultiseparableSpec, y) -> np.ndarray:
-    """phi_i'(y_i) for i = 1..r, shaped as :func:`factor_values`."""
-    return spec.bank.apply("derivative", y)
-
-
-def structure_from_values(spec: MultiseparableSpec, phi: np.ndarray) -> np.ndarray:
-    """J from the factor values phi, shaped (..., r)."""
+def skew_sum(spec: MultiseparableSpec, w: np.ndarray) -> np.ndarray:
+    """U - U^T with U = A_odd diag(w) A_even^T, for w shaped (..., r/2):
+    J at the pair products, d_l J at column l of the slopes W.  Exactly
+    skew, and a stack of w gives bitwise the per-row results."""
     r = spec.r
-    products = phi[..., 0::2] * phi[..., 1::2]
-    U = (spec.A[:, 0:r:2] * products[..., None, :]) @ spec.A[:, 1:r:2].T
+    U = (spec.A[:, 0:r:2] * w[..., None, :]) @ spec.A[:, 1:r:2].T
     return U - U.swapaxes(-1, -2)
-
-
-def pair_slopes(spec: MultiseparableSpec, y: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The pair-product slopes W[..., p, l] = d (phi_{2p-1} phi_{2p}) / d x_l,
-    shaped (..., r/2, n), at linear-chart points y with factor values phi:
-    chain rule through y_q = B_q . x."""
-    r = spec.r
-    dphi = factor_derivatives(spec, y)
-    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
-    W += (phi[..., 0::2] * dphi[..., 1::2])[..., None] * spec.B[1:r:2]
-    return W
 
 
 def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
@@ -246,7 +215,8 @@ def unchecked_structure(spec: MultiseparableSpec, x: np.ndarray) -> np.ndarray:
     check (factor validity still applies).  Shared by
     :func:`evaluate_structure` and the finite-difference oracle, whose
     stencils may poke past the box faces."""
-    return structure_from_values(spec, factor_values(spec, matvec(spec.B, x)))
+    phi = spec.bank.apply("value", matvec(spec.B, x))
+    return skew_sum(spec, phi[..., 0::2] * phi[..., 1::2])
 
 
 def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
@@ -258,27 +228,25 @@ def evaluate_structure(spec: MultiseparableSpec, x) -> np.ndarray:
     return unchecked_structure(spec, spec.domain.require_inside(x))
 
 
-def factors_at(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """y = B x and the factor values phi(y), from one domain check and one
-    factor value pass, at a point or (P, n) block inside the domain box."""
-    y = matvec(spec.B, spec.domain.require_inside(x))
-    return y, factor_values(spec, y)
-
-
 def structure_slopes(spec: MultiseparableSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """J and the pair-product slopes W (see :func:`pair_slopes`) at a point
-    or (P, n) block, from one :func:`factors_at` pass; d_l J_ij =
-    (L W)[i*n + j, l] with L the spec's pair minors."""
-    y, phi = factors_at(spec, x)
-    return structure_from_values(spec, phi), pair_slopes(spec, y, phi)
+    """J and the pair-product slopes W[..., p, l] = d (phi_{2p-1} phi_{2p})
+    / d x_l, shaped (..., r/2, n), at a point or (P, n) block inside the
+    domain box, from one factor value pass and one derivative pass: chain
+    rule through y_q = B_q . x."""
+    r = spec.r
+    y = matvec(spec.B, spec.domain.require_inside(x))
+    phi, dphi = spec.bank.apply("value", y), spec.bank.apply("derivative", y)
+    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * spec.B[0:r:2]
+    W += (phi[..., 0::2] * dphi[..., 1::2])[..., None] * spec.B[1:r:2]
+    return skew_sum(spec, phi[..., 0::2] * phi[..., 1::2]), W
 
 
 def structure_partials(spec: MultiseparableSpec, x) -> np.ndarray:
     """Analytic partials tensor T[i, j, l] = d J_ij / d x_l (0-based axes),
-    or the (P, n, n, n) stack of them for a (P, n) block: the pair minors
-    times the pair-product slopes, L W, which is exactly skew in (i, j)."""
-    W = pair_slopes(spec, *factors_at(spec, x))
-    return (spec.pair_minors @ W).reshape(np.shape(x)[:-1] + (spec.n,) * 3)
+    or the (P, n, n, n) stack of them for a (P, n) block: the skew sum of
+    column l of W for each l, so exactly skew in (i, j)."""
+    W = structure_slopes(spec, x)[1]
+    return np.moveaxis(skew_sum(spec, W.swapaxes(-1, -2)), -3, -1)
 
 
 def non_finite_error(
@@ -296,9 +264,9 @@ def non_finite_error(
         for x in X:
             y = spec.B @ x
             where = f"{point} x = {x.tolist()}"
-            phi = factor_values(spec, y)
+            phi = spec.bank.apply("value", y)
             # Per factor, its value then its derivative.
-            values = np.stack([phi, factor_derivatives(spec, y)], axis=-1).ravel()
+            values = np.stack([phi, spec.bank.apply("derivative", y)], axis=-1).ravel()
             bad = ~np.isfinite(values)
             if bad.any():
                 k = int(np.argmax(bad))
@@ -317,6 +285,6 @@ def non_finite_error(
                     f"({g.kind}) overflows at y = {y[2 * p : 2 * p + 2].tolist()}, {where}"
                 )
             J, W = structure_slopes(spec, x)
-            if not (np.isfinite(J).all() and np.isfinite(spec.pair_minors @ W).all()):
+            if not (np.isfinite(J).all() and np.isfinite(skew_sum(spec, W.T)).all()):
                 return ConfigValidationError(f"J or its partials overflow at {where}")
     return ConfigValidationError(f"{otherwise} at {where}")

@@ -14,13 +14,15 @@ in one kernel call, a user field row by row.  A sweep evaluates J once
 per sample point, a block at a time, and at each point needs max |dJ| and
 the residuals C[a, bc] + C[c, ab] + C[b, ca] at all a < b < c, with
 C[i, jk] = sum_l J_il d_l J_jk; the field decides how they are formed.
-A spec field never forms the partials tensor for C: with L its constant
-pair minors and W the pair-product slopes (see :mod:`poissonkit.structure`),
-d J = L W, so C = (J W^T) L^T.  As L is exactly skew, only the columns
-j < k are formed, C' = (J W^T) L'^T with L' the rows i < j of L, two small
-products per point, and C[b, ca] is read as -C'[b, ac], bitwise; max |dJ|
-is max |L' W|.  J and W are taken for a whole block from one pass over the
-factor values and one over their derivatives.  Other fields, the
+A spec field never forms the partials tensor for C: with W the
+pair-product slopes (see :mod:`poissonkit.structure`), d_l J_jk is the
+minor sum sum_p L_jk^p W[p, l] over the constant pair minors L of A, so
+C = (J W^T) L^T.  As L is exactly skew, only the columns j < k are formed,
+C' = (J W^T) L'^T with L' the minors at j < k, built from A's pair columns
+for each block and nowhere else; that is two small products per point,
+and C[b, ca] is read as -C'[b, ac], bitwise; max |dJ| is max |L' W|.  J
+and W are taken for a whole block from one pass over the factor values
+and one over their derivatives.  Other fields, the
 finite-difference oracle among them, need not be skew: they contract their
 own partials into all n*n columns one point at a time.  Either way memory
 stays at one block of J and one (n, n, n) array, and the kernel and rank
@@ -128,18 +130,21 @@ def _contract_pair_minors(
     spec: MultiseparableSpec, X: np.ndarray, triples: np.ndarray
 ) -> JacobiTerms:
     """jacobi_terms of a spec field: J and W from one structure_slopes call
-    per block, and per point C' = (J W^T) L'^T and max |dJ| = max |L' W|
-    with L' the rows i < j of the pair minors L.  L is exactly skew, so the
-    residual at a < b < c is C'[a, bc] + C'[c, ab] - C'[b, ac], bitwise the
-    full C's.  Raises ConfigValidationError when J or W is not finite on
-    the block, or the residuals or max |dJ| at a point."""
+    per block, and per point C' = (J W^T) L'^T and max |dJ| = max |L' W|,
+    with L'[(i, j), p] = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1} the pair
+    minors at i < j, formed from A's pair columns once per block.  The
+    minors are exactly skew in (i, j), so the residual at a < b < c is
+    C'[a, bc] + C'[c, ab] - C'[b, ac], bitwise the full C's.  Raises
+    ConfigValidationError when J or W is not finite on the block, or the
+    residuals or max |dJ| at a point."""
     with np.errstate(over="ignore", invalid="ignore"):
         structures, W = structure_slopes(spec, X)
     if not (np.isfinite(structures).all() and np.isfinite(W).all()):
         raise non_finite_error(spec, X)
-    n = spec.n
+    n, r = spec.n, spec.r
     rows, cols = np.triu_indices(n, 1)
-    L, m = spec.pair_minors[rows * n + cols], rows.size
+    odd, even, m = spec.A[:, 0:r:2], spec.A[:, 1:r:2], rows.size
+    L = odd[rows] * even[cols] - even[rows] * odd[cols]
     pair = np.zeros((n, n), dtype=np.intp)  # pair[i, j]: the column of i < j in C'
     pair[rows, cols] = np.arange(m)
     a, b, c = triples.T

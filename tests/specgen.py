@@ -8,6 +8,8 @@ tolerances meaningful across the whole randomized family.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from poissonkit import (
@@ -93,3 +95,15 @@ def spec_suite(seed: int, count: int):
     rng = np.random.default_rng(seed)
     pairs = dimension_rank_pairs()
     return [random_spec(rng, *pairs[i % len(pairs)]) for i in range(count)]
+
+
+def pair_minor_table(spec) -> np.ndarray:
+    """The (n*n, r/2) table L of pair minors, row i*n + j holding
+    L_ij^p = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1} (0-based i, j), built
+    entry by entry from A: a reference that shares no code with the
+    structure kernel or the Jacobi sweep."""
+    A, n = spec.A, spec.n
+    L = np.zeros((n * n, spec.r // 2))
+    for i, j, p in itertools.product(range(n), range(n), range(spec.r // 2)):
+        L[i * n + j, p] = A[i, 2 * p] * A[j, 2 * p + 1] - A[i, 2 * p + 1] * A[j, 2 * p]
+    return L

@@ -42,7 +42,6 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.cli import main
-from poissonkit.structure import factor_values
 from poissonkit.verify import _residual_tensor
 
 SUITE_SEED = 7
@@ -144,7 +143,7 @@ def test_criterion_06_block_form(suite, suite_points):
         for spec, points in zip(suite, suite_points):
             for x in points:
                 J_star = linear_chart_pushforward(spec, x)
-                phi = factor_values(spec, linear_chart(spec, x))
+                phi = spec.bank.apply("value", linear_chart(spec, x))
                 expected = np.zeros((spec.n, spec.n))
                 for p in range(spec.r // 2):
                     v = phi[2 * p] * phi[2 * p + 1]
@@ -200,7 +199,7 @@ def test_criterion_08_kmk_reproduction(rng):
         for x in spec.domain.halton_points(20, seed=SWEEP_SEED):
             y = linear_chart(spec, x)
             d = np.ones(3)
-            d[:2] = 1.0 / factor_values(spec, y)
+            d[:2] = 1.0 / spec.bank.apply("value", y)
             J_canon = d[:, None] * linear_chart_pushforward(spec, x) * d[None, :]
             assert float(np.max(np.abs(J_canon - block))) <= 1e-9
         assert certify_canonical(spec, chart, tolerance=1e-9).passed

@@ -15,6 +15,7 @@ import poissonkit.structure
 from poissonkit import BoxDomain
 from poissonkit.cli import _emit_floats, _number, dump_json, main, run_verify
 from poissonkit.config import load_system
+from poissonkit.factors import FactorBank
 
 KMK_CONFIG = {
     "version": 1,
@@ -222,13 +223,13 @@ class TestVerifyCommand:
         # One structure_slopes call per block gives J and W from one factor
         # value pass; the default 50 points at n = 5 are one block.
         monkeypatch.setattr(verify_module, "structure_slopes", counting_structure_slopes)
-        values = poissonkit.structure.factor_values
+        apply = FactorBank.apply
 
-        def counting_values(spec, y):
-            calls["values"] += 1
-            return values(spec, y)
+        def counting_apply(self, name, *args, **kwargs):
+            calls["values"] += name == "value"
+            return apply(self, name, *args, **kwargs)
 
-        monkeypatch.setattr(poissonkit.structure, "factor_values", counting_values)
+        monkeypatch.setattr(FactorBank, "apply", counting_apply)
         code, _, _ = _run(capsys, ["verify", "--system", "toda", "--param", "N=3"])
         assert code == 0
         assert calls == {"halton": 1, "evaluate": 1, "values": 1}

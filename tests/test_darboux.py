@@ -40,7 +40,6 @@ from poissonkit import (
     toda,
 )
 from poissonkit.config import parse_config
-from poissonkit.structure import factor_values
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -154,7 +153,7 @@ class TestPushforward:
             spec = random_spec(rng, n, r)
             for x in spec.domain.halton_points(5, seed=21):
                 J_star = linear_chart_pushforward(spec, x)
-                phi = factor_values(spec, linear_chart(spec, x))
+                phi = spec.bank.apply("value", linear_chart(spec, x))
                 expected = np.zeros((n, n))
                 for p in range(r // 2):
                     v = phi[2 * p] * phi[2 * p + 1]

@@ -433,6 +433,28 @@ def test_custom_target_past_an_arithmetic_failure_is_out_of_range():
         f.invert_antiderivative(-2.0, 0.0)
 
 
+def _exp_factor(closed_form: bool) -> CustomFactor:
+    """phi = exp, with F(y) = 1 - exp(-y) from its closed form or by quadrature."""
+    return CustomFactor(
+        value_fn=math.exp,
+        derivative_fn=math.exp,
+        antiderivative_fn=(lambda y: -math.exp(-y)) if closed_form else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "closed_form,z",
+    [(True, -1e300), (True, -1e4), (True, -1e5), (True, -1e8), (False, -1e4)],
+)
+def test_custom_target_beyond_an_overflow_is_reached(closed_form, z):
+    # The bracket search overflows math.exp at y = -1024, past the root
+    # near y = -690.78 for z = -1e300; the other targets' roots lie where
+    # adjacent floats of y move F by more than 1e-12.
+    f = _exp_factor(closed_form)
+    y = f.invert_antiderivative(z, 0.0)
+    assert abs(f.reciprocal_antiderivative(y, 0.0) - z) <= 1e-13 * abs(z)
+
+
 class TestInvertValues:
     """FactorBank.invert_values is an inversion pass followed by a value
     pass, bitwise, in one pass: every kind, the degenerate parameters that

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from specgen import random_spec, spec_suite
+from specgen import pair_minor_table, random_spec, spec_suite
 
 from poissonkit import (
     Affine,
@@ -216,6 +216,32 @@ def test_factored_form_matches_minor_sum(rng):
                 minor = lambda_coefficient(spec, i, j, 2 * p + 1, 2 * p + 2)
                 expected[i - 1, j - 1] += minor * phi[2 * p] * phi[2 * p + 1]
     np.testing.assert_allclose(evaluate_structure(spec, x), expected, rtol=1e-13, atol=1e-13)
+
+
+def _minor_sum_partials(spec, x) -> np.ndarray:
+    """T[..., i, j, l] = sum_p L_ij^p W[..., p, l], with the pair minors L
+    of :func:`specgen.pair_minor_table` and the slopes W of the pair
+    products from the single factors, by the product rule through y = B x."""
+    n, r, B = spec.n, spec.r, spec.B
+    L = pair_minor_table(spec).reshape(n, n, r // 2)
+    y = np.asarray(x) @ B.T
+    phi, dphi = np.empty(y.shape[:-1] + (r,)), np.empty(y.shape[:-1] + (r,))
+    for q, f in enumerate(spec.factors):
+        phi[..., q], dphi[..., q] = f.value(y[..., q]), f.derivative(y[..., q])
+    W = (dphi[..., 0::2] * phi[..., 1::2])[..., None] * B[0:r:2]
+    W = W + (phi[..., 0::2] * dphi[..., 1::2])[..., None] * B[1:r:2]
+    return np.einsum("ijp,...pl->...ijl", L, W)
+
+
+@pytest.mark.parametrize("n,r", [(3, 0), (4, 2), (5, 4), (6, 6), (7, 6)])
+def test_partials_match_minor_sum(rng, n, r):
+    spec = random_spec(rng, n, r)
+    X = spec.domain.halton_points(6, seed=5)
+    expected = _minor_sum_partials(spec, X)
+    scale = float(np.max(np.abs(expected), initial=0.0))
+    np.testing.assert_allclose(structure_partials(spec, X), expected, rtol=0, atol=1e-14 * scale)
+    for x, T in zip(X, expected):
+        np.testing.assert_allclose(structure_partials(spec, x), T, rtol=0, atol=1e-14 * scale)
 
 
 OPERATIONS = ("value", "derivative", "reciprocal_antiderivative", "invert_antiderivative")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from specgen import dimension_rank_pairs, random_spec, spec_suite
+from specgen import dimension_rank_pairs, pair_minor_table, random_spec, spec_suite
 
 import poissonkit.structure
 from poissonkit import (
@@ -237,22 +237,23 @@ def _triples(n: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
 
 
-def _factored_contraction(spec, J, slopes) -> np.ndarray:
-    """C = (J W^T) L^T over all n*n columns, L the pair minors and W the
-    pair-product slopes at one point: shape (n, n*n)."""
-    return (J @ slopes.T) @ spec.pair_minors.T
+def _factored_contraction(L, J, slopes) -> np.ndarray:
+    """C = (J W^T) L^T over all n*n columns, L the pair minors (see
+    :func:`specgen.pair_minor_table`) and W the pair-product slopes at one
+    point: shape (n, n*n)."""
+    return (J @ slopes.T) @ L.T
 
 
 def test_factored_contraction_matches_partials_tensor():
     for spec in _oracle_specs():
-        n = spec.n
+        n, L = spec.n, pair_minor_table(spec)
         triples = _triples(n)
         X = spec.domain.halton_points(4, seed=2)
         structures, terms = structure_field(spec).jacobi_terms(X, triples)
         _, W = structure_slopes(spec, X)
         for x, J, slopes, (residuals, dJ_max) in zip(X, structures, W, terms):
             T = structure_partials(spec, x)
-            C = _factored_contraction(spec, J, slopes)
+            C = _factored_contraction(L, J, slopes)
             R = C.reshape(n, n, n)
             R = R + R.transpose(1, 2, 0) + R.transpose(2, 0, 1)
             scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
@@ -270,7 +271,7 @@ def _reference_spec_sweep(spec, num_points: int, seed: int, third: float = 1.0) 
     """jacobi_sweep of a spec field spelled out over all n*n columns of
     C = (J W^T) L^T: |C[abc] + C[cab] + third * C[bca]| at the flat
     offsets, and max |dJ| = max |L W| over all rows of L."""
-    n = spec.n
+    n, L = spec.n, pair_minor_table(spec)
     triples = _triples(n)
     a, b, c = triples.T
     abc, cab, bca = (a * n + b) * n + c, (c * n + a) * n + b, (b * n + c) * n + a
@@ -279,11 +280,11 @@ def _reference_spec_sweep(spec, num_points: int, seed: int, third: float = 1.0) 
     max_abs = max_norm = 0.0
     argmax_triple = argmax_point = None
     for x, J, slopes in zip(points, structures, W) if triples.size else ():
-        C = _factored_contraction(spec, J, slopes).ravel()
+        C = _factored_contraction(L, J, slopes).ravel()
         res = np.abs(C[abc] + C[cab] + third * C[bca])
         idx = int(np.argmax(res))
         worst = float(res[idx])
-        scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(spec.pair_minors @ slopes)))
+        scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(L @ slopes)))
         max_norm = max(max_norm, worst / scale)
         if argmax_triple is None or worst > max_abs:
             argmax_triple = tuple(int(t) + 1 for t in triples[idx])
