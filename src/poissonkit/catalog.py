@@ -1,19 +1,19 @@
 """Ready-made systems used as fixtures and CLI-addressable examples.
 
-Three multiseparable builders ship here: the three-species epidemic
+:data:`CATALOG` is the one table of named systems: each name maps to a
+one-line description and to a builder that checks the parameters and
+builds the system.  Three are multiseparable: the three-species epidemic
 bracket (rank 2, one Casimir x1+x2+x3), the nearest-neighbor lattice
 bracket in Flaschka variables (dimension 2N-1, rank 2N-2, one Casimir
 sum of the beta coordinates), and a constant canonical block matrix used
-as a degenerate fixture.  A small non-example, a candidate field that
-violates the Jacobi identity, is included to exercise the verifier's
-detection power.
+as a degenerate fixture.  The fourth, a candidate field that violates the
+Jacobi identity, exercises the verifier's detection power.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,6 @@ from .errors import InvalidSizeError, ParameterMismatchError
 from .factors import Constant, Linear
 from .structure import MultiseparableSpec, build_spec
 from .verify import StructureField, generic_field
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named system plus the data regression tests check against."""
-
-    name: str
-    spec: MultiseparableSpec
-    expected_rank: int
-    expected_casimirs: np.ndarray
-    structure_pattern: tuple[tuple[str, ...], ...]
-
-    def __post_init__(self):
-        if self.expected_rank + self.expected_casimirs.shape[0] != self.spec.n:
-            raise ValueError("rank plus Casimir count must equal the dimension")
 
 
 def kermack_mckendrick(
@@ -151,102 +136,72 @@ def counterexample_field() -> StructureField:
     return generic_field(3, evaluate, domain)
 
 
-def _kmk_pattern() -> tuple[tuple[str, ...], ...]:
-    signs = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
-    return tuple(
-        tuple({0: "0", 1: "+R*x1*x2", -1: "-R*x1*x2"}[v] for v in row) for row in signs
-    )
-
-
-def _toda_pattern(N: int) -> tuple[tuple[str, ...], ...]:
-    n = 2 * N - 1
-    pat = [["0"] * n for _ in range(n)]
-    for i in range(1, N):
-        pat[i - 1][i + N - 2] = f"-a{i}"
-        pat[i - 1][i + N - 1] = f"+a{i}"
-        pat[i + N - 2][i - 1] = f"+a{i}"
-        pat[i + N - 1][i - 1] = f"-a{i}"
-    return tuple(tuple(row) for row in pat)
-
-
-def _symplectic_pattern(s: int, n: int) -> tuple[tuple[str, ...], ...]:
-    pat = [["0"] * n for _ in range(n)]
-    for p in range(s):
-        pat[2 * p][2 * p + 1] = "+1"
-        pat[2 * p + 1][2 * p] = "-1"
-    return tuple(tuple(row) for row in pat)
+def _known(name: str, params: dict, keys: tuple[str, ...]) -> dict:
+    """``params``; TypeError naming those that ``name`` does not take."""
+    unknown = set(params) - set(keys)
+    if unknown:
+        raise TypeError(f"unknown parameters for {name}: {sorted(unknown)}")
+    return params
 
 
 def _sizes(name: str, params: dict, keys: tuple[str, ...]) -> dict[str, int]:
     """The size parameters of ``name`` as ints; TypeError naming one that is
     not in ``keys`` or is neither an integer nor an integral float."""
-    unknown = set(params) - set(keys)
-    if unknown:
-        raise TypeError(f"unknown parameters for {name}: {sorted(unknown)}")
-    for key, v in params.items():
+    for key, v in _known(name, params, keys).items():
         integral = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
         if isinstance(v, bool) or not integral:
             raise TypeError(f"parameter {key} must be an integer, got {v!r}")
     return {key: int(v) for key, v in params.items()}
 
 
-def catalog_entry(name: str, **params) -> CatalogEntry:
-    """Build a named system together with its expected regression data.
+def _kmk_entry(name: str, params: dict) -> MultiseparableSpec:
+    keys = ("R", "kappa1", "kappa2")
+    _known(name, params, keys)
+    for key in filter(params.__contains__, keys):
+        v = params[key]
+        if not isinstance(v, numbers.Real) or isinstance(v, bool):
+            raise TypeError(f"parameter {key} must be a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"parameter {key} must be finite, got {v!r}")
+    return kermack_mckendrick(**params)
+
+
+def _toda_entry(name: str, params: dict) -> MultiseparableSpec:
+    return toda(_sizes(name, params, ("N",)).get("N", 3))
+
+
+def _symplectic_entry(name: str, params: dict) -> MultiseparableSpec:
+    sizes = _sizes(name, params, ("s", "n"))
+    s = sizes.get("s", 1)
+    return constant_symplectic(s, sizes.get("n", 2 * s))
+
+
+def _counterexample_entry(name: str, params: dict) -> StructureField:
+    _known(name, params, ())
+    return counterexample_field()
+
+
+#: name -> (one-line description, builder); a builder checks the name's dict
+#: of parameters and builds a spec, or counterexample3's raw candidate field.
+CATALOG = {
+    "kmk": ("three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3", _kmk_entry),
+    "toda": (
+        "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)", _toda_entry
+    ),
+    "constant-symplectic": ("constant canonical block matrix, identity chart", _symplectic_entry),
+    "counterexample3": (
+        "non-example field J12=x2, J23=x1 failing the Jacobi identity", _counterexample_entry
+    ),
+}
+
+
+def catalog_entry(name: str, **params) -> MultiseparableSpec | StructureField:
+    """Build the named system of :data:`CATALOG`; KeyError for another name.
 
     Size parameters (N, s, n) must be integers, or floats with an integer
-    value; kmk's R, kappa1 and kappa2 must be real numbers.  Anything else
-    raises TypeError naming the parameter, and a non-finite R, kappa1 or
-    kappa2 raises ValueError naming it.
+    value; kmk's R, kappa1 and kappa2 must be finite real numbers.  A
+    parameter the system does not take, or of the wrong type, raises
+    TypeError naming it; a non-finite R, kappa1 or kappa2, ValueError.
     """
-    if name == "kmk":
-        for key in ("R", "kappa1", "kappa2"):
-            v = params.get(key)
-            if v is None:
-                continue
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise TypeError(f"parameter {key} must be a number, got {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"parameter {key} must be finite, got {v!r}")
-        spec = kermack_mckendrick(**params)
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            expected_rank=2,
-            expected_casimirs=np.array([[1.0, 1.0, 1.0]]),
-            structure_pattern=_kmk_pattern(),
-        )
-    if name == "toda":
-        N = _sizes(name, params, ("N",)).get("N", 3)
-        spec = toda(N)
-        casimir = np.concatenate([np.zeros(N - 1), np.ones(N)])
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            expected_rank=2 * N - 2,
-            expected_casimirs=casimir[None, :],
-            structure_pattern=_toda_pattern(N),
-        )
-    if name == "constant-symplectic":
-        sizes = _sizes(name, params, ("s", "n"))
-        s = sizes.get("s", 1)
-        n = sizes.get("n", 2 * s)
-        spec = constant_symplectic(s, n)
-        return CatalogEntry(
-            name=name,
-            spec=spec,
-            expected_rank=2 * s,
-            expected_casimirs=np.eye(n)[2 * s :],
-            structure_pattern=_symplectic_pattern(s, n),
-        )
-    raise KeyError(f"unknown catalog entry {name!r}")
-
-
-#: CLI-addressable systems and their one-line descriptions.
-#: ``counterexample3`` resolves to a raw candidate field rather than a
-#: spec; see :func:`counterexample_field`.
-CATALOG = {
-    "kmk": "three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3",
-    "toda": "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)",
-    "constant-symplectic": "constant canonical block matrix, identity chart",
-    "counterexample3": "non-example field J12=x2, J23=x1 failing the Jacobi identity",
-}
+    _, build = CATALOG[name]
+    return build(name, params)

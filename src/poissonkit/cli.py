@@ -313,9 +313,11 @@ def _hamiltonian_flag(text: str, n: int) -> HamiltonianField:
     if kind not in HAMILTONIAN_KINDS:
         kinds = f"unknown kind {kind!r}; choose from {HAMILTONIAN_KINDS}"
         raise ConfigValidationError(f"--hamiltonian: {kinds}")
-    values = [v for v in rest.split(",") if v != ""]
+    values = rest.split(",") if rest else []
     if kind == "coordinate":
-        value = _flag_numbers("--hamiltonian", int, values[:1])[0] if values else None
+        if len(values) > 1:
+            raise ConfigValidationError(f"--hamiltonian: coordinate takes one index, got {rest!r}")
+        value = _flag_numbers("--hamiltonian", int, values)[0] if values else None
     else:
         value = _flag_numbers("--hamiltonian", float, values)
     return build_hamiltonian(kind, value, n, "--hamiltonian")
@@ -386,7 +388,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         if args.cmd == "catalog":
-            for name, description in CATALOG.items():
+            for name, (description, _) in CATALOG.items():
                 sys.stdout.write(f"{name}: {description}\n")
             return EXIT_OK
         if args.cmd in ("verify", "darboux"):

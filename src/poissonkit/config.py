@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import CATALOG, catalog_entry, counterexample_field
+from .catalog import CATALOG, catalog_entry
 from .domain import BoxDomain
 from .dynamics import (
     HamiltonianField,
@@ -227,11 +227,11 @@ def _catalog_system(raw) -> tuple[dict, MultiseparableSpec | None, StructureFiel
     if not isinstance(params, dict):
         _fail("system.params", "expected an object")
     descriptor = {"name": name, "params": params}
-    if name == "counterexample3":
-        return descriptor, None, counterexample_field()
     with _builder_errors():
-        spec = catalog_entry(name, **params).spec
-    return descriptor, spec, structure_field(spec)
+        built = catalog_entry(name, **params)
+    if isinstance(built, MultiseparableSpec):
+        return descriptor, built, structure_field(built)
+    return descriptor, None, built
 
 
 def _explicit_system(raw: dict) -> tuple[dict, MultiseparableSpec, StructureField]:

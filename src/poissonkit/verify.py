@@ -247,12 +247,6 @@ def _contraction(J: np.ndarray, T: np.ndarray) -> np.ndarray:
     return J @ T.reshape(n * n, n).T
 
 
-def _residual_tensor(J: np.ndarray, T: np.ndarray) -> np.ndarray:
-    n = J.shape[0]
-    R = _contraction(J, T).reshape(n, n, n)
-    return R + R.transpose(1, 2, 0) + R.transpose(2, 0, 1)
-
-
 def jacobi_sweep(
     field: StructureField,
     num_points: int,

@@ -107,3 +107,13 @@ def pair_minor_table(spec) -> np.ndarray:
     for i, j, p in itertools.product(range(n), range(n), range(spec.r // 2)):
         L[i * n + j, p] = A[i, 2 * p] * A[j, 2 * p + 1] - A[i, 2 * p + 1] * A[j, 2 * p]
     return L
+
+
+def residual_tensor(J: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The Jacobi residual R[i, j, k] = sum_l (J_il T_jkl + J_jl T_kil +
+    J_kl T_ijl) at every index triple, from J and the partials tensor T
+    indexed [i, j, l]: the contraction C[i, (j, k)] = sum_l J_il T_jkl as one
+    matrix product, then the cyclic sum."""
+    n = J.shape[0]
+    C = (J @ T.reshape(n * n, n).T).reshape(n, n, n)
+    return C + C.transpose(1, 2, 0) + C.transpose(2, 0, 1)

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from specgen import ALL_KINDS, spec_suite
+from specgen import ALL_KINDS, residual_tensor, spec_suite
 
 from poissonkit import (
     casimirs,
@@ -42,7 +42,6 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.cli import main
-from poissonkit.verify import _residual_tensor
 
 SUITE_SEED = 7
 SWEEP_SEED = 3
@@ -98,8 +97,8 @@ def test_criterion_02_finite_difference_oracle(suite, suite_points):
             oracle = fd_structure_field(spec)
             for x in points:
                 J = analytic.evaluate(x)
-                Ra = _residual_tensor(J, analytic.partials(x))
-                Rf = _residual_tensor(J, oracle.partials(x))
+                Ra = residual_tensor(J, analytic.partials(x))
+                Rf = residual_tensor(J, oracle.partials(x))
                 worst = max(worst, float(np.max(np.abs(Ra - Rf))))
         assert worst <= 1e-4
 

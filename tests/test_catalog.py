@@ -5,7 +5,9 @@ import pytest
 
 from poissonkit import (
     InvalidSizeError,
+    MultiseparableSpec,
     ParameterMismatchError,
+    StructureField,
     casimirs,
     catalog_entry,
     constant_symplectic,
@@ -90,15 +92,17 @@ class TestToda:
         n = 2 * N - 1
         assert np.array_equal(spec.A @ spec.B, np.eye(n))
 
-    def test_casimir_selects_beta_sum(self):
-        spec = toda(3)
-        np.testing.assert_array_equal(casimirs(spec), [[0, 0, 1, 1, 1]])
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_casimir_selects_beta_sum(self, N):
+        spec = toda(N)
+        np.testing.assert_array_equal(casimirs(spec), [[0] * (N - 1) + [1] * N])
 
-    def test_rank(self):
-        spec = toda(4)
+    @pytest.mark.parametrize("N", [3, 4])
+    def test_rank(self, N):
+        spec = toda(N)
         field = structure_field(spec)
         for x in spec.domain.halton_points(10, seed=4):
-            assert rank_at(field, x) == 6
+            assert rank_at(field, x) == 2 * N - 2
 
     def test_invalid_size(self):
         with pytest.raises(InvalidSizeError):
@@ -119,6 +123,14 @@ class TestConstantSymplectic:
         expected[1, 0] = -1.0
         np.testing.assert_array_equal(J, expected)
 
+    @pytest.mark.parametrize("s, n", [(1, 2), (1, 3), (2, 5), (0, 3)])
+    def test_rank_and_casimirs(self, s, n):
+        spec = constant_symplectic(s, n)
+        field = structure_field(spec)
+        for x in spec.domain.halton_points(10, seed=1):
+            assert rank_at(field, x) == 2 * s
+        np.testing.assert_array_equal(casimirs(spec), np.eye(n)[2 * s :])
+
     def test_invalid_block_count(self):
         with pytest.raises(InvalidSizeError):
             constant_symplectic(2, 3)
@@ -127,27 +139,29 @@ class TestConstantSymplectic:
 
 
 class TestCatalogEntries:
-    @pytest.mark.parametrize("name", ["kmk", "toda", "constant-symplectic"])
-    def test_entry_consistency(self, name):
-        entry = catalog_entry(name)
-        spec = entry.spec
-        assert entry.expected_rank + entry.expected_casimirs.shape[0] == spec.n
-        np.testing.assert_array_equal(entry.expected_casimirs, casimirs(spec))
-        assert len(entry.structure_pattern) == spec.n
-        field = structure_field(spec)
+    @pytest.mark.parametrize(
+        "name, params, build, args",
+        [
+            ("kmk", {"R": 2.0}, kermack_mckendrick, (2.0,)),
+            ("toda", {"N": 4}, toda, (4,)),
+            ("toda", {}, toda, (3,)),
+            ("constant-symplectic", {"s": 1, "n": 3}, constant_symplectic, (1, 3)),
+            ("constant-symplectic", {}, constant_symplectic, (1, 2)),
+        ],
+        ids=["kmk", "toda-4", "toda-default", "symplectic-1-3", "symplectic-default"],
+    )
+    def test_entry_is_the_built_spec(self, name, params, build, args):
+        spec, expected = catalog_entry(name, **params), build(*args)
+        assert isinstance(spec, MultiseparableSpec)
+        np.testing.assert_array_equal(spec.B, expected.B)
+        assert spec.factors == expected.factors
         x = spec.domain.halton_points(1, seed=0)[0]
-        assert rank_at(field, x) == entry.expected_rank
+        np.testing.assert_array_equal(evaluate_structure(spec, x), evaluate_structure(expected, x))
 
-    def test_pattern_zeros_match_structure(self):
-        entry = catalog_entry("toda", N=4)
-        x = entry.spec.domain.halton_points(1, seed=3)[0]
-        J = evaluate_structure(entry.spec, x)
-        for i, row in enumerate(entry.structure_pattern):
-            for j, label in enumerate(row):
-                if label == "0":
-                    assert J[i, j] == 0.0
-                else:
-                    assert J[i, j] != 0.0
+    def test_counterexample_entry_is_a_candidate_field(self):
+        field = catalog_entry("counterexample3")
+        assert isinstance(field, StructureField)
+        assert not jacobi_sweep(field, 5, seed=2).passed
 
     def test_unknown_entry(self):
         with pytest.raises(KeyError):

@@ -13,6 +13,7 @@ import pytest
 import poissonkit
 import poissonkit.structure
 from poissonkit import BoxDomain
+from poissonkit.catalog import CATALOG
 from poissonkit.cli import _emit_floats, _number, dump_json, main, run_verify
 from poissonkit.config import load_system
 from poissonkit.factors import FactorBank
@@ -154,9 +155,14 @@ def test_cli_import_defers_scipy(tmp_path):
 
 class TestCatalogCommand:
     def test_list(self, capsys):
-        code, out, _ = _run(capsys, ["catalog", "list"])
-        assert code == 0
-        assert "kmk:" in out and "toda:" in out and "counterexample3:" in out
+        code, out, err = _run(capsys, ["catalog", "list"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "kmk: three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3\n"
+            "toda: lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)\n"
+            "constant-symplectic: constant canonical block matrix, identity chart\n"
+            "counterexample3: non-example field J12=x2, J23=x1 failing the Jacobi identity\n"
+        )
 
 
 class TestVerifyCommand:
@@ -793,10 +799,14 @@ def test_malformed_param_is_usage_error(capsys):
     assert "K=V" in err
 
 
-def test_unknown_builder_param_is_usage_error(capsys):
-    code, _, err = _run(capsys, ["verify", "--system", "kmk", "--param", "gamma=2"])
-    assert code == 2
-    assert "rejected" in err
+@pytest.mark.parametrize("system", sorted(CATALOG))
+def test_unknown_builder_param_is_usage_error(capsys, system):
+    code, out, err = _run(capsys, ["verify", "--system", system, "--param", "gamma=2"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: system definition rejected: "
+        f"unknown parameters for {system}: ['gamma']\n"
+    )
 
 
 def test_invalid_points_is_usage_error(capsys):
@@ -813,6 +823,13 @@ def test_invalid_points_is_usage_error(capsys):
     [
         ("--hamiltonian", "quadratic-diagonal:1,a,1"),
         ("--hamiltonian", "coordinate:2.9"),
+        ("--hamiltonian", "coordinate:1,2"),
+        ("--hamiltonian", "coordinate:1,banana"),
+        ("--hamiltonian", "coordinate:"),
+        ("--hamiltonian", "linear:1,2,3,"),
+        ("--hamiltonian", "linear:,1,2,3"),
+        ("--hamiltonian", "linear:"),
+        ("--hamiltonian", "quadratic-diagonal:1,,1,1"),
         ("--hamiltonian", "foo:1,2,3"),
         ("--x0", "1,b,1"),
         ("--steps", "-1"),
@@ -976,6 +993,9 @@ def test_infinite_domain_bound_is_an_unbounded_side(tmp_path, capsys):
         ("kmk", ["R=Infinity"], "R"),
         ("kmk", ["kappa1=Infinity"], "kappa1"),
         ("kmk", ["kappa2=NaN"], "kappa2"),
+        ("kmk", ["R=null"], "R"),
+        ("kmk", ["kappa1=null"], "kappa1"),
+        ("kmk", ["kappa2=null"], "kappa2"),
     ],
 )
 def test_malformed_catalog_param_names_parameter(capsys, system, params, name):

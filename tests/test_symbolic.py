@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from specgen import dimension_rank_pairs, random_spec
+from specgen import dimension_rank_pairs, random_spec, residual_tensor
 
 from poissonkit import (
     Affine,
@@ -38,7 +38,6 @@ from poissonkit import (
 )
 from poissonkit.darboux import canonical_matrix
 from poissonkit.dynamics import _ChartSystem, _Identity, _Quadrature
-from poissonkit.verify import _residual_tensor
 
 
 def _rational_matrix(rng: random.Random, n: int) -> sp.Matrix:
@@ -152,7 +151,7 @@ def test_float_kernel_matches_50_digit_reference():
             assert np.max(np.abs(J - J_ref)) <= 1e-14 * J_scale
             assert np.max(np.abs(T - T_ref)) <= 1e-14 * T_scale
             # The float Jacobi residual is round-off against |J| |dJ|.
-            assert np.max(np.abs(_residual_tensor(J, T))) <= 1e-13 * J_scale * T_scale
+            assert np.max(np.abs(residual_tensor(J, T))) <= 1e-13 * J_scale * T_scale
 
 
 def _mp_factor(f):

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from specgen import dimension_rank_pairs, pair_minor_table, random_spec, spec_suite
+from specgen import (
+    dimension_rank_pairs,
+    pair_minor_table,
+    random_spec,
+    residual_tensor,
+    spec_suite,
+)
 
 import poissonkit.structure
 from poissonkit import (
@@ -41,7 +47,7 @@ from poissonkit import (
 from poissonkit.cli import run_darboux, run_verify
 from poissonkit.config import parse_config
 from poissonkit.structure import structure_slopes
-from poissonkit.verify import _contraction, _residual_tensor
+from poissonkit.verify import _contraction
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -171,8 +177,8 @@ def test_fd_partials_agree_with_analytic(rng):
         analytic = structure_field(spec)
         oracle = fd_structure_field(spec)
         for x in spec.domain.halton_points(5, seed=8):
-            Ra = _residual_tensor(analytic.evaluate(x), analytic.partials(x))
-            Rf = _residual_tensor(oracle.evaluate(x), oracle.partials(x))
+            Ra = residual_tensor(analytic.evaluate(x), analytic.partials(x))
+            Rf = residual_tensor(oracle.evaluate(x), oracle.partials(x))
             assert float(np.max(np.abs(Ra - Rf))) <= 1e-4
 
 
@@ -261,8 +267,8 @@ def test_factored_contraction_matches_partials_tensor():
             # is compared too; the sweep's residuals equal C's bitwise (see
             # test_half_sweep_equals_full_contraction_bitwise).
             assert float(np.max(np.abs(C - _contraction(J, T)))) <= 1e-12 * scale
-            assert float(np.max(np.abs(R - _residual_tensor(J, T)))) <= 1e-12 * scale
-            tensor = _residual_tensor(J, T)[tuple(triples.T)]
+            assert float(np.max(np.abs(R - residual_tensor(J, T)))) <= 1e-12 * scale
+            tensor = residual_tensor(J, T)[tuple(triples.T)]
             assert float(np.max(np.abs(residuals - tensor), initial=0.0)) <= 1e-12 * scale
             assert dJ_max == pytest.approx(float(np.max(np.abs(T))), rel=1e-14, abs=0.0)
 
@@ -340,7 +346,7 @@ def _reference_sweep(field, num_points: int, seed: int) -> JacobiReport:
             break
         J = field.evaluate(x)
         T = field.partials(x)
-        R = _residual_tensor(J, T)
+        R = residual_tensor(J, T)
         worst, triple = max(((abs(R[t]), t) for t in triples), key=lambda item: item[0])
         scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
         max_norm = max(max_norm, worst / scale)
