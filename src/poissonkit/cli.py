@@ -410,14 +410,12 @@ def main(argv=None) -> int:
                 missing = not os.path.exists(parent)
                 reason = "No such file or directory" if missing else "Permission denied"
                 raise ConfigValidationError(f"--out: cannot write {args.out!r}: {reason}")
-        if args.cmd == "verify":
-            code, report = run_verify(_system_from_args(args), args.points, args.seed)
-            _write_output(dump_json(report), args.out)
-            return code
-        if args.cmd == "darboux":
-            code, report = run_darboux(
-                _system_from_args(args), points=args.points, seed=args.seed
-            )
+        if args.cmd in ("verify", "darboux"):
+            run = run_verify if args.cmd == "verify" else run_darboux
+            try:
+                code, report = run(_system_from_args(args), args.points, args.seed)
+            except MemoryError as exc:  # the Halton draw of --points points
+                raise ConfigValidationError(f"--points: {exc}") from None
             _write_output(dump_json(report), args.out)
             return code
         if args.cmd == "integrate":

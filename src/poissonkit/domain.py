@@ -124,25 +124,28 @@ class BoxDomain:
     def is_bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
+    def inside(self, x: np.ndarray) -> np.ndarray:
+        """Strict interior membership (the box is open) of a float point
+        (n,), as a numpy bool, or of each row of a (P, n) block, as (P,)
+        bools; nan is outside."""
+        return ((x > self.lower) & (x < self.upper)).all(axis=-1)
+
     def contains(self, x) -> bool:
-        """Strict interior membership (the box is open)."""
+        """Strict interior membership of one point (n,)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            return False
-        return np.count_nonzero((x > self.lower) & (x < self.upper)) == x.size
+        return x.shape == (self.dimension,) and bool(self.inside(x))
 
     def require_inside(self, x) -> np.ndarray:
         """x as floats, one point (n,) or a (P, n) block, when every point
         lies in the open box; OutOfDomainError naming the first point
         outside it otherwise."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2 and x.shape[1] == self.dimension:
-            inside = np.all((x > self.lower) & (x < self.upper), axis=1)
+        if x.ndim in (1, 2) and x.shape[-1] == self.dimension:
+            inside = self.inside(x)
             if inside.all():
                 return x
-            x = x[int(np.argmin(inside))]
-        elif self.contains(x):
-            return x
+            if x.ndim == 2:
+                x = x[int(np.argmin(inside))]
         raise OutOfDomainError(f"point {x.tolist()} is outside the domain box")
 
     def sampling_bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -167,15 +170,21 @@ class BoxDomain:
         permutations are cached per (dimension, seed) within a process.
         Points are inset from the faces so open-interval guarantees apply,
         and a point that rounding still put on a face (an inset below the
-        float spacing) moves to the nearest float inside.
+        float spacing) moves to the nearest float inside.  A draw too large
+        to allocate, or for numpy to size, raises MemoryError.
         """
         if num < 1:
             raise ValueError("num must be >= 1")
         lo, hi = self.sampling_bounds()
         width = hi - lo
         inset = np.minimum(FACE_INSET, 0.25 * width)
-        u = _scrambled_halton(num, self.dimension, seed)
-        points = (lo + inset) + u * (width - 2.0 * inset)
+        try:
+            u = _scrambled_halton(num, self.dimension, seed)
+            points = (lo + inset) + u * (width - 2.0 * inset)
+        except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+            raise MemoryError(
+                f"{num} points in dimension {self.dimension} do not fit in memory"
+            ) from exc
         return np.clip(points, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
     def projected_interval(self, rows) -> tuple[float, float] | np.ndarray:

@@ -44,12 +44,19 @@ The loop alone decides why a run stops, under one overflow scope.  An
 accepted state outside the certified box, or an evaluation that leaves a
 factor or chart interval (as an overflowing step's does), truncates the
 trajectory with a domain-exit flag and no warning; RK4 stages and Newton
-iterates are not held to the box.  The start, the field value and H at
-the initial state, is evaluated whatever the number of steps: a
-non-finite factor value, derivative, pair product, field value or H there
-raises ConfigValidationError naming it, and a start whose evaluation
-leaves a factor or chart interval ends the trajectory with one record
-and the domain-exit flag.  dt * steps must be finite.
+iterates are not held to the box.  Accepted u wait in a block of up to
+ACCEPT_BLOCK = 64, pulled back to x by one state call (one inversion
+pass on the quadrature stage) and checked against the box at once: when
+the block is full, at the last step, and when a step raises.  The records
+end where a check at every step would end them, bitwise, with the same
+flag and the same raised error; a run that leaves the box computes up to
+ACCEPT_BLOCK - 1 further steps before the block check stops it.  The
+start, the field value and H at the initial state, is evaluated whatever
+the number of steps: a non-finite factor value, derivative, pair product,
+field value or H there raises ConfigValidationError naming it, and a
+start whose evaluation leaves a factor or chart interval ends the
+trajectory with one record and the domain-exit flag.  dt * steps must be
+finite.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ import numpy as np
 
 from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
 from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
-from .structure import MultiseparableSpec, non_finite_error
+from .structure import MultiseparableSpec, matvec, non_finite_error
 from .verify import central_differences
 
 #: implicit-midpoint Newton controls.
@@ -72,6 +79,12 @@ NEWTON_MAX_ITERS = 50
 
 #: records kept densely before stride-thinning kicks in.
 MAX_DENSE_RECORDS = 1_000_000
+
+#: accepted states pulled back and checked against the box together.  A
+#: larger block spreads one pull-back and one box check over more steps,
+#: but a run that leaves the box computes up to ACCEPT_BLOCK - 1 steps past
+#: the exit before the check sees it, and holds that many states.
+ACCEPT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -188,7 +201,8 @@ class _ChartSystem:
         self.y0 = (spec.B @ x0)[:r]
 
     def state(self, u: np.ndarray) -> np.ndarray:
-        return self.x0 - self.A_r @ (self.y0 - self.stage.y(u))
+        """x at u (r,), or at each row of a (P, r) block, bitwise as per row."""
+        return self.x0 - matvec(self.A_r, self.y0 - self.stage.y(u))
 
     def _evaluate(self, u: np.ndarray) -> tuple:
         """y, x, phi(y), rho, sigma and c at u."""
@@ -312,6 +326,25 @@ def _check_step_controls(dt: float, steps: int) -> None:
         raise ValueError(f"dt * steps must be finite, got {dt!r} * {steps}")
 
 
+def _pull_back(spec, system, pending: list) -> tuple[np.ndarray, Exception | None]:
+    """The x of each u in ``pending``, in order, as a (P, n) block, by one
+    block pull-back.  Where that raises, the states are pulled back one by
+    one, up to the first whose pull-back raises, and that error is
+    returned with them."""
+    U = np.array(pending).reshape(len(pending), spec.r)
+    try:
+        return system.state(U), None
+    except Exception:  # any error, as the first state that raises it decides
+        X, error = [], None
+        for u in U:
+            try:
+                X.append(system.state(u))
+            except Exception as exc:
+                error = exc
+                break
+    return np.reshape(X, (len(X), spec.n)), error
+
+
 def _march(
     spec: MultiseparableSpec,
     H: HamiltonianField,
@@ -328,8 +361,16 @@ def _march(
     every ``steps`` and checked for overflow.  A start or a step that
     leaves a factor or chart interval, or an accepted state outside the
     box, ends the trajectory with a domain-exit flag; the one overflow
-    scope lets a step that overflows end it so, without a warning.  Only
-    every stride-th state, and the last, is recorded."""
+    scope lets a step that overflows end it so, without a warning.
+
+    Accepted u wait in a block of up to ACCEPT_BLOCK, which is pulled back
+    and checked against the box when it is full, at the last step, and
+    when a step raises.  The run then ends as a check of each state when
+    it was accepted would end it: before the block's first state that
+    lies outside the box or whose pull-back raises, else at the step that
+    raised.  That pull-back's or step's error propagates unless it leaves
+    a factor or chart interval; any other end sets the domain-exit flag.
+    Only every stride-th state, and the last, is recorded."""
     exits = (OutOfRangeError, OutOfValidityError)
     stride = _record_stride(steps)
     times, states = [0.0], [x0]
@@ -344,19 +385,32 @@ def _march(
         if not math.isfinite(h0):
             raise non_finite_error(spec, x0[None], "initial state", "the Hamiltonian overflows")
         domain_exit, u = f0 is None, u0
+        pending, first = [], 1  # the accepted u of steps first, first + 1, ...
         for k in range(1, steps + 1) if not domain_exit else ():
             try:
                 u = step(system, u, dt)
-                x = system.state(u)
-            except exits:
+            except Exception as exc:  # raised once the block before it is checked
+                error = exc
+            else:
+                error = None
+                pending.append(u)
+                if len(pending) < ACCEPT_BLOCK and k < steps:
+                    continue
+            X, pull_error = _pull_back(spec, system, pending)
+            inside = spec.domain.inside(X)
+            kept = len(X) if inside.all() else int(np.argmin(inside))
+            for j, x in enumerate(X[:kept], first):
+                if j % stride == 0 or j == steps:
+                    times.append(j * dt)
+                    states.append(x)
+            if pull_error is not None:  # its state comes before the failing step
+                error = pull_error
+            if kept < len(X) or error is not None:
+                if kept == len(X) and not isinstance(error, exits):
+                    raise error
                 domain_exit = True
                 break
-            if not spec.domain.contains(x):
-                domain_exit = True
-                break
-            if k % stride == 0 or k == steps:
-                times.append(k * dt)
-                states.append(x)
+            pending, first = [], k + 1
         X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
         energy_drift = np.array([H.value_at(x) - h0 for x in X])
     C = casimirs(spec)
@@ -408,8 +462,8 @@ def integrate_canonical(
 
     The first r components of z follow implicit midpoint on
     dz/dt = K grad_z H(x(z)) with the constant canonical K (the quadrature
-    stage); the Casimir coordinates are held.  Each accepted u is pulled
-    back once, for its x, the recorded state; Newton starts from the field
+    stage); the Casimir coordinates are held.  Each block of accepted u is
+    pulled back once, for the recorded states; Newton starts from the field
     values at earlier midpoints.  ``dt`` must be finite and positive, and
     so must ``dt * steps``; a field or H that is not finite at x0 raises
     ConfigValidationError.

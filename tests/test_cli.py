@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import poissonkit
+import poissonkit.domain
 import poissonkit.structure
 from poissonkit import BoxDomain
 from poissonkit.catalog import CATALOG
@@ -816,6 +817,31 @@ def test_invalid_points_is_usage_error(capsys):
             assert code == 2
             assert out == ""
             assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        MemoryError("Unable to allocate 21.8 TiB"),
+        ValueError("array is too big; `arr.size * arr.dtype.itemsize` is too large"),
+        ValueError("Maximum allowed dimension exceeded"),
+    ],
+)
+def test_points_too_many_to_draw_is_usage_error(monkeypatch, capsys, error):
+    """A Halton draw of --points points that numpy cannot allocate or size
+    exits 2 naming --points; the draw is stubbed, so nothing is allocated."""
+    draw = poissonkit.domain._scrambled_halton
+
+    def too_many(num, d, seed):
+        if num == 12345:
+            raise error
+        return draw(num, d, seed)
+
+    monkeypatch.setattr(poissonkit.domain, "_scrambled_halton", too_many)
+    for command in ("verify", "darboux"):
+        code, out, err = _run(capsys, [command, "--system", "toda", "--points", "12345"])
+        assert (code, out) == (2, "")
+        assert err == "error: --points: 12345 points in dimension 5 do not fit in memory\n"
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,19 @@ def test_require_inside_points_and_blocks():
         box.require_inside([[0.5, 0.5], [0.2, 0.0], [2.0, 2.0]])
     with pytest.raises(OutOfDomainError):
         box.require_inside([0.5, 0.5, 0.5])
+    with pytest.raises(OutOfDomainError):
+        box.require_inside(0.5)
+
+
+def test_inside_rows_match_contains():
+    """A block's membership is each row's: faces, nan and inf are outside."""
+    box = BoxDomain([0.0, -np.inf], [1.0, 2.0])
+    block = np.array(
+        [[0.5, -1e300], [0.0, 1.0], [0.5, 2.0], [np.nan, 1.0], [0.5, -np.inf], [1e-300, 1.9]]
+    )
+    assert box.inside(block).tolist() == [box.contains(x) for x in block]
+    assert box.inside(block).tolist() == [True, False, False, False, False, True]
+    assert box.inside(np.empty((0, 2))).shape == (0,)
 
 
 def test_unbounded_sampling_requires_sample_box():

@@ -340,6 +340,11 @@ def _pass_counter(monkeypatch):
     return passes
 
 
+def _blocks(steps: int) -> int:
+    """The block pull-backs of a run whose ``steps`` states are accepted."""
+    return math.ceil(steps / dynamics.ACCEPT_BLOCK)
+
+
 class _CountedSystem:
     """A route's system whose calls (one per Newton point) and Newton-matrix
     thunks run (one per refresh) are counted into ``calls``."""
@@ -379,8 +384,8 @@ class TestOneEvaluationPerNewtonPoint:
     earlier midpoints, so no route evaluates the field at an accepted
     state there.  The field alone serves the start's overflow check and
     the Euler starts of the first two steps.  On the canonical route a
-    pull-back is one inversion pass that also gives phi, and the accepted
-    state's pull-back gives the recorded x."""
+    pull-back is one inversion pass that also gives phi, and one pull-back
+    of each block of accepted states gives the recorded x."""
 
     STEPS = 30
 
@@ -407,14 +412,14 @@ class TestOneEvaluationPerNewtonPoint:
             # x0 is mapped forward once.  The field alone, one pull-back
             # each, serves f(u0) for the start, f(u0) again for the first
             # Euler start and f(u1) for the second; the system runs at each
-            # Newton point, and each accepted state is pulled back once,
-            # for its x.  A pull-back's phi takes no value pass, and each
-            # refresh adds phi' and no pull-back.
+            # Newton point, and each block of accepted states is pulled
+            # back once, for its x.  A pull-back's phi takes no value pass,
+            # and each refresh adds phi' and no pull-back.
             assert fields[0] == 3
             assert evaluations[0] == newton_points[0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
-                invert_antiderivative=3 + newton_points[0] + self.STEPS,
+                invert_antiderivative=3 + newton_points[0] + _blocks(self.STEPS),
                 derivative=newton_points[1],
             )
 
@@ -466,7 +471,8 @@ class TestOneEvaluationPerNewtonPoint:
             canonical = integrate_canonical(spec, H, x0, 1e-2, self.STEPS, chart=chart)
             assert newton_points == [self.STEPS, 0]
             assert passes == Counter(
-                reciprocal_antiderivative=1, invert_antiderivative=3 + 2 * self.STEPS
+                reciprocal_antiderivative=1,
+                invert_antiderivative=3 + self.STEPS + _blocks(self.STEPS),
             )
             passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
