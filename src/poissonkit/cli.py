@@ -215,7 +215,7 @@ def run_darboux(system: System, points: int = 100, seed: int = 0) -> tuple[int, 
         "image_upper": chart.image_upper,
     }
     try:
-        result = certify_canonical(spec, chart, num_points=points, seed=seed)
+        result = certify_canonical(chart, num_points=points, seed=seed)
     except CertificationFailureError as exc:
         report["certification"] = {
             "passed": False,

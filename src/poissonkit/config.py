@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -163,6 +163,9 @@ def _parse_factor(raw, idx: int) -> FactorFunction:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail(f"{path}.params", "expected an object")
+    known = {f.name for f in fields(FACTOR_KINDS[kind])} - {"validity"}
+    if set(params) - known:
+        _fail(f"{path}.params", f"unknown parameters for {kind}: {sorted(set(params) - known)}")
     kwargs = {k: _number(v, f"{path}.params.{k}") for k, v in params.items()}
     if "validity" in raw:
         v = raw["validity"]
@@ -173,7 +176,7 @@ def _parse_factor(raw, idx: int) -> FactorFunction:
         kwargs["validity"] = (lo, hi)
     try:
         return FACTOR_KINDS[kind](**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         _fail(path, str(exc))
 
 

@@ -10,16 +10,16 @@ followed by an (n - r) zero block.  Rows r+1..n of B are a complete set of
 linear Casimir coefficient vectors, and the chart leaves those coordinates
 untouched, so Casimir levels are preserved exactly.
 
-The chart maps, their inverses and their Jacobians take one point (n,) or
-a (P, n) block (the Jacobians of a block are a (P, n, n) stack);
-validation and certification check a whole sample block at once.
+One object, :class:`DarbouxChart`, is the chart: its maps and Jacobians
+form y = B.x and the quadrature pass themselves, for one point (n,) or a
+(P, n) block (a (P, n, n) stack of Jacobians).  Certification takes the
+chart alone; it and validation check a whole sample block at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .structure import (
     MultiseparableSpec,
-    evaluate_structure,
     matvec,
     non_finite_error,
     point_blocks,
@@ -56,37 +55,6 @@ def casimirs(spec: MultiseparableSpec) -> np.ndarray:
     each satisfies J(x) . c = 0 everywhere on the domain.
     """
     return np.array(spec.B[spec.r :], dtype=float)
-
-
-def linear_chart(spec: MultiseparableSpec, x) -> np.ndarray:
-    """y = B.x."""
-    return matvec(spec.B, np.asarray(x, dtype=float))
-
-
-def inverse_linear_chart(spec: MultiseparableSpec, y) -> np.ndarray:
-    """x = A.y using the cached inverse."""
-    return matvec(spec.A, np.asarray(y, dtype=float))
-
-
-def pushforward(field, jacobian_fn: Callable, x) -> np.ndarray:
-    """Transform a structure matrix under a change of variables y = y(x)
-    whose Jacobian dy/dx at x is ``jacobian_fn(x)``:
-
-        J*_ij(y) = sum_kl (dy_i/dx_k) J_kl(x) (dy_j/dx_l)
-
-    at y = y(x).  ``field`` is a StructureField-like object exposing
-    ``evaluate`` and ``domain``.
-    """
-    x = field.domain.require_inside(x)
-    M = np.asarray(jacobian_fn(x), dtype=float)
-    J = np.asarray(field.evaluate(x))
-    return M @ J @ M.T
-
-
-def linear_chart_pushforward(spec: MultiseparableSpec, x) -> np.ndarray:
-    """J*(y) at y = B.x: the 2x2-block compression of J under the linear
-    chart, or the (P, n, n) stack of them for a (P, n) block."""
-    return _linear_pushforward(spec, evaluate_structure(spec, x))
 
 
 def _linear_pushforward(spec: MultiseparableSpec, J: np.ndarray) -> np.ndarray:
@@ -114,24 +82,6 @@ def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
         else:
             anchors.append(0.0)
     return tuple(anchors)
-
-
-def quadrature_chart(spec: MultiseparableSpec, anchors, y) -> np.ndarray:
-    """z from y: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
-    y = np.asarray(y, dtype=float)
-    return spec.bank.apply("reciprocal_antiderivative", y, anchors, out=y.copy())
-
-
-def inverse_quadrature_chart(spec: MultiseparableSpec, anchors, z) -> np.ndarray:
-    """y from z, inverting each anchored antiderivative."""
-    z = np.asarray(z, dtype=float)
-    return spec.bank.apply("invert_antiderivative", z, anchors, out=z.copy())
-
-
-def _quadrature_scales(spec: MultiseparableSpec, y: np.ndarray) -> np.ndarray:
-    """dy/dz of the quadrature stage, shaped like y: phi_i(y_i) for i <= r
-    and 1 elsewhere."""
-    return spec.bank.apply("value", y, out=np.ones(y.shape))
 
 
 def canonical_matrix(n: int, r: int) -> np.ndarray:
@@ -181,19 +131,21 @@ class DarbouxChart:
         return self.spec.r // 2
 
     def forward(self, x) -> np.ndarray:
+        """z from y = B.x: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
         spec = self.spec
-        return quadrature_chart(spec, self.anchors, linear_chart(spec, x))
+        y = matvec(spec.B, np.asarray(x, dtype=float))
+        return spec.bank.apply("reciprocal_antiderivative", y, self.anchors, out=y.copy())
 
     def inverse(self, z) -> np.ndarray:
-        spec = self.spec
-        return inverse_linear_chart(
-            spec, inverse_quadrature_chart(spec, self.anchors, z)
-        )
+        """x = A.y from y_i = F_i^{-1}(z_i) for i <= r, y_i = z_i for i > r."""
+        spec, z = self.spec, np.asarray(z, dtype=float)
+        y = spec.bank.apply("invert_antiderivative", z, self.anchors, out=z.copy())
+        return matvec(spec.A, y)
 
     def forward_jacobian(self, x) -> np.ndarray:
         """dz/dx = diag(1/phi_i(y_i), 1) . B, analytic."""
-        spec = self.spec
-        phi = _quadrature_scales(spec, linear_chart(spec, x))
+        spec, x = self.spec, np.asarray(x, dtype=float)
+        phi = spec.bank.apply("value", matvec(spec.B, x), out=np.ones(x.shape))
         return (1.0 / phi)[..., :, None] * spec.B
 
     def inverse_jacobian(self, z) -> np.ndarray:
@@ -285,7 +237,6 @@ class CanonicalReport:
 
 
 def certify_canonical(
-    spec: MultiseparableSpec,
     chart: DarbouxChart,
     num_points: int = 100,
     tolerance: float = CANONICAL_TOL,
@@ -303,13 +254,14 @@ def certify_canonical(
     CertificationFailureError with the first failing point and its worst
     entry when either check exceeds its tolerance.
     """
+    spec = chart.spec
     target = canonical_matrix(spec.n, spec.r)
     points = spec.domain.halton_points(num_points, seed)
     max_dev = 0.0
     max_rt = 0.0
     for X in point_blocks(points, spec.n):
         with np.errstate(all="ignore"):
-            phi = _quadrature_scales(spec, linear_chart(spec, X))
+            phi = spec.bank.apply("value", matvec(spec.B, X), out=np.ones(X.shape))
             J = skew_sum(spec, phi[:, 0 : spec.r : 2] * phi[:, 1 : spec.r : 2])
             # A non-finite pushforward is the structure's fault only when J is.
             if not (np.isfinite(phi).all() and np.isfinite(J).all()):

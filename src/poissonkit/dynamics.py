@@ -33,11 +33,12 @@ stage.  On the quadrature stage one bank pass inverts the chart and
 evaluates phi (FactorBank.invert_values).  vector_field is A_r f on the
 identity stage.
 
-Both routes run one fixed-step loop, and a step calls the system
-itself: RK4 at u and its stages, implicit midpoint (symplectic in the
-canonical chart) only on its first two steps, as it then starts Newton
-from the field values at the last two converged midpoints.  Both methods
-are affine-covariant, so stepping y_{1..r} gives the states of stepping
+Both routes run one fixed-step loop, and the first step takes f(u0) from
+the start check.  Later steps evaluate the field at u themselves: RK4
+(besides its stages), and implicit midpoint (symplectic in the canonical
+chart) only on its second step, as it then starts Newton from the field
+values at the last two converged midpoints.  Both methods are
+affine-covariant, so stepping y_{1..r} gives the states of stepping
 x in exact arithmetic.
 
 The loop alone decides why a run stops, under one overflow scope.  An
@@ -278,30 +279,33 @@ def _record_stride(steps: int) -> int:
     return 1 if steps <= MAX_DENSE_RECORDS else math.ceil(steps / MAX_DENSE_RECORDS)
 
 
-def _rk4_step(system, x: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step from x; every stage takes the field alone."""
-    k1 = system.field(x)
+def _rk4_step(system, x: np.ndarray, dt: float, f=None) -> np.ndarray:
+    """One RK4 step from x, whose field is ``f`` when given; stages take the field alone."""
+    k1 = system.field(x) if f is None else f
     k2 = system.field(x + 0.5 * dt * k1)
     k3 = system.field(x + 0.5 * dt * k2)
     k4 = system.field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float) -> np.ndarray:
+def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=None) -> np.ndarray:
     """One implicit-midpoint step from x by simplified Newton iteration.
 
     ``history`` holds the field values at the run's last two converged
     midpoints, oldest first, and the step shifts its own in.  Newton starts
     from x + dt (2 f_{k-1/2} - f_{k-3/2}) (Hairer, Lubich and Wanner,
     Geometric Numerical Integration, VIII.6.1), and from the explicit Euler
-    x + dt system.field(x) while there are fewer than two.  Each Newton
-    point is evaluated once, by calling the system; the Newton matrix
-    I - dt/2 Df(mid) comes from that evaluation's thunk on the first
-    iteration and every tenth after.  Raises MaxNewtonIterationsError when
-    the residual does not reach NEWTON_TOL within the cap."""
+    x + dt f while there are fewer than two, with ``f`` the field at x
+    unless given.  Each Newton point is evaluated once, by calling the
+    system; the Newton matrix I - dt/2 Df(mid) comes from that
+    evaluation's thunk on the first iteration and every tenth after.
+    Raises MaxNewtonIterationsError when the residual does not reach
+    NEWTON_TOL within the cap."""
     n = x.shape[0]
     scale = 1.0 + float(np.abs(x).max(initial=0.0))
-    u = x + dt * (2.0 * history[1] - history[0] if len(history) == 2 else system.field(x))
+    if len(history) == 2:
+        f = 2.0 * history[1] - history[0]
+    u = x + dt * (system.field(x) if f is None else f)
     M = None
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = system(0.5 * (x + u))
@@ -356,12 +360,13 @@ def _march(
     steps: int,
 ) -> TrajectoryRecord:
     """The fixed-step loop of both routes, from the stepped state u0 whose x
-    is x0: ``step(system, u, dt)`` advances u, and ``system.state(u)``
-    gives its x.  The start, system.field(u0) and H(x0), is evaluated for
-    every ``steps`` and checked for overflow.  A start or a step that
-    leaves a factor or chart interval, or an accepted state outside the
-    box, ends the trajectory with a domain-exit flag; the one overflow
-    scope lets a step that overflows end it so, without a warning.
+    is x0: ``step(system, u, dt, f)`` advances u, f its field when known,
+    and ``system.state(u)`` gives its x.  The start, system.field(u0) and
+    H(x0), is evaluated for every ``steps``, checked for overflow, and
+    f(u0) passed to the first step.  A start or a step that leaves a
+    factor or chart interval, or an accepted state outside the box, ends
+    the trajectory with a domain-exit flag; the one overflow scope lets a
+    step that overflows end it so, without a warning.
 
     Accepted u wait in a block of up to ACCEPT_BLOCK, which is pulled back
     and checked against the box when it is full, at the last step, and
@@ -388,7 +393,7 @@ def _march(
         pending, first = [], 1  # the accepted u of steps first, first + 1, ...
         for k in range(1, steps + 1) if not domain_exit else ():
             try:
-                u = step(system, u, dt)
+                u = step(system, u, dt, f0 if k == 1 else None)
             except Exception as exc:  # raised once the block before it is checked
                 error = exc
             else:

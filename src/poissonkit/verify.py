@@ -7,7 +7,8 @@ and SVD-based rank.  Structure fields wrap either a multiseparable spec
 well fail the Jacobi identity; a finite-difference partials provider is
 available as an independent oracle for cross-checking the analytic path.
 Its stencil, :func:`central_differences`, also serves the Hamiltonian
-fields' finite-difference gradients and Hessians.
+fields' finite-difference gradients and Hessians.  A sweep's verdict
+divides each residual by max|J| max|dJ|, which scaling J leaves as is.
 
 Every field evaluates a point or a (P, n) block of points: a spec field
 in one kernel call, a user field row by row.  A sweep evaluates J once
@@ -263,12 +264,13 @@ def jacobi_sweep(
     given, is called with each block's (k, n, n) stack of J, so that other
     checks at the same points can reuse it.
 
-    Each point's residual is also divided by 1 + max|J| max|dJ| there;
-    the sweep passes when the largest such normalized residual is within
-    ``tolerance``, so a genuine structure at a large scale is not failed
-    for round-off.  Both the absolute and the normalized maxima are
-    reported.  A non-finite residual or max|dJ| fails the sweep, both
-    maxima nan and the argmax at that point; a spec field raises there.
+    Each point's residual is also divided by max|J| max|dJ| there (0/0,
+    and a finite residual over an overflowing bound, read 0); the sweep
+    passes when the largest such normalized residual is within
+    ``tolerance``, so scaling J changes no verdict.  Both the
+    absolute and the normalized maxima are reported.  A non-finite
+    residual or max|dJ| fails the sweep, both maxima nan and the argmax
+    at that point; a spec field raises there.
     """
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
@@ -303,8 +305,8 @@ def jacobi_sweep(
                 if not finite:
                     max_abs = max_norm = math.nan
                     break
-                # An overflowing scale normalizes a finite residual to 0.
-                max_norm = max(max_norm, worst / (1.0 + float(np.max(np.abs(J))) * dJ_max))
+                scale = float(np.max(np.abs(J))) * dJ_max  # 0 only where worst is 0
+                max_norm = max(max_norm, worst / scale if scale else 0.0)
                 max_abs = max(max_abs, worst)
 
     return JacobiReport(

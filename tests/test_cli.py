@@ -208,7 +208,7 @@ class TestVerifyCommand:
         assert code == 1
         jacobi = json.loads(out)["jacobi"]
         assert jacobi["passed"] is False
-        assert jacobi["max_normalized_residual"] == pytest.approx(0.75, abs=0.01)
+        assert jacobi["max_normalized_residual"] == pytest.approx(1.0, abs=0.01)
 
     def test_one_sample_draw_and_one_structure_evaluation(self, capsys, monkeypatch):
         calls = {"halton": 0, "evaluate": 0, "values": 0}
@@ -959,6 +959,23 @@ WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
         (_with(KMK_CONFIG, ("hamiltonian",), {"kind": "coordinate", "params": {"index": 5}}),
          ["integrate"], "hamiltonian.params.index: index 5 outside 1..3"),
         (_with(EXPLICIT_CONFIG, ("B", 0), 10**400), ["verify"], "B[0]: number out of range"),
+        (_with(EXPLICIT_CONFIG, ("domain",), [0, 1]), ["verify"],
+         "domain: expected an object with lower/upper"),
+        (_with(EXPLICIT_CONFIG, ("domain", "upper"), [1, 1, 1]), ["darboux"],
+         "domain: sample box must lie inside the domain box"),
+        (_with(EXPLICIT_CONFIG, ("domain", "lower"), 0), ["verify"],
+         "domain.lower: expected a list of 3 numbers"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "params"), [1.0]), ["darboux"],
+         "factors[0].params: expected an object"),
+        (_with(EXPLICIT_CONFIG, ("factors", 0, "params", "bogus"), 1.0), ["verify"],
+         "factors[0].params: unknown parameters for linear: ['bogus']"),
+        (_with(EXPLICIT_CONFIG, ("factors", 1, "params", "validity"), 1.0), ["darboux"],
+         "factors[1].params: unknown parameters for affine: ['validity']"),
+        (_with(KMK_CONFIG, ("hamiltonian", "params"), [1, 1, 1]), ["integrate"],
+         "hamiltonian.params: expected an object"),
+        (_with(KMK_CONFIG, ("system",), "kmk"), ["integrate"],
+         "system: expected an object with a name"),
+        (_with(EXPLICIT_CONFIG, ("r",), 2.0), ["verify"], "r: expected an integer"),
     ],
 )
 def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, message):

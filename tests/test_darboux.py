@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +31,6 @@ from poissonkit import (
     darboux_chart,
     default_anchors,
     evaluate_structure,
-    inverse_linear_chart,
-    inverse_quadrature_chart,
-    linear_chart,
-    linear_chart_pushforward,
-    pushforward,
-    quadrature_chart,
-    structure_field,
     toda,
 )
 from poissonkit.config import parse_config
@@ -109,42 +103,27 @@ class TestCasimirs:
 
 class TestLinearChart:
     def test_kmk_unit_point(self, kmk_spec):
-        np.testing.assert_array_equal(
-            linear_chart(kmk_spec, [1.0, 1.0, 1.0]), [1.0, 1.0, 3.0]
-        )
-
-    def test_identity_matrix(self):
-        spec = constant_symplectic(1, 3)
-        x = np.array([0.3, 0.1, -0.2])
-        np.testing.assert_array_equal(linear_chart(spec, x), x)
+        np.testing.assert_array_equal(kmk_spec.B @ [1.0, 1.0, 1.0], [1.0, 1.0, 3.0])
 
     def test_round_trip(self, kmk_spec, rng):
         for _ in range(20):
             x = rng.uniform(0.3, 2.0, size=3)
-            back = inverse_linear_chart(kmk_spec, linear_chart(kmk_spec, x))
-            np.testing.assert_allclose(back, x, atol=1e-12)
+            np.testing.assert_allclose(kmk_spec.A @ (kmk_spec.B @ x), x, atol=1e-12)
+
+
+def _block_form(spec, x) -> np.ndarray:
+    """B J(x) B^T, the structure matrix after the linear chart."""
+    return spec.B @ evaluate_structure(spec, x) @ spec.B.T
 
 
 class TestPushforward:
-    def test_identity_map(self, kmk_spec):
-        field = structure_field(kmk_spec)
-        x = np.array([1.5, 0.8, 1.1])
-        J = evaluate_structure(kmk_spec, x)
-        pushed = pushforward(field, lambda v: np.eye(3), x)
-        np.testing.assert_array_equal(pushed, J)
-
     def test_kmk_linear_chart_matches_displayed_matrix(self, kmk_spec):
         x = np.array([0.7, 1.3, 0.9])
-        y = linear_chart(kmk_spec, x)
+        y = kmk_spec.B @ x
         expected = y[0] * y[1] * np.array(
             [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
         )
-        np.testing.assert_allclose(
-            linear_chart_pushforward(kmk_spec, x), expected, atol=1e-12
-        )
-        field = structure_field(kmk_spec)
-        via_generic = pushforward(field, lambda v: kmk_spec.B, x)
-        np.testing.assert_allclose(via_generic, expected, atol=1e-12)
+        np.testing.assert_allclose(_block_form(kmk_spec, x), expected, atol=1e-12)
 
     def test_block_form_random_specs(self, rng):
         for _ in range(5):
@@ -152,45 +131,33 @@ class TestPushforward:
             r = 2 * int(rng.integers(1, n // 2 + 1))
             spec = random_spec(rng, n, r)
             for x in spec.domain.halton_points(5, seed=21):
-                J_star = linear_chart_pushforward(spec, x)
-                phi = spec.bank.apply("value", linear_chart(spec, x))
+                phi = spec.bank.apply("value", spec.B @ x)
                 expected = np.zeros((n, n))
                 for p in range(r // 2):
                     v = phi[2 * p] * phi[2 * p + 1]
                     expected[2 * p, 2 * p + 1] = v
                     expected[2 * p + 1, 2 * p] = -v
-                np.testing.assert_allclose(J_star, expected, atol=1e-12)
+                np.testing.assert_allclose(_block_form(spec, x), expected, atol=1e-12)
 
 
 class TestQuadratureChart:
     def test_kmk_anchor_one(self, kmk_spec):
-        anchors = (1.0, 1.0)
-        z = quadrature_chart(kmk_spec, anchors, np.array([1.0, 1.0, 3.0]))
-        np.testing.assert_allclose(z, [0.0, 0.0, 3.0], atol=1e-14)
+        chart = darboux_chart(kmk_spec, anchors=(1.0, 1.0))
+        np.testing.assert_allclose(chart.forward([1.0, 1.0, 1.0]), [0.0, 0.0, 3.0], atol=1e-14)
 
     def test_constant_factors_identity(self):
-        spec = constant_symplectic(2, 5)
-        y = np.array([0.3, -0.4, 0.5, 0.1, -0.9])
-        np.testing.assert_array_equal(
-            quadrature_chart(spec, (0.0,) * 4, y), y
-        )
+        chart = darboux_chart(constant_symplectic(2, 5), anchors=(0.0,) * 4)
+        x = np.array([0.3, -0.4, 0.5, 0.1, -0.9])
+        np.testing.assert_array_equal(chart.forward(x), x)
 
     def test_toda_log_coordinates(self, toda3_spec):
-        anchors = default_anchors(toda3_spec)
-        y = linear_chart(toda3_spec, [1.5, 0.7, 0.2, -0.3, 0.8])
-        z = quadrature_chart(toda3_spec, anchors, y)
+        x = np.array([1.5, 0.7, 0.2, -0.3, 0.8])
+        y = toda3_spec.B @ x
+        z = darboux_chart(toda3_spec).forward(x)
         # odd transformed coordinates are -log(-y) up to the anchor constant
         assert z[0] == pytest.approx(-np.log(-y[0]), abs=1e-13)
         assert z[2] == pytest.approx(-np.log(-y[2]), abs=1e-13)
         assert z[1] == y[1] and z[3] == y[3] and z[4] == y[4]
-
-    def test_inverse(self, toda3_spec, rng):
-        anchors = default_anchors(toda3_spec)
-        for x in toda3_spec.domain.halton_points(10, seed=5):
-            y = linear_chart(toda3_spec, x)
-            z = quadrature_chart(toda3_spec, anchors, y)
-            back = inverse_quadrature_chart(toda3_spec, anchors, z)
-            np.testing.assert_allclose(back, y, atol=1e-12)
 
 
 class TestDefaultAnchors:
@@ -209,7 +176,7 @@ class TestDarbouxChart:
         chart = darboux_chart(kmk_spec)
         assert chart.block_count == 1
         assert chart.validated
-        report = certify_canonical(kmk_spec, chart)
+        report = certify_canonical(chart)
         assert report.passed
         assert report.max_deviation <= 1e-12
 
@@ -218,7 +185,7 @@ class TestDarbouxChart:
         assert chart.block_count == 2
         target = canonical_matrix(5, 4)
         assert target[0, 1] == 1.0 and target[2, 3] == 1.0 and target[4, 4] == 0.0
-        report = certify_canonical(toda3_spec, chart)
+        report = certify_canonical(chart)
         assert report.passed
 
     def test_constant_symplectic_chart_is_identity(self, rng):
@@ -241,7 +208,7 @@ class TestDarbouxChart:
         chart = darboux_chart(spec)
         x = np.array([0.2, -0.1, 0.4])
         np.testing.assert_array_equal(chart.forward(x), x)
-        report = certify_canonical(spec, chart)
+        report = certify_canonical(chart)
         assert report.passed
 
     def test_round_trip_random_specs(self, rng):
@@ -259,7 +226,7 @@ class TestDarbouxChart:
             chart = darboux_chart(spec)
             for x in spec.domain.halton_points(10, seed=17):
                 z = chart.forward(x)
-                y = linear_chart(spec, x)
+                y = spec.B @ x
                 # coordinates beyond the rank are bitwise the linear chart
                 np.testing.assert_array_equal(z[spec.r :], y[spec.r :])
 
@@ -398,8 +365,7 @@ class TestCertificationFailure:
         class CorruptedChart(DarbouxChart):
             def inverse(self, z):
                 shifted = tuple(a + 0.5 for a in self.anchors)
-                y = inverse_quadrature_chart(self.spec, shifted, z)
-                return inverse_linear_chart(self.spec, y)
+                return DarbouxChart.inverse(replace(self, anchors=shifted), z)
 
         corrupted = CorruptedChart(
             spec=kmk_spec,
@@ -409,7 +375,7 @@ class TestCertificationFailure:
             validated=True,
         )
         with pytest.raises(CertificationFailureError):
-            certify_canonical(kmk_spec, corrupted)
+            certify_canonical(corrupted)
 
     def test_non_finite_pushforward_fails(self, kmk_spec, monkeypatch):
         chart = darboux_chart(kmk_spec)
@@ -419,7 +385,7 @@ class TestCertificationFailure:
             lambda spec, J: np.full(J.shape, np.nan),
         )
         with pytest.raises(CertificationFailureError) as err:
-            certify_canonical(kmk_spec, chart)
+            certify_canonical(chart)
         assert np.isnan(err.value.deviation)
 
     def test_round_trip_beyond_tolerance_fails_validation(self, toda3_spec, monkeypatch):
@@ -430,7 +396,7 @@ class TestCertificationFailure:
     def test_failure_carries_location(self, kmk_spec):
         chart = darboux_chart(kmk_spec)
         with pytest.raises(CertificationFailureError) as err:
-            certify_canonical(kmk_spec, chart, tolerance=1e-18)
+            certify_canonical(chart, tolerance=1e-18)
         assert err.value.deviation > 1e-18
         assert len(err.value.point) == 3
 

@@ -370,8 +370,8 @@ def _newton_point_counter(monkeypatch):
     calls = [0, 0]
     step = dynamics._implicit_midpoint_step
 
-    def counted_step(history, system, x, dt):
-        return step(history, _CountedSystem(system, calls), x, dt)
+    def counted_step(history, system, x, dt, f=None):
+        return step(history, _CountedSystem(system, calls), x, dt, f)
 
     monkeypatch.setattr(dynamics, "_implicit_midpoint_step", counted_step)
     return calls
@@ -382,8 +382,9 @@ class TestOneEvaluationPerNewtonPoint:
     matrix reuses that evaluation; only a refresh takes a factor derivative
     pass.  From the third step on Newton starts from the field values at
     earlier midpoints, so no route evaluates the field at an accepted
-    state there.  The field alone serves the start's overflow check and
-    the Euler starts of the first two steps.  On the canonical route a
+    state there.  The field alone serves the start's overflow check, whose
+    value is the first step's Euler start, and the second step's Euler
+    start.  On the canonical route a
     pull-back is one inversion pass that also gives phi, and one pull-back
     of each block of accepted states gives the recorded x."""
 
@@ -410,16 +411,16 @@ class TestOneEvaluationPerNewtonPoint:
             np.testing.assert_array_equal(record.states, expected.states)
             assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
             # x0 is mapped forward once.  The field alone, one pull-back
-            # each, serves f(u0) for the start, f(u0) again for the first
-            # Euler start and f(u1) for the second; the system runs at each
+            # each, serves f(u0) for the start and the first Euler start,
+            # and f(u1) for the second; the system runs at each
             # Newton point, and each block of accepted states is pulled
             # back once, for its x.  A pull-back's phi takes no value pass,
             # and each refresh adds phi' and no pull-back.
-            assert fields[0] == 3
+            assert fields[0] == 2
             assert evaluations[0] == newton_points[0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
-                invert_antiderivative=3 + newton_points[0] + _blocks(self.STEPS),
+                invert_antiderivative=2 + newton_points[0] + _blocks(self.STEPS),
                 derivative=newton_points[1],
             )
 
@@ -437,18 +438,19 @@ class TestOneEvaluationPerNewtonPoint:
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
                 np.testing.assert_array_equal(record.states, expected.states)
-                # The field alone serves the start's f(x0), RK4's f(x) and
-                # its stages at every step, and the Euler starts of the
-                # first two midpoint steps; only the Newton points call the
+                # The field alone serves the start's f(x0), which is also
+                # the first step's RK4 f(x) or Euler start, RK4's f(x) at
+                # every later step and its stages, and the second midpoint
+                # step's Euler start; only the Newton points call the
                 # system for its thunk.  Each takes one factor value pass,
                 # and only a Newton-matrix refresh takes a derivative pass;
                 # an accepted state's x takes none, since y_{1..r} is u.
                 if method == "rk4":
                     assert newton_points == [0, 0]
-                    assert (fields[0], evaluators[0]) == (1 + 4 * self.STEPS, 0)
+                    assert (fields[0], evaluators[0]) == (4 * self.STEPS, 0)
                 else:
                     assert newton_points[0] >= 2 * self.STEPS and newton_points[1] >= self.STEPS
-                    assert (fields[0], evaluators[0]) == (3, newton_points[0])
+                    assert (fields[0], evaluators[0]) == (2, newton_points[0])
                 assert passes == Counter(
                     value=fields[0] + evaluators[0], derivative=newton_points[1]
                 )
@@ -472,12 +474,12 @@ class TestOneEvaluationPerNewtonPoint:
             assert newton_points == [self.STEPS, 0]
             assert passes == Counter(
                 reciprocal_antiderivative=1,
-                invert_antiderivative=3 + self.STEPS + _blocks(self.STEPS),
+                invert_antiderivative=2 + self.STEPS + _blocks(self.STEPS),
             )
             passes.clear()
             direct = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method="implicit-midpoint")
         assert newton_points == [2 * self.STEPS, 0]
-        assert passes == {"value": 3 + self.STEPS}
+        assert passes == {"value": 2 + self.STEPS}
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             assert record.states.tobytes() == np.tile(x0, (self.STEPS + 1, 1)).tobytes()

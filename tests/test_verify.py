@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
@@ -158,7 +159,7 @@ def test_generic_sweep_fails_at_a_non_finite_point():
 
 
 def test_generic_sweep_overflowing_scale_passes():
-    """Finite residuals and max|dJ| pass even where 1 + max|J| max|dJ|
+    """Finite residuals and max|dJ| pass even where max|J| max|dJ|
     overflows: the normalized residual is 0, not a failure."""
     box = BoxDomain.unbounded(3, [0.5] * 3, [1.5] * 3)
 
@@ -169,6 +170,36 @@ def test_generic_sweep_overflowing_scale_passes():
     report = jacobi_sweep(generic_field(3, evaluate, box), 10)
     assert report.passed
     assert (report.max_abs_residual, report.max_normalized_residual) == (0.0, 0.0)
+
+
+def _scaled_spec(spec, scale: float):
+    """The spec in the coordinates x' = scale * x: B / scale on scale times
+    the box (and the sample box), so that J scales by scale**2."""
+    d = spec.domain
+    sample = () if d.sample_lower is None else (scale * d.sample_lower, scale * d.sample_upper)
+    domain = BoxDomain(scale * d.lower, scale * d.upper, *sample)
+    return build_spec(spec.n, spec.r, spec.B / scale, spec.factors, domain)
+
+
+@functools.cache
+def _scale_specs():
+    mixed = parse_config(json.dumps(WORKLOADS["check-mixed"].config(1))).spec
+    return spec_suite(40, 40) + [toda(6), kermack_mckendrick(1.0, 1.0, 1.0), mixed]
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(-8, 9)])
+def test_sweep_verdict_does_not_follow_the_scale(scale):
+    """The normalized residual is unchanged when J is scaled: a field that
+    breaks the Jacobi identity fails however small it is, and a genuine
+    structure passes however large or small its coordinates are."""
+    broken = counterexample_field()
+    field = generic_field(3, lambda x: scale * broken.evaluate(x), broken.domain)
+    report = jacobi_sweep(field, 20)
+    assert not report.passed
+    assert report.max_normalized_residual == pytest.approx(1.0, rel=1e-6)
+    for spec in _scale_specs():
+        report = jacobi_sweep(structure_field(_scaled_spec(spec, scale)), 20, seed=1)
+        assert report.passed and report.max_normalized_residual <= 1e-14
 
 
 def test_fd_partials_agree_with_analytic(rng):
@@ -290,8 +321,8 @@ def _reference_spec_sweep(spec, num_points: int, seed: int, third: float = 1.0) 
         res = np.abs(C[abc] + C[cab] + third * C[bca])
         idx = int(np.argmax(res))
         worst = float(res[idx])
-        scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(L @ slopes)))
-        max_norm = max(max_norm, worst / scale)
+        scale = float(np.max(np.abs(J))) * float(np.max(np.abs(L @ slopes)))
+        max_norm = max(max_norm, worst / scale if scale else 0.0)
         if argmax_triple is None or worst > max_abs:
             argmax_triple = tuple(int(t) + 1 for t in triples[idx])
             argmax_point = tuple(float(v) for v in x)
@@ -348,8 +379,8 @@ def _reference_sweep(field, num_points: int, seed: int) -> JacobiReport:
         T = field.partials(x)
         R = residual_tensor(J, T)
         worst, triple = max(((abs(R[t]), t) for t in triples), key=lambda item: item[0])
-        scale = 1.0 + float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
-        max_norm = max(max_norm, worst / scale)
+        scale = float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
+        max_norm = max(max_norm, worst / scale if scale else 0.0)
         if argmax_triple is None or worst > max_abs:
             argmax_triple = tuple(t + 1 for t in triple)
             argmax_point = tuple(float(v) for v in x)
