@@ -102,7 +102,8 @@ def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) 
     an end outside its open validity interval, so it gets that infinity
     there, which bounds its image whatever F does."""
     values = np.empty(ends.shape)
-    spec.bank.anchored("reciprocal_antiderivative", ends, anchors, values)
+    with np.errstate(all="ignore"):
+        spec.bank.anchored("reciprocal_antiderivative", ends, anchors, values)
     increasing = spec.bank.apply("value", anchors) > 0
     toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
     return np.where(np.isnan(values), toward, values)
@@ -134,12 +135,14 @@ class DarbouxChart:
         """z from y = B.x: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
         spec = self.spec
         y = matvec(spec.B, np.asarray(x, dtype=float))
-        return spec.bank.apply("reciprocal_antiderivative", y, self.anchors, out=y.copy())
+        with np.errstate(all="ignore"):
+            return spec.bank.apply("reciprocal_antiderivative", y, self.anchors, out=y.copy())
 
     def inverse(self, z) -> np.ndarray:
         """x = A.y from y_i = F_i^{-1}(z_i) for i <= r, y_i = z_i for i > r."""
         spec, z = self.spec, np.asarray(z, dtype=float)
-        y = spec.bank.apply("invert_antiderivative", z, self.anchors, out=z.copy())
+        with np.errstate(all="ignore"):
+            y = spec.bank.apply("invert_antiderivative", z, self.anchors, out=z.copy())
         return matvec(spec.A, y)
 
     def forward_jacobian(self, x) -> np.ndarray:
@@ -151,7 +154,9 @@ class DarbouxChart:
     def inverse_jacobian(self, z) -> np.ndarray:
         """dx/dz = A . diag(phi_i(y_i), 1), analytic."""
         spec, z = self.spec, np.asarray(z, dtype=float)
-        return spec.A * spec.bank.invert_values(z, self.anchors, z.copy())[1][..., None, :]
+        with np.errstate(all="ignore"):
+            phi = spec.bank.invert_values(z, self.anchors, z.copy())[1]
+        return spec.A * phi[..., None, :]
 
     def contains_image(self, z) -> bool:
         """True when z is the image of a domain point."""

@@ -22,8 +22,14 @@ and one Newton matrix serve both:
     Df = K [(d rho/du) * c + diag(rho) (A_r^T Hess H A_r) diag(sigma)],
 
 with d rho/du one 2x2 block per pair (diagonal on the quadrature stage),
-its row a scaled by c_a.  K has one entry +-1 per row: f_a = +-rho_b c_b.  The
-identity stage builds rho and its slopes from pair products phi_a phi_b
+its row a scaled by c_a.  K has one entry +-1 per row, f_a = +-rho_b c_b,
+so K v is a signed pair swap and never a dense product: an entry that
+overflows stays one inf in f, with no nan from K's zeros (0 * inf).  Df
+is formed in K's row order: the stage gives d rho/du with its rows
+swapped, and K A_r^T Hess H A_r is formed once per run, at the first
+Newton matrix, when H holds its Hessian as an array (the built-in
+Hamiltonians do); otherwise each Newton matrix takes H.hessian_at(x).
+The identity stage builds rho and its slopes from pair products phi_a phi_b
 and pair slopes phi'_a phi_b alone, never one factor times a gradient
 component, so a huge factor with a tiny partner leaves both finite.  A
 system call gives f(u) and a thunk that forms Df(u) from the same
@@ -41,11 +47,13 @@ values at the last two converged midpoints.  Both methods are
 affine-covariant, so stepping y_{1..r} gives the states of stepping
 x in exact arithmetic.
 
-The loop alone decides why a run stops, under one overflow scope.  An
-accepted state outside the certified box, or an evaluation that leaves a
-factor or chart interval (as an overflowing step's does), truncates the
-trajectory with a domain-exit flag and no warning; RK4 stages and Newton
-iterates are not held to the box.  Accepted u wait in a block of up to
+The loop alone decides why a run stops, under one scope that quiets
+overflow, invalid values and division by zero; the factor bank's chart
+passes hold no scope of their own and run under it.  An accepted state
+outside the certified box, or an evaluation that leaves a factor or
+chart interval (as an overflowing step's does), truncates the trajectory
+with a domain-exit flag and no warning; RK4 stages and Newton iterates
+are not held to the box.  Accepted u wait in a block of up to
 ACCEPT_BLOCK = 64, pulled back to x by one state call (one inversion
 pass on the quadrature stage) and checked against the box at once: when
 the block is full, at the last step, and when a step raises.  The records
@@ -63,13 +71,13 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .darboux import DarbouxChart, canonical_matrix, casimirs, darboux_chart
+from .darboux import DarbouxChart, casimirs, darboux_chart
 from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
 from .structure import MultiseparableSpec, matvec, non_finite_error
 from .verify import central_differences
@@ -95,12 +103,19 @@ class HamiltonianField:
     Without an analytic gradient, central differences of the value with
     step 1e-6 (1 + |x_l|) are used; without a Hessian, central differences
     of the gradient with step 1e-4 (1 + |x_l|), large enough to keep the
-    rounding noise of a differenced gradient (about 1e-10) small.
+    rounding noise of a differenced gradient (about 1e-10) small.  The
+    Hessian is a callable x -> Hess H(x), or the (n, n) array of an H whose
+    Hessian is constant, as the built-in quadratic, linear and coordinate
+    Hamiltonians hold theirs; an integration then forms A_r^T Hess H A_r
+    once per run.  Equality and hashing leave the Hessian out, since an
+    array has neither.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    hessian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = field(
+        default=None, compare=False
+    )
 
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
@@ -115,7 +130,9 @@ class HamiltonianField:
         x = np.asarray(x, dtype=float)
         if self.hessian is None:
             return central_differences(self.gradient_at, x, 1e-4)
-        return np.asarray(self.hessian(x), dtype=float)
+        if callable(self.hessian):
+            return np.asarray(self.hessian(x), dtype=float)
+        return np.array(self.hessian, dtype=float)
 
 
 def quadratic_hamiltonian(weights) -> HamiltonianField:
@@ -124,7 +141,7 @@ def quadratic_hamiltonian(weights) -> HamiltonianField:
     return HamiltonianField(
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
         gradient=lambda x: w * np.asarray(x, dtype=float),
-        hessian=lambda x: np.diag(w),
+        hessian=np.diag(w),
     )
 
 
@@ -134,7 +151,7 @@ def linear_hamiltonian(coefficients) -> HamiltonianField:
     return HamiltonianField(
         value=lambda x: float(c @ np.asarray(x, dtype=float)),
         gradient=lambda x: c.copy(),
-        hessian=lambda x: np.zeros((c.shape[0], c.shape[0])),
+        hessian=np.zeros((c.shape[0], c.shape[0])),
     )
 
 
@@ -150,7 +167,8 @@ def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
 class _Identity:
     """The direct route's stage, y = u: rho_a = phi_a phi_b (b the pair
     partner of a), sigma = 1, d rho_a/du_a = phi'_a phi_b and
-    d rho_a/du_b = phi_a phi'_b."""
+    d rho_a/du_b = phi_a phi'_b.  The two rows of a pair of d rho/du are
+    equal, so swapping them leaves it as it is."""
 
     def __init__(self, spec: MultiseparableSpec):
         self.bank, self.partners = spec.bank, np.arange(spec.r) ^ 1
@@ -165,6 +183,7 @@ class _Identity:
         return u, phi, phi * phi[self.partners], 1.0
 
     def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+        """d rho/du with its rows in partner order: row a is row b."""
         return self.mask * (dphi * phi[self.partners])
 
 
@@ -175,6 +194,7 @@ class _Quadrature:
 
     def __init__(self, spec: MultiseparableSpec, anchors):
         self.bank, self.anchors = spec.bank, np.array(anchors, dtype=float)
+        self.swapped = np.arange(spec.r), np.arange(spec.r) ^ 1  # (a, b) of each row a
 
     def y(self, u: np.ndarray) -> np.ndarray:
         return self.bank.apply("invert_antiderivative", u, self.anchors)
@@ -185,7 +205,11 @@ class _Quadrature:
         return y, phi, phi, phi
 
     def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-        return np.diag(dphi * phi)
+        """d rho/du with its rows in partner order: row a holds
+        phi'_b phi_b at column b."""
+        slopes = np.zeros((phi.shape[0], phi.shape[0]))
+        slopes[self.swapped] = (dphi * phi)[self.swapped[1]]
+        return slopes
 
 
 class _ChartSystem:
@@ -193,13 +217,24 @@ class _ChartSystem:
     stage's chart, from x0 (see the module docstring): :meth:`state` gives
     x, :meth:`field` f(u), and a call f(u) with its Newton thunk.  Only
     the factor bank checks a point, against each factor's validity or
-    chart interval."""
+    chart interval.  K v is the pair swap ``signs * v[partners]``, and K M
+    the same swap of M's rows; ``identity`` is the r x r identity of the
+    Newton matrix."""
 
     def __init__(self, spec: MultiseparableSpec, H: HamiltonianField, stage, x0: np.ndarray):
         r = spec.r
         self.H, self.stage, self.bank, self.x0 = H, stage, spec.bank, x0
-        self.A_r, self.K = spec.A[:, :r], canonical_matrix(r, r)
+        self.A_r, self.identity = spec.A[:, :r], np.eye(r)
+        self.partners, self.signs = np.arange(r) ^ 1, np.resize([1.0, -1.0], r)
         self.y0 = (spec.B @ x0)[:r]
+
+    def _swap_rows(self, M: np.ndarray) -> np.ndarray:
+        return self.signs[:, None] * M[self.partners]
+
+    @cached_property
+    def constant_curvature(self) -> np.ndarray:
+        """K A_r^T Hess H A_r of an array Hessian, formed at the first Newton matrix."""
+        return self._swap_rows(self.A_r.T @ np.asarray(self.H.hessian, dtype=float) @ self.A_r)
 
     def state(self, u: np.ndarray) -> np.ndarray:
         """x at u (r,), or at each row of a (P, r) block, bitwise as per row."""
@@ -213,17 +248,21 @@ class _ChartSystem:
 
     def field(self, u: np.ndarray) -> np.ndarray:
         _, _, _, rho, _, c = self._evaluate(u)
-        return self.K @ (rho * c)
+        return self.signs * (rho * c)[self.partners]
 
     def __call__(self, u: np.ndarray):
         y, x, phi, rho, sigma, c = self._evaluate(u)
 
         def newton() -> np.ndarray:
+            if self.H.hessian is None or callable(self.H.hessian):
+                curvature = self._swap_rows(self.A_r.T @ self.H.hessian_at(x) @ self.A_r)
+            else:
+                curvature = self.constant_curvature
             slopes = self.stage.slopes(phi, self.bank.apply("derivative", y))
-            curvature = self.A_r.T @ self.H.hessian_at(x) @ self.A_r
-            return self.K @ (slopes * c[:, None] + rho[:, None] * curvature * sigma)
+            p = self.partners
+            return (self.signs * c[p])[:, None] * slopes + rho[p][:, None] * curvature * sigma
 
-        return self.K @ (rho * c), newton
+        return self.signs * (rho * c)[self.partners], newton
 
 
 def vector_field(spec: MultiseparableSpec, H: HamiltonianField, x) -> np.ndarray:
@@ -301,7 +340,6 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=N
     evaluation's thunk on the first iteration and every tenth after.
     Raises MaxNewtonIterationsError when the residual does not reach
     NEWTON_TOL within the cap."""
-    n = x.shape[0]
     scale = 1.0 + float(np.abs(x).max(initial=0.0))
     if len(history) == 2:
         f = 2.0 * history[1] - history[0]
@@ -314,7 +352,7 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=N
             history[:] = history[-1:] + [f_mid]
             return u
         if M is None or it % 10 == 9:
-            M = np.eye(n) - 0.5 * dt * newton()
+            M = system.identity - 0.5 * dt * newton()
         u = u - np.linalg.solve(M, g)
     raise MaxNewtonIterationsError(
         f"implicit midpoint: no convergence in {NEWTON_MAX_ITERS} iterations"
@@ -379,7 +417,7 @@ def _march(
     exits = (OutOfRangeError, OutOfValidityError)
     stride = _record_stride(steps)
     times, states = [0.0], [x0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h0 = H.value_at(x0)
         try:
             f0 = system.field(u0)

@@ -26,8 +26,10 @@ An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
 element.  An exp that overflows, or a log of a non-positive number, gives
 inf or nan, which fails the result check like any other unreachable
-target.  Each :class:`CustomFactor` is a group of its own: its scalar
-methods (adaptive quadrature, a bracketed root find) element by element.
+target; a bank pass leaves numpy's errstate to its caller, and each
+public chart operation (a factor's, the chart's) quiets its own.  Each
+:class:`CustomFactor` is a group of its own: its scalar methods
+(adaptive quadrature, a bracketed root find) element by element.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class FactorFunction:
         """phi'(y)."""
         return self._one("derivative", y)
 
+    @np.errstate(all="ignore")
     def reciprocal_antiderivative(self, y, anchor: float):
         """F(y) = integral from anchor to y of dt / phi(t).
 
@@ -130,6 +133,7 @@ class FactorFunction:
         """
         return self._one("reciprocal_antiderivative", y, anchor)
 
+    @np.errstate(all="ignore")
     def invert_antiderivative(self, z, anchor: float):
         """The unique y in the validity interval with F(y) = z.
 
@@ -516,11 +520,12 @@ class FactorBank:
             phi[..., cols] = formula(y[..., cols], *params)
         return y, phi
 
-    @np.errstate(all="ignore")
     def anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
         """A chart operation's formulas into res, unchecked, and where the
         arguments (for inversions, the results) and the anchors are inside.
-        Its formulas overflow at unreachable targets, hence the errstate."""
+        Its formulas overflow or divide by zero at unreachable targets, and
+        the caller owns the errstate: each chart entry quiets its own pass,
+        and the step loop runs all of its passes under one scope."""
         for cols, formula, params in self.passes[name]:
             res[..., cols] = formula(y[..., cols], a[cols], *params)
         # Both are inside when the smaller is above lo and the larger below

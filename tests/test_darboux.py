@@ -22,6 +22,8 @@ from poissonkit import (
     DarbouxChart,
     Exponential,
     Linear,
+    OutOfRangeError,
+    OutOfValidityError,
     Power,
     build_spec,
     canonical_matrix,
@@ -408,3 +410,52 @@ def test_canonical_matrix_layout():
     expected[1, 0] = expected[3, 2] = -1.0
     np.testing.assert_array_equal(K, expected)
     np.testing.assert_array_equal(canonical_matrix(3, 0), np.zeros((3, 3)))
+
+
+#: Each public chart operation at a target no point reaches, on kmk's
+#: chart (anchors 1, linear factors on y > 0) or on a single linear factor
+#: (anchor 1): y <= 0 is outside validity, and F^{-1}(1e6) = exp(1e6)
+#: overflows.  The operation and its argument, then the error it raises or
+#: the value it returns.
+UNREACHABLE = [
+    ("forward", [-1.0, 1.0, 1.0], OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
+    ("forward", [0.0, 1.0, 1.0], OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
+    ("inverse", [1e6, 0.0, 1.0], OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
+    ("inverse", [-1e6, 0.0, 1.0], OutOfRangeError("z = -1000000.0 maps outside validity interval")),
+    ("inverse_jacobian", [1e6, 0.0, 1.0], OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
+    ("contains_image", [1e6, 0.0, 1.0], False),
+    ("reciprocal_antiderivative", 0.0, OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
+    ("reciprocal_antiderivative", -1.0, OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
+    ("invert_antiderivative", 1e6, OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
+    ("invert_antiderivative", -1e6, OutOfRangeError("z = -1000000.0 maps outside validity interval")),
+]
+
+
+@pytest.mark.parametrize("name,arg,outcome", UNREACHABLE)
+def test_chart_entry_is_quiet_at_an_unreachable_target(kmk_spec, name, arg, outcome):
+    """A factor pass leaves the errstate to its caller, so each public chart
+    operation holds its own: it raises the named error or returns, and its
+    log of zero or overflowing exp gives no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(arg, list):
+            call = lambda: getattr(darboux_chart(kmk_spec), name)(np.array(arg))
+        else:
+            call = lambda: getattr(Linear(1.0), name)(arg, 1.0)
+        if isinstance(outcome, Exception):
+            with pytest.raises(type(outcome)) as caught:
+                call()
+            assert str(caught.value) == str(outcome)
+        else:
+            assert call() is outcome
+
+
+def test_chart_with_a_diverging_end_is_quiet(kmk_spec):
+    """kmk's projected intervals end at y = 0, where F = log(y) / slope
+    diverges: the closed form's log of zero gives the -inf bound with no
+    RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chart = darboux_chart(kmk_spec)
+    np.testing.assert_array_equal(chart.image_lower, [-np.inf, -np.inf, 0.0])
+    np.testing.assert_array_equal(chart.image_upper, [np.inf, np.inf, np.inf])

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from specgen import dimension_rank_pairs, random_spec
 
 from poissonkit import (
     BoxDomain,
+    ConfigValidationError,
     Constant,
     HamiltonianField,
     MaxNewtonIterationsError,
@@ -19,6 +21,7 @@ from poissonkit import (
     OutOfRangeError,
     build_spec,
     bracket,
+    canonical_matrix,
     constant_symplectic,
     coordinate_hamiltonian,
     darboux_chart,
@@ -158,6 +161,29 @@ class TestHamiltonianField:
     def test_coordinate_index_validation(self):
         with pytest.raises(ValueError):
             coordinate_hamiltonian(4, 3)
+
+    def test_builtin_hessians_are_arrays(self):
+        """The built-in Hamiltonians hold their constant Hessian as an array,
+        and hessian_at gives a copy of it at any x."""
+        for H in (
+            quadratic_hamiltonian([1.0, 2.0, 0.5]),
+            linear_hamiltonian([0.3, -1.0, 2.0]),
+            coordinate_hamiltonian(2, 3),
+        ):
+            assert isinstance(H.hessian, np.ndarray) and H.hessian.shape == (3, 3)
+            hess = H.hessian_at([1.0, 2.0, 3.0])
+            np.testing.assert_array_equal(hess, H.hessian)
+            assert not np.shares_memory(hess, H.hessian)
+
+    def test_array_hessian_keeps_hash_and_equality(self):
+        """Equality and hashing leave the Hessian out, so a field that holds
+        an array hashes, equals its copies whatever their Hessian, and
+        differs from a field with other value or gradient callables."""
+        H = quadratic_hamiltonian([1.0, 2.0, 0.5])
+        assert H == replace(H) and hash(H) == hash(replace(H))
+        assert replace(H, hessian=lambda x: H.hessian) == H
+        assert H != quadratic_hamiltonian([1.0, 2.0, 0.5])
+        assert len({H, replace(H), coordinate_hamiltonian(1, 3)}) == 2
 
 
 class TestVectorField:
@@ -351,6 +377,7 @@ class _CountedSystem:
 
     def __init__(self, system, calls):
         self.system, self.calls, self.field = system, calls, system.field
+        self.identity = system.identity
 
     def __call__(self, p):
         self.calls[0] += 1
@@ -377,6 +404,24 @@ def _newton_point_counter(monkeypatch):
     return calls
 
 
+def _systems(monkeypatch):
+    """Every _ChartSystem built from here on, in order."""
+    systems = []
+    init = _ChartSystem.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        systems.append(self)
+
+    monkeypatch.setattr(_ChartSystem, "__init__", recorded)
+    return systems
+
+
+def _formed(system) -> bool:
+    """Whether the system has formed the curvature of an array Hessian."""
+    return "constant_curvature" in vars(system)
+
+
 class TestOneEvaluationPerNewtonPoint:
     """Implicit midpoint evaluates each Newton point once, and the Newton
     matrix reuses that evaluation; only a refresh takes a factor derivative
@@ -386,7 +431,10 @@ class TestOneEvaluationPerNewtonPoint:
     value is the first step's Euler start, and the second step's Euler
     start.  On the canonical route a
     pull-back is one inversion pass that also gives phi, and one pull-back
-    of each block of accepted states gives the recorded x."""
+    of each block of accepted states gives the recorded x.  A run forms the
+    curvature of an array Hessian once, at its first refresh, and never
+    calls hessian_at; without a Hessian each refresh differences the
+    gradient."""
 
     STEPS = 30
 
@@ -401,6 +449,8 @@ class TestOneEvaluationPerNewtonPoint:
                 evaluations = _counter(m, _ChartSystem, "__call__")
                 fields = _counter(m, _ChartSystem, "field")
                 passes = _pass_counter(m)
+                hessians = _counter(m, HamiltonianField, "hessian_at")
+                systems = _systems(m)
 
                 def refuse(self, z):
                     raise AssertionError("the chart was inverted per step")
@@ -423,6 +473,8 @@ class TestOneEvaluationPerNewtonPoint:
                 invert_antiderivative=2 + newton_points[0] + _blocks(self.STEPS),
                 derivative=newton_points[1],
             )
+            assert len(systems) == 1 and _formed(systems[0]) == analytic
+            assert hessians[0] == (0 if analytic else newton_points[1])
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_direct_newton_points(self, monkeypatch, kmk_spec, toda3_spec, analytic):
@@ -435,6 +487,8 @@ class TestOneEvaluationPerNewtonPoint:
                     fields = _counter(m, _ChartSystem, "field")
                     evaluators = _counter(m, _ChartSystem, "__call__")
                     passes = _pass_counter(m)
+                    hessians = _counter(m, HamiltonianField, "hessian_at")
+                    systems = _systems(m)
                     record = integrate_direct(spec, H, x0, 1e-2, self.STEPS, method=method)
                 assert not record.domain_exit and record.num_records == self.STEPS + 1
                 np.testing.assert_array_equal(record.states, expected.states)
@@ -454,6 +508,10 @@ class TestOneEvaluationPerNewtonPoint:
                 assert passes == Counter(
                     value=fields[0] + evaluators[0], derivative=newton_points[1]
                 )
+                # RK4 takes no Newton matrix, so it forms no curvature.
+                midpoint = method == "implicit-midpoint"
+                assert len(systems) == 1 and _formed(systems[0]) == (analytic and midpoint)
+                assert hessians[0] == (0 if analytic else newton_points[1])
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_rank_zero(self, monkeypatch, analytic):
@@ -483,6 +541,116 @@ class TestOneEvaluationPerNewtonPoint:
         for record in (canonical, direct):
             assert record.num_records == self.STEPS + 1 and not record.domain_exit
             assert record.states.tobytes() == np.tile(x0, (self.STEPS + 1, 1)).tobytes()
+
+
+class TestConstantCurvature:
+    """A built-in Hamiltonian's Hessian is an array, and a run forms
+    A_r^T Hess H A_r from it once; behind a callable the same Hessian is
+    formed afresh at each refresh, with bitwise the same states."""
+
+    RUNS = (
+        partial(integrate_direct, method="rk4"),
+        partial(integrate_direct, method="implicit-midpoint"),
+        integrate_canonical,
+    )
+
+    def test_states_equal_a_callable_hessians(self, kmk_spec, toda3_spec):
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
+            fresh = HamiltonianField(H.value, H.gradient, lambda x, H=H: H.hessian)
+            for run in self.RUNS:
+                constant, reference = (run(spec, field, x0, 1e-2, 50) for field in (H, fresh))
+                assert constant.num_records == 51 and not constant.domain_exit
+                for a, b in zip(_arrays(constant), _arrays(reference)):
+                    assert a.tobytes() == b.tobytes()
+
+    def test_field_and_bracket_never_form_it(self, monkeypatch, kmk_spec, toda3_spec):
+        systems = _systems(monkeypatch)
+        hessians = _counter(monkeypatch, HamiltonianField, "hessian_at")
+        for spec, H, x0 in _newton_cases(kmk_spec, toda3_spec):
+            vector_field(spec, H, x0)
+            bracket(spec, H, H, x0)
+        assert len(systems) == 6 and not any(map(_formed, systems))
+        assert hessians[0] == 0
+
+
+def _arrays(record):
+    return record.times, record.states, record.energy_drift, record.casimir_drift
+
+
+def _dense_field(self, u):
+    """The field as the dense product K @ (rho * c)."""
+    _, _, _, rho, _, c = self._evaluate(u)
+    r = self.identity.shape[0]
+    return canonical_matrix(r, r) @ (rho * c)
+
+
+class TestPairSwapOverflow:
+    """K v is the pair swap signs * v[partners], so an entry of rho * c
+    that overflows stays one inf, where the dense K @ v gives nan in every
+    row (0 * inf).  The start check names either; for an overflow mid-run
+    see TestIntegrateDirect.test_overflowing_step_is_a_quiet_domain_exit."""
+
+    def test_field_overflowing_at_the_start_is_named(self, kmk_spec):
+        x0 = np.array([2.0, 1.0, 1.0])
+        for w, route in (([1.0, 1e308, 1.0], "direct"), ([1e308, 1.0, 1.0], "canonical")):
+            H = quadratic_hamiltonian(w)
+            system, u0 = _system(route, kmk_spec, H, x0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = system.field(u0)
+            assert np.isinf(f).any()
+            message = r"^the vector field overflows at initial state x = \[2.0, 1.0, 1.0\]$"
+            runs = (
+                [partial(integrate_direct, method=m) for m in ("rk4", "implicit-midpoint")]
+                if route == "direct" else [integrate_canonical]
+            )
+            for run in runs:
+                with pytest.raises(ConfigValidationError, match=message):
+                    run(kmk_spec, H, x0, 0.1, 3)
+
+
+class TestTimeReversal:
+    """The flow of -H is the flow of H run backwards: STEPS steps with H,
+    then STEPS with -H, return to x0.  Implicit midpoint is symmetric, so
+    on both routes it returns to within the Newton tolerance of its steps,
+    STEPS * NEWTON_TOL * max|x| (the largest error, toda's direct
+    midpoint, is 1.1e-11 against 7.1e-10).  RK4 is not, and returns only
+    to its truncation error, bounded by four times the Richardson estimate
+    |x_N(dt) - x_N(dt/2)| of one leg's error (toda: 3.6e-7 against
+    1.3e-6)."""
+
+    STEPS, DT = 200, 1e-2
+
+    @staticmethod
+    def _cases():
+        t6 = toda(6)
+        return [
+            (kermack_mckendrick(1.0, 1.0, 1.0), np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0])),
+            (t6, np.linspace(1.0, 2.0, 11), t6.domain.halton_points(1, seed=3)[0]),
+        ]
+
+    @pytest.mark.parametrize(
+        "route, method",
+        [("direct", "rk4"), ("direct", "implicit-midpoint"), ("canonical", "implicit-midpoint")],
+    )
+    def test_reversed_flow_returns_to_the_start(self, route, method):
+        for spec, w, x0 in self._cases():
+
+            def run(H, x, dt=self.DT, steps=self.STEPS):
+                if route == "canonical":
+                    return integrate_canonical(spec, H, x, dt, steps)
+                return integrate_direct(spec, H, x, dt, steps, method=method)
+
+            there = run(quadratic_hamiltonian(w), x0)
+            back = run(quadratic_hamiltonian(-w), there.final_state)
+            assert not there.domain_exit and not back.domain_exit
+            error = float(np.abs(back.final_state - x0).max())
+            if method == "rk4":
+                half = run(quadratic_hamiltonian(w), x0, self.DT / 2, 2 * self.STEPS)
+                bound = 4.0 * float(np.abs(there.final_state - half.final_state).max())
+            else:
+                scale = max(np.abs(there.states).max(), np.abs(back.states).max())
+                bound = self.STEPS * NEWTON_TOL * float(scale)
+            assert error <= bound
 
 
 class TestExtrapolatedStart:
@@ -650,16 +818,33 @@ class TestIntegrateDirect:
             assert all(kmk_spec.domain.contains(x) for x in record.states)
         assert float(np.abs(rk4.final_state - midpoint.final_state).max()) <= 1e-3
 
-    def test_overflowing_step_is_a_quiet_domain_exit(self, kmk_spec):
+    def test_overflowing_step_is_a_quiet_domain_exit(self, monkeypatch, kmk_spec):
         """x3 = 1e308 sits inside kmk's box, and the first step whose
         field overflows ends the run with the domain-exit flag, without a
-        RuntimeWarning."""
+        RuntimeWarning.  An RK4 stage's field there is [inf, nan], where
+        the dense product K @ (rho * c) gives [nan, nan]; the records are
+        the dense product's, bitwise."""
         H = linear_hamiltonian([0.0, 1.0, 0.0])
+        x0 = [1.0, 10.0, 1e308]
+        fields = []
+        field = _ChartSystem.field
+
+        def recorded(self, u):
+            fields.append(field(self, u))
+            return fields[-1]
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rec = integrate_direct(kmk_spec, H, [1.0, 10.0, 1e308], 1.0, 400)
-        assert rec.num_records == 110 and rec.domain_exit
+            with monkeypatch.context() as m:
+                m.setattr(_ChartSystem, "field", recorded)
+                rec = integrate_direct(kmk_spec, H, x0, 1.0, 400)
+            monkeypatch.setattr(_ChartSystem, "field", _dense_field)
+            dense = integrate_direct(kmk_spec, H, x0, 1.0, 400)
+        assert rec.num_records == 110 and rec.domain_exit and dense.domain_exit
         assert np.isfinite(rec.states).all()
+        assert any(np.isinf(f).any() for f in fields)
+        for a, b in zip(_arrays(rec), _arrays(dense)):
+            assert a.tobytes() == b.tobytes()
 
     def test_newton_failure_raises(self):
         spec = constant_symplectic(1, 2)

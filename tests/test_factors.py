@@ -368,8 +368,10 @@ def test_unreachable_inversion_raises_without_warning(factor, z, anchor):
             factor.invert_antiderivative(z, anchor)
         with pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
             factor.invert_antiderivative(np.array([0.0, z, 0.0]), anchor)
+        # A bank pass leaves the errstate to its caller, as the chart entries
+        # and the step loop hold it.
         bank = FactorBank((Constant(1.0), factor))
-        with pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
+        with np.errstate(all="ignore"), pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
             bank.apply("invert_antiderivative", np.array([[0.0, 0.0], [3.0, z]]), (0.0, anchor))
 
 
@@ -506,8 +508,9 @@ class TestInvertValues:
         for q, value, a in cases:
             for z in (Z[0].copy(), Z.copy()):
                 z[..., q] = value
-                with pytest.raises(OutOfRangeError if a is anchors else OutOfValidityError) as exc:
-                    bank.apply("invert_antiderivative", z, a, out=z.copy())
-                with pytest.raises(type(exc.value)) as fused:
-                    bank.invert_values(z, a, z.copy())
+                with np.errstate(all="ignore"):  # the caller's, as for every bank pass
+                    with pytest.raises(OutOfRangeError if a is anchors else OutOfValidityError) as exc:
+                        bank.apply("invert_antiderivative", z, a, out=z.copy())
+                    with pytest.raises(type(exc.value)) as fused:
+                        bank.invert_values(z, a, z.copy())
                 assert str(fused.value) == str(exc.value)

@@ -41,7 +41,7 @@ def _reference_march(spec, H, system, step, x0, u0, dt, steps):
     exits = (OutOfRangeError, OutOfValidityError)
     stride = _record_stride(steps)
     times, states = [0.0], [x0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         h0 = H.value_at(x0)
         try:
             f0 = system.field(u0)

@@ -339,7 +339,7 @@ def test_block_error_names_first_offender_like_single_factors(name, q):
         for p, f in enumerate(spec.factors)
     ]
     expected = _first_error(calls)
-    with pytest.raises(type(expected)) as caught:
+    with np.errstate(all="ignore"), pytest.raises(type(expected)) as caught:
         spec.bank.apply(name, Y, *((anchors,) if anchored else ()))
     assert str(caught.value) == str(expected)
     assert "nan" in str(expected) and "np.float64" not in str(expected)
