@@ -5,9 +5,13 @@ plus canonical-form certification), ``integrate`` (trajectory CSV), and
 ``catalog list``.  Exit codes are a stable contract: 0 success, 1
 verification or certification failure, 2 usage or configuration error.
 Reports are byte-deterministic for a fixed config and seed; floats are
-serialized with 17 significant digits so binary64 values round-trip.
-Sweeps run in one thread with numpy batching.  One parser, built on first
-use, serves every ``main`` call in a process; parsing leaves it unchanged.
+serialized with 17 significant digits so binary64 values round-trip, nan
+and inf as null, and numpy values as their ``tolist``.  A ``verify``
+report has the same sections with or without a spec: ``kernel`` and
+``casimirs`` are null for a candidate field.  ``--out`` is checked before
+the command runs, a directory included.  Sweeps run in one thread with
+numpy batching.  One parser, built on first use, serves every ``main``
+call in a process; parsing leaves it unchanged.
 """
 
 from __future__ import annotations
@@ -59,38 +63,13 @@ KERNEL_TOL_FACTOR = 1e-12
 # deterministic JSON
 # ---------------------------------------------------------------------------
 
-def _coerce(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
-
-
 def _number(v: float) -> str:
     return format(v, ".17g") if math.isfinite(v) else "null"
 
 
-def _emit_floats(arr: np.ndarray, finite: bool | None = None) -> str:
-    """A float array, row by row; the same text as the generic path.  A
-    finite array writes each row in one format call; nan and inf write null."""
-    if finite is None:
-        finite = bool(np.isfinite(arr).all())
-    if arr.ndim > 1:
-        return "[" + ", ".join(_emit_floats(row, finite) for row in arr) + "]"
-    if finite:
-        return "[" + ", ".join(["%.17g"] * len(arr)) % tuple(arr.tolist()) + "]"
-    return "[" + ", ".join(map(_number, arr.tolist())) + "]"
-
-
 def _emit(obj, indent: int) -> str:
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        return _emit_floats(obj)
-    obj = _coerce(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -102,7 +81,9 @@ def _emit(obj, indent: int) -> str:
         return _number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):  # finite floats in one format call
+        if obj and all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         return "[" + ", ".join(_emit(v, indent) for v in obj) + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -146,39 +127,30 @@ def run_verify(system: System, points: int, seed: int) -> tuple[int, dict]:
     report["jacobi"] = asdict(jacobi)
 
     ranks = sorted({int(k) for block_ranks, _, _ in blocks for k in block_ranks})
+    report["kernel"] = None
+    report["rank"] = {
+        "expected": None if spec is None else spec.r,
+        "observed": ranks,
+        "passed": len(ranks) == 1 if spec is None else ranks == [spec.r],
+    }
+    report["casimirs"] = None
     if spec is not None:
         max_abs_J = max(scale for _, scale, _ in blocks)
         kernel_max = max(violation for _, _, violation in blocks)
-        kernel_passed = kernel_max <= KERNEL_TOL_FACTOR * max_abs_J
         report["kernel"] = {
             "max_violation": kernel_max,
             "structure_scale": max_abs_J,
             "tolerance_factor": KERNEL_TOL_FACTOR,
-            "passed": kernel_passed,
-        }
-        rank_passed = ranks == [spec.r]
-        report["rank"] = {
-            "expected": spec.r,
-            "observed": ranks,
-            "passed": rank_passed,
+            "passed": kernel_max <= KERNEL_TOL_FACTOR * max_abs_J,
         }
         casimir_rank = int(np.linalg.matrix_rank(casimirs(spec)))
-        casimir_passed = casimir_rank == spec.n - spec.r
         report["casimirs"] = {
             "count": spec.n - spec.r,
             "coefficient_rank": casimir_rank,
-            "passed": casimir_passed,
+            "passed": casimir_rank == spec.n - spec.r,
         }
-        passed = jacobi.passed and kernel_passed and rank_passed and casimir_passed
-    else:
-        report["kernel"] = None
-        report["rank"] = {
-            "expected": None,
-            "observed": ranks,
-            "passed": len(ranks) == 1,
-        }
-        report["casimirs"] = None
-        passed = jacobi.passed and len(ranks) == 1
+    sections = (report["kernel"], report["rank"], report["casimirs"])
+    passed = jacobi.passed and all(s["passed"] for s in sections if s is not None)
     report["passed"] = passed
     return (EXIT_OK if passed else EXIT_FAILED), report
 
@@ -404,11 +376,12 @@ def main(argv=None) -> int:
                 raise ConfigValidationError(f"--dt: expected a finite number > 0, got {args.dt}")
             if not math.isfinite(args.dt * args.steps):
                 raise ConfigValidationError(f"--dt: {args.dt} * --steps {args.steps} overflows")
-        if args.out:  # an existing file must be writable, a new one its directory
+        if args.out:  # not a directory; an existing file writable, a new one its directory
             parent = os.path.dirname(args.out) or "."
-            if not os.access(args.out if os.path.exists(args.out) else parent, os.W_OK):
-                missing = not os.path.exists(parent)
-                reason = "No such file or directory" if missing else "Permission denied"
+            target = args.out if os.path.exists(args.out) else parent
+            if os.path.isdir(args.out) or not os.access(target, os.W_OK):
+                reason = "Is a directory" if os.path.isdir(args.out) else "Permission denied"
+                reason = reason if os.path.exists(parent) else "No such file or directory"
                 raise ConfigValidationError(f"--out: cannot write {args.out!r}: {reason}")
         if args.cmd in ("verify", "darboux"):
             run = run_verify if args.cmd == "verify" else run_darboux

@@ -338,9 +338,11 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=N
     unless given.  Each Newton point is evaluated once, by calling the
     system; the Newton matrix I - dt/2 Df(mid) comes from that
     evaluation's thunk on the first iteration and every tenth after.
-    Raises MaxNewtonIterationsError when the residual does not reach
-    NEWTON_TOL within the cap."""
-    scale = 1.0 + float(np.abs(x).max(initial=0.0))
+    u is accepted at max|g| <= NEWTON_TOL max(max|x|, max|u|), g = u - x -
+    dt f(mid): a stop scaled by the step alone (at scale 0, g = 0 only),
+    never at an overflowing u.  Raises MaxNewtonIterationsError when no
+    iterate within the cap is accepted."""
+    reach = float(np.abs(x).max(initial=0.0))
     if len(history) == 2:
         f = 2.0 * history[1] - history[0]
     u = x + dt * (system.field(x) if f is None else f)
@@ -348,7 +350,8 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=N
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = system(0.5 * (x + u))
         g = u - x - dt * f_mid
-        if float(np.abs(g).max(initial=0.0)) <= NEWTON_TOL * scale:
+        residual = np.abs(g).max(initial=0.0)  # max|u| is taken only when max|x| is short
+        if residual <= NEWTON_TOL * reach or residual <= NEWTON_TOL * np.abs(u).max() < math.inf:
             history[:] = history[-1:] + [f_mid]
             return u
         if M is None or it % 10 == 9:

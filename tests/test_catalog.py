@@ -51,6 +51,11 @@ class TestKermackMcKendrick:
             assert slopes[0] * slopes[1] == pytest.approx(R, rel=1e-15)
         kermack_mckendrick(509129.9814107553)
 
+    def test_one_slope_given_sets_the_other(self):
+        for params, slopes in (({"kappa2": 2.0}, [0.5, 2.0]), ({"kappa1": 4.0}, [4.0, 0.25])):
+            spec = kermack_mckendrick(**params)
+            assert [f.slope for f in spec.factors] == slopes
+
     def test_explicit_mismatch_rejected(self):
         with pytest.raises(ParameterMismatchError):
             kermack_mckendrick(1.0, 2.0, 3.0)

@@ -15,7 +15,7 @@ import poissonkit.domain
 import poissonkit.structure
 from poissonkit import BoxDomain
 from poissonkit.catalog import CATALOG
-from poissonkit.cli import _emit_floats, _number, dump_json, main, run_verify
+from poissonkit.cli import _number, dump_json, main, run_integrate, run_verify
 from poissonkit.config import load_system
 from poissonkit.factors import FactorBank
 
@@ -74,6 +74,8 @@ class TestDumpJson:
     def test_numpy_values(self):
         parsed = json.loads(dump_json({"m": np.eye(2), "v": np.float64(0.5)}))
         assert parsed == {"m": [[1.0, 0.0], [0.0, 1.0]], "v": 0.5}
+        mixed = [np.float64(0.1), 0.2, np.int64(3), np.float64(np.inf)]
+        assert dump_json(mixed) == "[0.10000000000000001, 0.20000000000000001, 3, null]\n"
 
     def test_float_arrays_match_the_generic_path(self):
         m = np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 1e-300], [2.0, 3.5, -7.25]])
@@ -89,13 +91,15 @@ class TestDumpJson:
             return "[" + ", ".join(by_element(row) for row in arr) + "]"
 
         edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3])
-        finite = [edge, -edge, edge.reshape(2, 3), edge.reshape(3, 2), edge.reshape(1, 3, 2)]
+        finite = [edge, -edge, edge.reshape(2, 3), edge.reshape(3, 2), edge.reshape(1, 3, 2),
+                  np.array([1.7e308, 1.7e308])]  # finite items whose sum overflows
         empty = [np.zeros(0), np.zeros((2, 0)), np.zeros((2, 0, 3)), np.arange(24.0).reshape(2, 3, 4)]
         special = [np.array([1.0, np.nan]), edge.reshape(2, 3) * np.array([1, np.inf, 1]),
                    np.array([[[-np.inf]], [[0.5]]])]
         for arr in finite + empty + special:
-            assert _emit_floats(arr) == by_element(arr)
-        assert _emit_floats(special[0]) == "[1, null]"
+            assert dump_json(arr) == by_element(arr) + "\n"
+            assert dump_json(tuple(arr.tolist())) == by_element(arr) + "\n"
+        assert dump_json(special[0]) == "[1, null]\n"
 
 
 FIVE_KIND_CONFIG = {
@@ -177,6 +181,18 @@ class TestVerifyCommand:
         assert report["jacobi"]["passed"] is True
         assert report["rank"]["observed"] == [2]
         assert report["casimirs"]["coefficient_rank"] == 1
+
+    @pytest.mark.parametrize(
+        "section, name, fake",
+        [("kernel", "kernel_violation", lambda spec, J: 1.0),
+         ("casimirs", "casimirs", lambda spec: np.zeros((1, 3)))],
+    )
+    def test_a_failed_section_fails_the_report(self, capsys, monkeypatch, section, name, fake):
+        monkeypatch.setattr(poissonkit.cli, name, fake)
+        code, out, _ = _run(capsys, ["verify", "--system", "kmk", "--points", "5"])
+        report = json.loads(out)
+        assert (code, report["passed"], report[section]["passed"]) == (1, False, False)
+        assert report["jacobi"]["passed"] and report["rank"]["passed"]
 
     def test_seeded_runs_byte_identical(self, capsys):
         argv = ["verify", "--system", "kmk", "--points", "40", "--seed", "7"]
@@ -686,14 +702,16 @@ def _lock(monkeypatch, tmp_path):
         ("missing/report", "No such file or directory"),
         ("locked/new", "Permission denied"),
         ("locked-file", "Permission denied"),
+        (".", "Is a directory"),
+        ("locked", "Is a directory"),
     ],
 )
 def test_unwritable_out_fails_before_the_command_runs(
     tmp_path, capsys, monkeypatch, argv, target, reason
 ):
-    """A new --out in a missing or unwritable directory, or an existing
-    --out that is not writable, exits 2 before the sweep, the chart or the
-    integration starts."""
+    """A new --out in a missing or unwritable directory, an existing --out
+    that is not writable, or an --out that is a directory, writable or
+    not, exits 2 before the sweep, the chart or the integration starts."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the command ran")
@@ -723,8 +741,9 @@ def test_writable_file_in_unwritable_directory_is_written(tmp_path, capsys, monk
     "target, reason", [(".", "Is a directory"), ("file/report", "Not a directory")]
 )
 def test_out_that_fails_at_write_time_is_usage_error(tmp_path, capsys, target, reason):
-    """A failure that only opening the file finds, here an --out that is a
-    directory or lies under a file, is reported the same way after the run."""
+    """A failure that only opening the file finds, here an --out that lies
+    under a file, is reported the same way after the run; a directory gives
+    the message that opening it would."""
     (tmp_path / "file").write_text("")
     target = os.path.normpath(tmp_path / target)
     argv = ["verify", "--system", "kmk", "--points", "5", "--out", target]
@@ -1009,6 +1028,50 @@ def test_unbounded_domain_without_sample_box_is_usage_error(tmp_path, capsys):
     )
     assert code == 0, err
     assert "domain_exit=false" in err
+
+
+LINEAR_ON_HALF_TO_TWO = {
+    "version": 1, "n": 3, "r": 2, "B": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+    "factors": [{"kind": "linear", "params": {"slope": 1.0}}] * 2,
+    "domain": {"lower": [0.5] * 3, "upper": [2] * 3},
+}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (_with(LINEAR_ON_HALF_TO_TWO, ("factors", 0, "validity"), [0, 1]),
+         "system definition rejected: factor 1 (linear) is not certified on the projected "
+         "interval (0.5, 2.0); offending point y = 1.5"),
+        (_with(LINEAR_ON_HALF_TO_TWO, ("factors", 0), {"kind": "affine", "params": {"slope": 0}}),
+         "factors[0]: Affine factor requires slope != 0 (use Constant)"),
+        (_with(LINEAR_ON_HALF_TO_TWO, ("factors", 0),
+               {"kind": "exponential", "params": {"amplitude": 0}}),
+         "factors[0]: Exponential factor requires amplitude != 0"),
+        (_with(LINEAR_ON_HALF_TO_TWO, ("factors", 0),
+               {"kind": "power", "params": {}, "validity": [-1, 2]}),
+         "factors[0]: Power factor validity interval must lie in y > 0"),
+        (_with(LINEAR_ON_HALF_TO_TWO, ("initial_state",), 3),
+         "initial_state: expected a list of numbers"),
+        # J is finite and its partials overflow.
+        ({"version": 1, "n": 3, "r": 2, "B": [1e-160, 0, 0, 0, 1e-160, 0, 0, 0, 1e-160],
+          "factors": [{"kind": "constant", "params": {"c": 1.0}}] * 2,
+          "domain": {"lower": [-1] * 3, "upper": [1] * 3}},
+         "J or its partials overflow at sample point x = [-0.8017564394294932, "
+         "-0.892172475400548, -0.3984475414066756]"),
+    ],
+)
+def test_config_error_names_its_cause(tmp_path, capsys, config, message):
+    target = tmp_path / "system.json"
+    target.write_text(json.dumps(config), encoding="utf-8")
+    for command in ("verify", "darboux"):
+        assert _run(capsys, [command, "--config", str(target)]) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_route_is_a_usage_error(kmk_spec):
+    H = poissonkit.quadratic_hamiltonian([1.0, 1.0, 1.0])
+    with pytest.raises(poissonkit.ConfigValidationError, match="^unknown route 'sideways'$"):
+        run_integrate(kmk_spec, H, np.array([1.0, 1.1, 0.9]), 0.1, 2, "sideways")
 
 
 def test_infinite_domain_bound_is_an_unbounded_side(tmp_path, capsys):

@@ -31,6 +31,15 @@ def test_validation_errors():
         BoxDomain([0.0], [1.0], sample_lower=[-0.5], sample_upper=[0.5])
     with pytest.raises(ValueError):
         BoxDomain([0.0], [np.inf], sample_lower=[1.0], sample_upper=[np.inf])
+    with pytest.raises(ValueError, match="^sample box requires lower < upper componentwise$"):
+        BoxDomain([0.0, 0.0], [1.0, 1.0], sample_lower=[0.5, 0.5], sample_upper=[0.5, 0.7])
+    with pytest.raises(ValueError, match=r"^bounds must have shape \(2,\), got \(3,\)$"):
+        BoxDomain([0.0, 0.0], [1.0, 1.0, 1.0])
+    box = BoxDomain([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^num must be >= 1$"):
+        box.halton_points(0, 0)
+    with pytest.raises(ValueError, match="^row length must match the box dimension$"):
+        box.projected_interval([[1.0, 2.0, 3.0]])
 
 
 def test_halton_points_deterministic_and_inside():

@@ -653,6 +653,66 @@ class TestTimeReversal:
             assert error <= bound
 
 
+class TestScaleCovariance:
+    """kmk's J is homogeneous of degree 2 in x, so the run from s x0 with
+    H/s^2 is the run from x0 scaled by s.  Against s times the s = 1 run,
+    the relative state error of the direct route stays at round-off for s
+    from 1e-12 to 1e8, within STEPS * eps: at most 3.1e-15 for both
+    methods, where a Newton stop with an absolute floor gave direct
+    midpoint 1.5e-2 at s = 1e-12.  The canonical route steps
+    z = log(y / a) / kappa, where an absolute error in z is a relative one
+    in y, and its Newton stop is relative to max|z|, which grows as
+    |log s| (28 at s = 1e-12).  Its bound is therefore the stop's,
+    STEPS * NEWTON_TOL * max|z| (1.9e-10 against 5.6e-9 at s = 1e-12)."""
+
+    STEPS, DT = 200, 1e-2
+    SCALES = (1e-12, 1e-8, 1e-4, 1e4, 1e8)
+
+    @pytest.mark.parametrize(
+        "route, method",
+        [("direct", "rk4"), ("direct", "implicit-midpoint"), ("canonical", "implicit-midpoint")],
+    )
+    def test_scaled_start_gives_the_scaled_run(self, kmk_spec, route, method):
+        w, x0 = np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0])
+
+        def run(s):
+            H = quadratic_hamiltonian(w / s**2)
+            if route == "canonical":
+                return integrate_canonical(kmk_spec, H, s * x0, self.DT, self.STEPS)
+            return integrate_direct(kmk_spec, H, s * x0, self.DT, self.STEPS, method=method)
+
+        base = run(1.0)
+        chart = darboux_chart(kmk_spec)
+        for s in self.SCALES:
+            record = run(s)
+            assert not record.domain_exit and record.num_records == self.STEPS + 1
+            error = np.abs(record.states - s * base.states).max() / (s * np.abs(base.states).max())
+            if route == "canonical":
+                z = chart.forward(record.states)[:, : kmk_spec.r]
+                bound = self.STEPS * NEWTON_TOL * float(np.abs(z).max())
+            else:
+                bound = self.STEPS * np.finfo(float).eps
+            assert error <= bound, s
+
+
+def test_newton_never_accepts_an_overflowing_iterate():
+    """The Newton stop scales with max|u|, which an iterate with an inf
+    entry makes inf, a bound that an inf residual would meet: such an
+    iterate is never accepted."""
+
+    class Overflowing:
+        identity = np.eye(2)
+
+        def field(self, u):
+            return np.array([np.inf, 0.0])
+
+        def __call__(self, p):
+            return np.zeros(2), lambda: np.zeros((2, 2))
+
+    with np.errstate(all="ignore"), pytest.raises(MaxNewtonIterationsError):
+        dynamics._implicit_midpoint_step([], Overflowing(), np.ones(2), 0.1)
+
+
 class TestExtrapolatedStart:
     """From its third step on, implicit midpoint starts Newton from the
     field values at the last two converged midpoints."""

@@ -177,6 +177,12 @@ def test_construction_errors():
         Constant(1.0, validity=(2.0, 2.0))
     with pytest.raises(ValueError):
         CustomFactor(value_fn=None, derivative_fn=None)
+    with pytest.raises(ValueError, match=r"^Affine factor requires slope != 0 \(use Constant\)$"):
+        Affine(slope=0.0)
+    with pytest.raises(ValueError, match="^Exponential factor requires amplitude != 0$"):
+        Exponential(amplitude=0.0)
+    with pytest.raises(ValueError, match="^Power factor validity interval must lie in y > 0$"):
+        Power(validity=(-1.0, 2.0))
 
 
 class TestCustomFactor:

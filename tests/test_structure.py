@@ -72,6 +72,20 @@ def test_build_spec_factor_vanishes():
     assert -1.0 < err.value.witness <= 0.0
 
 
+def test_build_spec_validity_ending_below_the_interval_top():
+    """A validity that ends inside the projected interval is named by a
+    witness between its end and the interval's top."""
+    box = BoxDomain([0.5] * 3, [2.0] * 3)
+    factors = (Linear(1.0, validity=(0.0, 1.0)), Linear(1.0))
+    with pytest.raises(FactorVanishesError, match=r"\(0.5, 2.0\); offending point y = 1.5$"):
+        build_spec(3, 2, np.eye(3), factors, box)
+
+
+def test_build_spec_rejects_an_inverse_that_is_not_b_inverse():
+    with pytest.raises(SingularMatrixError, match=r"max \|A.B - I\| = 1.000e\+00 exceeds 1e-10"):
+        build_spec(3, 2, np.eye(3), (Constant(1.0),) * 2, UNIT_BOX3, inverse=2.0 * np.eye(3))
+
+
 def test_build_spec_custom_factor_zero_found_by_sampling():
     unit_square = BoxDomain([0.0, 0.0], [1.0, 1.0])
     vanishing = CustomFactor(value_fn=lambda y: y - 0.5, derivative_fn=lambda y: 1.0)

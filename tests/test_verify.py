@@ -104,6 +104,12 @@ def test_counterexample_sweep_fails():
     assert report.max_abs_residual >= 1.0
 
 
+def test_sweep_of_no_points_is_rejected(kmk_spec):
+    for field in (structure_field(kmk_spec), counterexample_field()):
+        with pytest.raises(ValueError, match="^num_points must be >= 1$"):
+            jacobi_sweep(field, 0)
+
+
 def test_rank_zero_spec_sweep_exactly_zero():
     spec = constant_symplectic(0, 4)
     report = jacobi_sweep(structure_field(spec), 10, seed=0)
