@@ -103,7 +103,7 @@ def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) 
     there, which bounds its image whatever F does."""
     values = np.empty(ends.shape)
     with np.errstate(all="ignore"):
-        spec.bank.anchored("reciprocal_antiderivative", ends, anchors, values)
+        spec.bank.bind(anchors).formulas("reciprocal_antiderivative", ends, values)
     increasing = spec.bank.apply("value", anchors) > 0
     toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
     return np.where(np.isnan(values), toward, values)

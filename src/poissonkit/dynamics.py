@@ -33,11 +33,12 @@ The identity stage builds rho and its slopes from pair products phi_a phi_b
 and pair slopes phi'_a phi_b alone, never one factor times a gradient
 component, so a huge factor with a tiny partner leaves both finite.  A
 system call gives f(u) and a thunk that forms Df(u) from the same
-evaluation, taking the factor derivative pass only then; field(u) gives
-f(u) alone, and state(u) the x of u, with no factor pass on the identity
-stage.  On the quadrature stage one bank pass inverts the chart and
-evaluates phi (FactorBank.invert_values).  vector_field is A_r f on the
-identity stage.
+evaluation, taking phi' only then, unchecked at the y it checked;
+field(u) gives f(u) alone, and state(u) the x of u, with no factor pass
+on the identity stage.  The quadrature stage binds the chart's anchors
+once per run (FactorBank.bind): an evaluation is the inversion
+formulas, one validity check and the value formulas.  vector_field is
+A_r f on the identity stage.
 
 Both routes run one fixed-step loop, and the first step takes f(u0) from
 the start check.  Later steps evaluate the field at u themselves: RK4
@@ -193,15 +194,15 @@ class _Quadrature:
     d rho_a/du_a = phi'_a phi_a."""
 
     def __init__(self, spec: MultiseparableSpec, anchors):
-        self.bank, self.anchors = spec.bank, np.array(anchors, dtype=float)
+        self.chart = spec.bank.bind(anchors)
         self.swapped = np.arange(spec.r), np.arange(spec.r) ^ 1  # (a, b) of each row a
 
     def y(self, u: np.ndarray) -> np.ndarray:
-        return self.bank.apply("invert_antiderivative", u, self.anchors)
+        return self.chart.apply("invert_antiderivative", u, np.empty(u.shape))
 
     def values(self, u: np.ndarray) -> tuple:
         """y, phi(y), rho and sigma at u."""
-        y, phi = self.bank.invert_values(u, self.anchors)
+        y, phi = self.chart.invert_values(u)
         return y, phi, phi, phi
 
     def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
@@ -258,7 +259,7 @@ class _ChartSystem:
                 curvature = self._swap_rows(self.A_r.T @ self.H.hessian_at(x) @ self.A_r)
             else:
                 curvature = self.constant_curvature
-            slopes = self.stage.slopes(phi, self.bank.apply("derivative", y))
+            slopes = self.stage.slopes(phi, self.bank.formulas("derivative", y, np.empty(y.shape)))
             p = self.partners
             return (self.signs * c[p])[:, None] * slopes + rho[p][:, None] * curvature * sigma
 

@@ -15,12 +15,14 @@ of the four operations once, in closed form, as a numpy expression (with
 np.exp, np.log and np.power) over a column of arguments and vectors of
 parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
 a pass over the r columns of a point (n,) or a block (P, n) is one
-comparison of the arguments against the validity bounds (for inversions,
-of the results too) plus one expression per kind; an inversion pass can
-also evaluate phi at its results (FactorBank.invert_values).  numpy's
-results do not depend on where an element sits in an array, so a block
-gives bitwise the per-point results.  A single factor's methods are a
-bank of one; they take a float or a 1-D array.
+expression per kind plus one comparison against the validity bounds;
+FactorBank.bind slices a chart's anchors into each group once, and the
+:class:`BoundChart` it gives also compares the anchors.  An inversion
+can evaluate phi at its results (invert_values), and a pass at checked
+arguments is its formulas alone (FactorBank.formulas).
+numpy's results do not depend on where an element sits in an array, so
+a block gives bitwise the per-point results.  A single factor's methods
+are a bank of one; they take a float or a 1-D array.
 
 An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
@@ -463,7 +465,7 @@ class FactorBank:
     Each group holds its columns (a slice when they are evenly spaced, so a
     pass takes a view), its parameters as vectors and its four formulas;
     ``lo`` and ``hi`` are the validity bounds of all r columns.  A pass is
-    :meth:`apply`, or :meth:`invert_values` for F^{-1} and phi.
+    :meth:`apply`, and a chart's passes are those of :meth:`bind`.
     """
 
     def __init__(self, factors):
@@ -489,66 +491,94 @@ class FactorBank:
         # The formulas are lambdas, which pickle cannot name; rebuild instead.
         return FactorBank, (self.factors,)
 
+    def bind(self, anchors) -> BoundChart:
+        """The chart passes at ``anchors``, one per column (see BoundChart)."""
+        return BoundChart(self, anchors)
+
+    def formulas(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The formulas of ``name`` at y into out's columns, unchecked: phi'
+        at a checked evaluation's y, or a chart's limits at the ends."""
+        for cols, formula, args in self.passes[name]:
+            out[..., cols] = formula(y[..., cols], *args)
+        return out
+
     def apply(self, name: str, y, anchors=None, out=None) -> np.ndarray:
         """The operation ``name`` (value, derivative,
         reciprocal_antiderivative or invert_antiderivative) of factor q on
         column q of y, for q < r, with anchors[q] as its anchor for the
-        last two: shape (r,) for a point y (n,), (P, r) for a block (P, n).
-        Values and derivatives are evaluated only at valid arguments.  With
-        ``out`` (not y itself), the results go to its first r columns and
-        out is returned.
+        last two (a pass of ``bind(anchors)``): shape (r,) for a point y
+        (n,), (P, r) for a block (P, n).  Values and derivatives are
+        evaluated only at valid arguments.  With ``out`` (not y itself),
+        the results go to its first r columns and out is returned.
         """
         r = self.r
         y = np.asarray(y, dtype=float)[..., :r]
         res = np.empty(y.shape) if out is None else out[..., :r]
-        a = () if anchors is None else (np.asarray(anchors, dtype=float),)
-        inside = self.anchored(name, y, a[0], res) if a else (y > self.lo) & (y < self.hi)
-        if np.count_nonzero(inside) < inside.size:
-            first = int(np.argmin(inside.reshape(-1, r).all(axis=0)))
-            raise self._error(name, first, y, a, res)
-        for cols, formula, params in () if a else self.passes[name]:
-            res[..., cols] = formula(y[..., cols], *params)
+        if anchors is not None:
+            self.bind(anchors).apply(name, y, res)
+        else:
+            inside = (y > self.lo) & (y < self.hi)
+            if np.count_nonzero(inside) < inside.size:
+                raise self._error(name, inside, y, None, res)
+            self.formulas(name, y, res)
         return res if out is None else out
 
     def invert_values(self, z, anchors, out=None) -> tuple[np.ndarray, np.ndarray]:
         """y = apply("invert_antiderivative", z, anchors, out) and phi(y),
-        shaped like y with 1 past column r (dy/dz of the quadrature chart),
-        in one pass: the value formulas run unchecked at the checked y."""
+        shaped like y with 1 past column r (dy/dz of the quadrature chart):
+        the value formulas run unchecked at the checked y."""
         y = self.apply("invert_antiderivative", z, anchors, out)
-        phi = np.ones(y.shape)
-        for cols, formula, params in self.passes["value"]:
-            phi[..., cols] = formula(y[..., cols], *params)
-        return y, phi
+        return y, self.formulas("value", y, np.ones(y.shape))
 
-    def anchored(self, name: str, y: np.ndarray, a: np.ndarray, res: np.ndarray):
-        """A chart operation's formulas into res, unchecked, and where the
-        arguments (for inversions, the results) and the anchors are inside.
-        Its formulas overflow or divide by zero at unreachable targets, and
-        the caller owns the errstate: each chart entry quiets its own pass,
-        and the step loop runs all of its passes under one scope."""
-        for cols, formula, params in self.passes[name]:
-            res[..., cols] = formula(y[..., cols], a[cols], *params)
-        # Both are inside when the smaller is above lo and the larger below
-        # hi; nan fails both.
-        v = res if name == "invert_antiderivative" else y
-        return (np.minimum(v, a) > self.lo) & (np.maximum(v, a) < self.hi)
-
-    def _error(self, name: str, q: int, y, a, res) -> PoissonKitError:
-        """The error of a pass that fails at column q: an argument outside
-        validity (y before the anchor; for inversions the anchor alone),
-        else the first z whose result is outside."""
+    def _error(self, name: str, inside: np.ndarray, y, anchors, res) -> PoissonKitError:
+        """The error of a pass whose check ``inside`` fails at column q: an
+        argument outside validity (y before the anchor; for inversions the
+        anchor alone), else the first z whose result is outside."""
+        q = int(np.argmin(inside.reshape(-1, self.r).all(axis=0)))
         f, lo, hi = self.factors[q], self.lo[q], self.hi[q]
         args = y[..., q].reshape(-1)
         outside = ~((args > lo) & (args < hi))
         if name != "invert_antiderivative" and outside.any():
             return f._outside(args[np.argmax(outside)])
-        if a and not lo < a[0][q] < hi:
-            return f._outside(a[0][q])
+        if anchors is not None and not lo < anchors[q] < hi:
+            return f._outside(anchors[q])
         result = res[..., q].reshape(-1)
         k = int(np.argmin((result > lo) & (result < hi)))
         if math.isfinite(result[k]):
             return OutOfRangeError(f"z = {float(args[k])!r} maps outside validity interval")
         return OutOfRangeError(f"z = {float(args[k])!r} outside the antiderivative range")
+
+
+class BoundChart:
+    """A bank's two chart operations with a chart's anchors sliced in once.
+    Its passes take float arrays of exactly r columns as they are."""
+
+    formulas = FactorBank.formulas  # over the bound passes
+
+    def __init__(self, bank: FactorBank, anchors):
+        self.bank, self.lo, self.hi = bank, bank.lo, bank.hi
+        self.anchors = a = np.array(anchors, dtype=float)
+        self.passes = {
+            name: [(cols, formula, (a[cols], *params)) for cols, formula, params in bank.passes[name]]
+            for name in OPERATIONS[2:]
+        }
+
+    def apply(self, name: str, y: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """The chart operation ``name`` at y into res, checked: the
+        arguments (for inversions, the results) and anchors are inside."""
+        self.formulas(name, y, res)
+        # Both are inside when the smaller is above lo and the larger below
+        # hi; nan fails both.
+        v = res if name == "invert_antiderivative" else y
+        inside = (np.minimum(v, self.anchors) > self.lo) & (np.maximum(v, self.anchors) < self.hi)
+        if np.count_nonzero(inside) < inside.size:
+            raise self.bank._error(name, inside, y, self.anchors, res)
+        return res
+
+    def invert_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y = F^{-1}(z), checked, and phi(y), unchecked, each of z's shape."""
+        y = self.apply("invert_antiderivative", z, np.empty(z.shape))
+        return y, self.bank.formulas("value", y, np.empty(z.shape))
 
 
 #: Built-in factor kinds addressable from configuration files.

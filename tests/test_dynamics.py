@@ -19,6 +19,7 @@ from poissonkit import (
     MaxNewtonIterationsError,
     OutOfDomainError,
     OutOfRangeError,
+    OutOfValidityError,
     build_spec,
     bracket,
     canonical_matrix,
@@ -40,7 +41,7 @@ from poissonkit import dynamics
 from poissonkit.config import parse_config
 from poissonkit.darboux import DarbouxChart
 from poissonkit.dynamics import NEWTON_TOL, _ChartSystem, _Identity, _Quadrature, _record_stride
-from poissonkit.factors import FactorBank
+from poissonkit.factors import BoundChart, FactorBank
 from poissonkit.verify import central_differences, jacobi_sweep, structure_field
 
 #: Explicit n=7, r=6 system over all five factor kinds on (0.5, 1.5)^7,
@@ -354,15 +355,30 @@ def _counter(monkeypatch, owner, name):
 
 
 def _pass_counter(monkeypatch):
-    """Count the factor bank passes by operation; returns the Counter."""
-    passes = Counter()
-    apply = FactorBank.apply
+    """Count the factor bank passes by operation, wherever they run: the
+    bank's checked and unchecked passes and those of a bound chart, an
+    inversion with its values counted as an inversion.  A pass run inside
+    another (a bound chart's inside the bank's apply, the value formulas
+    of an inversion with values) is part of it.  Returns the Counter."""
+    passes, depth = Counter(), [0]
 
-    def counted(self, name, *args, **kwargs):
-        passes[name] += 1
-        return apply(self, name, *args, **kwargs)
+    def count(owner, method):
+        original = getattr(owner, method)
 
-    monkeypatch.setattr(FactorBank, "apply", counted)
+        def counted(self, *args, **kwargs):
+            if not depth[0]:
+                passes["invert_antiderivative" if method == "invert_values" else args[0]] += 1
+            depth[0] += 1
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(owner, method, counted)
+
+    for owner in (FactorBank, BoundChart):
+        for method in ("apply", "formulas", "invert_values"):
+            count(owner, method)
     return passes
 
 
@@ -654,45 +670,67 @@ class TestTimeReversal:
 
 
 class TestScaleCovariance:
-    """kmk's J is homogeneous of degree 2 in x, so the run from s x0 with
-    H/s^2 is the run from x0 scaled by s.  Against s times the s = 1 run,
-    the relative state error of the direct route stays at round-off for s
-    from 1e-12 to 1e8, within STEPS * eps: at most 3.1e-15 for both
-    methods, where a Newton stop with an absolute floor gave direct
-    midpoint 1.5e-2 at s = 1e-12.  The canonical route steps
-    z = log(y / a) / kappa, where an absolute error in z is a relative one
-    in y, and its Newton stop is relative to max|z|, which grows as
-    |log s| (28 at s = 1e-12).  Its bound is therefore the stop's,
-    STEPS * NEWTON_TOL * max|z| (1.9e-10 against 5.6e-9 at s = 1e-12)."""
+    """When J is homogeneous of degree k in x and H is quadratic, the run
+    from s x0 with H/s^k is the run from x0 scaled by s, for s from 1e-12
+    to 1e8.
+
+    kmk's J has k = 2.  Against s times the s = 1 run, the relative state
+    error of the direct route stays at round-off, within STEPS * eps: at
+    most 3.1e-15 for both methods, where a Newton stop with an absolute
+    floor gave direct midpoint 1.5e-2 at s = 1e-12.  The canonical route
+    steps z = log(y / a) / kappa, where an absolute error in z is a
+    relative one in y, and its Newton stop is relative to max|z|, which
+    grows as |log s| (28 at s = 1e-12).  Its bound is therefore the
+    stop's, STEPS * NEWTON_TOL * max|z| (1.9e-10 against 5.6e-9 at
+    s = 1e-12).
+
+    The constant symplectic J has k = 0, so H is kept as it is, and its
+    chart is the identity: every route and method stays within
+    STEPS * eps (at most 1.6e-15)."""
 
     STEPS, DT = 200, 1e-2
     SCALES = (1e-12, 1e-8, 1e-4, 1e4, 1e8)
-
-    @pytest.mark.parametrize(
+    RUNS = pytest.mark.parametrize(
         "route, method",
         [("direct", "rk4"), ("direct", "implicit-midpoint"), ("canonical", "implicit-midpoint")],
     )
-    def test_scaled_start_gives_the_scaled_run(self, kmk_spec, route, method):
-        w, x0 = np.array([1.0, 2.0, 3.0]), np.array([2.0, 1.0, 1.0])
+
+    def _scaled_runs(self, spec, k, w, x0, route, method):
+        """Each scale s with its run and the run's relative state error."""
+        w, x0 = np.array(w), np.array(x0)
 
         def run(s):
-            H = quadratic_hamiltonian(w / s**2)
+            H = quadratic_hamiltonian(w / s**k)
             if route == "canonical":
-                return integrate_canonical(kmk_spec, H, s * x0, self.DT, self.STEPS)
-            return integrate_direct(kmk_spec, H, s * x0, self.DT, self.STEPS, method=method)
+                return integrate_canonical(spec, H, s * x0, self.DT, self.STEPS)
+            return integrate_direct(spec, H, s * x0, self.DT, self.STEPS, method=method)
 
         base = run(1.0)
-        chart = darboux_chart(kmk_spec)
         for s in self.SCALES:
             record = run(s)
             assert not record.domain_exit and record.num_records == self.STEPS + 1
             error = np.abs(record.states - s * base.states).max() / (s * np.abs(base.states).max())
+            yield s, record, error
+
+    @RUNS
+    def test_scaled_start_gives_the_scaled_run(self, kmk_spec, route, method):
+        chart = darboux_chart(kmk_spec)
+        for s, record, error in self._scaled_runs(
+            kmk_spec, 2, [1.0, 2.0, 3.0], [2.0, 1.0, 1.0], route, method
+        ):
             if route == "canonical":
                 z = chart.forward(record.states)[:, : kmk_spec.r]
                 bound = self.STEPS * NEWTON_TOL * float(np.abs(z).max())
             else:
                 bound = self.STEPS * np.finfo(float).eps
             assert error <= bound, s
+
+    @RUNS
+    def test_constant_structure_keeps_h(self, route, method):
+        spec = constant_symplectic(2, 5)
+        w, x0 = [1.0, 2.0, 3.0, 0.5, 1.5], [2.0, 1.0, 1.0, -0.5, 0.3]
+        for s, _, error in self._scaled_runs(spec, 0, w, x0, route, method):
+            assert error <= self.STEPS * np.finfo(float).eps, s
 
 
 def test_newton_never_accepts_an_overflowing_iterate():
@@ -980,6 +1018,15 @@ class TestIntegrateCanonical:
             a = integrate_direct(spec, H, x0, 1e-3, 1000, method="rk4")
             b = integrate_canonical(spec, H, x0, 1e-3, 1000)
             assert float(np.max(np.abs(a.final_state - b.final_state))) <= 1e-4
+
+    def test_chart_anchor_outside_validity_fails_at_the_start(self, kmk_spec):
+        """A chart whose anchor lies outside its factor's validity fails
+        its forward map at x0, before the first step, naming the anchor."""
+        chart = replace(darboux_chart(kmk_spec), anchors=(-1.0, 1.0))
+        H, x0 = quadratic_hamiltonian([1.0, 2.0, 3.0]), [2.0, 1.0, 1.0]
+        message = r"^linear factor: y = -1.0 outside validity \(0.0, inf\)$"
+        with pytest.raises(OutOfValidityError, match=message):
+            integrate_canonical(kmk_spec, H, x0, 1e-2, 10, chart=chart)
 
     def test_reuses_supplied_chart(self, toda3_spec):
         chart = darboux_chart(toda3_spec)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from poissonkit import (
     OutOfValidityError,
     Power,
 )
+from poissonkit.dynamics import _Quadrature
 from poissonkit.factors import FactorBank
 
 UNIT_FLOATS = st.floats(min_value=0.1, max_value=5.0)
@@ -463,10 +465,18 @@ def test_custom_target_beyond_an_overflow_is_reached(closed_form, z):
     assert abs(f.reciprocal_antiderivative(y, 0.0) - z) <= 1e-13 * abs(z)
 
 
+def _stage(bank, anchors) -> _Quadrature:
+    """The quadrature stage of the bank's factors, bound to the anchors."""
+    return _Quadrature(SimpleNamespace(bank=bank, r=bank.r), anchors)
+
+
 class TestInvertValues:
     """FactorBank.invert_values is an inversion pass followed by a value
     pass, bitwise, in one pass: every kind, the degenerate parameters that
-    evaluate as a simpler kind, a bounded interval and a custom column."""
+    evaluate as a simpler kind, a bounded interval and a custom column.
+    The quadrature stage binds the same passes once, and its values are
+    the bank's bitwise.  The linear group holds columns 0, 1, 8 and 10,
+    which a pass indexes by a list; the other groups by a slice."""
 
     FACTORS = tuple(make() for make in FACTORY.values()) + (
         Exponential(-1.5, 0.0),
@@ -500,6 +510,18 @@ class TestInvertValues:
             assert fused_y.tobytes() == y.tobytes() and fused_phi.tobytes() == phi.tobytes()
             assert fused_phi.shape == z.shape and (fused_phi[..., bank.r :] == 1.0).all()
 
+    def test_the_stage_takes_the_banks_pass(self, rng):
+        bank, anchors, Z = self._targets(rng)
+        assert isinstance(bank.passes["value"][0][0], list)
+        stage, U = _stage(bank, anchors), Z[:, : bank.r]
+        for u in U:
+            y, phi, rho, sigma = stage.values(u)
+            expected = bank.invert_values(u, anchors)
+            assert y.tobytes() == expected[0].tobytes() and phi.tobytes() == expected[1].tobytes()
+            assert rho is phi and sigma is phi
+        Y = bank.apply("invert_antiderivative", U, anchors)
+        assert stage.y(U).tobytes() == Y.tobytes()
+
     def test_raises_as_the_inversion_does(self, rng):
         bank, anchors, Z = self._targets(rng)
         linear, custom, narrow = 0, bank.r - 2, bank.r - 1
@@ -519,4 +541,6 @@ class TestInvertValues:
                         bank.apply("invert_antiderivative", z, a, out=z.copy())
                     with pytest.raises(type(exc.value)) as fused:
                         bank.invert_values(z, a, z.copy())
-                assert str(fused.value) == str(exc.value)
+                    with pytest.raises(type(exc.value)) as staged:
+                        _stage(bank, a).values(z[..., : bank.r].copy())
+                assert str(fused.value) == str(exc.value) == str(staged.value)
