@@ -559,7 +559,7 @@ class BoundChart:
         self.bank, self.lo, self.hi = bank, bank.lo, bank.hi
         self.anchors = a = np.array(anchors, dtype=float)
         self.passes = {
-            name: [(cols, formula, (a[cols], *params)) for cols, formula, params in bank.passes[name]]
+            name: [(cols, f, (a[cols], *params)) for cols, f, params in bank.passes[name]]
             for name in OPERATIONS[2:]
         }
 
