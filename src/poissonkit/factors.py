@@ -19,10 +19,10 @@ expression per kind plus one comparison against the validity bounds;
 FactorBank.bind slices a chart's anchors into each group once, and the
 :class:`BoundChart` it gives also compares the anchors.  An inversion
 can evaluate phi at its results (invert_values), and a pass at checked
-arguments is its formulas alone (FactorBank.formulas).
-numpy's results do not depend on where an element sits in an array, so
-a block gives bitwise the per-point results.  A single factor's methods
-are a bank of one; they take a float or a 1-D array.
+arguments is its formulas alone (FactorBank.formulas).  numpy's results
+do not depend on where an element sits in an array, so a block gives
+bitwise the per-point results.  A single factor's methods are a bank of
+one; they take a float or a 1-D array.
 
 An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
