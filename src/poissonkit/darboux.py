@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     OutOfRangeError,
     OutOfValidityError,
 )
+from .factors import BoundChart
 from .structure import (
     MultiseparableSpec,
     matvec,
@@ -95,12 +97,12 @@ def canonical_matrix(n: int, r: int) -> np.ndarray:
 
 def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) -> np.ndarray:
     """F_q at the ends y_q of the projected intervals, a (k, r) array
-    (q <= r), from the bank's unchecked pass at the ends themselves.  At
-    an infinite end or a validity bound a closed form gives F's monotone
-    limit: +-inf where F diverges, its finite value where F converges; a
-    nan maps to the infinity F runs toward.  A custom factor gives nan at
-    an end outside its open validity interval, so it gets that infinity
-    there, which bounds its image whatever F does."""
+    (q <= r), from the bound chart's unchecked pass at the ends (bind
+    checks the anchors).  At an infinite end or a validity bound a closed
+    form gives F's monotone limit: +-inf where F diverges, its finite value
+    where F converges; a nan maps to the infinity F runs toward.  A custom
+    factor gives nan at an end outside its open validity interval, so it
+    gets that infinity there, which bounds its image whatever F does."""
     values = np.empty(ends.shape)
     with np.errstate(all="ignore"):
         spec.bank.bind(anchors).formulas("reciprocal_antiderivative", ends, values)
@@ -118,7 +120,8 @@ class DarbouxChart:
     q <= r the anchored antiderivative F_q evaluated in closed form at that
     interval's two ends (+-inf where F_q diverges toward an infinite end or
     a validity bound; a custom factor gets +-inf at such an end).
-    Membership in the exact image is decided by mapping back.
+    Membership in the exact image is decided by mapping back.  The first
+    quadrature pass binds and checks the anchors, once (quadrature).
     """
 
     spec: MultiseparableSpec
@@ -131,19 +134,24 @@ class DarbouxChart:
     def block_count(self) -> int:
         return self.spec.r // 2
 
+    @cached_property
+    def quadrature(self) -> BoundChart:
+        """The quadrature stage's passes at the anchors (FactorBank.bind)."""
+        return self.spec.bank.bind(self.anchors)
+
     def forward(self, x) -> np.ndarray:
         """z from y = B.x: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
-        spec = self.spec
-        y = matvec(spec.B, np.asarray(x, dtype=float))
+        r, z = self.spec.r, matvec(self.spec.B, np.asarray(x, dtype=float))
         with np.errstate(all="ignore"):
-            return spec.bank.apply("reciprocal_antiderivative", y, self.anchors, out=y.copy())
+            self.quadrature.apply("reciprocal_antiderivative", z[..., :r].copy(), z[..., :r])
+        return z
 
     def inverse(self, z) -> np.ndarray:
         """x = A.y from y_i = F_i^{-1}(z_i) for i <= r, y_i = z_i for i > r."""
-        spec, z = self.spec, np.asarray(z, dtype=float)
+        r, y = self.spec.r, np.array(z, dtype=float)
         with np.errstate(all="ignore"):
-            y = spec.bank.apply("invert_antiderivative", z, self.anchors, out=z.copy())
-        return matvec(spec.A, y)
+            self.quadrature.apply("invert_antiderivative", y[..., :r].copy(), y[..., :r])
+        return matvec(self.spec.A, y)
 
     def forward_jacobian(self, x) -> np.ndarray:
         """dz/dx = diag(1/phi_i(y_i), 1) . B, analytic."""
@@ -154,8 +162,9 @@ class DarbouxChart:
     def inverse_jacobian(self, z) -> np.ndarray:
         """dx/dz = A . diag(phi_i(y_i), 1), analytic."""
         spec, z = self.spec, np.asarray(z, dtype=float)
+        phi = np.ones(z.shape)
         with np.errstate(all="ignore"):
-            phi = spec.bank.invert_values(z, self.anchors, z.copy())[1]
+            phi[..., : spec.r] = self.quadrature.invert_values(z[..., : spec.r])[1]
         return spec.A * phi[..., None, :]
 
     def contains_image(self, z) -> bool:
@@ -183,8 +192,6 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
     if anchors is None:
         anchors = default_anchors(spec)
     anchors = tuple(float(a) for a in anchors)
-    if len(anchors) != spec.r:
-        raise ValueError(f"expected {spec.r} anchors, got {len(anchors)}")
 
     # y-stage bounding box, then componentwise monotone z-images.
     ends = np.array(spec.projected_intervals).T

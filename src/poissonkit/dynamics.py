@@ -35,10 +35,10 @@ component, so a huge factor with a tiny partner leaves both finite.  A
 system call gives f(u) and a thunk that forms Df(u) from the same
 evaluation, taking phi' only then, unchecked at the y it checked;
 field(u) gives f(u) alone, and state(u) the x of u, with no factor pass
-on the identity stage.  The quadrature stage binds the chart's anchors
-once per run (FactorBank.bind): an evaluation is the inversion
-formulas, one validity check and the value formulas.  vector_field is
-A_r f on the identity stage.
+on the identity stage.  The quadrature stage runs on the chart's one
+binding (DarbouxChart.quadrature), whose anchors FactorBank.bind checked
+once: an evaluation is the inversion formulas, one validity check and
+the value formulas.  vector_field is A_r f on the identity stage.
 
 Both routes run one fixed-step loop, and the first step takes f(u0) from
 the start check.  Later steps evaluate the field at u themselves: RK4
@@ -65,8 +65,9 @@ start, the field value and H at the initial state, is evaluated whatever
 the number of steps: a non-finite factor value, derivative, pair product,
 field value or H there raises ConfigValidationError naming it, and a
 start whose evaluation leaves a factor or chart interval ends the
-trajectory with one record and the domain-exit flag.  dt * steps must be
-finite.
+trajectory with one record and the domain-exit flag.  A chart with
+invalid anchors (made by dataclasses.replace) raises OutOfValidityError
+naming the anchor, when it is bound.  dt * steps must be finite.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ import numpy as np
 
 from .darboux import DarbouxChart, casimirs, darboux_chart
 from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
+from .factors import BoundChart
 from .structure import MultiseparableSpec, matvec, non_finite_error
 from .verify import central_differences
 
@@ -189,13 +191,12 @@ class _Identity:
 
 
 class _Quadrature:
-    """The canonical route's stage, y = F^{-1}(u) with the chart's
-    anchors: rho = sigma = phi from the same bank pass, and
-    d rho_a/du_a = phi'_a phi_a."""
+    """The canonical route's stage, y = F^{-1}(u) on a bound chart:
+    rho = sigma = phi from one pass, and d rho_a/du_a = phi'_a phi_a."""
 
-    def __init__(self, spec: MultiseparableSpec, anchors):
-        self.chart = spec.bank.bind(anchors)
-        self.swapped = np.arange(spec.r), np.arange(spec.r) ^ 1  # (a, b) of each row a
+    def __init__(self, chart: BoundChart):
+        self.chart, r = chart, chart.bank.r
+        self.swapped = np.arange(r), np.arange(r) ^ 1  # (a, b) of each row a
 
     def y(self, u: np.ndarray) -> np.ndarray:
         return self.chart.apply("invert_antiderivative", u, np.empty(u.shape))
@@ -513,13 +514,14 @@ def integrate_canonical(
     pulled back once, for the recorded states; Newton starts from the field
     values at earlier midpoints.  ``dt`` must be finite and positive, and
     so must ``dt * steps``; a field or H that is not finite at x0 raises
-    ConfigValidationError.
+    ConfigValidationError.  A chart with invalid anchors raises
+    OutOfValidityError naming the anchor, when the chart is bound.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()
     if chart is None:
         chart = darboux_chart(spec)
-    system = _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x_start)
+    system = _ChartSystem(spec, H, _Quadrature(chart.quadrature), x_start)
     u0 = chart.forward(x_start)[: spec.r]
     return _march(spec, H, system, partial(_implicit_midpoint_step, []), x_start, u0, dt, steps)
 

@@ -15,11 +15,11 @@ of the four operations once, in closed form, as a numpy expression (with
 np.exp, np.log and np.power) over a column of arguments and vectors of
 parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
 a pass over the r columns of a point (n,) or a block (P, n) is one
-expression per kind plus one comparison against the validity bounds;
-FactorBank.bind slices a chart's anchors into each group once, and the
-:class:`BoundChart` it gives also compares the anchors.  An inversion
-can evaluate phi at its results (invert_values), and a pass at checked
-arguments is its formulas alone (FactorBank.formulas).  numpy's results
+expression per kind plus one comparison against the validity bounds.
+The chart operations run only through a :class:`BoundChart`:
+FactorBank.bind checks a chart's anchors once and slices them into each
+group.  An inversion can evaluate phi at its results (invert_values),
+and a pass at checked arguments is its formulas alone.  numpy's results
 do not depend on where an element sits in an array, so a block gives
 bitwise the per-point results.  A single factor's methods are a bank of
 one; they take a float or a 1-D array.
@@ -116,7 +116,8 @@ class FactorFunction:
 
     def _one(self, name: str, y, *anchor):
         y = np.asarray(y, dtype=float)
-        out = self._bank.apply(name, y[..., None], anchor or None)[..., 0]
+        passes = self._bank.bind(anchor) if anchor else self._bank
+        out = passes.apply(name, y[..., None], np.empty(y.shape + (1,)))[..., 0]
         return out if y.ndim else float(out)
 
     def value(self, y):
@@ -328,7 +329,7 @@ class CustomFactor(FactorFunction):
 
     def _reciprocal_antiderivative(self, y: float, anchor: float) -> float:
         lo, hi = self.validity
-        if not (lo < y < hi and lo < anchor < hi):
+        if not lo < y < hi:
             return math.nan
         if self.antiderivative_fn is not None:
             return float(self.antiderivative_fn(y)) - float(self.antiderivative_fn(anchor))
@@ -351,8 +352,7 @@ class CustomFactor(FactorFunction):
         return float(result)
 
     def _invert_antiderivative(self, z: float, anchor: float) -> float:
-        lo, hi = self.validity
-        bracket = self._bracket(z, anchor) if lo < anchor < hi else None
+        bracket = self._bracket(z, anchor)
         return math.nan if bracket is None else self._solve(z, anchor, *bracket)
 
     def sample_nonvanishing(self, lo: float, hi: float, num: int = 1000) -> float | None:
@@ -464,8 +464,8 @@ class FactorBank:
 
     Each group holds its columns (a slice when they are evenly spaced, so a
     pass takes a view), its parameters as vectors and its four formulas;
-    ``lo`` and ``hi`` are the validity bounds of all r columns.  A pass is
-    :meth:`apply`, and a chart's passes are those of :meth:`bind`.
+    ``lo`` and ``hi`` are the validity bounds of all r columns.  A value
+    or derivative pass is :meth:`apply`, a chart's those of :meth:`bind`.
     """
 
     def __init__(self, factors):
@@ -492,8 +492,16 @@ class FactorBank:
         return FactorBank, (self.factors,)
 
     def bind(self, anchors) -> BoundChart:
-        """The chart passes at ``anchors``, one per column (see BoundChart)."""
-        return BoundChart(self, anchors)
+        """The chart passes at ``anchors``, one per column, checked here
+        once: ValueError for a wrong count, OutOfValidityError for the
+        first anchor outside its factor's validity (nan included)."""
+        a = np.array(anchors, dtype=float)
+        if a.shape != (self.r,):
+            raise ValueError(f"expected {self.r} anchors, got {a.size}")
+        inside = (a > self.lo) & (a < self.hi)
+        if not inside.all():
+            raise self._error("anchor", inside, a, None)
+        return BoundChart(self, a)
 
     def formulas(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The formulas of ``name`` at y into out's columns, unchecked: phi'
@@ -502,77 +510,60 @@ class FactorBank:
             out[..., cols] = formula(y[..., cols], *args)
         return out
 
-    def apply(self, name: str, y, anchors=None, out=None) -> np.ndarray:
-        """The operation ``name`` (value, derivative,
-        reciprocal_antiderivative or invert_antiderivative) of factor q on
-        column q of y, for q < r, with anchors[q] as its anchor for the
-        last two (a pass of ``bind(anchors)``): shape (r,) for a point y
-        (n,), (P, r) for a block (P, n).  Values and derivatives are
-        evaluated only at valid arguments.  With ``out`` (not y itself),
-        the results go to its first r columns and out is returned.
-        """
-        r = self.r
-        y = np.asarray(y, dtype=float)[..., :r]
-        res = np.empty(y.shape) if out is None else out[..., :r]
-        if anchors is not None:
-            self.bind(anchors).apply(name, y, res)
-        else:
-            inside = (y > self.lo) & (y < self.hi)
-            if np.count_nonzero(inside) < inside.size:
-                raise self._error(name, inside, y, None, res)
-            self.formulas(name, y, res)
+    def apply(self, name: str, y, out=None) -> np.ndarray:
+        """The operation ``name`` (value or derivative) of factor q on
+        column q of y, for q < r, evaluated only at valid arguments: shape
+        (r,) for a point y (n,), (P, r) for a block (P, n).  With ``out``
+        (not y itself), the results go to its first r columns and out is
+        returned.  The chart operations are a bound chart's (bind)."""
+        y = np.asarray(y, dtype=float)[..., : self.r]
+        res = np.empty(y.shape) if out is None else out[..., : self.r]
+        inside = (y > self.lo) & (y < self.hi)
+        if np.count_nonzero(inside) < inside.size:
+            raise self._error(name, inside, y, res)
+        self.formulas(name, y, res)
         return res if out is None else out
 
-    def invert_values(self, z, anchors, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """y = apply("invert_antiderivative", z, anchors, out) and phi(y),
-        shaped like y with 1 past column r (dy/dz of the quadrature chart):
-        the value formulas run unchecked at the checked y."""
-        y = self.apply("invert_antiderivative", z, anchors, out)
-        return y, self.formulas("value", y, np.ones(y.shape))
-
-    def _error(self, name: str, inside: np.ndarray, y, anchors, res) -> PoissonKitError:
-        """The error of a pass whose check ``inside`` fails at column q: an
-        argument outside validity (y before the anchor; for inversions the
-        anchor alone), else the first z whose result is outside."""
+    def _error(self, name: str, inside: np.ndarray, y, res) -> PoissonKitError:
+        """The error of a pass whose check ``inside`` fails first at column
+        q, element k: y[k] is outside validity, or for inversions the
+        result of z = y[k] is."""
         q = int(np.argmin(inside.reshape(-1, self.r).all(axis=0)))
-        f, lo, hi = self.factors[q], self.lo[q], self.hi[q]
-        args = y[..., q].reshape(-1)
-        outside = ~((args > lo) & (args < hi))
-        if name != "invert_antiderivative" and outside.any():
-            return f._outside(args[np.argmax(outside)])
-        if anchors is not None and not lo < anchors[q] < hi:
-            return f._outside(anchors[q])
-        result = res[..., q].reshape(-1)
-        k = int(np.argmin((result > lo) & (result < hi)))
-        if math.isfinite(result[k]):
-            return OutOfRangeError(f"z = {float(args[k])!r} maps outside validity interval")
-        return OutOfRangeError(f"z = {float(args[k])!r} outside the antiderivative range")
+        k = int(np.argmin(inside[..., q].reshape(-1)))
+        arg = float(y[..., q].reshape(-1)[k])
+        if name != "invert_antiderivative":
+            return self.factors[q]._outside(arg)
+        if math.isfinite(res[..., q].reshape(-1)[k]):
+            return OutOfRangeError(f"z = {arg!r} maps outside validity interval")
+        return OutOfRangeError(f"z = {arg!r} outside the antiderivative range")
 
 
 class BoundChart:
-    """A bank's two chart operations with a chart's anchors sliced in once.
-    Its passes take float arrays of exactly r columns as they are."""
+    """A bank's two chart operations at anchors that FactorBank.bind has
+    checked, sliced into each group once.  Its passes take float arrays of
+    exactly r columns as they are."""
 
     formulas = FactorBank.formulas  # over the bound passes
 
-    def __init__(self, bank: FactorBank, anchors):
-        self.bank, self.lo, self.hi = bank, bank.lo, bank.hi
-        self.anchors = a = np.array(anchors, dtype=float)
+    def __init__(self, bank: FactorBank, anchors: np.ndarray):
+        self.bank, self.lo, self.hi, self.anchors = bank, bank.lo, bank.hi, anchors
         self.passes = {
-            name: [(cols, f, (a[cols], *params)) for cols, f, params in bank.passes[name]]
+            name: [(cols, f, (anchors[cols], *params)) for cols, f, params in bank.passes[name]]
             for name in OPERATIONS[2:]
         }
 
+    def __reduce__(self):
+        # The formulas are lambdas, which pickle cannot name; rebuild instead.
+        return BoundChart, (self.bank, self.anchors)
+
     def apply(self, name: str, y: np.ndarray, res: np.ndarray) -> np.ndarray:
         """The chart operation ``name`` at y into res, checked: the
-        arguments (for inversions, the results) and anchors are inside."""
+        arguments (for inversions, the results) are inside; nan is not."""
         self.formulas(name, y, res)
-        # Both are inside when the smaller is above lo and the larger below
-        # hi; nan fails both.
         v = res if name == "invert_antiderivative" else y
-        inside = (np.minimum(v, self.anchors) > self.lo) & (np.maximum(v, self.anchors) < self.hi)
+        inside = (v > self.lo) & (v < self.hi)
         if np.count_nonzero(inside) < inside.size:
-            raise self.bank._error(name, inside, y, self.anchors, res)
+            raise self.bank._error(name, inside, y, res)
         return res
 
     def invert_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ from poissonkit import (
     build_spec,
     bracket,
     canonical_matrix,
+    certify_canonical,
     constant_symplectic,
     coordinate_hamiltonian,
     darboux_chart,
@@ -112,7 +113,7 @@ def _system(route, spec, H, x, chart=None):
         system = _ChartSystem(spec, H, _Identity(spec), x)
         return system, system.y0
     chart = chart or darboux_chart(spec)
-    return _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x), chart.forward(x)[: spec.r]
+    return _ChartSystem(spec, H, _Quadrature(chart.quadrature), x), chart.forward(x)[: spec.r]
 
 
 def _assert_relative(analytic, fd, rel):
@@ -358,8 +359,8 @@ def _pass_counter(monkeypatch):
     """Count the factor bank passes by operation, wherever they run: the
     bank's checked and unchecked passes and those of a bound chart, an
     inversion with its values counted as an inversion.  A pass run inside
-    another (a bound chart's inside the bank's apply, the value formulas
-    of an inversion with values) is part of it.  Returns the Counter."""
+    another (the formulas of a checked pass, the value formulas of an
+    inversion with values) is part of it.  Returns the Counter."""
     passes, depth = Counter(), [0]
 
     def count(owner, method):
@@ -376,9 +377,10 @@ def _pass_counter(monkeypatch):
 
         monkeypatch.setattr(owner, method, counted)
 
-    for owner in (FactorBank, BoundChart):
-        for method in ("apply", "formulas", "invert_values"):
-            count(owner, method)
+    for method in ("apply", "formulas"):
+        count(FactorBank, method)
+    for method in ("apply", "formulas", "invert_values"):
+        count(BoundChart, method)
     return passes
 
 
@@ -1027,6 +1029,21 @@ class TestIntegrateCanonical:
         message = r"^linear factor: y = -1.0 outside validity \(0.0, inf\)$"
         with pytest.raises(OutOfValidityError, match=message):
             integrate_canonical(kmk_spec, H, x0, 1e-2, 10, chart=chart)
+
+    def test_a_used_chart_is_not_bound_again(self, monkeypatch, toda3_spec):
+        """Once a chart has made a pass, certifying it and integrating on
+        it bind nothing: validation, certification and the quadrature
+        stage share the chart's one binding."""
+        chart = darboux_chart(toda3_spec)
+        H, x0 = quadratic_hamiltonian(np.ones(5)), [1.0, 0.8, 0.3, -0.2, 0.4]
+        expected = integrate_canonical(toda3_spec, H, x0, 1e-2, 10)
+        chart.forward(np.asarray(x0))
+        with monkeypatch.context() as m:
+            binds = _counter(m, FactorBank, "bind")
+            certify_canonical(chart)
+            record = integrate_canonical(toda3_spec, H, x0, 1e-2, 10, chart=chart)
+        assert binds == [0]
+        assert record.states.tobytes() == expected.states.tobytes()
 
     def test_reuses_supplied_chart(self, toda3_spec):
         chart = darboux_chart(toda3_spec)

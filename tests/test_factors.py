@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -378,9 +376,10 @@ def test_unreachable_inversion_raises_without_warning(factor, z, anchor):
             factor.invert_antiderivative(np.array([0.0, z, 0.0]), anchor)
         # A bank pass leaves the errstate to its caller, as the chart entries
         # and the step loop hold it.
-        bank = FactorBank((Constant(1.0), factor))
+        chart = FactorBank((Constant(1.0), factor)).bind((0.0, anchor))
+        Z = np.array([[0.0, 0.0], [3.0, z]])
         with np.errstate(all="ignore"), pytest.raises(OutOfRangeError, match=f"z = {z!r} outside"):
-            bank.apply("invert_antiderivative", np.array([[0.0, 0.0], [3.0, z]]), (0.0, anchor))
+            chart.apply("invert_antiderivative", Z, np.empty(Z.shape))
 
 
 @pytest.mark.parametrize(
@@ -467,16 +466,16 @@ def test_custom_target_beyond_an_overflow_is_reached(closed_form, z):
 
 def _stage(bank, anchors) -> _Quadrature:
     """The quadrature stage of the bank's factors, bound to the anchors."""
-    return _Quadrature(SimpleNamespace(bank=bank, r=bank.r), anchors)
+    return _Quadrature(bank.bind(anchors))
 
 
 class TestInvertValues:
-    """FactorBank.invert_values is an inversion pass followed by a value
+    """BoundChart.invert_values is an inversion pass followed by a value
     pass, bitwise, in one pass: every kind, the degenerate parameters that
     evaluate as a simpler kind, a bounded interval and a custom column.
-    The quadrature stage binds the same passes once, and its values are
-    the bank's bitwise.  The linear group holds columns 0, 1, 8 and 10,
-    which a pass indexes by a list; the other groups by a slice."""
+    The quadrature stage takes the same bound passes, and its values are
+    the bound chart's bitwise.  The linear group holds columns 0, 1, 8 and
+    10, which a pass indexes by a list; the other groups by a slice."""
 
     FACTORS = tuple(make() for make in FACTORY.values()) + (
         Exponential(-1.5, 0.0),
@@ -488,41 +487,43 @@ class TestInvertValues:
         ),
         Linear(1.0, validity=(0.5, 4.0)),
     )
-    TAIL = 2
 
     def _targets(self, rng):
-        """The bank, its anchors and a (5, r + TAIL) block of reachable z."""
+        """The bank, its anchors and a (5, r) block of reachable z."""
         bank = FactorBank(self.FACTORS)
         anchors = np.array([_point_inside(f, 2.0) for f in self.FACTORS])
         us = rng.uniform(0.2, 4.8, 5)
         Y = np.array([[_point_inside(f, u) for f in self.FACTORS] for u in us])
-        Z = bank.apply("reciprocal_antiderivative", Y, anchors)
-        return bank, anchors, np.hstack([Z, rng.normal(size=(5, self.TAIL))])
+        Z = bank.bind(anchors).apply("reciprocal_antiderivative", Y, np.empty(Y.shape))
+        return bank, anchors, Z
 
     def test_equals_an_inversion_then_a_value_pass(self, rng):
         bank, anchors, Z = self._targets(rng)
+        chart = bank.bind(anchors)
         for z in (Z[0], Z):
-            y = bank.apply("invert_antiderivative", z, anchors, out=z.copy())
-            phi = bank.apply("value", y, out=np.ones(z.shape))
-            out = z.copy()
-            fused_y, fused_phi = bank.invert_values(z, anchors, out)
-            assert fused_y is out
+            y = chart.apply("invert_antiderivative", z, np.empty(z.shape))
+            phi = bank.apply("value", y)
+            fused_y, fused_phi = chart.invert_values(z)
             assert fused_y.tobytes() == y.tobytes() and fused_phi.tobytes() == phi.tobytes()
-            assert fused_phi.shape == z.shape and (fused_phi[..., bank.r :] == 1.0).all()
+            assert fused_phi.shape == z.shape
 
     def test_the_stage_takes_the_banks_pass(self, rng):
-        bank, anchors, Z = self._targets(rng)
+        bank, anchors, U = self._targets(rng)
         assert isinstance(bank.passes["value"][0][0], list)
-        stage, U = _stage(bank, anchors), Z[:, : bank.r]
+        chart = bank.bind(anchors)
+        stage = _Quadrature(chart)
         for u in U:
             y, phi, rho, sigma = stage.values(u)
-            expected = bank.invert_values(u, anchors)
+            expected = chart.invert_values(u)
             assert y.tobytes() == expected[0].tobytes() and phi.tobytes() == expected[1].tobytes()
             assert rho is phi and sigma is phi
-        Y = bank.apply("invert_antiderivative", U, anchors)
+        Y = chart.apply("invert_antiderivative", U, np.empty(U.shape))
         assert stage.y(U).tobytes() == Y.tobytes()
 
     def test_raises_as_the_inversion_does(self, rng):
+        """Each failing inversion raises alike from the bound chart, its
+        inversion with values and the stage; an anchor outside validity
+        raises from bind, before any pass."""
         bank, anchors, Z = self._targets(rng)
         linear, custom, narrow = 0, bank.r - 2, bank.r - 1
         outside_anchor = anchors.copy()
@@ -538,9 +539,43 @@ class TestInvertValues:
                 z[..., q] = value
                 with np.errstate(all="ignore"):  # the caller's, as for every bank pass
                     with pytest.raises(OutOfRangeError if a is anchors else OutOfValidityError) as exc:
-                        bank.apply("invert_antiderivative", z, a, out=z.copy())
+                        bank.bind(a).apply("invert_antiderivative", z, np.empty(z.shape))
                     with pytest.raises(type(exc.value)) as fused:
-                        bank.invert_values(z, a, z.copy())
+                        bank.bind(a).invert_values(z)
                     with pytest.raises(type(exc.value)) as staged:
-                        _stage(bank, a).values(z[..., : bank.r].copy())
+                        _stage(bank, a).values(z.copy())
                 assert str(fused.value) == str(exc.value) == str(staged.value)
+        with pytest.raises(OutOfValidityError) as bound:
+            bank.bind(outside_anchor)
+        assert str(bound.value) == "linear factor: y = 5.0 outside validity (0.5, 4.0)"
+
+
+class TestBind:
+    """bind checks a chart's anchors once, before any pass, and raises as
+    the first chart pass at those anchors did: an anchor outside its
+    factor's validity (nan included) names the first such column."""
+
+    FACTORS = (
+        Exponential(1.0, 1.0),
+        Linear(1.0),
+        CustomFactor(value_fn=math.exp, derivative_fn=math.exp, validity=(0.0, 1.0)),
+        Linear(2.0, validity=(0.5, 4.0)),
+    )
+
+    @pytest.mark.parametrize(
+        "anchors,message",
+        [
+            ((0.0, -1.0, 0.5, 5.0), r"linear factor: y = -1.0 outside validity \(0.0, inf\)"),
+            ((0.0, 1.0, 0.5, 5.0), r"linear factor: y = 5.0 outside validity \(0.5, 4.0\)"),
+            ((0.0, 1.0, 2.0, 0.2), r"custom factor: y = 2.0 outside validity \(0.0, 1.0\)"),
+            ((0.0, math.nan, 0.5, 1.0), r"linear factor: y = nan outside validity \(0.0, inf\)"),
+        ],
+    )
+    def test_rejects_an_anchor_outside_validity(self, anchors, message):
+        with pytest.raises(OutOfValidityError, match=f"^{message}$"):
+            FactorBank(self.FACTORS).bind(anchors)
+
+    @pytest.mark.parametrize("anchors", [(0.0, 1.0, 0.5), (0.0, 1.0, 0.5, 1.0, 1.0)])
+    def test_rejects_a_wrong_anchor_count(self, anchors):
+        with pytest.raises(ValueError, match=f"^expected 4 anchors, got {len(anchors)}$"):
+            FactorBank(self.FACTORS).bind(anchors)

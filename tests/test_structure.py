@@ -24,6 +24,8 @@ from poissonkit import (
     RankExceedsDimensionError,
     SingularMatrixError,
     build_spec,
+    certify_canonical,
+    darboux_chart,
     default_anchors,
     evaluate_structure,
     lambda_coefficient,
@@ -288,13 +290,22 @@ def _mixed_spec_with_custom():
     return build_spec(n, r, B, factors, BoxDomain([0.5] * n, [1.5] * n))
 
 
+def _pass(bank, name, y, anchors):
+    """The bank's pass ``name`` at y: value and derivative by its apply,
+    the chart operations by the apply of its binding at the anchors."""
+    if name not in OPERATIONS[2:]:
+        return bank.apply(name, y)
+    y = y[..., : bank.r]
+    return bank.bind(anchors).apply(name, y, np.empty(y.shape))
+
+
 def _bank_cases():
     """(spec, anchors, the four passes' arguments on a block) for the
     randomized suite and the mixed spec."""
     for spec in spec_suite(41, 30) + [_mixed_spec_with_custom()]:
         anchors = np.array(default_anchors(spec))
         Y = spec.domain.halton_points(5, seed=3) @ spec.B.T
-        Z = spec.bank.apply("reciprocal_antiderivative", Y, anchors)
+        Z = _pass(spec.bank, "reciprocal_antiderivative", Y, anchors)
         yield spec, anchors, dict(zip(OPERATIONS, (Y, Y, Y, Z)))
 
 
@@ -302,11 +313,10 @@ def test_bank_matches_single_factors_bitwise():
     for spec, anchors, args in _bank_cases():
         for name in OPERATIONS:
             anchored = name in OPERATIONS[2:]
-            extra = (anchors,) if anchored else ()
-            block = spec.bank.apply(name, args[name], *extra)
+            block = _pass(spec.bank, name, args[name], anchors)
             assert block.shape == (5, spec.r)
             for k, point in enumerate(args[name]):
-                np.testing.assert_array_equal(spec.bank.apply(name, point, *extra), block[k])
+                np.testing.assert_array_equal(_pass(spec.bank, name, point, anchors), block[k])
             for q, f in enumerate(spec.factors):
                 method = getattr(f, name)
                 column = args[name][:, q]
@@ -321,6 +331,22 @@ def test_spec_pickles_after_a_factor_pass(kmk_spec):
     copy = pickle.loads(pickle.dumps(kmk_spec))
     np.testing.assert_array_equal(copy.bank.apply("value", y), values)
     assert copy.factors[0].value(2.0) == kmk_spec.factors[0].value(2.0)
+
+
+def test_chart_pickles_after_its_passes(kmk_spec, toda3_spec):
+    """A chart holds its binding once it has made a pass; it pickles
+    still, and the copy maps the same points bitwise."""
+    for spec in (kmk_spec, toda3_spec):
+        chart = darboux_chart(spec)
+        X = spec.domain.halton_points(5, seed=2)
+        Z = chart.forward(X)
+        chart.inverse(Z)
+        certify_canonical(chart)
+        assert "quadrature" in vars(chart)
+        copy = pickle.loads(pickle.dumps(chart))
+        assert copy.forward(X).tobytes() == Z.tobytes()
+        assert copy.inverse(Z).tobytes() == chart.inverse(Z).tobytes()
+        assert copy.inverse_jacobian(Z).tobytes() == chart.inverse_jacobian(Z).tobytes()
 
 
 def _first_error(calls):
@@ -343,7 +369,7 @@ def test_block_error_names_first_offender_like_single_factors(name, q):
     anchored = name in OPERATIONS[2:]
     Y = spec.domain.halton_points(6, seed=4) @ spec.B.T
     if name == "invert_antiderivative":
-        Y = spec.bank.apply("reciprocal_antiderivative", Y, anchors)
+        Y = _pass(spec.bank, "reciprocal_antiderivative", Y, anchors)
     Y[3, q] = math.nan
     Y[4, q] = -math.inf
     # A later column offends at an earlier point: columns come first.
@@ -354,6 +380,6 @@ def test_block_error_names_first_offender_like_single_factors(name, q):
     ]
     expected = _first_error(calls)
     with np.errstate(all="ignore"), pytest.raises(type(expected)) as caught:
-        spec.bank.apply(name, Y, *((anchors,) if anchored else ()))
+        _pass(spec.bank, name, Y, anchors)
     assert str(caught.value) == str(expected)
     assert "nan" in str(expected) and "np.float64" not in str(expected)

@@ -220,7 +220,7 @@ def test_chart_system_matches_50_digit_minor_sum(route):
                     system = _ChartSystem(spec, H, _Identity(spec), x)
                     u = system.y0
                 else:
-                    system = _ChartSystem(spec, H, _Quadrature(spec, chart.anchors), x)
+                    system = _ChartSystem(spec, H, _Quadrature(chart.quadrature), x)
                     u = chart.forward(x)[:r]
                 field, newton = system(u)
                 newton = newton()
