@@ -10,17 +10,18 @@ followed by an (n - r) zero block.  Rows r+1..n of B are a complete set of
 linear Casimir coefficient vectors, and the chart leaves those coordinates
 untouched, so Casimir levels are preserved exactly.
 
-One object, :class:`DarbouxChart`, is the chart: its maps and Jacobians
-form y = B.x and the quadrature pass themselves, for one point (n,) or a
-(P, n) block (a (P, n, n) stack of Jacobians).  Certification takes the
-chart alone; it and validation check a whole sample block at once.
+One object, :class:`DarbouxChart`, is the chart, fixed by the spec and
+one anchor per factor: it binds them when it is built, and its maps and
+Jacobians form y = B.x and the quadrature pass themselves, for one point
+(n,) or a (P, n) block (a (P, n, n) stack of Jacobians).  Certification
+takes the chart alone; it and validation check a whole sample block at
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -69,18 +70,22 @@ def default_anchors(spec: MultiseparableSpec) -> tuple[float, ...]:
     """Antiderivative anchors: midpoint of the projected interval when it is
     bounded, one unit inside its finite end when half-bounded, else 0.
 
-    Anchors shift each z_i by a constant and cancel from dz_i/dy_i, so the
+    Each anchor lies strictly inside its interval: a midpoint whose sum
+    lo + hi overflows is taken from the halved ends, and a unit step that
+    rounds back to a large end becomes a step to the next float.  Anchors
+    shift each z_i by a constant and cancel from dz_i/dy_i, so the
     canonical form does not depend on this choice; it is recorded on the
     chart for reproducibility.
     """
     anchors = []
     for lo, hi in spec.projected_intervals[: spec.r]:
         if math.isfinite(lo) and math.isfinite(hi):
-            anchors.append(0.5 * (lo + hi))
+            mid = 0.5 * (lo + hi)
+            anchors.append(mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi)
         elif math.isfinite(lo):
-            anchors.append(lo + 1.0)
+            anchors.append(lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf))
         elif math.isfinite(hi):
-            anchors.append(hi - 1.0)
+            anchors.append(hi - 1.0 if hi - 1.0 != hi else math.nextafter(hi, -math.inf))
         else:
             anchors.append(0.0)
     return tuple(anchors)
@@ -95,49 +100,55 @@ def canonical_matrix(n: int, r: int) -> np.ndarray:
     return K
 
 
-def _antiderivative_limits(spec: MultiseparableSpec, anchors: np.ndarray, ends) -> np.ndarray:
-    """F_q at the ends y_q of the projected intervals, a (k, r) array
-    (q <= r), from the bound chart's unchecked pass at the ends (bind
-    checks the anchors).  At an infinite end or a validity bound a closed
-    form gives F's monotone limit: +-inf where F diverges, its finite value
-    where F converges; a nan maps to the infinity F runs toward.  A custom
-    factor gives nan at an end outside its open validity interval, so it
-    gets that infinity there, which bounds its image whatever F does."""
-    values = np.empty(ends.shape)
-    with np.errstate(all="ignore"):
-        spec.bank.bind(anchors).formulas("reciprocal_antiderivative", ends, values)
-    increasing = spec.bank.apply("value", anchors) > 0
-    toward = np.where((ends > anchors) == increasing, math.inf, -math.inf)
-    return np.where(np.isnan(values), toward, values)
-
-
 @dataclass(frozen=True)
 class DarbouxChart:
-    """Composite diffeomorphism x -> z and its inverse.
+    """Composite diffeomorphism x -> z and its inverse, fixed by the spec
+    and one anchor per factor.
 
-    ``image_lower``/``image_upper`` bound the z-image of the domain box,
-    coordinate by coordinate: the projected interval of row q of B, and for
-    q <= r the anchored antiderivative F_q evaluated in closed form at that
-    interval's two ends (+-inf where F_q diverges toward an infinite end or
-    a validity bound; a custom factor gets +-inf at such an end).
-    Membership in the exact image is decided by mapping back.  The first
-    quadrature pass binds and checks the anchors, once (quadrature).
+    Construction binds the anchors once (FactorBank.bind checks them, so
+    a chart with an invalid anchor cannot be built, even by
+    dataclasses.replace) and derives the rest from that binding:
+    ``quadrature``, the quadrature stage's passes, and ``image_lower``/
+    ``image_upper``, which bound the z-image of the domain box coordinate
+    by coordinate: the projected interval of row q of B, and for q <= r
+    the anchored antiderivative F_q at that interval's two ends, from the
+    binding's unchecked pass.  At an infinite end or a validity bound a
+    closed form gives F's monotone limit: +-inf where F diverges, its
+    finite value where F converges; a nan maps to the infinity F runs
+    toward, so a custom factor, which gives nan at an end outside its open
+    validity interval, gets +-inf there.  Membership in the exact image is
+    decided by mapping back.
     """
 
     spec: MultiseparableSpec
     anchors: tuple[float, ...]
-    image_lower: np.ndarray = field(repr=False)
-    image_upper: np.ndarray = field(repr=False)
     validated: bool = True
+    quadrature: BoundChart = field(init=False, repr=False, compare=False)
+    image_lower: np.ndarray = field(init=False, repr=False, compare=False)
+    image_upper: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        spec, r = self.spec, self.spec.r
+        quadrature = spec.bank.bind(self.anchors)
+        # y-stage bounding box, then componentwise monotone z-images.
+        ends = np.array(spec.projected_intervals).T
+        limits = np.empty((2, r))
+        with np.errstate(all="ignore"):
+            quadrature.formulas("reciprocal_antiderivative", ends[:, :r], limits)
+        increasing = spec.bank.apply("value", quadrature.anchors) > 0
+        toward = np.where((ends[:, :r] > quadrature.anchors) == increasing, math.inf, -math.inf)
+        a, b = np.where(np.isnan(limits), toward, limits)
+        lower, upper = ends
+        lower[:r] = np.where(b < a, b, a)
+        upper[:r] = np.where(b > a, b, a)
+        for name, bound in (("image_lower", lower), ("image_upper", upper)):
+            bound.setflags(write=False)
+            object.__setattr__(self, name, bound)
+        object.__setattr__(self, "quadrature", quadrature)
 
     @property
     def block_count(self) -> int:
         return self.spec.r // 2
-
-    @cached_property
-    def quadrature(self) -> BoundChart:
-        """The quadrature stage's passes at the anchors (FactorBank.bind)."""
-        return self.spec.bank.bind(self.anchors)
 
     def forward(self, x) -> np.ndarray:
         """z from y = B.x: z_i = F_i(y_i) for i <= r, z_i = y_i for i > r."""
@@ -177,10 +188,9 @@ class DarbouxChart:
 
 
 def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
-    """Build the composite chart and certify its invariants on a sample.
+    """Build the composite chart at ``anchors`` (default_anchors unless
+    given) and certify its invariants on a sample.
 
-    The image bounds (see :class:`DarbouxChart`) come from the projected
-    intervals the spec holds, with one closed-form pass over their ends.
     For r = 0 the quadrature stage is the identity and the chart reduces
     to the linear change of variables (already canonical, since J is the
     zero matrix).  Validation checks the forward and inverse composition
@@ -191,28 +201,11 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
     """
     if anchors is None:
         anchors = default_anchors(spec)
-    anchors = tuple(float(a) for a in anchors)
-
-    # y-stage bounding box, then componentwise monotone z-images.
-    ends = np.array(spec.projected_intervals).T
-    a, b = _antiderivative_limits(spec, np.array(anchors), ends[:, : spec.r])
-    z_lo, z_hi = ends.copy()
-    z_lo[: spec.r] = np.where(b < a, b, a)
-    z_hi[: spec.r] = np.where(b > a, b, a)
-    z_lo.setflags(write=False)
-    z_hi.setflags(write=False)
-
     try:
         points = spec.domain.halton_points(VALIDATION_POINTS, VALIDATION_SEED)
     except EmptyDomainSampleError:
         points = None
-    chart = DarbouxChart(
-        spec=spec,
-        anchors=anchors,
-        image_lower=z_lo,
-        image_upper=z_hi,
-        validated=points is not None,
-    )
+    chart = DarbouxChart(spec, tuple(float(a) for a in anchors), validated=points is not None)
     if points is not None:
         err, coord, within = _round_trip(chart, points, ROUND_TRIP_TOL)
         if not within.all():

@@ -170,17 +170,23 @@ class BoxDomain:
         permutations are cached per (dimension, seed) within a process.
         Points are inset from the faces so open-interval guarantees apply,
         and a point that rounding still put on a face (an inset below the
-        float spacing) moves to the nearest float inside.  A draw too large
-        to allocate, or for numpy to size, raises MemoryError.
+        float spacing) moves to the nearest float inside.  A width hi - lo
+        that overflows (lo < 0 < hi) is not used: that column is
+        (1 - u) lo + u hi, which stays finite.  A draw too large to
+        allocate, or for numpy to size, raises MemoryError.
         """
         if num < 1:
             raise ValueError("num must be >= 1")
         lo, hi = self.sampling_bounds()
-        width = hi - lo
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        wide = np.isinf(width)
+        width[wide] = 0.0
         inset = np.minimum(FACE_INSET, 0.25 * width)
         try:
             u = _scrambled_halton(num, self.dimension, seed)
             points = (lo + inset) + u * (width - 2.0 * inset)
+            points[:, wide] = (1.0 - u[:, wide]) * lo[wide] + u[:, wide] * hi[wide]
         except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
             raise MemoryError(
                 f"{num} points in dimension {self.dimension} do not fit in memory"

@@ -36,8 +36,8 @@ system call gives f(u) and a thunk that forms Df(u) from the same
 evaluation, taking phi' only then, unchecked at the y it checked;
 field(u) gives f(u) alone, and state(u) the x of u, with no factor pass
 on the identity stage.  The quadrature stage runs on the chart's one
-binding (DarbouxChart.quadrature), whose anchors FactorBank.bind checked
-once: an evaluation is the inversion formulas, one validity check and
+binding (DarbouxChart.quadrature), made and checked when the chart was
+built: an evaluation is the inversion formulas, one validity check and
 the value formulas.  vector_field is A_r f on the identity stage.
 
 Both routes run one fixed-step loop, and the first step takes f(u0) from
@@ -65,9 +65,8 @@ start, the field value and H at the initial state, is evaluated whatever
 the number of steps: a non-finite factor value, derivative, pair product,
 field value or H there raises ConfigValidationError naming it, and a
 start whose evaluation leaves a factor or chart interval ends the
-trajectory with one record and the domain-exit flag.  A chart with
-invalid anchors (made by dataclasses.replace) raises OutOfValidityError
-naming the anchor, when it is bound.  dt * steps must be finite.
+trajectory with one record and the domain-exit flag.  dt * steps must be
+finite.
 """
 
 from __future__ import annotations
@@ -514,8 +513,7 @@ def integrate_canonical(
     pulled back once, for the recorded states; Newton starts from the field
     values at earlier midpoints.  ``dt`` must be finite and positive, and
     so must ``dt * steps``; a field or H that is not finite at x0 raises
-    ConfigValidationError.  A chart with invalid anchors raises
-    OutOfValidityError naming the anchor, when the chart is bound.
+    ConfigValidationError.
     """
     _check_step_controls(dt, steps)
     x_start = spec.domain.require_inside(x0).copy()

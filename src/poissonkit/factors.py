@@ -15,14 +15,15 @@ of the four operations once, in closed form, as a numpy expression (with
 np.exp, np.log and np.power) over a column of arguments and vectors of
 parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
 a pass over the r columns of a point (n,) or a block (P, n) is one
-expression per kind plus one comparison against the validity bounds.
-The chart operations run only through a :class:`BoundChart`:
-FactorBank.bind checks a chart's anchors once and slices them into each
-group.  An inversion can evaluate phi at its results (invert_values),
-and a pass at checked arguments is its formulas alone.  numpy's results
-do not depend on where an element sits in an array, so a block gives
-bitwise the per-point results.  A single factor's methods are a bank of
-one; they take a float or a 1-D array.
+expression per kind plus one validity check (FactorBank._check), before
+the formulas for a value or derivative pass, after them for a chart pass
+(on the results, for inversions).  Chart passes run only through a
+:class:`BoundChart`: FactorBank.bind runs the check once on a chart's
+anchors and slices them into each group.  An inversion can evaluate phi
+at its results (invert_values), and a pass at checked arguments is its
+formulas alone.  numpy's results do not depend on where an element sits
+in an array, so a block gives bitwise the per-point results.  A single
+factor's methods are a bank of one; they take a float or a 1-D array.
 
 An argument or result outside its interval raises for the whole pass,
 naming the first offending factor in column order and its first offending
@@ -464,8 +465,8 @@ class FactorBank:
 
     Each group holds its columns (a slice when they are evenly spaced, so a
     pass takes a view), its parameters as vectors and its four formulas;
-    ``lo`` and ``hi`` are the validity bounds of all r columns.  A value
-    or derivative pass is :meth:`apply`, a chart's those of :meth:`bind`.
+    ``lo`` and ``hi`` are the validity bounds of all r columns (_check).
+    A value or derivative pass is :meth:`apply`, a chart's those of :meth:`bind`.
     """
 
     def __init__(self, factors):
@@ -498,9 +499,7 @@ class FactorBank:
         a = np.array(anchors, dtype=float)
         if a.shape != (self.r,):
             raise ValueError(f"expected {self.r} anchors, got {a.size}")
-        inside = (a > self.lo) & (a < self.hi)
-        if not inside.all():
-            raise self._error("anchor", inside, a, None)
+        self._check("anchor", a, a, None)
         return BoundChart(self, a)
 
     def formulas(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -518,11 +517,16 @@ class FactorBank:
         returned.  The chart operations are a bound chart's (bind)."""
         y = np.asarray(y, dtype=float)[..., : self.r]
         res = np.empty(y.shape) if out is None else out[..., : self.r]
-        inside = (y > self.lo) & (y < self.hi)
-        if np.count_nonzero(inside) < inside.size:
-            raise self._error(name, inside, y, res)
+        self._check(name, y, y, res)
         self.formulas(name, y, res)
         return res if out is None else out
+
+    def _check(self, name: str, v: np.ndarray, y, res) -> None:
+        """The one validity check of every pass: each column of v (y, or an
+        inversion's results res) inside its factor's interval, nan not."""
+        inside = (v > self.lo) & (v < self.hi)
+        if np.count_nonzero(inside) < inside.size:
+            raise self._error(name, inside, y, res)
 
     def _error(self, name: str, inside: np.ndarray, y, res) -> PoissonKitError:
         """The error of a pass whose check ``inside`` fails first at column
@@ -541,12 +545,12 @@ class FactorBank:
 class BoundChart:
     """A bank's two chart operations at anchors that FactorBank.bind has
     checked, sliced into each group once.  Its passes take float arrays of
-    exactly r columns as they are."""
+    exactly r columns as they are; the bank's _check checks them."""
 
     formulas = FactorBank.formulas  # over the bound passes
 
     def __init__(self, bank: FactorBank, anchors: np.ndarray):
-        self.bank, self.lo, self.hi, self.anchors = bank, bank.lo, bank.hi, anchors
+        self.bank, self.anchors = bank, anchors
         self.passes = {
             name: [(cols, f, (anchors[cols], *params)) for cols, f, params in bank.passes[name]]
             for name in OPERATIONS[2:]
@@ -557,13 +561,11 @@ class BoundChart:
         return BoundChart, (self.bank, self.anchors)
 
     def apply(self, name: str, y: np.ndarray, res: np.ndarray) -> np.ndarray:
-        """The chart operation ``name`` at y into res, checked: the
-        arguments (for inversions, the results) are inside; nan is not."""
+        """The chart operation ``name`` at y into res, checked after the
+        formulas: the arguments (for inversions, the results) are inside;
+        nan is not."""
         self.formulas(name, y, res)
-        v = res if name == "invert_antiderivative" else y
-        inside = (v > self.lo) & (v < self.hi)
-        if np.count_nonzero(inside) < inside.size:
-            raise self.bank._error(name, inside, y, res)
+        self.bank._check(name, res if name == "invert_antiderivative" else y, y, res)
         return res
 
     def invert_values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -36,6 +36,7 @@ from poissonkit import (
     toda,
 )
 from poissonkit.config import parse_config
+from poissonkit.factors import FactorBank
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -172,6 +173,23 @@ class TestDefaultAnchors:
         assert default_anchors(kmk_spec) == (1.0, 1.0)
         assert default_anchors(toda3_spec) == (-1.0, 0.0, -1.0, 0.0)
 
+    def test_half_line_whose_end_absorbs_a_unit_step(self):
+        """At |end| >= 2**53, lo + 1 rounds back to lo: the anchor is the
+        next float inside, and the chart builds and validates."""
+        factors = [Linear(1.0, validity=(1e17, INF)), Constant(1.0)]
+        domain = BoxDomain([1e17, 0.0], [INF, 1.0], [1e17, 0.0], [2e17, 1.0])
+        spec = build_spec(2, 2, np.eye(2), factors, domain)
+        assert default_anchors(spec) == (math.nextafter(1e17, INF), 0.5)
+        assert darboux_chart(spec).validated
+
+    def test_bounded_interval_whose_sum_overflows(self):
+        """lo + hi overflows: the midpoint comes from the halved ends."""
+        domain = BoxDomain([1e308, 0.0], [1.7e308, 1.0])
+        spec = build_spec(2, 2, np.eye(2), [Constant(1.0), Constant(1.0)], domain)
+        assert default_anchors(spec) == (1.35e308, 0.5)
+        chart = darboux_chart(spec)
+        assert np.isfinite(chart.image_lower).all() and np.isfinite(chart.image_upper).all()
+
 
 class TestDarbouxChart:
     def test_kmk_canonical(self, kmk_spec):
@@ -242,6 +260,33 @@ class TestDarbouxChart:
         for x in ([0.3, -0.7], [-2.0, 1.5], [4.0, 0.0]):
             back = chart.inverse(chart.forward(np.array(x)))
             np.testing.assert_allclose(back, x, rtol=0.0, atol=1e-12)
+
+    def test_replace_rebuilds_the_chart_from_its_anchors(self):
+        """A chart is its anchors: replace(chart, anchors=a) has the image
+        bounds and maps of darboux_chart(spec, anchors=a), bitwise."""
+        domain = BoxDomain([0.5] * 3, [1.5] * 3)
+        spec = build_spec(3, 2, np.eye(3), [Linear(1.0), Constant(2.0)], domain)
+        moved = replace(darboux_chart(spec), anchors=(0.6, 0.6))
+        fresh = darboux_chart(spec, anchors=(0.6, 0.6))
+        assert moved == fresh
+        assert moved.image_lower.tobytes() == fresh.image_lower.tobytes()
+        assert moved.image_upper.tobytes() == fresh.image_upper.tobytes()
+        X = domain.halton_points(20, seed=1)
+        Z = moved.forward(X)
+        assert Z.tobytes() == fresh.forward(X).tobytes()
+        assert (Z >= moved.image_lower).all() and (Z <= moved.image_upper).all()
+
+    def test_a_chart_binds_its_anchors_once(self, toda3_spec, monkeypatch):
+        binds = []
+        bind = FactorBank.bind
+        monkeypatch.setattr(FactorBank, "bind", lambda bank, a: binds.append(a) or bind(bank, a))
+        darboux_chart(toda3_spec)
+        assert len(binds) == 1
+
+    def test_a_chart_with_an_invalid_anchor_cannot_be_built(self, kmk_spec):
+        message = r"^linear factor: y = -1.0 outside validity \(0.0, inf\)$"
+        with pytest.raises(OutOfValidityError, match=message):
+            DarbouxChart(kmk_spec, (-1.0, 1.0))
 
     def test_anchor_count_validation(self, kmk_spec):
         with pytest.raises(ValueError):
@@ -369,13 +414,7 @@ class TestCertificationFailure:
                 shifted = tuple(a + 0.5 for a in self.anchors)
                 return DarbouxChart.inverse(replace(self, anchors=shifted), z)
 
-        corrupted = CorruptedChart(
-            spec=kmk_spec,
-            anchors=chart.anchors,
-            image_lower=chart.image_lower,
-            image_upper=chart.image_upper,
-            validated=True,
-        )
+        corrupted = CorruptedChart(spec=kmk_spec, anchors=chart.anchors, validated=True)
         with pytest.raises(CertificationFailureError):
             certify_canonical(corrupted)
 

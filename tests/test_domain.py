@@ -61,6 +61,20 @@ def test_halton_points_inside_boxes_far_from_origin(lo, width):
     assert sum(box.contains(x) for x in points) == 200
 
 
+def test_halton_points_across_a_box_whose_width_overflows():
+    """hi - lo overflows on the first side: its column is formed without
+    the width, so the points spread strictly inside with no warning, at
+    lo + u (hi - lo) to rounding; the finite side keeps its formula."""
+    box = BoxDomain([-1e308, 0.0], [1.7e308, 1.0])
+    points = box.halton_points(5, seed=0)
+    u = _scrambled_halton(5, 2, 0)
+    assert all(box.contains(x) for x in points)
+    np.testing.assert_allclose(points[:, 0] / 1e308, 2.7 * u[:, 0] - 1.0, rtol=1e-14)
+    assert len(set(points[:, 0])) == 5
+    narrow = BoxDomain([0.0, 0.0], [1.0, 1.0]).halton_points(5, seed=0)
+    assert points[:, 1].tobytes() == narrow[:, 1].tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 123456, 2**32 + 1, 2**64 + 3])
 def test_scrambled_halton_is_scipys_bit_for_bit(seed):
     for d in [*range(1, 41), 51, 64]:

@@ -686,6 +686,11 @@ class TestScaleCovariance:
     stop's, STEPS * NEWTON_TOL * max|z| (1.9e-10 against 5.6e-9 at
     s = 1e-12).
 
+    Toda's J (N = 3) has k = 1, and its chart mixes log coordinates (the
+    a_i) with linear ones (the b_i).  The same bounds hold: the direct
+    route stays within 3.1e-15 for both methods and the canonical route
+    within 9.4e-11, under the stop's bound.
+
     The constant symplectic J has k = 0, so H is kept as it is, and its
     chart is the identity: every route and method stays within
     STEPS * eps (at most 1.6e-15)."""
@@ -714,18 +719,25 @@ class TestScaleCovariance:
             error = np.abs(record.states - s * base.states).max() / (s * np.abs(base.states).max())
             yield s, record, error
 
-    @RUNS
-    def test_scaled_start_gives_the_scaled_run(self, kmk_spec, route, method):
-        chart = darboux_chart(kmk_spec)
-        for s, record, error in self._scaled_runs(
-            kmk_spec, 2, [1.0, 2.0, 3.0], [2.0, 1.0, 1.0], route, method
-        ):
+    def _check_scaled_runs(self, spec, k, w, x0, route, method):
+        """Every scale within round-off (direct) or the stop's bound."""
+        chart = darboux_chart(spec)
+        for s, record, error in self._scaled_runs(spec, k, w, x0, route, method):
             if route == "canonical":
-                z = chart.forward(record.states)[:, : kmk_spec.r]
+                z = chart.forward(record.states)[:, : spec.r]
                 bound = self.STEPS * NEWTON_TOL * float(np.abs(z).max())
             else:
                 bound = self.STEPS * np.finfo(float).eps
             assert error <= bound, s
+
+    @RUNS
+    def test_scaled_start_gives_the_scaled_run(self, kmk_spec, route, method):
+        self._check_scaled_runs(kmk_spec, 2, [1.0, 2.0, 3.0], [2.0, 1.0, 1.0], route, method)
+
+    @RUNS
+    def test_toda_scaled_start_gives_the_scaled_run(self, toda3_spec, route, method):
+        w, x0 = [1.0, 2.0, 1.5, 0.5, 1.2], [1.0, 0.8, 0.3, -0.2, 0.4]
+        self._check_scaled_runs(toda3_spec, 1, w, x0, route, method)
 
     @RUNS
     def test_constant_structure_keeps_h(self, route, method):
@@ -1022,13 +1034,13 @@ class TestIntegrateCanonical:
             assert float(np.max(np.abs(a.final_state - b.final_state))) <= 1e-4
 
     def test_chart_anchor_outside_validity_fails_at_the_start(self, kmk_spec):
-        """A chart whose anchor lies outside its factor's validity fails
-        its forward map at x0, before the first step, naming the anchor."""
-        chart = replace(darboux_chart(kmk_spec), anchors=(-1.0, 1.0))
-        H, x0 = quadratic_hamiltonian([1.0, 2.0, 3.0]), [2.0, 1.0, 1.0]
+        """A chart whose anchor lies outside its factor's validity cannot
+        be built, not even by replace, so no run starts on it: the
+        error names the anchor."""
+        chart = darboux_chart(kmk_spec)
         message = r"^linear factor: y = -1.0 outside validity \(0.0, inf\)$"
         with pytest.raises(OutOfValidityError, match=message):
-            integrate_canonical(kmk_spec, H, x0, 1e-2, 10, chart=chart)
+            replace(chart, anchors=(-1.0, 1.0))
 
     def test_a_used_chart_is_not_bound_again(self, monkeypatch, toda3_spec):
         """Once a chart has made a pass, certifying it and integrating on
