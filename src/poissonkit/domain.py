@@ -68,6 +68,17 @@ def _scrambled_halton(num: int, d: int, seed: int) -> np.ndarray:
     return u.T
 
 
+def _require_inner_floats(lo: np.ndarray, hi: np.ndarray, box: str) -> None:
+    """ValueError naming the first side of ``box`` with no float strictly
+    inside it (one float step wide), where no point of the open box exists."""
+    with np.errstate(over="ignore"):  # the step from the largest float to inf
+        thin = np.nextafter(lo, hi) >= hi
+    if thin.any():
+        i = int(np.argmax(thin))
+        side = f"({float(lo[i])!r}, {float(hi[i])!r})"
+        raise ValueError(f"{box} side {i + 1} {side} has no float strictly inside")
+
+
 def _as_bounds(v, n: int | None = None) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if n is not None and arr.shape != (n,):
@@ -78,7 +89,8 @@ def _as_bounds(v, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Open axis-aligned box, possibly unbounded.
+    """Open axis-aligned box, possibly unbounded, with a float strictly
+    inside each side (and each side of the sample box).
 
     All structural guarantees (nonvanishing factors, constant rank, the
     canonical chart) are certified on this region.  ``sample_lower`` and
@@ -98,6 +110,7 @@ class BoxDomain:
         object.__setattr__(self, "upper", upper)
         if not np.all(lower < upper):
             raise ValueError("box requires lower < upper componentwise")
+        _require_inner_floats(lower, upper, "box")
         if (self.sample_lower is None) != (self.sample_upper is None):
             raise ValueError("sample box needs both lower and upper bounds")
         if self.sample_lower is not None:
@@ -109,6 +122,7 @@ class BoxDomain:
                 raise ValueError("sample box must be bounded")
             if not np.all(slo < shi):
                 raise ValueError("sample box requires lower < upper componentwise")
+            _require_inner_floats(slo, shi, "sample box")
             if not (np.all(slo >= lower) & np.all(shi <= upper)):
                 raise ValueError("sample box must lie inside the domain box")
 

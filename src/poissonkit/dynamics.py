@@ -25,20 +25,22 @@ with d rho/du one 2x2 block per pair (diagonal on the quadrature stage),
 its row a scaled by c_a.  K has one entry +-1 per row, f_a = +-rho_b c_b,
 so K v is a signed pair swap and never a dense product: an entry that
 overflows stays one inf in f, with no nan from K's zeros (0 * inf).  Df
-is formed in K's row order: the stage gives d rho/du with its rows
-swapped, and K A_r^T Hess H A_r is formed once per run, at the first
-Newton matrix, when H holds its Hessian as an array (the built-in
-Hamiltonians do); otherwise each Newton matrix takes H.hessian_at(x).
-The identity stage builds rho and its slopes from pair products phi_a phi_b
-and pair slopes phi'_a phi_b alone, never one factor times a gradient
-component, so a huge factor with a tiny partner leaves both finite.  A
-system call gives f(u) and a thunk that forms Df(u) from the same
-evaluation, taking phi' only then, unchecked at the y it checked;
-field(u) gives f(u) alone, and state(u) the x of u, with no factor pass
-on the identity stage.  The quadrature stage runs on the chart's one
-binding (DarbouxChart.quadrature), made and checked when the chart was
-built: an evaluation is the inversion formulas, one validity check and
-the value formulas.  vector_field is A_r f on the identity stage.
+is formed in K's row order, with K A_r^T Hess H A_r formed once per run
+when H holds its Hessian as an array (the built-in Hamiltonians do), and
+otherwise from H.hessian_at(x) at each Newton matrix.
+The identity stage builds rho and its slopes from pair products phi_a
+phi_b and pair slopes phi'_a phi_b alone, never one factor times a
+gradient component, so a huge factor with a tiny partner leaves both
+finite; its sigma multiplies nothing.  An evaluation takes phi from the
+bank's checked value pass on u (FactorBank.checked), or from the
+inversion, one validity check and the value formulas on the chart's one
+binding (DarbouxChart.quadrature); x by ndarray.dot on a C-contiguous copy
+of A_r, bitwise A_r @ v and cheaper; and c = grad H(x) A_r by @ on A_r
+itself, which neither g.dot(A_r) nor g @ the copy matches bitwise, from
+H's gradient bound once.  A call gives f(u) and a thunk that forms Df(u)
+from the same evaluation, taking phi' only then, unchecked; field(u) gives
+f(u) alone, state(u) the x of u (no factor pass on the identity stage),
+and vector_field A_r f on the identity stage.
 
 Both routes run one fixed-step loop, and the first step takes f(u0) from
 the start check.  Later steps evaluate the field at u themselves: RK4
@@ -54,14 +56,9 @@ passes hold no scope of their own and run under it.  An accepted state
 outside the certified box, or an evaluation that leaves a factor or
 chart interval (as an overflowing step's does), truncates the trajectory
 with a domain-exit flag and no warning; RK4 stages and Newton iterates
-are not held to the box.  Accepted u wait in a block of up to
-ACCEPT_BLOCK = 64, pulled back to x by one state call (one inversion
-pass on the quadrature stage) and checked against the box at once: when
-the block is full, at the last step, and when a step raises.  The records
-end where a check at every step would end them, bitwise, with the same
-flag and the same raised error; a run that leaves the box computes up to
-ACCEPT_BLOCK - 1 further steps before the block check stops it.  The
-start, the field value and H at the initial state, is evaluated whatever
+are not held to the box.  Accepted u are pulled back and checked
+against the box in blocks of up to ACCEPT_BLOCK (_march), and the records
+end where a check at every step would end them, bitwise.  The start, the field value and H at the initial state, is evaluated whatever
 the number of steps: a non-finite factor value, derivative, pair product,
 field value or H there raises ConfigValidationError naming it, and a
 start whose evaluation leaves a factor or chart interval ends the
@@ -142,7 +139,7 @@ def quadratic_hamiltonian(weights) -> HamiltonianField:
     w = np.asarray(weights, dtype=float)
     return HamiltonianField(
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
-        gradient=lambda x: w * np.asarray(x, dtype=float),
+        gradient=lambda x: w * x,
         hessian=np.diag(w),
     )
 
@@ -180,13 +177,13 @@ class _Identity:
         return u
 
     def values(self, u: np.ndarray) -> tuple:
-        """y, phi(y), rho and sigma at u."""
-        phi = self.bank.apply("value", u)
-        return u, phi, phi * phi[self.partners], 1.0
+        """y, phi(y) and rho at u, by the bank's checked value pass on u."""
+        phi = self.bank.checked("value", u, np.empty(u.shape))
+        return u, phi, phi * phi[self.partners]
 
-    def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-        """d rho/du with its rows in partner order: row a is row b."""
-        return self.mask * (dphi * phi[self.partners])
+    def newton(self, phi, dphi, kc, curved) -> np.ndarray:
+        """kc d rho/du + curved (sigma = 1), d rho/du's row a being row b."""
+        return kc * (self.mask * (dphi * phi[self.partners])) + curved
 
 
 class _Quadrature:
@@ -201,16 +198,15 @@ class _Quadrature:
         return self.chart.apply("invert_antiderivative", u, np.empty(u.shape))
 
     def values(self, u: np.ndarray) -> tuple:
-        """y, phi(y), rho and sigma at u."""
+        """y, phi(y) and rho at u."""
         y, phi = self.chart.invert_values(u)
-        return y, phi, phi, phi
+        return y, phi, phi
 
-    def slopes(self, phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
-        """d rho/du with its rows in partner order: row a holds
-        phi'_b phi_b at column b."""
+    def newton(self, phi, dphi, kc, curved) -> np.ndarray:
+        """kc d rho/du + curved sigma; row a of d rho/du holds phi'_b phi_b at b."""
         slopes = np.zeros((phi.shape[0], phi.shape[0]))
         slopes[self.swapped] = (dphi * phi)[self.swapped[1]]
-        return slopes
+        return kc * slopes + curved * phi
 
 
 class _ChartSystem:
@@ -223,11 +219,12 @@ class _ChartSystem:
     Newton matrix."""
 
     def __init__(self, spec: MultiseparableSpec, H: HamiltonianField, stage, x0: np.ndarray):
-        r = spec.r
+        r, g = spec.r, H.gradient
         self.H, self.stage, self.bank, self.x0 = H, stage, spec.bank, x0
-        self.A_r, self.identity = spec.A[:, :r], np.eye(r)
+        self.A_r, self.A_copy = spec.A[:, :r], np.ascontiguousarray(spec.A[:, :r])
         self.partners, self.signs = np.arange(r) ^ 1, np.resize([1.0, -1.0], r)
-        self.y0 = (spec.B @ x0)[:r]
+        self.y0, self.identity = (spec.B @ x0)[:r], np.eye(r)
+        self.gradient = H.gradient_at if g is None else lambda x: np.asarray(g(x), dtype=float)
 
     def _swap_rows(self, M: np.ndarray) -> np.ndarray:
         return self.signs[:, None] * M[self.partners]
@@ -242,26 +239,27 @@ class _ChartSystem:
         return self.x0 - matvec(self.A_r, self.y0 - self.stage.y(u))
 
     def _evaluate(self, u: np.ndarray) -> tuple:
-        """y, x, phi(y), rho, sigma and c at u."""
-        y, phi, rho, sigma = self.stage.values(u)
-        x = self.x0 - self.A_r @ (self.y0 - y)
-        return y, x, phi, rho, sigma, self.H.gradient_at(x) @ self.A_r
+        """y, x, phi(y), rho and c at u."""
+        y, phi, rho = self.stage.values(u)
+        x = self.x0 - self.A_copy.dot(self.y0 - y)
+        # c stays @ on A_r: g.dot(A_r) and g @ A_copy can differ in the last bit.
+        return y, x, phi, rho, self.gradient(x) @ self.A_r
 
     def field(self, u: np.ndarray) -> np.ndarray:
-        _, _, _, rho, _, c = self._evaluate(u)
+        _, _, _, rho, c = self._evaluate(u)
         return self.signs * (rho * c)[self.partners]
 
     def __call__(self, u: np.ndarray):
-        y, x, phi, rho, sigma, c = self._evaluate(u)
+        y, x, phi, rho, c = self._evaluate(u)
 
         def newton() -> np.ndarray:
             if self.H.hessian is None or callable(self.H.hessian):
                 curvature = self._swap_rows(self.A_r.T @ self.H.hessian_at(x) @ self.A_r)
             else:
                 curvature = self.constant_curvature
-            slopes = self.stage.slopes(phi, self.bank.formulas("derivative", y, np.empty(y.shape)))
-            p = self.partners
-            return (self.signs * c[p])[:, None] * slopes + rho[p][:, None] * curvature * sigma
+            dphi, p = self.bank.formulas("derivative", y, np.empty(y.shape)), self.partners
+            kc, curved = (self.signs * c[p])[:, None], rho[p][:, None] * curvature
+            return self.stage.newton(phi, dphi, kc, curved)
 
         return self.signs * (rho * c)[self.partners], newton
 

@@ -466,8 +466,8 @@ class FactorBank:
     Each group holds its columns (a slice when they are evenly spaced, so a
     pass takes a view), its parameters as vectors and its four formulas;
     ``lo`` and ``hi`` are the validity bounds of all r columns (_check).
-    A value or derivative pass is :meth:`apply`, a chart's those of :meth:`bind`.
-    """
+    A value or derivative pass is :meth:`apply` (:meth:`checked` on exactly
+    r float columns), a chart's those of :meth:`bind`."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -511,15 +511,17 @@ class FactorBank:
 
     def apply(self, name: str, y, out=None) -> np.ndarray:
         """The operation ``name`` (value or derivative) of factor q on
-        column q of y, for q < r, evaluated only at valid arguments: shape
-        (r,) for a point y (n,), (P, r) for a block (P, n).  With ``out``
-        (not y itself), the results go to its first r columns and out is
-        returned.  The chart operations are a bound chart's (bind)."""
+        column q of y, for q < r, checked: shape (r,) for a point y (n,),
+        (P, r) for a block (P, n), or into the first r columns of ``out``
+        (not y itself), which is returned."""
         y = np.asarray(y, dtype=float)[..., : self.r]
-        res = np.empty(y.shape) if out is None else out[..., : self.r]
-        self._check(name, y, y, res)
-        self.formulas(name, y, res)
+        res = self.checked(name, y, np.empty(y.shape) if out is None else out[..., : self.r])
         return res if out is None else out
+
+    def checked(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """apply's pass on floats y of exactly r columns, as they are, into out."""
+        self._check(name, y, y, out)
+        return self.formulas(name, y, out)
 
     def _check(self, name: str, v: np.ndarray, y, res) -> None:
         """The one validity check of every pass: each column of v (y, or an

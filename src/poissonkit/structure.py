@@ -104,7 +104,7 @@ def build_spec(
 
     B is inverted by LU unless ``inverse``, a known exact inverse such as
     the closed forms of the catalog builders, is given; either way
-    max |A.B - I| must be within INVERSION_TOL.  Raises
+    max |A.B - I| must be finite and within INVERSION_TOL.  Raises
     SingularMatrixError, OddRankError, RankExceedsDimensionError, or
     FactorVanishesError when the defining requirements fail, and
     ConfigValidationError when the projected interval of a row of B
@@ -133,7 +133,10 @@ def build_spec(
     else:
         A = np.array(inverse, dtype=float)
     A = _frozen_matrix(A, n)
-    residual = float(np.max(np.abs(A @ B - np.eye(n))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(A @ B - np.eye(n))))
+    if not np.isfinite(residual):
+        raise SingularMatrixError("the inverse check max |A.B - I| overflows")
     if not residual <= INVERSION_TOL:
         raise SingularMatrixError(
             f"max |A.B - I| = {residual:.3e} exceeds {INVERSION_TOL:g}"

@@ -1163,6 +1163,48 @@ def test_overflowing_projected_interval_is_a_usage_error(tmp_path, capsys):
             assert message in err
 
 
+def _explicit_config_runs(tmp_path, capsys, config, x0):
+    """verify, darboux and integrate on ``config``, with no warning raised."""
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    integrate = ["integrate", "--hamiltonian", "quadratic-diagonal:1,1", "--x0", x0, "--steps", "3"]
+    runs = []
+    for argv in (["verify"], ["darboux"], integrate):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(_run(capsys, [*argv, "--config", str(path)]))
+        assert caught == []
+    return runs
+
+
+def test_box_side_with_no_float_inside_names_domain(tmp_path, capsys):
+    """A side one float step wide holds no point of the open box: every
+    command refuses the config as it loads, where verify used to fail a
+    sweep point on a face (exit 1) and darboux to pass."""
+    config = {
+        "version": 1, "n": 2, "r": 2, "B": [1, 0, 0, 1],
+        "factors": [{"kind": "constant", "params": {"c": 1.0}}] * 2,
+        "domain": {"lower": [1e17, 0], "upper": [1.0000000000000002e17, 1]},
+    }
+    side = "box side 1 (1e+17, 1.0000000000000002e+17)"
+    message = f"error: domain: {side} has no float strictly inside\n"
+    for run in _explicit_config_runs(tmp_path, capsys, config, "1e17,0.5"):
+        assert run == (2, "", message)
+
+
+def test_overflowing_inverse_check_is_named_without_a_warning(tmp_path, capsys):
+    """B's inverse overflows, so A.B - I is not finite: one line says so,
+    with no numpy warning beside it."""
+    config = {
+        "version": 1, "n": 2, "r": 2, "B": [1e-10, 0, 1e300, 1],
+        "factors": [{"kind": "constant", "params": {"c": 1.0}}] * 2,
+        "domain": {"lower": [-1, -1], "upper": [1, 1]},
+    }
+    message = "error: system definition rejected: the inverse check max |A.B - I| overflows\n"
+    for run in _explicit_config_runs(tmp_path, capsys, config, "0.5,0.5"):
+        assert run == (2, "", message)
+
+
 def test_reused_parser_leaks_no_state(capsys):
     toda = ["--hamiltonian", "quadratic-diagonal:1,1,1,1,1", "--x0", "0.1,0.2,0.3,1,1"]
     kmk = [*KMK_INTEGRATE, "--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"]

@@ -61,6 +61,28 @@ def test_halton_points_inside_boxes_far_from_origin(lo, width):
     assert sum(box.contains(x) for x in points) == 200
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1e17, 1.0000000000000002e17), (0.0, 5e-324), (1.7976931348623157e308, np.inf),
+     (-np.inf, -1.7976931348623157e308)],
+)
+def test_a_side_with_no_float_inside_is_rejected(lo, hi):
+    """A side one float step wide (or from the largest float to inf) holds
+    no point of the open box, so the box and the sample box refuse it,
+    naming the side; two steps wide leave one float, which the Halton
+    points then all take."""
+    with pytest.raises(ValueError) as error:
+        BoxDomain([0.0, lo], [1.0, hi])
+    assert str(error.value) == f"box side 2 ({lo!r}, {hi!r}) has no float strictly inside"
+    if np.isfinite(lo) and np.isfinite(hi):
+        with pytest.raises(ValueError, match=r"^sample box side 1 .* has no float strictly inside$"):
+            BoxDomain([-np.inf, 0.0], [np.inf, 1.0], [lo, 0.0], [hi, 1.0])
+    lo, hi = 1e17, np.nextafter(1.0000000000000002e17, np.inf)
+    box = BoxDomain([lo, 0.0], [hi, 1.0])
+    points = box.halton_points(20, seed=0)
+    assert box.inside(points).all() and set(points[:, 0]) == {1.0000000000000002e17}
+
+
 def test_halton_points_across_a_box_whose_width_overflows():
     """hi - lo overflows on the first side: its column is formed without
     the width, so the points spread strictly inside with no warning, at

@@ -9,17 +9,20 @@ from functools import partial
 
 import numpy as np
 import pytest
-from specgen import dimension_rank_pairs, random_spec
+from specgen import dimension_rank_pairs, random_spec, spec_suite
 
 from poissonkit import (
+    Affine,
     BoxDomain,
     ConfigValidationError,
     Constant,
+    Exponential,
     HamiltonianField,
     MaxNewtonIterationsError,
     OutOfDomainError,
     OutOfRangeError,
     OutOfValidityError,
+    Power,
     build_spec,
     bracket,
     canonical_matrix,
@@ -40,7 +43,7 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.config import parse_config
-from poissonkit.darboux import DarbouxChart
+from poissonkit.darboux import DarbouxChart, default_anchors
 from poissonkit.dynamics import NEWTON_TOL, _ChartSystem, _Identity, _Quadrature, _record_stride
 from poissonkit.factors import BoundChart, FactorBank
 from poissonkit.verify import central_differences, jacobi_sweep, structure_field
@@ -357,8 +360,9 @@ def _counter(monkeypatch, owner, name):
 
 def _pass_counter(monkeypatch):
     """Count the factor bank passes by operation, wherever they run: the
-    bank's checked and unchecked passes and those of a bound chart, an
-    inversion with its values counted as an inversion.  A pass run inside
+    bank's checked passes (apply, and checked on exactly r columns) and
+    unchecked ones and those of a bound chart, an inversion with its
+    values counted as an inversion.  A pass run inside
     another (the formulas of a checked pass, the value formulas of an
     inversion with values) is part of it.  Returns the Counter."""
     passes, depth = Counter(), [0]
@@ -377,7 +381,7 @@ def _pass_counter(monkeypatch):
 
         monkeypatch.setattr(owner, method, counted)
 
-    for method in ("apply", "formulas"):
+    for method in ("apply", "checked", "formulas"):
         count(FactorBank, method)
     for method in ("apply", "formulas", "invert_values"):
         count(BoundChart, method)
@@ -591,13 +595,36 @@ class TestConstantCurvature:
         assert hessians[0] == 0
 
 
+def test_evaluation_products_are_the_plain_products():
+    """An evaluation forms x = x0 - A_r (y0 - y) by dot on a C-contiguous
+    copy of A_r, and c = grad H(x) A_r by @ on A_r itself: on both stages,
+    at points spread over specgen boxes, each is bitwise the plain @
+    product.  c must stay so: g.dot(A_r) and g @ the copy each differ from
+    it in the last bit at some of these points.  A gradient that returns a
+    list is taken as floats."""
+    rng = np.random.default_rng(61)
+    for spec in spec_suite(61, 40):
+        A_r, r = spec.A[:, : spec.r], spec.r
+        lo, hi = spec.domain.lower, spec.domain.upper
+        X = lo + (hi - lo) * rng.uniform(0.05, 0.95, (8, spec.n))
+        y0, chart, w = (spec.B @ X[0])[:r], darboux_chart(spec), rng.uniform(-2.0, 2.0, spec.n)
+        listed = HamiltonianField(lambda x: 0.0, lambda x: (w * x * x).tolist())
+        for H in (quadratic_hamiltonian(w), listed):
+            for route, U in (("direct", (X @ spec.B.T)[:, :r]), ("canonical", chart.forward(X)[:, :r])):
+                system, _ = _system(route, spec, H, X[0], chart)
+                for u in U:
+                    y, x, _, _, c = system._evaluate(u)
+                    assert x.tobytes() == (X[0] - A_r @ (y0 - y)).tobytes()
+                    assert c.dtype == float and c.tobytes() == (H.gradient_at(x) @ A_r).tobytes()
+
+
 def _arrays(record):
     return record.times, record.states, record.energy_drift, record.casimir_drift
 
 
 def _dense_field(self, u):
     """The field as the dense product K @ (rho * c)."""
-    _, _, _, rho, _, c = self._evaluate(u)
+    _, _, _, rho, c = self._evaluate(u)
     r = self.identity.shape[0]
     return canonical_matrix(r, r) @ (rho * c)
 
@@ -745,6 +772,85 @@ class TestScaleCovariance:
         w, x0 = [1.0, 2.0, 3.0, 0.5, 1.5], [2.0, 1.0, 1.0, -0.5, 0.3]
         for s, _, error in self._scaled_runs(spec, 0, w, x0, route, method):
             assert error <= self.STEPS * np.finfo(float).eps, s
+
+
+class TestSpecSymmetries:
+    """Exact symmetries of a spec's representation leave its trajectories
+    unchanged on the canonical route, direct RK4 and direct midpoint.  The
+    spec: n = 5, r = 4, B with rows (1,0,0,0,0), (0.3,1,0,0,0),
+    (0,0.2,1,0,0), (0,0,0.1,1,0) and the Casimir row (1,1,1,1,1), factors
+    exponential(1, 0.3), power(1.5, 0.5), affine(0.5, 2) and constant(2),
+    on (0.1, 2)^5, from x0 all ones.  With H's weights 1, 2, 3, 1.5, 0.5
+    every run leaves the box after 6 steps (x4 falls below 0.1), and a
+    symmetric run must leave it at the same step; with weights all 1 every
+    run keeps all 200 steps.
+
+    Reordering the pairs with their factors leaves every state bitwise
+    equal.  Scaling pair 1's first factor by lambda and its second by
+    1 / lambda leaves w_1, and shifting the anchors shifts z by constants:
+    the states stay within TestScaleCovariance's bounds, STEPS * eps
+    relative on the direct route and STEPS * NEWTON_TOL * max|z| on the
+    canonical route (measured: the direct states of a rescaled pair
+    bitwise equal, and the canonical states within 1.8e-15)."""
+
+    STEPS, DT = 200, 1e-2
+    ROWS = [[1, 0, 0, 0, 0], [0.3, 1, 0, 0, 0], [0, 0.2, 1, 0, 0], [0, 0, 0.1, 1, 0], [1] * 5]
+    WEIGHTS = ([1.0, 2.0, 3.0, 1.5, 0.5], [1.0] * 5)
+
+    def _spec(self, lam=1.0, pairs=(0, 1)):
+        factors = (Exponential(lam, 0.3), Power(1.5 / lam, 0.5), Affine(0.5, 2.0), Constant(2.0))
+        order = [q for p in pairs for q in (2 * p, 2 * p + 1)] + [4]
+        rows, factors = [self.ROWS[q] for q in order], [factors[q] for q in order[:4]]
+        return build_spec(5, 4, rows, factors, BoxDomain([0.1] * 5, [2.0] * 5))
+
+    def _runs(self, spec, chart=None, routes=3):
+        """The canonical, direct RK4 and direct midpoint records from x0
+        (the first ``routes`` of them), for each H."""
+        x0, records = np.ones(5), []
+        for w in self.WEIGHTS:
+            H = quadratic_hamiltonian(w)
+            runs = (
+                partial(integrate_canonical, chart=chart),
+                partial(integrate_direct, method="rk4"),
+                partial(integrate_direct, method="implicit-midpoint"),
+            )
+            records += [run(spec, H, x0, self.DT, self.STEPS) for run in runs[:routes]]
+        exits = [(r.num_records, r.domain_exit) for r in records[routes:]]
+        assert set(exits) == {(self.STEPS + 1, False)}
+        return records
+
+    def _assert_within(self, records, base, chart, routes=3):
+        """Each record against the base run's, within its route's bound."""
+        for k, (record, reference) in enumerate(zip(records, base)):
+            assert (record.num_records, record.domain_exit) == (
+                reference.num_records, reference.domain_exit
+            )
+            error = np.abs(record.states - reference.states).max() / np.abs(reference.states).max()
+            if k % routes == 0:
+                z = chart.forward(record.states)[:, :4]
+                bound = self.STEPS * NEWTON_TOL * float(np.abs(z).max())
+            else:
+                bound = self.STEPS * np.finfo(float).eps
+            assert error <= bound, k
+
+    def test_pair_permutation_keeps_the_states_bitwise(self):
+        base = self._runs(self._spec())
+        for record, reference in zip(self._runs(self._spec(pairs=(1, 0))), base):
+            assert record.domain_exit == reference.domain_exit
+            assert record.states.tobytes() == reference.states.tobytes()
+
+    def test_pair_rescaling_keeps_the_states(self):
+        base = self._runs(self._spec())
+        for lam in (1e-6, 1e6):
+            spec = self._spec(lam=lam)
+            self._assert_within(self._runs(spec), base, darboux_chart(spec))
+
+    def test_anchor_shift_keeps_the_canonical_states(self):
+        spec = self._spec()
+        base = self._runs(spec, routes=1)
+        for shift in (-0.15, 0.2):
+            chart = darboux_chart(spec, anchors=[a + shift for a in default_anchors(spec)])
+            self._assert_within(self._runs(spec, chart, routes=1), base, chart, routes=1)
 
 
 def test_newton_never_accepts_an_overflowing_iterate():

@@ -513,10 +513,10 @@ class TestInvertValues:
         chart = bank.bind(anchors)
         stage = _Quadrature(chart)
         for u in U:
-            y, phi, rho, sigma = stage.values(u)
+            y, phi, rho = stage.values(u)
             expected = chart.invert_values(u)
             assert y.tobytes() == expected[0].tobytes() and phi.tobytes() == expected[1].tobytes()
-            assert rho is phi and sigma is phi
+            assert rho is phi
         Y = chart.apply("invert_antiderivative", U, np.empty(U.shape))
         assert stage.y(U).tobytes() == Y.tobytes()
 
