@@ -360,11 +360,11 @@ def _counter(monkeypatch, owner, name):
 
 def _pass_counter(monkeypatch):
     """Count the factor bank passes by operation, wherever they run: the
-    bank's checked passes (apply, and checked on exactly r columns) and
-    unchecked ones and those of a bound chart, an inversion with its
-    values counted as an inversion.  A pass run inside
-    another (the formulas of a checked pass, the value formulas of an
-    inversion with values) is part of it.  Returns the Counter."""
+    bank's checked passes (apply, and checked, which the identity stage's
+    value pass calls), its unchecked ones (formulas) and a bound chart's,
+    an inversion with its values counted as an inversion.  A pass run
+    inside another (the formulas of a checked pass, the value formulas of
+    an inversion with values) is part of it.  Returns the Counter."""
     passes, depth = Counter(), [0]
 
     def count(owner, method):
@@ -806,17 +806,18 @@ class TestSpecSymmetries:
     def _runs(self, spec, chart=None, routes=3):
         """The canonical, direct RK4 and direct midpoint records from x0
         (the first ``routes`` of them), for each H."""
-        x0, records = np.ones(5), []
-        for w in self.WEIGHTS:
-            H = quadratic_hamiltonian(w)
-            runs = (
-                partial(integrate_canonical, chart=chart),
-                partial(integrate_direct, method="rk4"),
-                partial(integrate_direct, method="implicit-midpoint"),
-            )
-            records += [run(spec, H, x0, self.DT, self.STEPS) for run in runs[:routes]]
-        exits = [(r.num_records, r.domain_exit) for r in records[routes:]]
-        assert set(exits) == {(self.STEPS + 1, False)}
+        runs = (
+            partial(integrate_canonical, chart=chart),
+            partial(integrate_direct, method="rk4"),
+            partial(integrate_direct, method="implicit-midpoint"),
+        )[:routes]
+        records = [
+            run(spec, quadratic_hamiltonian(w), np.ones(5), self.DT, self.STEPS)
+            for w in self.WEIGHTS
+            for run in runs
+        ]
+        kept = {(r.num_records, r.domain_exit) for r in records[routes:]}  # weights all 1
+        assert kept == {(self.STEPS + 1, False)}
         return records
 
     def _assert_within(self, records, base, chart, routes=3):
