@@ -384,9 +384,10 @@ def main(argv=None) -> int:
                 reason = reason if os.path.exists(parent) else "No such file or directory"
                 raise ConfigValidationError(f"--out: cannot write {args.out!r}: {reason}")
         if args.cmd in ("verify", "darboux"):
+            system = _system_from_args(args)
             run = run_verify if args.cmd == "verify" else run_darboux
             try:
-                code, report = run(_system_from_args(args), args.points, args.seed)
+                code, report = run(system, args.points, args.seed)
             except MemoryError as exc:  # the Halton draw of --points points
                 raise ConfigValidationError(f"--points: {exc}") from None
             _write_output(dump_json(report), args.out)

@@ -213,10 +213,11 @@ def hamiltonian_from_descriptor(raw, n: int) -> HamiltonianField:
 
 @contextmanager
 def _builder_errors():
-    """Report what a system builder rejects as a configuration error."""
+    """Report what a system builder rejects, or a size it cannot allocate,
+    as a configuration error."""
     try:
         yield
-    except (PoissonKitError, TypeError, ValueError) as exc:
+    except (PoissonKitError, TypeError, ValueError, MemoryError) as exc:
         raise ConfigValidationError(f"system definition rejected: {exc}") from exc
 
 

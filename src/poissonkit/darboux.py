@@ -122,7 +122,6 @@ class DarbouxChart:
 
     spec: MultiseparableSpec
     anchors: tuple[float, ...]
-    validated: bool = True
     quadrature: BoundChart = field(init=False, repr=False, compare=False)
     image_lower: np.ndarray = field(init=False, repr=False, compare=False)
     image_upper: np.ndarray = field(init=False, repr=False, compare=False)
@@ -196,36 +195,35 @@ def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:
     zero matrix).  Validation checks the forward and inverse composition
     to ROUND_TRIP_TOL at VALIDATION_POINTS low-discrepancy points (seed
     VALIDATION_SEED) and raises CertificationFailureError at the first
-    point that fails; it is skipped, and the chart carries
-    ``validated=False``, when the domain is unbounded and has no sample box.
+    point that fails; it is skipped when the domain is unbounded and has
+    no sample box.
     """
     if anchors is None:
         anchors = default_anchors(spec)
+    chart = DarbouxChart(spec, tuple(float(a) for a in anchors))
     try:
         points = spec.domain.halton_points(VALIDATION_POINTS, VALIDATION_SEED)
     except EmptyDomainSampleError:
-        points = None
-    chart = DarbouxChart(spec, tuple(float(a) for a in anchors), validated=points is not None)
-    if points is not None:
-        err, coord, within = _round_trip(chart, points, ROUND_TRIP_TOL)
-        if not within.all():
-            k = int(np.argmin(within))
-            raise CertificationFailureError(
-                points[k],
-                (coord[k], 0),
-                err[k],
-                f"chart round trip error {err[k]:.3e} exceeds {ROUND_TRIP_TOL:g}",
-            )
+        return chart
+    err, coord, within = _round_trip(chart, points)
+    if not within.all():
+        k = int(np.argmin(within))
+        raise CertificationFailureError(
+            points[k],
+            (coord[k], 0),
+            err[k],
+            f"chart round trip error {err[k]:.3e} exceeds {ROUND_TRIP_TOL:g}",
+        )
     return chart
 
 
-def _round_trip(chart: DarbouxChart, points: np.ndarray, tolerance: float):
+def _round_trip(chart: DarbouxChart, points: np.ndarray):
     """Per point of a (P, n) block: the round-trip error max|x' - x| with
     x' = inverse(forward(x)), its coordinate (1-based), and whether it is
-    within tolerance * (1 + max|x|)."""
+    within ROUND_TRIP_TOL * (1 + max|x|)."""
     diff = np.abs(chart.inverse(chart.forward(points)) - points)
     err = diff.max(axis=1)
-    within = err <= tolerance * (1.0 + np.abs(points).max(axis=1))
+    within = err <= ROUND_TRIP_TOL * (1.0 + np.abs(points).max(axis=1))
     return err, diff.argmax(axis=1) + 1, within
 
 
@@ -246,16 +244,15 @@ def certify_canonical(
     num_points: int = 100,
     tolerance: float = CANONICAL_TOL,
     seed: int = 0,
-    round_trip_tolerance: float = ROUND_TRIP_TOL,
 ) -> CanonicalReport:
     """Certify that the chart carries J to the canonical block matrix.
 
     At each sample x the structure matrix is pushed through the composite
     chart with analytic Jacobians (B, then diag(1/phi_i)) and compared
     entrywise to the canonical matrix; the forward/inverse composition is
-    checked at the same points.  The sample is checked a block of points
-    at a time (see :func:`~poissonkit.structure.point_blocks`), from one
-    y = B X and one factor value pass per block.  Raises
+    checked to ROUND_TRIP_TOL at the same points.  The sample is checked a
+    block of points at a time (see :func:`~poissonkit.structure.point_blocks`),
+    from one y = B X and one factor value pass per block.  Raises
     CertificationFailureError with the first failing point and its worst
     entry when either check exceeds its tolerance.
     """
@@ -279,7 +276,7 @@ def certify_canonical(
             dev -= target
             np.abs(dev, out=dev)
             worst = dev.max(axis=(1, 2))
-            rt, coord, rt_within = _round_trip(chart, X, round_trip_tolerance)
+            rt, coord, rt_within = _round_trip(chart, X)
         dev_within = worst <= tolerance
         # The first failing point, checking deviation before round trip.
         failed = np.flatnonzero(~(dev_within & rt_within))
@@ -294,14 +291,14 @@ def certify_canonical(
                 X[k],
                 (coord[k], 0),
                 rt[k],
-                f"round trip error {rt[k]:.3e} exceeds {round_trip_tolerance:g}",
+                f"round trip error {rt[k]:.3e} exceeds {ROUND_TRIP_TOL:g}",
             )
         max_dev = max(max_dev, float(worst.max()))
         max_rt = max(max_rt, float(rt.max()))
     return CanonicalReport(
         num_points=num_points,
         tolerance=float(tolerance),
-        round_trip_tolerance=float(round_trip_tolerance),
+        round_trip_tolerance=ROUND_TRIP_TOL,
         max_deviation=max_dev,
         max_round_trip_error=max_rt,
         passed=True,

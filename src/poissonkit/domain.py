@@ -1,5 +1,9 @@
 """Axis-aligned box domains and deterministic low-discrepancy sampling.
 
+frozen_copy is the package's one way to keep an array it is given: a
+read-only float copy, so the caller's array cannot move a box, a spec or
+a built-in Hamiltonian afterwards.
+
 Sweep points are Owen's scrambled Halton points (A. B. Owen, "A randomized
 Halton algorithm in R", arXiv:1706.02808), drawn with numpy alone and equal
 bit for bit to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``'s.
@@ -68,23 +72,29 @@ def _scrambled_halton(num: int, d: int, seed: int) -> np.ndarray:
     return u.T
 
 
-def _require_inner_floats(lo: np.ndarray, hi: np.ndarray, box: str) -> None:
-    """ValueError naming the first side of ``box`` with no float strictly
-    inside it (one float step wide), where no point of the open box exists."""
+def frozen_copy(v, shape: tuple[int, ...] | None = None, what: str = "") -> np.ndarray:
+    """A read-only float copy of v, so no caller's array can move what the
+    library keeps; ValueError naming ``what`` unless it has ``shape``, when
+    one is given."""
+    arr = np.array(v, dtype=float)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_sides(lo: np.ndarray, hi: np.ndarray, box: str) -> None:
+    """ValueError unless lo < hi componentwise and each side of ``box`` has
+    a float strictly inside it (is more than one float step wide), where
+    a point of the open box exists."""
+    if not np.all(lo < hi):
+        raise ValueError(f"{box} requires lower < upper componentwise")
     with np.errstate(over="ignore"):  # the step from the largest float to inf
         thin = np.nextafter(lo, hi) >= hi
     if thin.any():
         i = int(np.argmax(thin))
         side = f"({float(lo[i])!r}, {float(hi[i])!r})"
         raise ValueError(f"{box} side {i + 1} {side} has no float strictly inside")
-
-
-def _as_bounds(v, n: int | None = None) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if n is not None and arr.shape != (n,):
-        raise ValueError(f"bounds must have shape ({n},), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -104,25 +114,21 @@ class BoxDomain:
     sample_upper: np.ndarray | None = None
 
     def __post_init__(self):
-        lower = _as_bounds(self.lower)
-        upper = _as_bounds(self.upper, lower.shape[0])
+        n = np.size(self.lower)
+        bounds = lambda v: frozen_copy(np.ravel(v), (n,), "bounds")
+        lower, upper = bounds(self.lower), bounds(self.upper)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-        if not np.all(lower < upper):
-            raise ValueError("box requires lower < upper componentwise")
-        _require_inner_floats(lower, upper, "box")
+        _check_sides(lower, upper, "box")
         if (self.sample_lower is None) != (self.sample_upper is None):
             raise ValueError("sample box needs both lower and upper bounds")
         if self.sample_lower is not None:
-            slo = _as_bounds(self.sample_lower, lower.shape[0])
-            shi = _as_bounds(self.sample_upper, lower.shape[0])
+            slo, shi = bounds(self.sample_lower), bounds(self.sample_upper)
             object.__setattr__(self, "sample_lower", slo)
             object.__setattr__(self, "sample_upper", shi)
             if not (np.all(np.isfinite(slo)) and np.all(np.isfinite(shi))):
                 raise ValueError("sample box must be bounded")
-            if not np.all(slo < shi):
-                raise ValueError("sample box requires lower < upper componentwise")
-            _require_inner_floats(slo, shi, "sample box")
+            _check_sides(slo, shi, "sample box")
             if not (np.all(slo >= lower) & np.all(shi <= upper)):
                 raise ValueError("sample box must lie inside the domain box")
 

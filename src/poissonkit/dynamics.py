@@ -76,6 +76,7 @@ from typing import Callable
 import numpy as np
 
 from .darboux import DarbouxChart, casimirs, darboux_chart
+from .domain import frozen_copy
 from .errors import MaxNewtonIterationsError, OutOfRangeError, OutOfValidityError
 from .factors import BoundChart
 from .structure import MultiseparableSpec, matvec, non_finite_error
@@ -135,8 +136,8 @@ class HamiltonianField:
 
 
 def quadratic_hamiltonian(weights) -> HamiltonianField:
-    """H(x) = sum_i w_i x_i^2 / 2."""
-    w = np.asarray(weights, dtype=float)
+    """H(x) = sum_i w_i x_i^2 / 2, on a read-only copy of the weights."""
+    w = frozen_copy(weights)
     return HamiltonianField(
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
         gradient=lambda x: w * x,
@@ -145,8 +146,8 @@ def quadratic_hamiltonian(weights) -> HamiltonianField:
 
 
 def linear_hamiltonian(coefficients) -> HamiltonianField:
-    """H(x) = c . x."""
-    c = np.asarray(coefficients, dtype=float)
+    """H(x) = c . x, on a read-only copy of the coefficients."""
+    c = frozen_copy(coefficients)
     return HamiltonianField(
         value=lambda x: float(c @ np.asarray(x, dtype=float)),
         gradient=lambda x: c.copy(),

@@ -13,11 +13,15 @@ F is strictly monotone there and the inverse is well defined.
 Built-in kinds (constant, linear, affine, exponential, power) write each
 of the four operations once, in closed form, as a numpy expression (with
 np.exp, np.log and np.power) over a column of arguments and vectors of
-parameters.  A :class:`FactorBank` groups the factors of one spec by kind:
-a pass over the r columns of a point (n,) or a block (P, n) is one
-expression per kind plus one validity check (FactorBank._check), before
-the formulas for a value or derivative pass, after them for a chart pass
-(on the results, for inversions).  Chart passes run only through a
+parameters; the affine, exponential and power chart formulas take an
+expm1/log1p form where its argument is below NEAR, so that a parameter
+near its degenerate value loses no digits, and the plain form elsewhere.
+FactorFunction makes the one check of a nonzero parameter (``nonzero``).
+A :class:`FactorBank` groups the factors of one spec by kind: a pass
+over the r columns of a point (n,) or a block (P, n) is one expression
+per kind plus one validity check (FactorBank._check), before the
+formulas for a value or derivative pass, after them for a chart pass (on
+the results, for inversions).  Chart passes run only through a
 :class:`BoundChart`: FactorBank.bind runs the check once on a chart's
 anchors and slices them into each group.  An inversion can evaluate phi
 at its results (invert_values), and a pass at checked arguments is its
@@ -63,6 +67,12 @@ QUADRATURE_TOL = 1e-12
 #: |phi| threshold for the sampling-based nonvanishing heuristic.
 VANISH_TOL = 1e-12
 
+#: |argument| of expm1 or log1p below which a chart formula takes its
+#: cancellation-free form; at and above it the plain closed form loses at
+#: most about two bits to its difference, and keeps ends that overflow
+#: or underflow the other form finite.
+NEAR = 0.5
+
 
 def _interval_str(lo: float, hi: float) -> str:
     return f"({lo!r}, {hi!r})"
@@ -87,10 +97,15 @@ class FactorFunction:
     #: The name of the kind in configs and reports.
     kind: ClassVar[str]
 
+    #: The parameter that must not be 0, if any, checked after the validity.
+    nonzero: ClassVar[str | None] = None
+
     def __post_init__(self):
         lo, hi = self.validity
         if not lo < hi:
             raise ValueError(f"validity interval {_interval_str(lo, hi)} is empty")
+        if self.nonzero is not None and getattr(self, self.nonzero) == 0.0:
+            raise ValueError(f"{type(self).__name__} factor requires {self.nonzero} != 0")
 
     def covers(self, lo: float, hi: float) -> bool:
         """True if the open interval (lo, hi) is contained in the validity interval."""
@@ -151,14 +166,9 @@ class FactorFunction:
 class Constant(FactorFunction):
     """phi(y) = c with c != 0."""
 
-    kind = "constant"
+    kind, nonzero = "constant", "c"
 
     c: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.c == 0.0:
-            raise ValueError("Constant factor requires c != 0")
 
     _value = staticmethod(lambda y, c: c)
     _derivative = staticmethod(lambda y, c: 0.0)
@@ -170,15 +180,13 @@ class Constant(FactorFunction):
 class Linear(FactorFunction):
     """phi(y) = slope * y on an interval excluding 0 (default (0, inf))."""
 
-    kind = "linear"
+    kind, nonzero = "linear", "slope"
 
     slope: float = 1.0
     validity: tuple[float, float] = field(default=(0.0, INF), kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.slope == 0.0:
-            raise ValueError("Linear factor requires slope != 0")
         lo, hi = self.validity
         if lo < 0.0 < hi:
             raise ValueError("Linear factor validity interval must exclude 0")
@@ -220,38 +228,44 @@ class Affine(FactorFunction):
 
     _value = staticmethod(lambda y, slope, b: slope * y + b)
     _derivative = staticmethod(lambda y, slope, b: slope)
-    _reciprocal_antiderivative = staticmethod(
-        lambda y, a, slope, b: np.log((slope * y + b) / (slope * a + b)) / slope
-    )
-    _invert_antiderivative = staticmethod(
-        lambda z, a, slope, b: ((slope * a + b) * np.exp(slope * z) - b) / slope
-    )
+
+    @staticmethod
+    def _reciprocal_antiderivative(y, a, slope, b):
+        pa = slope * a + b
+        u = slope * (y - a) / pa
+        return np.where(np.abs(u) < NEAR, np.log1p(u), np.log((slope * y + b) / pa)) / slope
+
+    @staticmethod
+    def _invert_antiderivative(z, a, slope, b):
+        w, pa = slope * z, slope * a + b
+        near = a + pa * np.expm1(w) / slope  # y - a may overflow
+        return np.where((np.abs(w) < NEAR) & np.isfinite(near), near, (pa * np.exp(w) - b) / slope)
 
 
 @dataclass(frozen=True)
 class Exponential(FactorFunction):
     """phi(y) = amplitude * exp(rate * y), nonvanishing everywhere."""
 
-    kind = "exponential"
+    kind, nonzero = "exponential", "amplitude"
 
     amplitude: float = 1.0
     rate: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.amplitude == 0.0:
-            raise ValueError("Exponential factor requires amplitude != 0")
 
     _value = staticmethod(lambda y, amp, rate: amp * np.exp(rate * y))
     _derivative = staticmethod(lambda y, amp, rate: rate * (amp * np.exp(rate * y)))
 
     @staticmethod
     def _reciprocal_antiderivative(y, a, amp, rate):
-        return (np.exp(-rate * a) - np.exp(-rate * y)) / (amp * rate)
+        w, ea = -rate * (y - a), np.exp(-rate * a)
+        far = ea - np.exp(-rate * y)
+        return np.where(np.abs(w) < NEAR, -ea * np.expm1(w), far) / (amp * rate)
 
     @staticmethod
     def _invert_antiderivative(z, a, amp, rate):
-        return -np.log(np.exp(-rate * a) - amp * rate * z) / rate
+        ea = np.exp(-rate * a)
+        t = -amp * rate * z / ea
+        far = -np.log(ea - amp * rate * z) / rate
+        return np.where(np.abs(t) < NEAR, a - np.log1p(t) / rate, far)
 
 
 def _spread(p, t: np.ndarray) -> np.ndarray:
@@ -265,7 +279,7 @@ def _spread(p, t: np.ndarray) -> np.ndarray:
 class Power(FactorFunction):
     """phi(y) = coefficient * y**exponent on y > 0."""
 
-    kind = "power"
+    kind, nonzero = "power", "coefficient"
 
     coefficient: float = 1.0
     exponent: float = 1.0
@@ -273,8 +287,6 @@ class Power(FactorFunction):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.coefficient == 0.0:
-            raise ValueError("Power factor requires coefficient != 0")
         lo, hi = self.validity
         if lo < 0.0:
             raise ValueError("Power factor validity interval must lie in y > 0")
@@ -285,14 +297,20 @@ class Power(FactorFunction):
     @staticmethod
     def _reciprocal_antiderivative(y, a, c, p):
         q = 1.0 - p
-        return (np.power(y, _spread(q, y)) - np.power(a, q)) / (c * q)
+        aq, w = np.power(a, q), q * np.log(y / a)
+        far = np.power(y, _spread(q, y)) - aq
+        return np.where(np.abs(w) < NEAR, aq * np.expm1(w), far) / (c * q)
 
     @staticmethod
     def _invert_antiderivative(z, a, c, p):
         q = 1.0 - p
-        t = np.power(a, q) + c * q * z
+        aq = np.power(a, q)
+        t = aq + c * q * z
         # t <= 0 is past the end of F's range (nan: no preimage).
-        return np.where(t > 0.0, np.power(t, _spread(1.0 / q, t)), np.nan)
+        far = np.where(t > 0.0, np.power(t, _spread(1.0 / q, t)), np.nan)
+        u = c * q * z / aq
+        near = a * np.exp(np.log1p(u) / q)  # 0 or inf where y / a leaves the floats
+        return np.where((np.abs(u) < NEAR) & (0.0 < near) & (near < np.inf), near, far)
 
 
 @dataclass(frozen=True)
@@ -577,10 +595,4 @@ class BoundChart:
 
 
 #: Built-in factor kinds addressable from configuration files.
-FACTOR_KINDS = {
-    "constant": Constant,
-    "linear": Linear,
-    "affine": Affine,
-    "exponential": Exponential,
-    "power": Power,
-}
+FACTOR_KINDS = {k.kind: k for k in (Constant, Linear, Affine, Exponential, Power)}

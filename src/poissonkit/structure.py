@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import BoxDomain
+from .domain import BoxDomain, frozen_copy
 from .errors import (
     ConfigValidationError,
     FactorVanishesError,
@@ -50,14 +50,6 @@ INVERSION_TOL = 1e-10
 #: evaluated block by block (about 1 MB), so memory does not grow with
 #: the sample size.
 BLOCK_FLOATS = 1 << 17
-
-
-def _frozen_matrix(M, n: int) -> np.ndarray:
-    arr = np.array(M, dtype=float)
-    if arr.shape != (n, n):
-        raise ValueError(f"matrix must have shape ({n}, {n}), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,8 @@ def build_spec(
 
     B is inverted by LU unless ``inverse``, a known exact inverse such as
     the closed forms of the catalog builders, is given; either way
-    max |A.B - I| must be finite and within INVERSION_TOL.  Raises
+    max |A.B - I| must be finite and within INVERSION_TOL.  The spec keeps
+    read-only copies of B and A (frozen_copy).  Raises
     SingularMatrixError, OddRankError, RankExceedsDimensionError, or
     FactorVanishesError when the defining requirements fail, and
     ConfigValidationError when the projected interval of a row of B
@@ -118,21 +111,20 @@ def build_spec(
         raise OddRankError(f"rank must be even, got {r}")
     if r < 0 or r > n:
         raise RankExceedsDimensionError(f"rank {r} outside 0..{n}")
-    B = _frozen_matrix(B, n)
+    B = frozen_copy(B, (n, n), "matrix")
     factors = tuple(factors)
     if len(factors) != r:
         raise ValueError(f"expected {r} factors, got {len(factors)}")
     if domain.dimension != n:
         raise ValueError("domain dimension does not match n")
 
-    if inverse is None:
+    A = inverse
+    if A is None:
         try:
             A = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrixError(f"B is singular: {exc}") from exc
-    else:
-        A = np.array(inverse, dtype=float)
-    A = _frozen_matrix(A, n)
+    A = frozen_copy(A, (n, n), "matrix")
     with np.errstate(over="ignore", invalid="ignore"):
         residual = float(np.max(np.abs(A @ B - np.eye(n))))
     if not np.isfinite(residual):

@@ -333,14 +333,14 @@ def kernel_check(spec: MultiseparableSpec, x) -> float:
     return kernel_violation(spec, evaluate_structure(spec, x))
 
 
-def numerical_rank(J: np.ndarray, rel_tolerance: float = RANK_REL_TOL) -> np.ndarray:
-    """The number of singular values above rel_tolerance * sigma_max, of one
+def numerical_rank(J: np.ndarray) -> np.ndarray:
+    """The number of singular values above RANK_REL_TOL * sigma_max, of one
     J or of each matrix in a (P, n, n) stack."""
     s = np.linalg.svd(J, compute_uv=False)
-    return np.count_nonzero(s > rel_tolerance * s[..., :1], axis=-1)
+    return np.count_nonzero(s > RANK_REL_TOL * s[..., :1], axis=-1)
 
 
-def rank_at(field: StructureField, x, rel_tolerance: float = RANK_REL_TOL) -> int:
-    """Numerical rank of J(x): singular values above rel_tolerance * sigma_max."""
+def rank_at(field: StructureField, x) -> int:
+    """Numerical rank of J(x): singular values above RANK_REL_TOL * sigma_max."""
     x = field.domain.require_inside(x)
-    return int(numerical_rank(np.asarray(field.evaluate(x)), rel_tolerance))
+    return int(numerical_rank(np.asarray(field.evaluate(x))))

@@ -40,6 +40,7 @@ from poissonkit import (
 )
 from poissonkit import dynamics
 from poissonkit.cli import main
+from poissonkit.verify import RANK_REL_TOL
 
 SUITE_SEED = 7
 SWEEP_SEED = 3
@@ -129,10 +130,11 @@ def test_criterion_04_casimir_kernel(suite, suite_points):
 
 def test_criterion_05_constant_rank(suite, suite_points):
     with criterion(5, "SVD rank equals r at every sample (threshold 1e-9)"):
+        assert RANK_REL_TOL == 1e-9  # rank_at's threshold
         for spec, points in zip(suite, suite_points):
             field = structure_field(spec)
             for x in points:
-                assert rank_at(field, x, rel_tolerance=1e-9) == spec.r
+                assert rank_at(field, x) == spec.r
 
 
 def test_criterion_06_block_form(suite, suite_points):
@@ -166,9 +168,9 @@ def test_criterion_07_canonical_form(suite):
                 num_points=SWEEP_POINTS,
                 tolerance=1e-9,
                 seed=SWEEP_SEED,
-                round_trip_tolerance=1e-10,
             )
             assert report.passed
+            assert report.round_trip_tolerance == 1e-10
 
 
 def test_criterion_08_kmk_reproduction(rng):

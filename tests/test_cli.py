@@ -864,6 +864,21 @@ def test_points_too_many_to_draw_is_usage_error(monkeypatch, capsys, error):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["verify"], ["darboux"], ["integrate", "--hamiltonian", "quadratic-diagonal:1", "--x0", "1"]],
+)
+def test_system_too_large_to_allocate_is_rejected(capsys, command):
+    """A catalog size numpy cannot allocate is a rejected system definition
+    on every command, not a --points error or a traceback.  toda N = 1e8
+    asks for a 284 PiB B first, which numpy refuses before it allocates
+    anything."""
+    code, out, err = _run(capsys, [*command, "--system", "toda", "--param", "N=100000000"])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: system definition rejected: Unable to allocate 284. PiB ")
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--hamiltonian", "quadratic-diagonal:1,a,1"),

@@ -36,6 +36,7 @@ from poissonkit import (
     toda,
 )
 from poissonkit.config import parse_config
+from poissonkit.darboux import VALIDATION_POINTS
 from poissonkit.factors import FactorBank
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -82,6 +83,17 @@ def _sympy_phi(f, t):
 
 def _exact(v):
     return sp.oo if v == INF else -sp.oo if v == -INF else sp.Rational(v)
+
+
+def _validations(monkeypatch) -> list[int]:
+    """The sample size of each chart round trip run from here on."""
+    sizes, round_trip = [], poissonkit.darboux._round_trip
+    monkeypatch.setattr(
+        poissonkit.darboux,
+        "_round_trip",
+        lambda chart, points: sizes.append(len(points)) or round_trip(chart, points),
+    )
+    return sizes
 
 
 class TestCasimirs:
@@ -173,14 +185,16 @@ class TestDefaultAnchors:
         assert default_anchors(kmk_spec) == (1.0, 1.0)
         assert default_anchors(toda3_spec) == (-1.0, 0.0, -1.0, 0.0)
 
-    def test_half_line_whose_end_absorbs_a_unit_step(self):
+    def test_half_line_whose_end_absorbs_a_unit_step(self, monkeypatch):
         """At |end| >= 2**53, lo + 1 rounds back to lo: the anchor is the
         next float inside, and the chart builds and validates."""
         factors = [Linear(1.0, validity=(1e17, INF)), Constant(1.0)]
         domain = BoxDomain([1e17, 0.0], [INF, 1.0], [1e17, 0.0], [2e17, 1.0])
         spec = build_spec(2, 2, np.eye(2), factors, domain)
         assert default_anchors(spec) == (math.nextafter(1e17, INF), 0.5)
-        assert darboux_chart(spec).validated
+        validations = _validations(monkeypatch)
+        darboux_chart(spec)
+        assert validations == [VALIDATION_POINTS]
 
     def test_bounded_interval_whose_sum_overflows(self):
         """lo + hi overflows: the midpoint comes from the halved ends."""
@@ -192,10 +206,11 @@ class TestDefaultAnchors:
 
 
 class TestDarbouxChart:
-    def test_kmk_canonical(self, kmk_spec):
+    def test_kmk_canonical(self, kmk_spec, monkeypatch):
+        validations = _validations(monkeypatch)
         chart = darboux_chart(kmk_spec)
         assert chart.block_count == 1
-        assert chart.validated
+        assert validations == [VALIDATION_POINTS]
         report = certify_canonical(chart)
         assert report.passed
         assert report.max_deviation <= 1e-12
@@ -250,13 +265,14 @@ class TestDarbouxChart:
                 # coordinates beyond the rank are bitwise the linear chart
                 np.testing.assert_array_equal(z[spec.r :], y[spec.r :])
 
-    def test_unbounded_domain_without_sample_box_is_not_validated(self):
+    def test_unbounded_domain_without_sample_box_is_not_validated(self, monkeypatch):
         spec = build_spec(
             2, 2, [[1.0, 1.0], [0.0, 1.0]], (Exponential(1.0, 0.5), Constant(2.0)),
             BoxDomain.unbounded(2),
         )
+        validations = _validations(monkeypatch)
         chart = darboux_chart(spec)
-        assert chart.validated is False
+        assert validations == []
         for x in ([0.3, -0.7], [-2.0, 1.5], [4.0, 0.0]):
             back = chart.inverse(chart.forward(np.array(x)))
             np.testing.assert_allclose(back, x, rtol=0.0, atol=1e-12)
@@ -316,7 +332,7 @@ class TestDarbouxChart:
         assert chart.image_lower[0] == -np.inf and chart.image_upper[0] == np.inf
         assert chart.image_lower[2] == 0.0 and chart.image_upper[2] == np.inf
 
-    def test_image_bounds_custom_factor_matches_closed_form(self):
+    def test_image_bounds_custom_factor_matches_closed_form(self, monkeypatch):
         # phi = exp(y / 1000) on y < 1, in closed form and as a custom factor
         # whose antiderivative overflows far out: both diverge toward -inf
         # and share the value at y = 1.  A custom factor is not evaluated at
@@ -332,10 +348,11 @@ class TestDarbouxChart:
             4, 4, np.eye(4), (Exponential(1.0, 1e-3), Constant(1.0), custom, wavy),
             BoxDomain([-np.inf] * 4, [1.0, 1.0, 1.0, np.inf], [-2.0] * 4, [0.0] * 4),
         )
+        validations = _validations(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chart = darboux_chart(spec)
-        assert chart.validated
+        assert validations == [VALIDATION_POINTS]
         assert chart.image_lower[0] == chart.image_lower[2] == -np.inf
         assert np.isfinite(chart.image_upper[0])
         assert chart.image_upper[2] == pytest.approx(chart.image_upper[0], rel=1e-12)
@@ -405,6 +422,29 @@ class TestDarbouxChart:
         assert not chart.contains_image(np.array([1e6, 0.0, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "first",
+    [
+        Power(1.0, 1.0 + 1e-6),
+        Power(1.0, 1.0 + 1e-9),
+        Power(1.0, 1.0 + 1e-14),
+        Exponential(1.0, 1e-9),
+        Exponential(1.0, 1e-13),
+        Affine(1e-10, 1.0),
+    ],
+)
+def test_near_degenerate_factor_gives_a_certified_chart(first):
+    """B = I2 on [0.5, 2] x [-1, 1], the second factor constant(1): a chart
+    whose first factor is within 1e-6 .. 1e-14 of a linear or constant one
+    validates and certifies, its round trip within 2 eps (the plain closed
+    forms missed by up to 6.9e-3)."""
+    box = BoxDomain([0.5, -1.0], [2.0, 1.0])
+    spec = build_spec(2, 2, np.eye(2), (first, Constant(1.0)), box)
+    report = certify_canonical(darboux_chart(spec))
+    assert report.passed
+    assert report.max_round_trip_error <= 2 * np.finfo(float).eps
+
+
 class TestCertificationFailure:
     def test_corrupted_inverse_detected(self, kmk_spec):
         chart = darboux_chart(kmk_spec)
@@ -414,7 +454,7 @@ class TestCertificationFailure:
                 shifted = tuple(a + 0.5 for a in self.anchors)
                 return DarbouxChart.inverse(replace(self, anchors=shifted), z)
 
-        corrupted = CorruptedChart(spec=kmk_spec, anchors=chart.anchors, validated=True)
+        corrupted = CorruptedChart(spec=kmk_spec, anchors=chart.anchors)
         with pytest.raises(CertificationFailureError):
             certify_canonical(corrupted)
 

@@ -23,7 +23,7 @@ def test_unbounded_contains():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^box requires lower < upper componentwise$"):
         BoxDomain([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
         BoxDomain([0.0], [1.0], sample_lower=[0.1], sample_upper=None)

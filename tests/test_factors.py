@@ -163,15 +163,15 @@ def test_out_of_range_inversion():
 
 
 def test_construction_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Constant factor requires c != 0$"):
         Constant(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Linear factor requires slope != 0$"):
         Linear(0.0)
     with pytest.raises(ValueError):
         Linear(1.0, validity=(-1.0, 1.0))
     with pytest.raises(ValueError):
         Affine(1.0, 0.0, validity=(-1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^Power factor requires coefficient != 0$"):
         Power(0.0, 2.0)
     with pytest.raises(ValueError):
         Constant(1.0, validity=(2.0, 2.0))

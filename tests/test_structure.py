@@ -29,6 +29,8 @@ from poissonkit import (
     default_anchors,
     evaluate_structure,
     lambda_coefficient,
+    linear_hamiltonian,
+    quadratic_hamiltonian,
     structure_partials,
 )
 
@@ -48,6 +50,37 @@ def test_build_spec_rank_zero():
     np.testing.assert_array_equal(structure_partials(spec, x), np.zeros((4, 4, 4)))
 
 
+def test_kept_arrays_are_read_only_copies():
+    """A box, a spec and the built-in Hamiltonians keep copies: writing
+    to the caller's arrays afterwards moves none of them, and H's gradient
+    still agrees with its Hessian."""
+    lo, hi, slo, shi = np.zeros(2), np.full(2, 4.0), np.full(2, 0.5), np.full(2, 2.0)
+    box = BoxDomain(lo, hi, slo, shi)
+    B = np.array([[2.0, 1.0], [0.0, 1.0]])
+    A = np.array([[0.5, -0.5], [0.0, 1.0]])
+    spec = build_spec(2, 2, B, (Linear(1.0), Constant(1.0)), box, inverse=A)
+    w, c = np.array([1.0, 2.0]), np.array([3.0, -1.0])
+    H, G = quadratic_hamiltonian(w), linear_hamiltonian(c)
+    for v in (lo, hi, slo, shi, B, A, w, c):
+        v += 100.0
+    np.testing.assert_array_equal(box.lower, [0.0, 0.0])
+    np.testing.assert_array_equal(box.upper, [4.0, 4.0])
+    np.testing.assert_array_equal(box.sample_lower, [0.5, 0.5])
+    np.testing.assert_array_equal(box.sample_upper, [2.0, 2.0])
+    assert box.contains([0.25, 3.5])
+    np.testing.assert_array_equal(spec.B, [[2.0, 1.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(spec.A, [[0.5, -0.5], [0.0, 1.0]])
+    for kept in (box.lower, box.upper, box.sample_lower, spec.B, spec.A):
+        assert not kept.flags.writeable
+    x = np.array([1.0, 1.0])
+    np.testing.assert_array_equal(H.gradient_at(x), [1.0, 2.0])
+    np.testing.assert_array_equal(H.gradient_at(x), H.hessian_at(x) @ x)
+    assert H.value_at(x) == 1.5
+    np.testing.assert_array_equal(G.gradient_at(x), [3.0, -1.0])
+    np.testing.assert_array_equal(G.hessian_at(x), np.zeros((2, 2)))
+    assert G.value_at(x) == 2.0
+
+
 def test_build_spec_singular_B():
     B = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
     with pytest.raises(SingularMatrixError):
@@ -63,6 +96,10 @@ def test_build_spec_rank_validation():
         build_spec(3, -2, np.eye(3), (), UNIT_BOX3)
     with pytest.raises(ValueError):
         build_spec(3, 2, np.eye(3), (Constant(1.0),), UNIT_BOX3)
+    with pytest.raises(ValueError, match=r"^matrix must have shape \(3, 3\), got \(2, 2\)$"):
+        build_spec(3, 2, np.eye(2), (Constant(1.0),) * 2, UNIT_BOX3)
+    with pytest.raises(ValueError, match=r"^matrix must have shape \(3, 3\), got \(2, 2\)$"):
+        build_spec(3, 2, np.eye(3), (Constant(1.0),) * 2, UNIT_BOX3, inverse=np.eye(2))
 
 
 def test_build_spec_factor_vanishes():

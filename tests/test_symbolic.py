@@ -6,13 +6,16 @@ equals the minor-sum definition and satisfies the Jacobi identity
 exactly.  mpmath evaluates J and its partials at 50 digits for concrete
 factors and checks the float kernel against them, and, from the same
 minor sum, the integrator's field on the chart coordinates u and its
-Newton matrix on both stages, which the integrator forms without J.
+Newton matrix on both stages, which the integrator forms without J; and
+the chart formulas F and F^{-1} of the affine, exponential and power
+kinds, near their degenerate parameters and at their overflow edges.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -257,3 +260,94 @@ def test_chart_system_matches_50_digit_minor_sum(route):
                 )))
                 assert np.max(np.abs(field - field_ref)) <= 1e-14 * field_scale
                 assert np.max(np.abs(newton - newton_ref)) <= 1e-14 * newton_scale
+
+
+def _mp_chart(f):
+    """F(y; a) and F^{-1}(z; a) of an affine, exponential or power factor
+    in mpmath, by the plain closed forms: at 50 digits a difference of
+    nearly equal terms still keeps 35."""
+    p = [mpmath.mpf(v) for v in f.params().values()]
+    if f.kind == "affine":
+        s, b = p
+        return (
+            lambda y, a: mpmath.log((s * y + b) / (s * a + b)) / s,
+            lambda z, a: ((s * a + b) * mpmath.exp(s * z) - b) / s,
+        )
+    if f.kind == "exponential":
+        amp, rate = p
+        return (
+            lambda y, a: (mpmath.exp(-rate * a) - mpmath.exp(-rate * y)) / (amp * rate),
+            lambda z, a: -mpmath.log(mpmath.exp(-rate * a) - amp * rate * z) / rate,
+        )
+    c, q = p[0], 1 - p[1]
+    return (
+        lambda y, a: (y**q - a**q) / (c * q),
+        lambda z, a: (a**q + c * q * z) ** (1 / q),
+    )
+
+
+#: Parameters near the degenerate ones (exponent 1, rate 0, slope 0), at
+#: offsets 1e-2 .. 1e-15 on either side, and ordinary ones.
+OFFSETS = [s * 10.0**-k for k in range(2, 16) for s in (1, -1)] + [0.5, -0.7, 2.0]
+CHART_FACTORS = (
+    [Power(1.3, 1.0 + d) for d in OFFSETS]
+    + [Exponential(0.8, d) for d in OFFSETS]
+    + [Affine(d, 1.0) for d in OFFSETS]
+)
+
+
+@pytest.mark.parametrize("kind", ["affine", "exponential", "power"])
+def test_chart_formulas_match_50_digits(kind):
+    """F and F^{-1} of each kind within 4 eps times their conditioning,
+    against the plain closed forms at 50 digits, with parameters from
+    ordinary ones to within 1e-15 of the degenerate value, where the
+    plain forms in binary64 lose every digit.  F's relative conditioning
+    in y and in the anchor a is |y / (phi(y) F)| + |a / (phi(a) F)|;
+    F^{-1}'s, at z = F(y) rounded, |z phi(y) / y| + |a phi(y) / (phi(a) y)|."""
+    eps = np.finfo(float).eps
+    factors = [f for f in CHART_FACTORS if f.kind == kind]
+    with mpmath.workdps(50):
+        for f in factors:
+            F, F_inv = _mp_chart(f)
+            phi = _mp_factor(f)
+            lo, hi = f.validity
+            for y, a in ((2.0, 1.0), (1.001, 1.0), (0.6, 1.7)):
+                if not (lo < min(y, a) and max(y, a) < hi):
+                    continue
+                exact = F(mpmath.mpf(y), mpmath.mpf(a))
+                cond = 1 + abs(y / (phi(y) * exact)) + abs(a / (phi(a) * exact))
+                got = f.reciprocal_antiderivative(y, a)
+                assert abs((got - exact) / exact) <= 4 * eps * cond, (f, y, a)
+                z = float(exact)
+                preimage = F_inv(mpmath.mpf(z), mpmath.mpf(a))
+                ratio = phi(preimage) / preimage
+                cond = 1 + abs(z * ratio) + abs(a * ratio / phi(a))
+                got = f.invert_antiderivative(z, a)
+                assert abs((got - preimage) / preimage) <= 4 * eps * cond, (f, y, a)
+
+
+#: Ends where the cancellation-free form would overflow, underflow or
+#: lose its argument, so the plain closed form is taken: (factor, y, a).
+CHART_EDGES = [
+    (Affine(1e-12, 1e300), 1.7e308, -1.7e308),  # y - a overflows
+    (Affine(1e-12, 1e300), -1.7e308, 1.7e308),
+    (Affine(1.0, 0.0), 1e-10, 1e10),  # log1p's argument rounds to -1
+    (Exponential(1.0, 1.0), 10.0, 800.0),  # exp(-rate a) underflows
+    (Exponential(1.0, 1e-3), -1e-10, 1e10),  # and expm1 overflows
+    (Power(1.0, 0.5), 1e300, 1e-10),  # y / a overflows
+    (Power(1.0, 1.5), 1e-10, 1e300),
+]
+
+
+@pytest.mark.parametrize("f,y,a", CHART_EDGES)
+def test_chart_formulas_at_overflow_edges(f, y, a):
+    """F within 1e-12 of the 50-digit value and F^{-1}(F(y)) within
+    1e-12 (|y| + |z phi(y)|) of y, with no RuntimeWarning."""
+    with mpmath.workdps(50):
+        exact = _mp_chart(f)[0](mpmath.mpf(y), mpmath.mpf(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = f.reciprocal_antiderivative(y, a)
+        back = f.invert_antiderivative(z, a)
+    assert abs((z - exact) / exact) <= 1e-12
+    assert abs(back - y) <= 1e-12 * (abs(y) + abs(z * f.value(y)))
