@@ -26,32 +26,46 @@ FACE_INSET = 1e-9
 
 
 @lru_cache(maxsize=8)
+def _halton_layout(d: int):
+    """The seed-free part of ``_halton_scrambling``: the first d primes as
+    bases, base b with ``ceil(54 / log2 b) - 1`` read-only rows ``arange(b)
+    * w_j`` (``w_0 = 1 / b``, ``w_{j+1} = w_j / b``), and their places in
+    one flat step-major table, where step j holds row j of the a_j leading
+    bases that have one, base after base from ``offsets``.  Returns bases
+    and offsets as columns, (rows, places) per base, (a_j, start, stop)
+    per step."""
+    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    bases = list(itertools.islice(primes, d))
+    counts = [math.ceil(54 / math.log2(b)) - 1 for b in bases]
+    offsets = np.cumsum([0] + bases)
+    active = [sum(c > j for c in counts) for j in range(max(counts, default=0))]
+    starts = np.cumsum([0] + [int(offsets[a]) for a in active])
+    per_base = []
+    for i, (b, c) in enumerate(zip(bases, counts)):
+        rows = np.arange(b) * np.divide.accumulate([1.0] + [b] * c)[1:, None]
+        per_base.append((frozen_copy(rows), starts[:c, None] + (offsets[i] + np.arange(b))))
+    steps = list(zip(active, starts[:-1].tolist(), starts[1:].tolist()))
+    return np.array(bases)[:, None], offsets[:-1, None], per_base, steps
+
+
+@lru_cache(maxsize=8)
 def _halton_scrambling(d: int, seed: int):
     """(bases, offsets, steps) for ``_scrambled_halton``, drawn as scipy does.
 
-    The bases are the first d primes.  Each base b in turn permutes its
-    ``ceil(54 / log2 b) - 1`` rows of ``arange(b)`` in place, row after
-    row, with one generator seeded with ``seed``: one ``permuted`` call
-    draws the stream of one ``shuffle`` per row.  Row j, the permutation
-    of digit j, weighs ``w_j``, with ``w_0 = 1 / b`` and
-    ``w_{j+1} = w_j / b``.  Step j is ``(a, perm_j[digit] * w_j)`` for the
-    a leading bases that have a row j, base after base from ``offsets``.
-    Bases and offsets are columns.
+    Each base in turn permutes a copy of its rows (see :func:`_halton_layout`)
+    with one generator seeded with ``seed``: one ``permuted`` call draws the
+    stream of one ``shuffle`` per row, and entry k of a permuted row is
+    scipy's ``perm_j[k] * w_j`` bit for bit.  The rows go straight to their
+    places in one read-only table; step j is ``(a_j, terms)``, with
+    ``terms`` the table's slice of step j.
     """
-    primes = (p for p in itertools.count(2) if all(p % q for q in range(2, math.isqrt(p) + 1)))
-    bases = list(itertools.islice(primes, d))
+    bases, offsets, per_base, steps = _halton_layout(d)
     rng = np.random.default_rng(seed)
-    terms = []  # per base: (rows, base) array of perm * weight
-    for b in bases:
-        perms = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
-        rng.permuted(perms, axis=1, out=perms)
-        terms.append(perms * np.divide.accumulate([1.0] + [b] * len(perms))[1:, None])
-    steps = []
-    for j in range(max(map(len, terms), default=0)):
-        active = [t[j] for t in terms if j < len(t)]  # rows shrink as b grows
-        steps.append((len(active), np.concatenate(active)))
-    offsets = np.cumsum([0] + bases[:-1])[:, None]
-    return np.array(bases)[:, None], offsets, steps
+    table = np.empty(steps[-1][2] if steps else 0)
+    for rows, places in per_base:
+        table[places] = rng.permuted(rows, axis=1)
+    table.setflags(write=False)
+    return bases, offsets, [(a, table[start:stop]) for a, start, stop in steps]
 
 
 def _scrambled_halton(num: int, d: int, seed: int) -> np.ndarray:

@@ -58,8 +58,8 @@ from .errors import (
 
 INF = math.inf
 
-#: |F(y) - z| target, relative to max(1, |z|), for inverting an antiderivative.
-INVERSION_TOL = 1e-12
+#: |F(y) - z| target, relative to max(1, |z|), for a custom factor's root-found inverse.
+ROOT_TOL = 1e-12
 
 #: Absolute tolerance requested from adaptive quadrature for custom factors.
 QUADRATURE_TOL = 1e-12
@@ -438,7 +438,7 @@ class CustomFactor(FactorFunction):
     def _solve(self, z: float, anchor: float, lo: float, hi: float) -> float:
         """The root of F(y) = z in the bracket [lo, hi] by Brent's method,
         refined to the float grid; NoConvergenceError unless
-        |F(y) - z| <= INVERSION_TOL max(1, |z|)."""
+        |F(y) - z| <= ROOT_TOL max(1, |z|)."""
         from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
         y = brentq(
@@ -448,7 +448,7 @@ class CustomFactor(FactorFunction):
             xtol=math.ulp(0.0),
             disp=False,
         )
-        tolerance = INVERSION_TOL * max(1.0, abs(z))
+        tolerance = ROOT_TOL * max(1.0, abs(z))
         if not abs(self._reciprocal_antiderivative(y, anchor) - z) <= tolerance:
             raise NoConvergenceError(
                 f"antiderivative inversion did not reach {tolerance:g}"
@@ -551,15 +551,16 @@ class FactorBank:
     def _error(self, name: str, inside: np.ndarray, y, res) -> PoissonKitError:
         """The error of a pass whose check ``inside`` fails first at column
         q, element k: y[k] is outside validity, or for inversions the
-        result of z = y[k] is."""
+        result of z = y[k] is, an error that names factor q + 1."""
         q = int(np.argmin(inside.reshape(-1, self.r).all(axis=0)))
         k = int(np.argmin(inside[..., q].reshape(-1)))
         arg = float(y[..., q].reshape(-1)[k])
         if name != "invert_antiderivative":
             return self.factors[q]._outside(arg)
+        factor = f"factor {q + 1} ({self.factors[q].kind}): z = {arg!r}"
         if math.isfinite(res[..., q].reshape(-1)[k]):
-            return OutOfRangeError(f"z = {arg!r} maps outside validity interval")
-        return OutOfRangeError(f"z = {arg!r} outside the antiderivative range")
+            return OutOfRangeError(f"{factor} maps outside validity interval")
+        return OutOfRangeError(f"{factor} outside the antiderivative range")
 
 
 class BoundChart:

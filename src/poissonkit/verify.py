@@ -20,10 +20,13 @@ pair-product slopes (see :mod:`poissonkit.structure`), d_l J_jk is the
 minor sum sum_p L_jk^p W[p, l] over the constant pair minors L of A, so
 C = (J W^T) L^T.  As L is exactly skew, only the columns j < k are formed,
 C' = (J W^T) L'^T with L' the minors at j < k, built from A's pair columns
-for each block and nowhere else; that is two small products per point,
-and C[b, ca] is read as -C'[b, ac], bitwise; max |dJ| is max |L' W|.  J
-and W are taken for a whole block from one pass over the factor values
-and one over their derivatives.  Other fields, the
+for each block and nowhere else, with a C-contiguous copy of L'^T that
+gives the bits of the strided L'.T faster; that is two small products per
+point, and C[b, ca] is read as -C'[b, ac], bitwise; max |dJ| is max |L' W|.
+Each maximum of an absolute value, max |dJ| per point and max |J| once
+per block, is max(max, -min), with no abs temporary and nan where a nan
+is.  J and W are taken for a whole block from one pass over the factor
+values and one over their derivatives.  Other fields, the
 finite-difference oracle among them, need not be skew: they contract their
 own partials into all n*n columns one point at a time.  Either way memory
 stays at one block of J and one (n, n, n) array, and the kernel and rank
@@ -86,7 +89,8 @@ class StructureField:
         C[a, b*n + c] + C[c, a*n + b] + C[b, c*n + a] at the (T, 3) 0-based
         triples a < b < c, with C[i, j*n + k] = sum_l J_il d_l J_jk.
         Formed by ``contract`` when the field has one, else from
-        ``partials`` one point at a time."""
+        ``partials`` one point at a time.  Each residual array is new,
+        and the sweep overwrites it."""
         if self.contract is not None:
             return self.contract(X, triples)
         structures = np.asarray(self.evaluate(X))
@@ -133,7 +137,8 @@ def _contract_pair_minors(
     """jacobi_terms of a spec field: J and W from one structure_slopes call
     per block, and per point C' = (J W^T) L'^T and max |dJ| = max |L' W|,
     with L'[(i, j), p] = a_{i,2p-1} a_{j,2p} - a_{i,2p} a_{j,2p-1} the pair
-    minors at i < j, formed from A's pair columns once per block.  The
+    minors at i < j, formed from A's pair columns once per block, with
+    L'^T copied C-contiguous.  The
     minors are exactly skew in (i, j), so the residual at a < b < c is
     C'[a, bc] + C'[c, ab] - C'[b, ac], bitwise the full C's.  Raises
     ConfigValidationError when J or W is not finite on the block, or the
@@ -146,6 +151,7 @@ def _contract_pair_minors(
     rows, cols = np.triu_indices(n, 1)
     odd, even, m = spec.A[:, 0:r:2], spec.A[:, 1:r:2], rows.size
     L = odd[rows] * even[cols] - even[rows] * odd[cols]
+    LT = np.ascontiguousarray(L.T)  # bitwise L.T in a product, and faster
     pair = np.zeros((n, n), dtype=np.intp)  # pair[i, j]: the column of i < j in C'
     pair[rows, cols] = np.arange(m)
     a, b, c = triples.T
@@ -154,8 +160,11 @@ def _contract_pair_minors(
 
     def terms():
         for x, J, slopes in zip(X, structures, W):
-            C = ((J @ slopes.T) @ L.T).ravel()
-            residuals, dJ_max = C[bc] + C[ab] - C[ac], float(np.max(np.abs(L @ slopes)))
+            C = ((J @ slopes.T) @ LT).ravel()
+            residuals = C[bc] + C[ab]
+            residuals -= C[ac]
+            P = L @ slopes
+            dJ_max = float(np.maximum(P.max(), -P.min()))  # max |P|, nan if any is
             if not (math.isfinite(dJ_max) and np.isfinite(residuals).all()):
                 overflows = "the Jacobi contraction overflows"
                 raise non_finite_error(spec, x[None], otherwise=overflows)
@@ -292,10 +301,11 @@ def jacobi_sweep(
             structures, terms = field.jacobi_terms(X, triples)
             if visit is not None:
                 visit(structures)
+            J_max = np.maximum(structures.max(axis=(1, 2)), -structures.min(axis=(1, 2)))
             # No triples when n < 3; after a non-finite point only visit reads the blocks.
-            rows = zip(X, structures, terms) if triples.size and finite else ()
-            for x, J, (residuals, dJ_max) in rows:
-                res = np.abs(residuals)
+            rows = zip(X, J_max.tolist(), terms) if triples.size and finite else ()
+            for x, J_abs, (res, dJ_max) in rows:
+                np.abs(res, out=res)
                 idx = int(np.argmax(res))  # the first nan, if any
                 worst = float(res[idx])
                 finite = math.isfinite(worst) and math.isfinite(dJ_max)
@@ -305,7 +315,7 @@ def jacobi_sweep(
                 if not finite:
                     max_abs = max_norm = math.nan
                     break
-                scale = float(np.max(np.abs(J))) * dJ_max  # 0 only where worst is 0
+                scale = J_abs * dJ_max  # 0 only where worst is 0
                 max_norm = max(max_norm, worst / scale if scale else 0.0)
                 max_abs = max(max_abs, worst)
 

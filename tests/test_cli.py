@@ -661,6 +661,36 @@ class TestIntegrateCommand:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["darboux"],
+        ["integrate", "--route", "canonical", "--hamiltonian", "quadratic-diagonal:1,1",
+         "--x0", "0.5,0.5", "--steps", "3"],
+    ],
+)
+def test_chart_range_error_names_its_factor(tmp_path, capsys, argv):
+    """exp(1000 y) on (0, 1): the inverse at the chart's image bound
+    z = F(1) is not finite, and the error names the factor, as verify's
+    errors do."""
+    config = {
+        "version": 1, "n": 2, "r": 2, "B": [1, 0, 0, 1],
+        "factors": [
+            {"kind": "exponential", "params": {"amplitude": 1.0, "rate": 1000.0}},
+            {"kind": "constant", "params": {"c": 1.0}},
+        ],
+        "domain": {"lower": [0, -1], "upper": [1, 1]},
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = _run(capsys, argv[:1] + ["--config", str(path)] + argv[1:])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: factor 1 (exponential): z = 7.124576406741285e-221 "
+        "outside the antiderivative range\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["verify", "--system", "kmk", "--points", "5"],
         ["darboux", "--system", "kmk", "--points", "5"],
         KMK_INTEGRATE + ["--hamiltonian", "linear:1,2,3", "--x0", "1,1.1,0.9"],

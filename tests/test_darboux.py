@@ -499,14 +499,14 @@ def test_canonical_matrix_layout():
 UNREACHABLE = [
     ("forward", [-1.0, 1.0, 1.0], OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
     ("forward", [0.0, 1.0, 1.0], OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
-    ("inverse", [1e6, 0.0, 1.0], OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
-    ("inverse", [-1e6, 0.0, 1.0], OutOfRangeError("z = -1000000.0 maps outside validity interval")),
-    ("inverse_jacobian", [1e6, 0.0, 1.0], OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
+    ("inverse", [1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
+    ("inverse", [-1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = -1000000.0 maps outside validity interval")),
+    ("inverse_jacobian", [1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
     ("contains_image", [1e6, 0.0, 1.0], False),
     ("reciprocal_antiderivative", 0.0, OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
     ("reciprocal_antiderivative", -1.0, OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
-    ("invert_antiderivative", 1e6, OutOfRangeError("z = 1000000.0 outside the antiderivative range")),
-    ("invert_antiderivative", -1e6, OutOfRangeError("z = -1000000.0 maps outside validity interval")),
+    ("invert_antiderivative", 1e6, OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
+    ("invert_antiderivative", -1e6, OutOfRangeError("factor 1 (linear): z = -1000000.0 maps outside validity interval")),
 ]
 
 

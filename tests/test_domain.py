@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import qmc
 
 from poissonkit import BoxDomain, EmptyDomainSampleError, OutOfDomainError
-from poissonkit.domain import _scrambled_halton
+from poissonkit.domain import _halton_scrambling, _scrambled_halton
 
 
 def test_contains_is_strict():
@@ -106,6 +106,20 @@ def test_scrambled_halton_is_scipys_bit_for_bit(seed):
             u = _scrambled_halton(num, d, seed)
             assert u.shape == expected.shape, (d, num)
             assert u.tobytes() == expected.tobytes(), (d, num)
+
+
+def test_cached_halton_table_is_read_only_and_redrawn_after_eviction():
+    """The cached digit table cannot be written, and a (d, seed) drawn again
+    after nine other seeds have pushed it out of the cache is scipy's still:
+    the seed-free layout it is built on is not moved by a draw."""
+    d, num = 32, 100
+    expected = qmc.Halton(d=d, scramble=True, seed=7).random(num)
+    assert _scrambled_halton(num, d, 7).tobytes() == expected.tobytes()
+    for _, terms in _halton_scrambling(d, 7)[2]:
+        assert not terms.flags.writeable
+    for seed in range(100, 109):
+        _scrambled_halton(num, d, seed)
+    assert _scrambled_halton(num, d, 7).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3, 32])

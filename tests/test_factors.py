@@ -438,7 +438,7 @@ def test_custom_target_past_an_arithmetic_failure_is_out_of_range():
         derivative_fn=math.sinh,
         antiderivative_fn=lambda y: math.atan(math.sinh(y)),
     )
-    with pytest.raises(OutOfRangeError, match=r"^z = -2.0 outside the antiderivative range$"):
+    with pytest.raises(OutOfRangeError, match=r"^factor 1 \(custom\): z = -2.0 outside the antiderivative range$"):
         f.invert_antiderivative(-2.0, 0.0)
 
 

@@ -418,5 +418,6 @@ def test_block_error_names_first_offender_like_single_factors(name, q):
     expected = _first_error(calls)
     with np.errstate(all="ignore"), pytest.raises(type(expected)) as caught:
         _pass(spec.bank, name, Y, anchors)
-    assert str(caught.value) == str(expected)
+    # An inversion error names its factor; a single factor is factor 1 of its own bank.
+    assert str(caught.value) == str(expected).replace("factor 1 (", f"factor {q + 1} (", 1)
     assert "nan" in str(expected) and "np.float64" not in str(expected)

@@ -373,7 +373,9 @@ def test_full_contraction_reference_sees_a_sign_error():
 
 def _reference_sweep(field, num_points: int, seed: int) -> JacobiReport:
     """jacobi_sweep spelled out: the field's own partials tensor at each
-    point, the residual tensor, and the triples in combinations order."""
+    point, the residual tensor, and the triples in combinations order.  At
+    the first point whose worst residual (the first nan, if any) or max |T|
+    is not finite, both maxima are nan and the argmax is there."""
     n = field.n
     triples = list(itertools.combinations(range(n), 3))
     max_abs = max_norm = 0.0
@@ -384,7 +386,14 @@ def _reference_sweep(field, num_points: int, seed: int) -> JacobiReport:
         J = field.evaluate(x)
         T = field.partials(x)
         R = residual_tensor(J, T)
-        worst, triple = max(((abs(R[t]), t) for t in triples), key=lambda item: item[0])
+        worst, triple = max(
+            ((abs(R[t]), t) for t in triples), key=lambda item: (math.isnan(item[0]), item[0])
+        )
+        if not (math.isfinite(worst) and np.isfinite(T).all()):
+            max_abs = max_norm = math.nan
+            argmax_triple = tuple(t + 1 for t in triple)
+            argmax_point = tuple(float(v) for v in x)
+            break
         scale = float(np.max(np.abs(J))) * float(np.max(np.abs(T)))
         max_norm = max(max_norm, worst / scale if scale else 0.0)
         if argmax_triple is None or worst > max_abs:
@@ -444,6 +453,35 @@ def test_generic_field_takes_no_skew_shortcut():
         C = _contraction(field.evaluate(x), field.partials(x)).reshape(3, 3, 3)
         assert C[0, 1, 2] + C[2, 0, 1] - C[1, 0, 2] == 0.0
     assert report.max_abs_residual >= 0.5
+
+
+@pytest.mark.parametrize("special", [-math.inf, math.inf, math.nan, -0.0, None])
+def test_generic_sweep_at_a_special_J_matches_the_reference(special):
+    """J21 = -x3 and J31 = -x1 (1-based), every other entry 0, so max|J| is
+    -min J.  At one sample point J is instead all -0.0, or has J21 = -inf,
+    +inf or nan: the sweep's max(max, -min) reductions give the reference's
+    report, with both maxima nan and the argmax at that point when J is not
+    finite there."""
+    box = BoxDomain([0.5] * 3, [1.5] * 3)
+    point = box.halton_points(6, seed=2)[3]
+
+    def evaluate(x):
+        J = np.zeros((3, 3))
+        J[1, 0], J[2, 0] = -x[2], -x[0]
+        if special is not None and np.array_equal(x, point):
+            J = np.full((3, 3), -0.0) if special == 0.0 else J
+            J[1, 0] = special
+        return J
+
+    field = generic_field(3, evaluate, box)
+    report = jacobi_sweep(field, 6, seed=2)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the reference's residual tensor
+        assert report == _reference_sweep(field, 6, seed=2)
+    if special is not None and not math.isfinite(special):
+        assert math.isnan(report.max_abs_residual) and math.isnan(report.max_normalized_residual)
+        assert report.argmax_point == tuple(point)
+    else:
+        assert report.max_normalized_residual > 0.0
 
 
 def test_sweep_keeps_no_state_of_the_spec():
