@@ -143,7 +143,11 @@ def run_verify(system: System, points: int, seed: int) -> tuple[int, dict]:
             "tolerance_factor": KERNEL_TOL_FACTOR,
             "passed": kernel_max <= KERNEL_TOL_FACTOR * max_abs_J,
         }
-        casimir_rank = int(np.linalg.matrix_rank(casimirs(spec)))
+        # Each row scaled by the power of two of its largest entry, exactly:
+        # the rank's default tolerance is relative to the largest row.
+        C = casimirs(spec)
+        scale = np.frexp(np.abs(C).max(axis=1, initial=0.0))[1]
+        casimir_rank = int(np.linalg.matrix_rank(np.ldexp(C, -scale[:, None])))
         report["casimirs"] = {
             "count": spec.n - spec.r,
             "coefficient_rank": casimir_rank,

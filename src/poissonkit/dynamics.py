@@ -28,19 +28,22 @@ overflows stays one inf in f, with no nan from K's zeros (0 * inf).  Df
 is formed in K's row order, with K A_r^T Hess H A_r formed once per run
 when H holds its Hessian as an array (the built-in Hamiltonians do), and
 otherwise from H.hessian_at(x) at each Newton matrix.
+
 The identity stage builds rho and its slopes from pair products phi_a
 phi_b and pair slopes phi'_a phi_b alone, never one factor times a
 gradient component, so a huge factor with a tiny partner leaves both
 finite; its sigma multiplies nothing.  An evaluation takes phi from the
-bank's checked value pass on u (FactorBank.checked), or from the
-inversion, one validity check and the value formulas on the chart's one
-binding (DarbouxChart.quadrature); x by ndarray.dot on a C-contiguous copy
-of A_r, bitwise A_r @ v and cheaper; and c = grad H(x) A_r by @ on A_r
-itself, which neither g.dot(A_r) nor g @ the copy matches bitwise, from
-H's gradient bound once.  A call gives f(u) and a thunk that forms Df(u)
-from the same evaluation, taking phi' only then, unchecked; field(u) gives
-f(u) alone, state(u) the x of u (no factor pass on the identity stage),
-and vector_field A_r f on the identity stage.
+bank's one validity check and value formulas on u (FactorBank._check,
+FactorBank.formulas), or from the inversion, one validity check and the
+value formulas on the chart's one binding (DarbouxChart.quadrature); x by
+ndarray.dot on a C-contiguous copy of A_r, bitwise A_r @ v and cheaper;
+and c = grad H(x) A_r by @ on A_r itself, which neither g.dot(A_r) nor
+g @ the copy matches bitwise, from H's gradient bound once.  field(u)
+gives f(u), and a call f(u) with a thunk that forms Df(u) from the same
+evaluation, taking phi' only then, unchecked; each forms its evaluation
+in its own frame, as the step loop makes hundreds per run.  state(u)
+gives the x of u (no factor pass on the identity stage), and
+vector_field A_r f on the identity stage.
 
 Both routes run one fixed-step loop, and the first step takes f(u0) from
 the start check.  Later steps evaluate the field at u themselves: RK4
@@ -58,12 +61,17 @@ chart interval (as an overflowing step's does), truncates the trajectory
 with a domain-exit flag and no warning; RK4 stages and Newton iterates
 are not held to the box.  Accepted u are pulled back and checked
 against the box in blocks of up to ACCEPT_BLOCK (_march), and the records
-end where a check at every step would end them, bitwise.  The start, the field value and H at the initial state, is evaluated whatever
-the number of steps: a non-finite factor value, derivative, pair product,
-field value or H there raises ConfigValidationError naming it, and a
-start whose evaluation leaves a factor or chart interval ends the
+end where a check at every step would end them, bitwise.
+
+The start, the field value and H at the initial state, is evaluated
+whatever the number of steps: a non-finite factor value, derivative, pair
+product, field value or H there raises ConfigValidationError naming it,
+and a start whose evaluation leaves a factor or chart interval ends the
 trajectory with one record and the domain-exit flag.  dt * steps must be
-finite.
+finite.  The energy drift H(x_k) - H(x_0) of the recorded states is taken
+in one call (HamiltonianField.values_at): the built-in Hamiltonians
+evaluate the whole (T, n) block as a stack of row dot products, bitwise
+their per-point values, and a user H is called once per row.
 """
 
 from __future__ import annotations
@@ -107,8 +115,11 @@ class HamiltonianField:
     Hessian is a callable x -> Hess H(x), or the (n, n) array of an H whose
     Hessian is constant, as the built-in quadratic, linear and coordinate
     Hamiltonians hold theirs; an integration then forms A_r^T Hess H A_r
-    once per run.  Equality and hashing leave the Hessian out, since an
-    array has neither.
+    once per run.  ``block_value`` takes a (T, n) float block to H at each
+    row, bitwise ``value`` row by row; the built-in Hamiltonians carry one,
+    and without it :meth:`values_at` calls ``value`` once per row.
+    Equality and hashing leave the Hessian and the block value out, since
+    an array has neither and the block value is H's value again.
     """
 
     value: Callable[[np.ndarray], float]
@@ -116,9 +127,16 @@ class HamiltonianField:
     hessian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = field(
         default=None, compare=False
     )
+    block_value: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
 
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
+
+    def values_at(self, X: np.ndarray) -> np.ndarray:
+        """H at each row of a (T, n) float block, bitwise value_at per row."""
+        if self.block_value is None:
+            return np.array([self.value_at(x) for x in X], dtype=float)
+        return self.block_value(X)
 
     def gradient_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -135,6 +153,13 @@ class HamiltonianField:
         return np.array(self.hessian, dtype=float)
 
 
+def _row_dots(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w . X[t] for each row t of a (T, n) block, bitwise the 1-D ``w @ X[t]``:
+    a stack of row-by-column products, where a matrix-vector ``X @ w`` or
+    einsum can sum in another order."""
+    return np.matmul(X[:, None, :], w[:, None])[:, 0, 0]
+
+
 def quadratic_hamiltonian(weights) -> HamiltonianField:
     """H(x) = sum_i w_i x_i^2 / 2, on a read-only copy of the weights."""
     w = frozen_copy(weights)
@@ -142,6 +167,7 @@ def quadratic_hamiltonian(weights) -> HamiltonianField:
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
         gradient=lambda x: w * x,
         hessian=np.diag(w),
+        block_value=lambda X: 0.5 * _row_dots(X**2, w),
     )
 
 
@@ -152,6 +178,7 @@ def linear_hamiltonian(coefficients) -> HamiltonianField:
         value=lambda x: float(c @ np.asarray(x, dtype=float)),
         gradient=lambda x: c.copy(),
         hessian=np.zeros((c.shape[0], c.shape[0])),
+        block_value=lambda X: _row_dots(X, c),
     )
 
 
@@ -178,8 +205,10 @@ class _Identity:
         return u
 
     def values(self, u: np.ndarray) -> tuple:
-        """y, phi(y) and rho at u, by the bank's checked value pass on u."""
-        phi = self.bank.checked("value", u, np.empty(u.shape))
+        """y, phi(y) and rho at u, by the bank's validity check and value
+        formulas on u."""
+        self.bank._check("value", u, u, None)
+        phi = self.bank.formulas("value", u, np.empty(u.shape))
         return u, phi, phi * phi[self.partners]
 
     def newton(self, phi, dphi, kc, curved) -> np.ndarray:
@@ -239,19 +268,16 @@ class _ChartSystem:
         """x at u (r,), or at each row of a (P, r) block, bitwise as per row."""
         return self.x0 - matvec(self.A_r, self.y0 - self.stage.y(u))
 
-    def _evaluate(self, u: np.ndarray) -> tuple:
-        """y, x, phi(y), rho and c at u."""
-        y, phi, rho = self.stage.values(u)
+    def field(self, u: np.ndarray) -> np.ndarray:
+        y, _, rho = self.stage.values(u)
         x = self.x0 - self.A_copy.dot(self.y0 - y)
         # c stays @ on A_r: g.dot(A_r) and g @ A_copy can differ in the last bit.
-        return y, x, phi, rho, self.gradient(x) @ self.A_r
-
-    def field(self, u: np.ndarray) -> np.ndarray:
-        _, _, _, rho, c = self._evaluate(u)
-        return self.signs * (rho * c)[self.partners]
+        return self.signs * (rho * (self.gradient(x) @ self.A_r))[self.partners]
 
     def __call__(self, u: np.ndarray):
-        y, x, phi, rho, c = self._evaluate(u)
+        y, phi, rho = self.stage.values(u)
+        x = self.x0 - self.A_copy.dot(self.y0 - y)
+        c = self.gradient(x) @ self.A_r
 
         def newton() -> np.ndarray:
             if self.H.hessian is None or callable(self.H.hessian):
@@ -350,8 +376,11 @@ def _implicit_midpoint_step(history: list, system, x: np.ndarray, dt: float, f=N
     for it in range(NEWTON_MAX_ITERS):
         f_mid, newton = system(0.5 * (x + u))
         g = u - x - dt * f_mid
-        residual = np.abs(g).max(initial=0.0)  # max|u| is taken only when max|x| is short
-        if residual <= NEWTON_TOL * reach or residual <= NEWTON_TOL * np.abs(u).max() < math.inf:
+        # max|u| is taken only when max|x| is short; an empty u stops at reach 0.
+        residual = np.maximum.reduce(np.abs(g), axis=None, initial=0.0)
+        if residual <= NEWTON_TOL * reach or (
+            residual <= NEWTON_TOL * np.maximum.reduce(np.abs(u), axis=None) < math.inf
+        ):
             history[:] = history[-1:] + [f_mid]
             return u
         if M is None or it % 10 == 9:
@@ -458,7 +487,7 @@ def _march(
                 break
             pending, first = [], k + 1
         X = np.asarray(states, dtype=float).reshape(len(times), spec.n)
-        energy_drift = np.array([H.value_at(x) - h0 for x in X])
+        energy_drift = H.values_at(X) - h0
     C = casimirs(spec)
     return TrajectoryRecord(
         spec=spec,

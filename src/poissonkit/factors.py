@@ -484,8 +484,8 @@ class FactorBank:
     Each group holds its columns (a slice when they are evenly spaced, so a
     pass takes a view), its parameters as vectors and its four formulas;
     ``lo`` and ``hi`` are the validity bounds of all r columns (_check).
-    A value or derivative pass is :meth:`apply` (:meth:`checked` on exactly
-    r float columns), a chart's those of :meth:`bind`."""
+    A value or derivative pass is :meth:`apply` (on exactly r float
+    columns, _check then :meth:`formulas`), a chart's those of :meth:`bind`."""
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -522,8 +522,15 @@ class FactorBank:
 
     def formulas(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The formulas of ``name`` at y into out's columns, unchecked: phi'
-        at a checked evaluation's y, or a chart's limits at the ends."""
-        for cols, formula, args in self.passes[name]:
+        at a checked evaluation's y, or a chart's limits at the ends.  The
+        one group of a single-kind bank spans all r columns, and its formula
+        takes y whole, with no slice."""
+        passes = self.passes[name]
+        if len(passes) == 1:
+            _, formula, args = passes[0]
+            out[...] = formula(y, *args)
+            return out
+        for cols, formula, args in passes:
             out[..., cols] = formula(y[..., cols], *args)
         return out
 
@@ -533,13 +540,9 @@ class FactorBank:
         (P, r) for a block (P, n), or into the first r columns of ``out``
         (not y itself), which is returned."""
         y = np.asarray(y, dtype=float)[..., : self.r]
-        res = self.checked(name, y, np.empty(y.shape) if out is None else out[..., : self.r])
+        self._check(name, y, y, None)
+        res = self.formulas(name, y, np.empty(y.shape) if out is None else out[..., : self.r])
         return res if out is None else out
-
-    def checked(self, name: str, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """apply's pass on floats y of exactly r columns, as they are, into out."""
-        self._check(name, y, y, out)
-        return self.formulas(name, y, out)
 
     def _check(self, name: str, v: np.ndarray, y, res) -> None:
         """The one validity check of every pass: each column of v (y, or an

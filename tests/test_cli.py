@@ -194,6 +194,24 @@ class TestVerifyCommand:
         assert (code, report["passed"], report[section]["passed"]) == (1, False, False)
         assert report["jacobi"]["passed"] and report["rank"]["passed"]
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-17, 1.0, 1e300])
+    def test_casimir_rank_ignores_row_scale(self, tmp_path, capsys, scale):
+        """A Casimir row of any scale has full rank: scaling row 4 of B by
+        lambda scales column 4 of A, which J never reads."""
+        config = {
+            "version": 1, "n": 4, "r": 2,
+            "B": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, scale],
+            "factors": [{"kind": "constant", "params": {"c": 1.0}},
+                        {"kind": "constant", "params": {"c": 2.0}}],
+            "domain": {"lower": [-1] * 4, "upper": [1] * 4},
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = _run(capsys, ["verify", "--config", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["casimirs"] == {"count": 2, "coefficient_rank": 2, "passed": True}
+        assert _run(capsys, ["darboux", "--config", str(path)])[::2] == (0, "")
+
     def test_seeded_runs_byte_identical(self, capsys):
         argv = ["verify", "--system", "kmk", "--points", "40", "--seed", "7"]
         _, out1, _ = _run(capsys, argv)

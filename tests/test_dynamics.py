@@ -163,6 +163,25 @@ class TestHamiltonianField:
                 assert hess.shape == (3, 3)
                 np.testing.assert_allclose(hess, fd, rtol=0.0, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [*range(1, 41), 99, 299])
+    def test_block_values_are_values_per_row(self, n):
+        """values_at of each built-in kind is value_at row by row, bitwise,
+        at rows of mixed scales and at rows with inf, nan and -0.0."""
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((16, n)) * 10.0 ** rng.integers(-8, 9, (16, n))
+        X[1, 0], X[2, -1], X[3, n // 2], X[4] = np.inf, -np.inf, np.nan, -0.0
+        X[5, : (n + 1) // 2] = -0.0
+        weights = rng.uniform(-2.0, 2.0, n)
+        weights[rng.integers(n)] = 0.0
+        for H in (
+            quadratic_hamiltonian(weights),
+            linear_hamiltonian(weights),
+            coordinate_hamiltonian(1 + n // 2, n),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = np.array([H.value_at(x) for x in X])
+                assert H.values_at(X).tobytes() == rows.tobytes()
+
     def test_coordinate_index_validation(self):
         with pytest.raises(ValueError):
             coordinate_hamiltonian(4, 3)
@@ -360,11 +379,12 @@ def _counter(monkeypatch, owner, name):
 
 def _pass_counter(monkeypatch):
     """Count the factor bank passes by operation, wherever they run: the
-    bank's checked passes (apply, and checked, which the identity stage's
-    value pass calls), its unchecked ones (formulas) and a bound chart's,
-    an inversion with its values counted as an inversion.  A pass run
-    inside another (the formulas of a checked pass, the value formulas of
-    an inversion with values) is part of it.  Returns the Counter."""
+    bank's checked passes (apply), its formulas (alone unchecked, or after
+    the bank's _check, as the identity stage's value pass runs them) and a
+    bound chart's, an inversion with its values counted as an inversion.
+    A pass run inside another (the formulas of a checked pass, the value
+    formulas of an inversion with values) is part of it.  Returns the
+    Counter."""
     passes, depth = Counter(), [0]
 
     def count(owner, method):
@@ -381,7 +401,7 @@ def _pass_counter(monkeypatch):
 
         monkeypatch.setattr(owner, method, counted)
 
-    for method in ("apply", "checked", "formulas"):
+    for method in ("apply", "formulas"):
         count(FactorBank, method)
     for method in ("apply", "formulas", "invert_values"):
         count(BoundChart, method)
@@ -598,10 +618,11 @@ class TestConstantCurvature:
 def test_evaluation_products_are_the_plain_products():
     """An evaluation forms x = x0 - A_r (y0 - y) by dot on a C-contiguous
     copy of A_r, and c = grad H(x) A_r by @ on A_r itself: on both stages,
-    at points spread over specgen boxes, each is bitwise the plain @
-    product.  c must stay so: g.dot(A_r) and g @ the copy each differ from
-    it in the last bit at some of these points.  A gradient that returns a
-    list is taken as floats."""
+    at points spread over specgen boxes, the x that H's gradient sees is
+    bitwise the plain @ product, and so are the field and the call's value
+    f = K (rho * c) formed from the plain c.  c must stay so: g.dot(A_r)
+    and g @ the copy each differ from it in the last bit at some of these
+    points.  A gradient that returns a list is taken as floats."""
     rng = np.random.default_rng(61)
     for spec in spec_suite(61, 40):
         A_r, r = spec.A[:, : spec.r], spec.r
@@ -612,10 +633,15 @@ def test_evaluation_products_are_the_plain_products():
         for H in (quadratic_hamiltonian(w), listed):
             for route, U in (("direct", (X @ spec.B.T)[:, :r]), ("canonical", chart.forward(X)[:, :r])):
                 system, _ = _system(route, spec, H, X[0], chart)
+                seen, gradient = [], system.gradient
+                system.gradient = lambda x: seen.append(x) or gradient(x)
                 for u in U:
-                    y, x, _, _, c = system._evaluate(u)
-                    assert x.tobytes() == (X[0] - A_r @ (y0 - y)).tobytes()
-                    assert c.dtype == float and c.tobytes() == (H.gradient_at(x) @ A_r).tobytes()
+                    y, _, rho = system.stage.values(u)
+                    x = X[0] - A_r @ (y0 - y)
+                    c = H.gradient_at(x) @ A_r
+                    f = (system.signs * (rho * c)[system.partners]).tobytes()
+                    assert system.field(u).tobytes() == f and system(u)[0].tobytes() == f
+                    assert [v.tobytes() for v in seen[-2:]] == [x.tobytes()] * 2
 
 
 def _arrays(record):
@@ -624,7 +650,8 @@ def _arrays(record):
 
 def _dense_field(self, u):
     """The field as the dense product K @ (rho * c)."""
-    _, _, _, rho, c = self._evaluate(u)
+    y, _, rho = self.stage.values(u)
+    c = self.gradient(self.x0 - self.A_r @ (self.y0 - y)) @ self.A_r
     r = self.identity.shape[0]
     return canonical_matrix(r, r) @ (rho * c)
 

@@ -10,6 +10,7 @@ same raised error, whatever step the run ends at.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from poissonkit import (
     coordinate_hamiltonian,
     integrate_canonical,
     integrate_direct,
+    linear_hamiltonian,
     quadratic_hamiltonian,
 )
 from poissonkit import dynamics
@@ -258,6 +260,25 @@ def test_rank_zero_matches(monkeypatch, route, method):
     H = quadratic_hamiltonian([1.0, 2.0, 0.5])
     run = lambda: _integrate(route, method, spec, H, [0.1, -0.0, 0.3], DT, 2 * K + 1)  # noqa: E731
     assert _compare(monkeypatch, run)[1:] == (2 * K + 2, False)
+
+
+@pytest.mark.parametrize("route, method", RUNS)
+def test_point_only_hamiltonian_gives_the_builtin_record(kmk_spec, toda3_spec, route, method):
+    """An H without a block value, whose energy drift is taken one row at
+    a time, gives the record of the built-in H it copies, bitwise."""
+    for spec, x0 in ((kmk_spec, [1.0, 1.2, 0.8]), (toda3_spec, [1.0, 0.8, 0.3, -0.2, 0.4])):
+        weights = np.linspace(0.5, 2.0, spec.n)
+        for H in (
+            quadratic_hamiltonian(weights),
+            linear_hamiltonian(weights - 1.0),
+            coordinate_hamiltonian(spec.n, spec.n),
+        ):
+            point = replace(H, block_value=None)
+            builtin, by_point = (
+                _outcome(lambda G=G: _integrate(route, method, spec, G, x0, DT, 2 * K + 5))
+                for G in (H, point)
+            )
+            assert by_point == builtin and builtin[1] > 1
 
 
 @pytest.mark.parametrize("route, method", RUNS)

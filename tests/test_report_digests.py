@@ -7,6 +7,9 @@ config ``name``.  A change that moves a report on purpose regenerates the
 file and names the argvs that moved:
 
     PYTHONPATH=src python tests/test_report_digests.py
+
+which prints each argv whose digest moved, and each new one (a case given
+by its ``argv`` alone), before it rewrites the file.
 """
 
 from __future__ import annotations
@@ -92,8 +95,13 @@ if __name__ == "__main__":
     data = json.loads(DIGESTS.read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as directory:
         paths = _write_configs(data["configs"], Path(directory))
-        data["cases"] = [_digest(case["argv"], paths) for case in data["cases"]]
-    data["numpy"] = np.__version__
+        cases = [_digest(case["argv"], paths) for case in data["cases"]]
+    if data["numpy"] != np.__version__:
+        print(f"numpy {data['numpy']} -> {np.__version__}")
+    for old, new in zip(data["cases"], cases):
+        if new != old:
+            print("new:" if len(old) == 1 else "moved:", " ".join(old["argv"]))
+    data["cases"], data["numpy"] = cases, np.__version__
     # One line per config and per case, so that a moved report moves one line.
     configs = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in data["configs"].items())
     cases = ",\n".join(f"  {json.dumps(case)}" for case in data["cases"])
