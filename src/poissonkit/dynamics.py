@@ -115,11 +115,12 @@ class HamiltonianField:
     Hessian is a callable x -> Hess H(x), or the (n, n) array of an H whose
     Hessian is constant, as the built-in quadratic, linear and coordinate
     Hamiltonians hold theirs; an integration then forms A_r^T Hess H A_r
-    once per run.  ``block_value`` takes a (T, n) float block to H at each
-    row, bitwise ``value`` row by row; the built-in Hamiltonians carry one,
-    and without it :meth:`values_at` calls ``value`` once per row.
-    Equality and hashing leave the Hessian and the block value out, since
-    an array has neither and the block value is H's value again.
+    once per run.  :meth:`values_at` calls ``value`` once per row of a
+    block; the built-in Hamiltonians set a private block form of their
+    value (_with_block_value), bitwise it row by row, which no constructor
+    argument takes and :func:`dataclasses.replace` drops.  Equality and
+    hashing leave the Hessian and the block form out, since an array has
+    neither and the block form is H's value again.
     """
 
     value: Callable[[np.ndarray], float]
@@ -127,16 +128,18 @@ class HamiltonianField:
     hessian: Callable[[np.ndarray], np.ndarray] | np.ndarray | None = field(
         default=None, compare=False
     )
-    block_value: Callable[[np.ndarray], np.ndarray] | None = field(default=None, compare=False)
+    _block_value: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def value_at(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))
 
     def values_at(self, X: np.ndarray) -> np.ndarray:
         """H at each row of a (T, n) float block, bitwise value_at per row."""
-        if self.block_value is None:
+        if self._block_value is None:
             return np.array([self.value_at(x) for x in X], dtype=float)
-        return self.block_value(X)
+        return self._block_value(X)
 
     def gradient_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -160,26 +163,32 @@ def _row_dots(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(X[:, None, :], w[:, None])[:, 0, 0]
 
 
+def _with_block_value(H: HamiltonianField, block) -> HamiltonianField:
+    """H with its block form set, a (T, n) block to H at each row."""
+    object.__setattr__(H, "_block_value", block)
+    return H
+
+
 def quadratic_hamiltonian(weights) -> HamiltonianField:
     """H(x) = sum_i w_i x_i^2 / 2, on a read-only copy of the weights."""
     w = frozen_copy(weights)
-    return HamiltonianField(
+    H = HamiltonianField(
         value=lambda x: 0.5 * float(w @ (np.asarray(x) ** 2)),
         gradient=lambda x: w * x,
         hessian=np.diag(w),
-        block_value=lambda X: 0.5 * _row_dots(X**2, w),
     )
+    return _with_block_value(H, lambda X: 0.5 * _row_dots(X**2, w))
 
 
 def linear_hamiltonian(coefficients) -> HamiltonianField:
     """H(x) = c . x, on a read-only copy of the coefficients."""
     c = frozen_copy(coefficients)
-    return HamiltonianField(
+    H = HamiltonianField(
         value=lambda x: float(c @ np.asarray(x, dtype=float)),
         gradient=lambda x: c.copy(),
         hessian=np.zeros((c.shape[0], c.shape[0])),
-        block_value=lambda X: _row_dots(X, c),
     )
+    return _with_block_value(H, lambda X: _row_dots(X, c))
 
 
 def coordinate_hamiltonian(index: int, n: int) -> HamiltonianField:
@@ -277,7 +286,7 @@ class _ChartSystem:
     def __call__(self, u: np.ndarray):
         y, phi, rho = self.stage.values(u)
         x = self.x0 - self.A_copy.dot(self.y0 - y)
-        c = self.gradient(x) @ self.A_r
+        c = self.gradient(x) @ self.A_r  # on A_r itself, as in field
 
         def newton() -> np.ndarray:
             if self.H.hessian is None or callable(self.H.hessian):

@@ -182,6 +182,17 @@ class TestHamiltonianField:
                 rows = np.array([H.value_at(x) for x in X])
                 assert H.values_at(X).tobytes() == rows.tobytes()
 
+    def test_block_form_is_private_and_replace_drops_it(self):
+        """No constructor argument takes a block form, and a replace() copy
+        with a new value evaluates that value on each row, not the old H."""
+        H = quadratic_hamiltonian([1.0, 2.0, 0.5])
+        with pytest.raises(TypeError):
+            HamiltonianField(value=H.value, _block_value=H.values_at)
+        G = replace(H, value=lambda x: 3.0 * float(np.sum(x)))
+        X = np.arange(12.0).reshape(4, 3)
+        assert G.values_at(X).tolist() == [9.0, 36.0, 63.0, 90.0]
+        assert replace(H).values_at(X).tobytes() == H.values_at(X).tobytes()
+
     def test_coordinate_index_validation(self):
         with pytest.raises(ValueError):
             coordinate_hamiltonian(4, 3)

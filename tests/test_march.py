@@ -264,8 +264,9 @@ def test_rank_zero_matches(monkeypatch, route, method):
 
 @pytest.mark.parametrize("route, method", RUNS)
 def test_point_only_hamiltonian_gives_the_builtin_record(kmk_spec, toda3_spec, route, method):
-    """An H without a block value, whose energy drift is taken one row at
-    a time, gives the record of the built-in H it copies, bitwise."""
+    """An H without a block form, whose energy drift is taken one row at a
+    time (a replace() copy of the built-in H), gives the built-in H's
+    record, bitwise."""
     for spec, x0 in ((kmk_spec, [1.0, 1.2, 0.8]), (toda3_spec, [1.0, 0.8, 0.3, -0.2, 0.4])):
         weights = np.linspace(0.5, 2.0, spec.n)
         for H in (
@@ -273,7 +274,7 @@ def test_point_only_hamiltonian_gives_the_builtin_record(kmk_spec, toda3_spec, r
             linear_hamiltonian(weights - 1.0),
             coordinate_hamiltonian(spec.n, spec.n),
         ):
-            point = replace(H, block_value=None)
+            point = replace(H)
             builtin, by_point = (
                 _outcome(lambda G=G: _integrate(route, method, spec, G, x0, DT, 2 * K + 5))
                 for G in (H, point)
