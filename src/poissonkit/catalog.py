@@ -1,13 +1,17 @@
 """Ready-made systems used as fixtures and CLI-addressable examples.
 
 :data:`CATALOG` is the one table of named systems: each name maps to a
-one-line description and to a builder that checks the parameters and
-builds the system.  Three are multiseparable: the three-species epidemic
-bracket (rank 2, one Casimir x1+x2+x3), the nearest-neighbor lattice
-bracket in Flaschka variables (dimension 2N-1, rank 2N-2, one Casimir
-sum of the beta coordinates), and a constant canonical block matrix used
-as a degenerate fixture.  The fourth, a candidate field that violates the
-Jacobi identity, exercises the verifier's detection power.
+one-line description, a builder, and a check per parameter, ``_real`` (a
+finite real number) or ``_size`` (an integer or integral float), neither
+of which passes a bool.  :func:`catalog_entry` checks the parameters given
+and calls the builder, whose defaults fill in the rest: R = 1 split as
+sqrt(R) each, N = 3, s = 1 and n = 2s.  Three systems are multiseparable:
+the three-species epidemic bracket (rank 2, one Casimir x1+x2+x3), the
+nearest-neighbor lattice bracket in Flaschka variables (dimension 2N-1,
+rank 2N-2, one Casimir sum of the beta coordinates), and a constant
+canonical block matrix used as a degenerate fixture.  The fourth, a
+candidate field that violates the Jacobi identity, exercises the
+verifier's detection power.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def _toda_matrices(N: int) -> tuple[np.ndarray, np.ndarray]:
     return B, A
 
 
-def toda(N: int) -> MultiseparableSpec:
+def toda(N: int = 3) -> MultiseparableSpec:
     """Nearest-neighbor lattice bracket in Flaschka variables
     x = (alpha_1..alpha_{N-1}, beta_1..beta_N).
 
@@ -108,10 +112,11 @@ def toda(N: int) -> MultiseparableSpec:
     return build_spec(n, r, B, tuple(factors), domain, inverse=A)
 
 
-def constant_symplectic(s: int, n: int) -> MultiseparableSpec:
+def constant_symplectic(s: int = 1, n: int | None = None) -> MultiseparableSpec:
     """Constant canonical block matrix: s blocks [[0,1],[-1,0]] padded with
-    zeros; B is the identity and every factor is the constant 1, so the
-    canonical chart is the identity."""
+    zeros to n = 2s by default; B is the identity and every factor is the
+    constant 1, so the canonical chart is the identity."""
+    n = 2 * s if n is None else n
     if s < 0 or 2 * s > n:
         raise InvalidSizeError(f"need 0 <= 2s <= n, got s={s}, n={n}")
     domain = BoxDomain.unbounded(
@@ -136,61 +141,39 @@ def counterexample_field() -> StructureField:
     return generic_field(3, evaluate, domain)
 
 
-def _known(name: str, params: dict, keys: tuple[str, ...]) -> dict:
-    """``params``; TypeError naming those that ``name`` does not take."""
-    unknown = set(params) - set(keys)
-    if unknown:
-        raise TypeError(f"unknown parameters for {name}: {sorted(unknown)}")
-    return params
+def _real(key: str, v) -> float:
+    """``v`` if a finite real number; TypeError or ValueError naming ``key``."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise TypeError(f"parameter {key} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"parameter {key} must be finite, got {v!r}")
+    return v
 
 
-def _sizes(name: str, params: dict, keys: tuple[str, ...]) -> dict[str, int]:
-    """The size parameters of ``name`` as ints; TypeError naming one that is
-    not in ``keys`` or is neither an integer nor an integral float."""
-    for key, v in _known(name, params, keys).items():
-        integral = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
-        if isinstance(v, bool) or not integral:
-            raise TypeError(f"parameter {key} must be an integer, got {v!r}")
-    return {key: int(v) for key, v in params.items()}
+def _size(key: str, v) -> int:
+    """``v`` as an int if an integer or integral float; TypeError naming ``key``."""
+    integral = isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not integral:
+        raise TypeError(f"parameter {key} must be an integer, got {v!r}")
+    return int(v)
 
 
-def _kmk_entry(name: str, params: dict) -> MultiseparableSpec:
-    keys = ("R", "kappa1", "kappa2")
-    _known(name, params, keys)
-    for key in filter(params.__contains__, keys):
-        v = params[key]
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise TypeError(f"parameter {key} must be a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ValueError(f"parameter {key} must be finite, got {v!r}")
-    return kermack_mckendrick(**params)
-
-
-def _toda_entry(name: str, params: dict) -> MultiseparableSpec:
-    return toda(_sizes(name, params, ("N",)).get("N", 3))
-
-
-def _symplectic_entry(name: str, params: dict) -> MultiseparableSpec:
-    sizes = _sizes(name, params, ("s", "n"))
-    s = sizes.get("s", 1)
-    return constant_symplectic(s, sizes.get("n", 2 * s))
-
-
-def _counterexample_entry(name: str, params: dict) -> StructureField:
-    _known(name, params, ())
-    return counterexample_field()
-
-
-#: name -> (one-line description, builder); a builder checks the name's dict
-#: of parameters and builds a spec, or counterexample3's raw candidate field.
+#: name -> (one-line description, builder, {parameter: check}).
 CATALOG = {
-    "kmk": ("three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3", _kmk_entry),
-    "toda": (
-        "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)", _toda_entry
+    "kmk": (
+        "three-species epidemic bracket, n=3, rank 2, Casimir x1+x2+x3",
+        kermack_mckendrick, {"R": _real, "kappa1": _real, "kappa2": _real},
     ),
-    "constant-symplectic": ("constant canonical block matrix, identity chart", _symplectic_entry),
+    "toda": (
+        "lattice bracket in Flaschka variables, n=2N-1, rank 2N-2, Casimir sum(beta)",
+        toda, {"N": _size},
+    ),
+    "constant-symplectic": (
+        "constant canonical block matrix, identity chart",
+        constant_symplectic, {"s": _size, "n": _size},
+    ),
     "counterexample3": (
-        "non-example field J12=x2, J23=x1 failing the Jacobi identity", _counterexample_entry
+        "non-example field J12=x2, J23=x1 failing the Jacobi identity", counterexample_field, {}
     ),
 }
 
@@ -198,10 +181,12 @@ CATALOG = {
 def catalog_entry(name: str, **params) -> MultiseparableSpec | StructureField:
     """Build the named system of :data:`CATALOG`; KeyError for another name.
 
-    Size parameters (N, s, n) must be integers, or floats with an integer
-    value; kmk's R, kappa1 and kappa2 must be finite real numbers.  A
-    parameter the system does not take, or of the wrong type, raises
-    TypeError naming it; a non-finite R, kappa1 or kappa2, ValueError.
+    A parameter the system does not take raises TypeError naming it; the
+    others are checked in the table's order, and the first that fails its
+    check raises TypeError, or ValueError for a non-finite real, naming it.
     """
-    _, build = CATALOG[name]
-    return build(name, params)
+    _, build, checks = CATALOG[name]
+    unknown = set(params) - set(checks)
+    if unknown:
+        raise TypeError(f"unknown parameters for {name}: {sorted(unknown)}")
+    return build(**{key: check(key, params[key]) for key, check in checks.items() if key in params})

@@ -290,25 +290,16 @@ def _hamiltonian_flag(text: str, n: int) -> HamiltonianField:
         kinds = f"unknown kind {kind!r}; choose from {HAMILTONIAN_KINDS}"
         raise ConfigValidationError(f"--hamiltonian: {kinds}")
     values = rest.split(",") if rest else []
-    if kind == "coordinate":
-        if len(values) > 1:
-            raise ConfigValidationError(f"--hamiltonian: coordinate takes one index, got {rest!r}")
-        value = _flag_numbers("--hamiltonian", int, values)[0] if values else None
-    else:
+    if kind != "coordinate":
         value = _flag_numbers("--hamiltonian", float, values)
+    elif len(values) > 1:
+        raise ConfigValidationError(f"--hamiltonian: coordinate takes one index, got {rest!r}")
+    else:  # a token that is no integer literal fails as the config's index does
+        try:
+            value = int(rest)
+        except ValueError:
+            value = rest
     return build_hamiltonian(kind, value, n, "--hamiltonian")
-
-
-def _add_system_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="path to a JSON system definition")
-    parser.add_argument("--system", help="catalog system name")
-    parser.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="K=V",
-        help="catalog system parameter (repeatable)",
-    )
 
 
 def _write_output(text: str, out: str | None):
@@ -329,28 +320,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, reduce, and integrate structure-matrix systems.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    commands = (
+        sub.add_parser("verify", help="run Jacobi/kernel/rank sweeps"),
+        sub.add_parser("darboux", help="export the canonical chart"),
+        p_int := sub.add_parser("integrate", help="integrate and emit trajectory CSV"),
+    )
+    for p in commands:
+        p.add_argument("--config", help="path to a JSON system definition")
+        p.add_argument("--system", help="catalog system name")
+        p.add_argument(
+            "--param", action="append", default=[], metavar="K=V",
+            help="catalog system parameter (repeatable)",
+        )
+    for p, points in zip(commands, (50, 100)):
+        p.add_argument("--points", type=int, default=points)
+        p.add_argument("--seed", type=int, default=0)
 
-    p_verify = sub.add_parser("verify", help="run Jacobi/kernel/rank sweeps")
-    _add_system_args(p_verify)
-    p_verify.add_argument("--points", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    p_darboux = sub.add_parser("darboux", help="export the canonical chart")
-    _add_system_args(p_darboux)
-    p_darboux.add_argument("--points", type=int, default=100)
-    p_darboux.add_argument("--seed", type=int, default=0)
-    p_darboux.add_argument("--out")
-
-    p_int = sub.add_parser("integrate", help="integrate and emit trajectory CSV")
-    _add_system_args(p_int)
     p_int.add_argument("--hamiltonian", help="KIND:ARGS, e.g. quadratic-diagonal:1,1,1")
     p_int.add_argument("--x0", help="comma-separated initial state")
     p_int.add_argument("--dt", type=float, default=1e-3)
     p_int.add_argument("--steps", type=int, default=1000)
     p_int.add_argument("--route", choices=("direct", "canonical"), default="direct")
     p_int.add_argument("--method", choices=("rk4", "implicit-midpoint"))
-    p_int.add_argument("--out")
+    for p in commands:  # last, as the usage line lists it
+        p.add_argument("--out", help="write the output here instead of stdout")
 
     p_cat = sub.add_parser("catalog", help="catalog operations")
     p_cat.add_argument("action", choices=("list",))
@@ -364,7 +357,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         if args.cmd == "catalog":
-            for name, (description, _) in CATALOG.items():
+            for name, (description, *_) in CATALOG.items():
                 sys.stdout.write(f"{name}: {description}\n")
             return EXIT_OK
         if args.cmd in ("verify", "darboux"):

@@ -23,7 +23,8 @@ whole definition when it is loaded and builds the system in the same pass,
 checking "hamiltonian" and "initial_state" against the system's dimension
 n, and "initial_state" against the open domain box.  Every number must be
 finite, except domain and validity bounds, where null or an infinity marks
-an unbounded side.  Errors name the offending field path.
+an unbounded side; "version", "n", "r" and the coordinate index must be
+JSON integers, not true or false.  Errors name the offending field path.
 """
 
 from __future__ import annotations
@@ -47,15 +48,6 @@ from .errors import ConfigParseError, ConfigValidationError, PoissonKitError
 from .factors import FACTOR_KINDS, FactorFunction
 from .structure import MultiseparableSpec, build_spec
 from .verify import StructureField, structure_field
-
-#: Built-in Hamiltonian kinds and the one parameter each reads.
-_HAMILTONIAN_PARAM = {
-    "linear": "coefficients",
-    "quadratic-diagonal": "weights",
-    "coordinate": "index",
-}
-HAMILTONIAN_KINDS = tuple(_HAMILTONIAN_PARAM)
-
 
 @dataclass(frozen=True)
 class System:
@@ -180,20 +172,33 @@ def _parse_factor(raw, idx: int) -> FactorFunction:
         _fail(path, str(exc))
 
 
+def _coordinate(index, n: int, path: str) -> HamiltonianField:
+    if type(index) is not int:
+        _fail(path, "expected a number that is an integer")
+    try:
+        return coordinate_hamiltonian(index, n)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+#: Built-in Hamiltonian kinds: the one parameter each reads, and the builder
+#: from its value on n coordinates, whose errors name the given path.
+_HAMILTONIANS = {
+    "linear": ("coefficients", lambda v, n, path: linear_hamiltonian(number_list(v, path, n))),
+    "quadratic-diagonal": (
+        "weights", lambda v, n, path: quadratic_hamiltonian(number_list(v, path, n))
+    ),
+    "coordinate": ("index", _coordinate),
+}
+HAMILTONIAN_KINDS = tuple(_HAMILTONIANS)
+
+
 def build_hamiltonian(kind: str, value, n: int, path: str) -> HamiltonianField:
     """The built-in Hamiltonian ``kind`` on n coordinates from its one
     parameter: a 1-based index for coordinate, a list of n numbers for the
     others.  ``path`` is the field path or command-line flag that errors
     name."""
-    if kind == "coordinate":
-        if type(value) is not int:
-            _fail(path, "expected a number that is an integer")
-        try:
-            return coordinate_hamiltonian(value, n)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    values = number_list(value, path, n)
-    return (linear_hamiltonian if kind == "linear" else quadratic_hamiltonian)(values)
+    return _HAMILTONIANS[kind][1](value, n, path)
 
 
 def hamiltonian_from_descriptor(raw, n: int) -> HamiltonianField:
@@ -207,7 +212,7 @@ def hamiltonian_from_descriptor(raw, n: int) -> HamiltonianField:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail("hamiltonian.params", "expected an object")
-    key = _HAMILTONIAN_PARAM[kind]
+    key = _HAMILTONIANS[kind][0]
     return build_hamiltonian(kind, params.get(key), n, f"hamiltonian.params.{key}")
 
 
@@ -221,7 +226,7 @@ def _builder_errors():
         raise ConfigValidationError(f"system definition rejected: {exc}") from exc
 
 
-def _catalog_system(raw) -> tuple[dict, MultiseparableSpec | None, StructureField]:
+def _catalog_system(raw) -> tuple[dict, MultiseparableSpec | StructureField]:
     if not isinstance(raw, dict) or "name" not in raw:
         _fail("system", "expected an object with a name")
     name = raw["name"]
@@ -230,20 +235,16 @@ def _catalog_system(raw) -> tuple[dict, MultiseparableSpec | None, StructureFiel
     params = raw.get("params", {})
     if not isinstance(params, dict):
         _fail("system.params", "expected an object")
-    descriptor = {"name": name, "params": params}
     with _builder_errors():
-        built = catalog_entry(name, **params)
-    if isinstance(built, MultiseparableSpec):
-        return descriptor, built, structure_field(built)
-    return descriptor, None, built
+        return {"name": name, "params": params}, catalog_entry(name, **params)
 
 
-def _explicit_system(raw: dict) -> tuple[dict, MultiseparableSpec, StructureField]:
+def _explicit_system(raw: dict) -> tuple[dict, MultiseparableSpec]:
     n = raw.get("n")
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         _fail("n", "expected an integer >= 2")
     r = raw.get("r")
-    if not isinstance(r, int):
+    if type(r) is not int:
         _fail("r", "expected an integer")
     if r % 2 != 0:
         _fail("r", "rank must be even")
@@ -261,8 +262,7 @@ def _explicit_system(raw: dict) -> tuple[dict, MultiseparableSpec, StructureFiel
         _fail("domain", "missing")
     domain = _parse_domain(raw["domain"], n)
     with _builder_errors():
-        spec = build_spec(n, r, B, factors, domain)
-    return {"name": "explicit", "n": n, "r": r}, spec, structure_field(spec)
+        return {"name": "explicit", "n": n, "r": r}, build_spec(n, r, B, factors, domain)
 
 
 def load_system(raw) -> System:
@@ -274,7 +274,7 @@ def load_system(raw) -> System:
     """
     if not isinstance(raw, dict):
         _fail("<root>", "expected a JSON object")
-    if not isinstance(raw.get("version", 1), int):
+    if type(raw.get("version", 1)) is not int:
         _fail("version", "expected an integer")
     has_catalog = "system" in raw
     has_explicit = any(k in raw for k in ("n", "r", "B", "factors"))
@@ -282,10 +282,9 @@ def load_system(raw) -> System:
         _fail("<root>", "catalog reference and explicit definition are mutually exclusive")
     if not has_catalog and not has_explicit:
         _fail("<root>", "provide either a system reference or an explicit definition")
-    if has_catalog:
-        descriptor, spec, fld = _catalog_system(raw["system"])
-    else:
-        descriptor, spec, fld = _explicit_system(raw)
+    descriptor, built = _catalog_system(raw["system"]) if has_catalog else _explicit_system(raw)
+    spec = built if isinstance(built, MultiseparableSpec) else None
+    fld = built if spec is None else structure_field(spec)
     hamiltonian = initial_state = None
     if "hamiltonian" in raw:
         hamiltonian = hamiltonian_from_descriptor(raw["hamiltonian"], fld.n)

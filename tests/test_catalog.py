@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from poissonkit import (
     structure_field,
     toda,
 )
-from poissonkit.catalog import CATALOG
+from poissonkit.catalog import CATALOG, _real, _size
 
 
 class TestKermackMcKendrick:
@@ -148,12 +150,21 @@ class TestCatalogEntries:
         "name, params, build, args",
         [
             ("kmk", {"R": 2.0}, kermack_mckendrick, (2.0,)),
+            ("kmk", {}, kermack_mckendrick, ()),
+            ("kmk", {"R": 1.0}, kermack_mckendrick, ()),
             ("toda", {"N": 4}, toda, (4,)),
-            ("toda", {}, toda, (3,)),
+            ("toda", {}, toda, ()),
+            ("toda", {"N": 3}, toda, ()),
             ("constant-symplectic", {"s": 1, "n": 3}, constant_symplectic, (1, 3)),
-            ("constant-symplectic", {}, constant_symplectic, (1, 2)),
+            ("constant-symplectic", {}, constant_symplectic, ()),
+            ("constant-symplectic", {"s": 1, "n": 2}, constant_symplectic, ()),
+            ("constant-symplectic", {"s": 2}, constant_symplectic, (2, 4)),
         ],
-        ids=["kmk", "toda-4", "toda-default", "symplectic-1-3", "symplectic-default"],
+        ids=[
+            "kmk", "kmk-default", "kmk-default-is-R-1", "toda-4", "toda-default",
+            "toda-default-is-N-3", "symplectic-1-3", "symplectic-default",
+            "symplectic-default-is-1-2", "symplectic-n-defaults-to-2s",
+        ],
     )
     def test_entry_is_the_built_spec(self, name, params, build, args):
         spec, expected = catalog_entry(name, **params), build(*args)
@@ -167,6 +178,46 @@ class TestCatalogEntries:
         field = catalog_entry("counterexample3")
         assert isinstance(field, StructureField)
         assert not jacobi_sweep(field, 5, seed=2).passed
+
+    def test_unknown_parameter_is_named_before_any_check(self):
+        with pytest.raises(TypeError, match=r"^unknown parameters for toda: \['M', 'Z'\]$"):
+            catalog_entry("toda", Z=1, N=1.5, M=2)
+
+    def test_parameters_are_checked_in_table_order(self):
+        for params in ({"n": 1.5, "s": 2.5}, {"s": 2.5, "n": 1.5}):
+            with pytest.raises(TypeError, match="^parameter s must be an integer, got 2.5$"):
+                catalog_entry("constant-symplectic", **params)
+        with pytest.raises(TypeError, match="^parameter R must be a number, got 'a'$"):
+            catalog_entry("kmk", kappa2="b", R="a")
+
+    @pytest.mark.parametrize(
+        "check, value, error, message",
+        [
+            (_real, True, TypeError, "parameter k must be a number, got True"),
+            (_real, "1", TypeError, "parameter k must be a number, got '1'"),
+            (_real, None, TypeError, "parameter k must be a number, got None"),
+            (_real, [1.0], TypeError, "parameter k must be a number, got [1.0]"),
+            (_real, math.inf, ValueError, "parameter k must be finite, got inf"),
+            (_real, -math.inf, ValueError, "parameter k must be finite, got -inf"),
+            (_real, math.nan, ValueError, "parameter k must be finite, got nan"),
+            (_size, False, TypeError, "parameter k must be an integer, got False"),
+            (_size, 2.5, TypeError, "parameter k must be an integer, got 2.5"),
+            (_size, math.inf, TypeError, "parameter k must be an integer, got inf"),
+            (_size, math.nan, TypeError, "parameter k must be an integer, got nan"),
+            (_size, "3", TypeError, "parameter k must be an integer, got '3'"),
+            (_size, None, TypeError, "parameter k must be an integer, got None"),
+        ],
+    )
+    def test_check_rejects_with_its_message(self, check, value, error, message):
+        with pytest.raises(error) as excinfo:
+            check("k", value)
+        assert str(excinfo.value) == message
+
+    def test_checks_pass_their_values(self):
+        assert _real("k", 2) == 2 and _real("k", -0.5) == -0.5
+        for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+            size = _size("k", value)
+            assert size == 3 and type(size) is int
 
     def test_unknown_entry(self):
         with pytest.raises(KeyError):

@@ -931,6 +931,7 @@ def test_system_too_large_to_allocate_is_rejected(capsys, command):
     [
         ("--hamiltonian", "quadratic-diagonal:1,a,1"),
         ("--hamiltonian", "coordinate:2.9"),
+        ("--hamiltonian", "coordinate:banana"),
         ("--hamiltonian", "coordinate:1,2"),
         ("--hamiltonian", "coordinate:1,banana"),
         ("--hamiltonian", "coordinate:"),
@@ -957,6 +958,8 @@ def test_malformed_integrate_flag_names_flag(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}: ")
+    if value.startswith("coordinate:") and "," not in value:  # the config index's message
+        assert err == f"error: {flag}: expected a number that is an integer\n"
 
 
 def test_unreadable_config_names_flag(tmp_path, capsys):
@@ -1058,6 +1061,15 @@ WEIGHTS_2 = {"kind": "quadratic-diagonal", "params": {"weights": [1, 1]}}
         (_with(KMK_CONFIG, ("system",), "kmk"), ["integrate"],
          "system: expected an object with a name"),
         (_with(EXPLICIT_CONFIG, ("r",), 2.0), ["verify"], "r: expected an integer"),
+        # A JSON bool is no count, though Python's bool is an int.
+        (_with(_with(EXPLICIT_CONFIG, ("r",), False), ("factors",), []), ["verify"],
+         "r: expected an integer"),
+        (_with(_with(EXPLICIT_CONFIG, ("r",), False), ("factors",), []), ["darboux"],
+         "r: expected an integer"),
+        (_with(EXPLICIT_CONFIG, ("r",), True), ["verify"], "r: expected an integer"),
+        (_with(EXPLICIT_CONFIG, ("n",), True), ["verify"], "n: expected an integer >= 2"),
+        (_with(KMK_CONFIG, ("version",), True), ["verify"], "version: expected an integer"),
+        (_with(KMK_CONFIG, ("version",), False), ["integrate"], "version: expected an integer"),
     ],
 )
 def test_input_checked_at_load_names_field(tmp_path, capsys, config, argv, message):

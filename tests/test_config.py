@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from poissonkit import ConfigParseError, ConfigValidationError
-from poissonkit.config import hamiltonian_from_descriptor, parse_config
+from poissonkit import (
+    ConfigParseError,
+    ConfigValidationError,
+    coordinate_hamiltonian,
+    linear_hamiltonian,
+    quadratic_hamiltonian,
+)
+from poissonkit.config import _HAMILTONIANS, hamiltonian_from_descriptor, parse_config
 
 KMK_EXPLICIT = {
     "version": 1,
@@ -153,3 +159,23 @@ def test_hamiltonian_descriptor_errors():
 def test_coordinate_descriptor():
     H = hamiltonian_from_descriptor({"kind": "coordinate", "params": {"index": 3}}, 3)
     assert H.value_at([5.0, 6.0, 7.0]) == 7.0
+
+
+@pytest.mark.parametrize(
+    "kind, value, expected",
+    [
+        ("linear", [1.0, -2.0, 0.5], linear_hamiltonian([1.0, -2.0, 0.5])),
+        ("quadratic-diagonal", [1.0, 2.0, 3.0], quadratic_hamiltonian([1.0, 2.0, 3.0])),
+        ("coordinate", 2, coordinate_hamiltonian(2, 3)),
+    ],
+)
+def test_hamiltonian_table_entry_is_the_public_builder(kind, value, expected):
+    key, build = _HAMILTONIANS[kind]
+    described = hamiltonian_from_descriptor({"kind": kind, "params": {key: value}}, 3)
+    X = np.array([[0.3, -1.2, 2.0], [1.5, 0.25, -0.75]])
+    for H in (build(value, 3, "h"), described):
+        np.testing.assert_array_equal(H.values_at(X), expected.values_at(X))
+        for x in X:
+            assert H.value_at(x) == expected.value_at(x)
+            np.testing.assert_array_equal(H.gradient_at(x), expected.gradient_at(x))
+            np.testing.assert_array_equal(H.hessian_at(x), expected.hessian_at(x))
