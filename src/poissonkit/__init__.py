@@ -4,6 +4,8 @@ numerical verification of the defining axioms, complete linear Casimir
 sets, an explicit global reduction to canonical coordinates, and
 structure-aware integrators."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     catalog_entry,
     constant_symplectic,
@@ -77,75 +79,14 @@ from .verify import (
     generic_field,
     jacobi_residual,
     jacobi_sweep,
-    kernel_check,
-    rank_at,
     structure_field,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "BoxDomain",
-    "CanonicalReport",
-    "CertificationFailureError",
-    "ConfigError",
-    "ConfigParseError",
-    "ConfigValidationError",
-    "Constant",
-    "CustomFactor",
-    "DarbouxChart",
-    "EmptyDomainSampleError",
-    "Exponential",
-    "FactorFunction",
-    "FactorVanishesError",
-    "HamiltonianField",
-    "IndexOutOfRangeError",
-    "InvalidSizeError",
-    "JacobiReport",
-    "Linear",
-    "MaxNewtonIterationsError",
-    "MultiseparableSpec",
-    "NoConvergenceError",
-    "OddRankError",
-    "OutOfDomainError",
-    "OutOfRangeError",
-    "OutOfValidityError",
-    "ParameterMismatchError",
-    "PoissonKitError",
-    "Power",
-    "QuadratureFailureError",
-    "RankExceedsDimensionError",
-    "SingularMatrixError",
-    "StructureField",
-    "TrajectoryRecord",
-    "bracket",
-    "build_spec",
-    "canonical_matrix",
-    "casimirs",
-    "catalog_entry",
-    "certify_canonical",
-    "constant_symplectic",
-    "coordinate_hamiltonian",
-    "counterexample_field",
-    "darboux_chart",
-    "default_anchors",
-    "evaluate_structure",
-    "fd_structure_field",
-    "generic_field",
-    "integrate_canonical",
-    "integrate_direct",
-    "jacobi_residual",
-    "jacobi_sweep",
-    "kernel_check",
-    "kermack_mckendrick",
-    "lambda_coefficient",
-    "linear_hamiltonian",
-    "quadratic_hamiltonian",
-    "rank_at",
-    "structure_field",
-    "structure_partials",
-    "toda",
-    "trajectory_to_csv",
-    "vector_field",
-]
+#: Every public name bound above, each written once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

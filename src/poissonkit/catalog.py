@@ -39,6 +39,9 @@ def kermack_mckendrick(
     """
     if not R > 0.0:
         raise ParameterMismatchError(f"R must be positive, got {R!r}")
+    for name, kappa in (("kappa1", kappa1), ("kappa2", kappa2)):
+        if kappa == 0.0:
+            raise ParameterMismatchError(f"{name} must be nonzero, got {kappa!r}")
     if kappa1 is None and kappa2 is None:
         kappa1 = math.sqrt(R)
         kappa2 = R / kappa1
@@ -145,7 +148,11 @@ def _real(key: str, v) -> float:
     """``v`` if a finite real number; TypeError or ValueError naming ``key``."""
     if not isinstance(v, numbers.Real) or isinstance(v, bool):
         raise TypeError(f"parameter {key} must be a number, got {v!r}")
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an integer beyond binary64
+        raise ValueError(f"parameter {key}: number out of range") from None
+    if not finite:
         raise ValueError(f"parameter {key} must be finite, got {v!r}")
     return v
 
@@ -183,7 +190,8 @@ def catalog_entry(name: str, **params) -> MultiseparableSpec | StructureField:
 
     A parameter the system does not take raises TypeError naming it; the
     others are checked in the table's order, and the first that fails its
-    check raises TypeError, or ValueError for a non-finite real, naming it.
+    check raises TypeError, or ValueError for a non-finite real or an
+    integer beyond binary64, naming it.
     """
     _, build, checks = CATALOG[name]
     unknown = set(params) - set(checks)

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CertificationFailureError,
-    EmptyDomainSampleError,
-    OutOfRangeError,
-    OutOfValidityError,
-)
+from .errors import CertificationFailureError, EmptyDomainSampleError
 from .factors import BoundChart
 from .structure import (
     MultiseparableSpec,
@@ -116,8 +111,7 @@ class DarbouxChart:
     closed form gives F's monotone limit: +-inf where F diverges, its
     finite value where F converges; a nan maps to the infinity F runs
     toward, so a custom factor, which gives nan at an end outside its open
-    validity interval, gets +-inf there.  Membership in the exact image is
-    decided by mapping back.
+    validity interval, gets +-inf there.
     """
 
     spec: MultiseparableSpec
@@ -176,14 +170,6 @@ class DarbouxChart:
         with np.errstate(all="ignore"):
             phi[..., : spec.r] = self.quadrature.invert_values(z[..., : spec.r])[1]
         return spec.A * phi[..., None, :]
-
-    def contains_image(self, z) -> bool:
-        """True when z is the image of a domain point."""
-        try:
-            x = self.inverse(z)
-        except (OutOfRangeError, OutOfValidityError):
-            return False
-        return self.spec.domain.contains(x)
 
 
 def darboux_chart(spec: MultiseparableSpec, anchors=None) -> DarbouxChart:

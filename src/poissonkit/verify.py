@@ -332,15 +332,10 @@ def jacobi_sweep(
     )
 
 
-def kernel_violation(spec: MultiseparableSpec, J: np.ndarray) -> float:
-    """Worst max_p || J . grad C_p ||_inf over the linear Casimirs C_p (rows
-    r+1..n of B), for one J or a (P, n, n) stack.  Zero for r = n."""
-    return float(np.max(np.abs(J @ spec.B[spec.r :].T), initial=0.0))
-
-
-def kernel_check(spec: MultiseparableSpec, x) -> float:
-    """Worst kernel violation of J(x) (see :func:`kernel_violation`)."""
-    return kernel_violation(spec, evaluate_structure(spec, x))
+def kernel_violation(spec: MultiseparableSpec, J: np.ndarray) -> np.ndarray:
+    """max || J . grad C_p ||_inf per linear Casimir C_p (rows r+1..n of B),
+    over one J or a (P, n, n) stack: shape (n - r,), empty for r = n."""
+    return np.abs(J @ spec.B[spec.r :].T).max(axis=tuple(range(J.ndim - 1)))
 
 
 def numerical_rank(J: np.ndarray) -> np.ndarray:
@@ -348,9 +343,3 @@ def numerical_rank(J: np.ndarray) -> np.ndarray:
     J or of each matrix in a (P, n, n) stack."""
     s = np.linalg.svd(J, compute_uv=False)
     return np.count_nonzero(s > RANK_REL_TOL * s[..., :1], axis=-1)
-
-
-def rank_at(field: StructureField, x) -> int:
-    """Numerical rank of J(x): singular values above RANK_REL_TOL * sigma_max."""
-    x = field.domain.require_inside(x)
-    return int(numerical_rank(np.asarray(field.evaluate(x))))

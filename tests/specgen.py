@@ -1,4 +1,5 @@
-"""Randomized well-scaled spec generation for sweep-style tests.
+"""Randomized well-scaled spec generation for sweep-style tests, and the
+pointwise kernel and rank checks that tests apply to a spec or field.
 
 Specs are kept unit scale on purpose: factor parameters are normalized so
 |phi| is near 1 at the box center, and candidate B matrices are integer
@@ -20,7 +21,9 @@ from poissonkit import (
     Linear,
     Power,
     build_spec,
+    evaluate_structure,
 )
+from poissonkit.verify import numerical_rank
 
 ALL_KINDS = ("constant", "linear", "affine", "exponential", "power")
 
@@ -117,3 +120,15 @@ def residual_tensor(J: np.ndarray, T: np.ndarray) -> np.ndarray:
     n = J.shape[0]
     C = (J @ T.reshape(n * n, n).T).reshape(n, n, n)
     return C + C.transpose(1, 2, 0) + C.transpose(2, 0, 1)
+
+
+def kernel_check(spec, x) -> float:
+    """max |J(x) c_p| over the linear Casimir rows c_p of B, formed from
+    J(x) and B alone; 0 for r = n."""
+    return float(np.max(np.abs(evaluate_structure(spec, x) @ spec.B[spec.r :].T), initial=0.0))
+
+
+def rank_at(field, x) -> int:
+    """Numerical rank of J(x) at a domain point x: singular values above
+    RANK_REL_TOL * sigma_max."""
+    return int(numerical_rank(field.evaluate(field.domain.require_inside(x))))

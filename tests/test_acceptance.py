@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from specgen import ALL_KINDS, residual_tensor, spec_suite
+from specgen import ALL_KINDS, kernel_check, rank_at, residual_tensor, spec_suite
 
 from poissonkit import (
     casimirs,
@@ -30,10 +30,8 @@ from poissonkit import (
     jacobi_residual,
     jacobi_sweep,
     kermack_mckendrick,
-    kernel_check,
     linear_hamiltonian,
     quadratic_hamiltonian,
-    rank_at,
     structure_field,
     toda,
     vector_field,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from specgen import rank_at
 
 from poissonkit import (
     InvalidSizeError,
@@ -17,7 +18,6 @@ from poissonkit import (
     evaluate_structure,
     jacobi_sweep,
     kermack_mckendrick,
-    rank_at,
     structure_field,
     toda,
 )
@@ -70,6 +70,10 @@ class TestKermackMcKendrick:
             kermack_mckendrick(1.0, 2.0, 1.0)
         with pytest.raises(ParameterMismatchError):
             kermack_mckendrick(-1.0)
+        for slopes in ({"kappa1": 0.0}, {"kappa2": -0.0}, {"kappa1": 0.0, "kappa2": 1.0}):
+            name = next(iter(slopes))
+            with pytest.raises(ParameterMismatchError, match=f"^{name} must be nonzero"):
+                kermack_mckendrick(1.0, **slopes)
 
     def test_rank_and_casimir(self, kmk_spec):
         field = structure_field(kmk_spec)
@@ -200,6 +204,7 @@ class TestCatalogEntries:
             (_real, math.inf, ValueError, "parameter k must be finite, got inf"),
             (_real, -math.inf, ValueError, "parameter k must be finite, got -inf"),
             (_real, math.nan, ValueError, "parameter k must be finite, got nan"),
+            (_real, 10**400, ValueError, "parameter k: number out of range"),
             (_size, False, TypeError, "parameter k must be an integer, got False"),
             (_size, 2.5, TypeError, "parameter k must be an integer, got 2.5"),
             (_size, math.inf, TypeError, "parameter k must be an integer, got inf"),

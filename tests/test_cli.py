@@ -18,6 +18,7 @@ from poissonkit.catalog import CATALOG
 from poissonkit.cli import _number, dump_json, main, run_integrate, run_verify
 from poissonkit.config import load_system
 from poissonkit.factors import FactorBank
+from poissonkit.verify import kernel_violation
 
 KMK_CONFIG = {
     "version": 1,
@@ -211,6 +212,45 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["casimirs"] == {"count": 2, "coefficient_rank": 2, "passed": True}
         assert _run(capsys, ["darboux", "--config", str(path)])[::2] == (0, "")
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 300.0, 3e3, 1e4, 1e8, 1e12])
+    def test_kernel_verdict_ignores_casimir_row_scale(self, tmp_path, capsys, monkeypatch, scale):
+        """Scaling the Casimir row c = lambda (1, 1, 1, 1, 1) of B leaves J,
+        so it changes no kernel verdict: each |J c^T| is read against
+        max|J| max|c|.  A rule against max|J| alone fails from lambda = 3e3
+        up (max_violation 7.3e-12, max|J| 6.98).  A J that misses the
+        kernel by 1e-6 max|J| max|c| fails at every scale."""
+        config = {
+            "version": 1, "n": 5, "r": 4,
+            "B": [1, 0, 0, 0, 0, 0.3, 1, 0, 0, 0, 0, 0.2, 1, 0, 0, 0, 0, 0.1, 1, 0] + [scale] * 5,
+            "factors": [
+                {"kind": "exponential", "params": {"amplitude": 1.0, "rate": 0.3}},
+                {"kind": "power", "params": {"coefficient": 1.5, "exponent": 0.5}},
+                {"kind": "affine", "params": {"slope": 0.5, "intercept": 2.0}},
+                {"kind": "constant", "params": {"c": 2.0}},
+            ],
+            "domain": {"lower": [0.1] * 5, "upper": [2.0] * 5},
+        }
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = _run(capsys, ["verify", "--config", str(path)])
+        kernel = json.loads(out)["kernel"]
+        assert (code, err, kernel["passed"]) == (0, "", True)
+
+        def off_kernel(spec, J):
+            """The violation of J with 1e-6 max|J| added to J_11, which adds
+            1e-6 max|J| c_1 = 1e-6 max|J| max|c| to (J c^T)_1."""
+            J = J.copy()
+            J[..., 0, 0] += 1e-6 * np.abs(J).max(axis=(-2, -1))
+            return kernel_violation(spec, J)
+
+        monkeypatch.setattr(poissonkit.cli, "kernel_violation", off_kernel)
+        code, out, err = _run(capsys, ["verify", "--config", str(path)])
+        report = json.loads(out)
+        assert (code, err, report["kernel"]["passed"]) == (1, "", False)
+        expected = 1e-6 * kernel["structure_scale"] * scale
+        assert report["kernel"]["max_violation"] == pytest.approx(expected, rel=1e-6)
+        assert report["jacobi"]["passed"] and report["rank"]["passed"]
 
     def test_seeded_runs_byte_identical(self, capsys):
         argv = ["verify", "--system", "kmk", "--points", "40", "--seed", "7"]
@@ -1187,6 +1227,23 @@ def test_malformed_catalog_param_names_parameter(capsys, system, params, name):
     assert code == 2
     assert out == ""
     assert f"parameter {name} must be" in err
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("kappa1=0", "kappa1 must be nonzero, got 0"),
+        ("kappa2=0", "kappa2 must be nonzero, got 0"),
+        ("kappa2=-0.0", "kappa2 must be nonzero, got -0.0"),
+        ("R=1" + "0" * 400, "parameter R: number out of range"),
+    ],
+)
+def test_catalog_param_the_builder_cannot_take_is_named(capsys, param, message):
+    """A zero slope, which kmk's default split would divide by, and an
+    integer beyond binary64 each exit 2 naming the parameter."""
+    for command in ("verify", "darboux"):
+        code, out, err = _run(capsys, [command, "--system", "kmk", "--param", param])
+        assert (code, out, err) == (2, "", f"error: system definition rejected: {message}\n")
 
 
 def test_integral_float_catalog_param_is_accepted(capsys):

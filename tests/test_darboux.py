@@ -410,17 +410,6 @@ class TestDarbouxChart:
             else:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_contains_image(self, kmk_spec):
-        chart = darboux_chart(kmk_spec)
-        x = np.array([1.0, 2.0, 0.5])
-        assert chart.contains_image(chart.forward(x))
-        # z with negative Casimir coordinate cannot come from the octant
-        assert not chart.contains_image(np.array([0.0, 0.0, -1.0]))
-
-    def test_far_point_is_not_an_image(self, toda3_spec):
-        chart = darboux_chart(toda3_spec)
-        assert not chart.contains_image(np.array([1e6, 0.0, 0.0, 0.0, 0.0]))
-
 
 @pytest.mark.parametrize(
     "first",
@@ -494,15 +483,13 @@ def test_canonical_matrix_layout():
 #: Each public chart operation at a target no point reaches, on kmk's
 #: chart (anchors 1, linear factors on y > 0) or on a single linear factor
 #: (anchor 1): y <= 0 is outside validity, and F^{-1}(1e6) = exp(1e6)
-#: overflows.  The operation and its argument, then the error it raises or
-#: the value it returns.
+#: overflows.  The operation and its argument, then the error it raises.
 UNREACHABLE = [
     ("forward", [-1.0, 1.0, 1.0], OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
     ("forward", [0.0, 1.0, 1.0], OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
     ("inverse", [1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
     ("inverse", [-1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = -1000000.0 maps outside validity interval")),
     ("inverse_jacobian", [1e6, 0.0, 1.0], OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
-    ("contains_image", [1e6, 0.0, 1.0], False),
     ("reciprocal_antiderivative", 0.0, OutOfValidityError("linear factor: y = 0.0 outside validity (0.0, inf)")),
     ("reciprocal_antiderivative", -1.0, OutOfValidityError("linear factor: y = -1.0 outside validity (0.0, inf)")),
     ("invert_antiderivative", 1e6, OutOfRangeError("factor 1 (linear): z = 1000000.0 outside the antiderivative range")),
@@ -513,20 +500,17 @@ UNREACHABLE = [
 @pytest.mark.parametrize("name,arg,outcome", UNREACHABLE)
 def test_chart_entry_is_quiet_at_an_unreachable_target(kmk_spec, name, arg, outcome):
     """A factor pass leaves the errstate to its caller, so each public chart
-    operation holds its own: it raises the named error or returns, and its
-    log of zero or overflowing exp gives no RuntimeWarning."""
+    operation holds its own: it raises the named error, and its log of
+    zero or overflowing exp gives no RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if isinstance(arg, list):
             call = lambda: getattr(darboux_chart(kmk_spec), name)(np.array(arg))
         else:
             call = lambda: getattr(Linear(1.0), name)(arg, 1.0)
-        if isinstance(outcome, Exception):
-            with pytest.raises(type(outcome)) as caught:
-                call()
-            assert str(caught.value) == str(outcome)
-        else:
-            assert call() is outcome
+        with pytest.raises(type(outcome)) as caught:
+            call()
+        assert str(caught.value) == str(outcome)
 
 
 def test_chart_with_a_diverging_end_is_quiet(kmk_spec):

@@ -892,6 +892,60 @@ class TestSpecSymmetries:
             self._assert_within(self._runs(spec, chart, routes=1), base, chart, routes=1)
 
 
+class TestPoissonMap:
+    """One step Psi of a Poisson integrator is a Poisson map:
+    Psi'(x) J(x) Psi'(x)^T = J(Psi(x)).  The defect
+    d = max|Psi' J(x) Psi'^T - J(Psi(x))| / max|J(Psi(x))|, with Psi' from
+    central differences of one-step runs at step 1e-5 (1 + |x_l|), stays at
+    the differences' error on the canonical route, whose step is symplectic
+    in the chart: at most 6.7e-11 over the three systems and the three dt.
+    Direct RK4 and direct midpoint are not Poisson maps for a nonconstant
+    J: at dt 0.1 they give 1.9e-3 and 1.1e-2 on kmk, and 2.0e-4 and 1.7e-3
+    on toda."""
+
+    @staticmethod
+    def _cases():
+        """kmk, toda N=3 and a generated n = 5, r = 4 spec, each with H's
+        weights and x0."""
+        spec = random_spec(np.random.default_rng(3), 5, 4)
+        return [
+            (kermack_mckendrick(1.0, 1.0, 1.0), [1.0, 2.0, 3.0], [2.0, 1.0, 1.0]),
+            (toda(3), np.linspace(1.0, 2.0, 5), [1.5, 1.5, 0.0, 0.0, 0.0]),
+            (spec, np.linspace(1.0, 2.0, 5), 0.5 * (spec.domain.lower + spec.domain.upper)),
+        ]
+
+    @staticmethod
+    def _defect(spec, run, x0) -> float:
+        """d at x0 for the one-step map x -> run(x).states[1]."""
+
+        def step(x):
+            record = run(x)
+            assert not record.domain_exit and record.num_records == 2
+            return record.states[1]
+
+        x0 = np.asarray(x0, dtype=float)
+        D = central_differences(step, x0, 1e-5)
+        J, J_after = evaluate_structure(spec, x0), evaluate_structure(spec, step(x0))
+        return float(np.abs(D @ J @ D.T - J_after).max() / np.abs(J_after).max())
+
+    @pytest.mark.parametrize("dt", [0.1, 0.05, 0.025])
+    def test_canonical_step_is_a_poisson_map(self, dt):
+        for spec, w, x0 in self._cases():
+            run = partial(
+                integrate_canonical, spec, quadratic_hamiltonian(w),
+                dt=dt, steps=1, chart=darboux_chart(spec),
+            )
+            assert self._defect(spec, run, x0) <= 1e-8
+
+    @pytest.mark.parametrize("method", ["rk4", "implicit-midpoint"])
+    def test_direct_step_is_not_a_poisson_map(self, method):
+        for spec, w, x0 in self._cases()[:2]:
+            run = partial(
+                integrate_direct, spec, quadratic_hamiltonian(w), dt=0.1, steps=1, method=method
+            )
+            assert self._defect(spec, run, x0) > 1e-5
+
+
 def test_newton_never_accepts_an_overflowing_iterate():
     """The Newton stop scales with max|u|, which an iterate with an inf
     entry makes inf, a bound that an inf residual would meet: such an

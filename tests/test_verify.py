@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from specgen import (
     dimension_rank_pairs,
+    kernel_check,
     pair_minor_table,
     random_spec,
+    rank_at,
     residual_tensor,
     spec_suite,
 )
@@ -39,8 +41,6 @@ from poissonkit import (
     jacobi_residual,
     jacobi_sweep,
     kermack_mckendrick,
-    kernel_check,
-    rank_at,
     structure_field,
     structure_partials,
     toda,
@@ -48,7 +48,7 @@ from poissonkit import (
 from poissonkit.cli import run_darboux, run_verify
 from poissonkit.config import parse_config
 from poissonkit.structure import structure_slopes
-from poissonkit.verify import _contraction
+from poissonkit.verify import _contraction, kernel_violation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -225,6 +225,16 @@ def test_kernel_check_examples(kmk_spec, toda3_spec, rng):
         assert kernel_check(toda3_spec, x) <= 1e-14
     full_rank = constant_symplectic(2, 4)
     assert kernel_check(full_rank, [0.1, 0.2, 0.3, 0.4]) == 0.0
+
+
+def test_kernel_violation_is_the_worst_per_casimir(rng):
+    """One entry per Casimir row c_p: max |J c_p| over one J or a stack."""
+    spec = random_spec(rng, 7, 2)
+    J = rng.standard_normal((6, 7, 7))
+    rows = np.array([[np.abs(Jx @ c).max() for c in spec.B[2:]] for Jx in J])
+    np.testing.assert_allclose(kernel_violation(spec, J), rows.max(axis=0), rtol=1e-14)
+    np.testing.assert_allclose(kernel_violation(spec, J[0]), rows[0], rtol=1e-14)
+    assert kernel_violation(constant_symplectic(2, 4), J[:, :4, :4]).shape == (0,)
 
 
 def test_rank_at_examples(kmk_spec, toda3_spec):
